@@ -14,6 +14,7 @@ gives the nonvanishing search implemented in :func:`find_n0`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,16 +51,11 @@ def top_coefficient(q, rootdata=None):
     return 2 * total
 
 
-_D21_CACHE = {}
-
-
+@functools.cache
 def _d21_rootdata(alpha):
-    key = alpha
-    if key not in _D21_CACHE:
-        from .superalgebras import d21
+    from .superalgebras import d21
 
-        _D21_CACHE[key] = d21(alpha).rootdata
-    return _D21_CACHE[key]
+    return d21(alpha).rootdata
 
 
 def closed_form_value(k):
@@ -84,20 +80,16 @@ def closed_form_check(ks=range(2, 41, 2)):
     return {"ok": ok, "rows": rows}
 
 
-_SUN_VERMA_CACHE = {}
-
-
+@functools.cache
 def sun_verma_polynomial(k, lambda0=DEFAULT_LAMBDA0):
     """eval of the symmetrized k-wheel on the symbolic D(2,1,alpha) Verma
-    module of weight n*lambda0, cached (this is the expensive computation)."""
-    key = (k, tuple(lambda0))
-    if key not in _SUN_VERMA_CACHE:
-        from .diagrams import chi_bar, wheel
-        from .evaluation import eval_verma
-        from .superalgebras import d21
+    module of weight n*lambda0 (a tuple), cached: this is the expensive
+    computation."""
+    from .diagrams import chi_bar, wheel
+    from .evaluation import eval_verma
+    from .superalgebras import d21
 
-        _SUN_VERMA_CACHE[key] = eval_verma(chi_bar(wheel(k)), d21(), lambda0)
-    return _SUN_VERMA_CACHE[key]
+    return eval_verma(chi_bar(wheel(k)), d21(), lambda0)
 
 
 def find_n0(k, lambda0=DEFAULT_LAMBDA0):

@@ -22,7 +22,6 @@ kill it.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -503,6 +502,3 @@ def _diagram_level(k, d):
                 "insertion-piece conventions",
     }
 
-
-def certificate_json(bundle):
-    return json.dumps(bundle, indent=2, sort_keys=True)

@@ -23,10 +23,37 @@ from .superalgebras import d21, sl2, validate, cartan_form_block
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_COST = 0, 1, 2, 3
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Usage errors are one line on stderr and exit 2."""
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def _parse_alpha_list(spec):
-    if not spec:
-        return []
-    return [Fraction(x) for x in spec.split(",")]
+    try:
+        alphas = [Fraction(x) for x in spec.split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of rationals: {spec!r}")
+    if any(a in (0, -1) for a in alphas):
+        raise argparse.ArgumentTypeError("alpha must avoid 0 and -1")
+    return alphas
+
+
+def _parse_weight(spec, L):
+    """H* coordinates of --weight, one integer per Cartan element; the
+    default is D(2,1,alpha)'s (3, 1, 1), cut to the algebra's rank."""
+    rank = len(L.rootdata.cartan)
+    if spec is None:
+        return asymptotics.DEFAULT_LAMBDA0[:rank]
+    if spec == "adjoint":
+        return L.rootdata.highest_root
+    try:
+        weight = tuple(int(x) for x in spec.split(","))
+    except ValueError:
+        weight = ()
+    if len(weight) != rank:
+        raise ValueError(f"--weight on {L.name} takes {rank} comma-separated integers, got {spec!r}")
+    return weight
 
 
 def _emit(report, fmt, out):
@@ -113,7 +140,10 @@ def cmd_validate(args):
 
 
 def cmd_leading(args):
-    kmax = args.k or 10
+    kmax = 10 if args.k is None else args.k
+    if kmax % 2 or kmax < 2:
+        sys.stderr.write(f"error: --k must be even and >= 2, got {kmax}\n")
+        return EXIT_USAGE
     ks = list(range(2, kmax + 1, 2))
     if args.mode == "symbolic":
         rows = []
@@ -162,31 +192,37 @@ def cmd_eval(args):
         sys.stderr.write("error: --diagram FILE is required for eval\n")
         return EXIT_USAGE
     try:
-        diag = Diagram.from_text(open(args.diagram).read())
-    except (OSError, DiagramError) as exc:
+        with open(args.diagram) as fh:
+            diag = Diagram.from_text(fh.read())
+    except (OSError, UnicodeDecodeError, DiagramError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     max_degree = args.max_degree or 6
     if diag.degree > max_degree:
         sys.stderr.write(f"error: diagram degree {diag.degree} exceeds --max-degree {max_degree}\n")
         return EXIT_COST
-    alphas = _parse_alpha_list(args.alpha)
     if args.algebra == "sl2":
         L = sl2()
-    elif alphas:
-        L = d21(alphas[0])
+    elif args.alpha:
+        L = d21(args.alpha[0])
     else:
         L = d21()
     try:
-        if args.mode == "statesum":
+        weight = None if args.mode == "statesum" else _parse_weight(args.weight, L)
+    except ValueError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
+    try:
+        if weight is None:
             value = evaluation.eval_state_sum(diag, L)
         else:
-            weight = L.rootdata.highest_root if args.weight == "adjoint" \
-                else tuple(int(x) for x in (args.weight or "3,1,1").split(","))
             value = evaluation.eval_verma(diag, L, weight)
     except evaluation.CostBoundError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_COST
+    except DiagramError as exc:  # e.g. a diagram without skeleton
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
     report = {"command": "eval", "algebra": L.name,
               "mode": args.mode or "verma", "value": str(value)}
     _emit(report, args.format, args.out)
@@ -194,15 +230,15 @@ def cmd_eval(args):
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="weightsys",
         description="Exact diagram-algebra and weight-system calculations")
     ap.add_argument("--command", required=True,
                     choices=["validate", "leading", "certify", "eval"])
     ap.add_argument("--k", type=int, help="leg count / range end (even)")
-    ap.add_argument("--d", type=int, help="target insertion degree (informational)")
     ap.add_argument("--q", help="symmetric cofactor Q, e.g. 1, e2, e3, e2^2")
-    ap.add_argument("--alpha", help="comma-separated rational alpha samples")
+    ap.add_argument("--alpha", type=_parse_alpha_list,
+                    help="comma-separated rational alpha samples")
     ap.add_argument("--mode", help="command-specific mode "
                                    "(leading: alpha1|symbolic; certify: auto|character|full; "
                                    "eval: verma|statesum)")
@@ -215,7 +251,6 @@ def build_parser():
     ap.add_argument("--weight", help="eval weight: adjoint or H* coordinates like 3,1,1")
     ap.add_argument("--max-degree", type=int, dest="max_degree",
                     help="cost guard for eval (default 6)")
-    ap.add_argument("--seed", type=int, help="seed for randomized spot checks")
     return ap
 
 
@@ -225,11 +260,6 @@ def main(argv=None):
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    if args.alpha:
-        bad = [a for a in _parse_alpha_list(args.alpha) if a in (0, -1)]
-        if bad:
-            sys.stderr.write("error: alpha must avoid 0 and -1\n")
-            return EXIT_USAGE
     handler = {"validate": cmd_validate, "leading": cmd_leading,
                "certify": cmd_certify, "eval": cmd_eval}[args.command]
     return handler(args)

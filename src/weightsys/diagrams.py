@@ -21,6 +21,7 @@ zero in the quotient; LinComb drops such terms on insertion.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -160,6 +161,7 @@ class Diagram:
 
     @classmethod
     def from_text(cls, text):
+        """Parse the format of ``to_text``; malformed text raises DiagramError."""
         nt = nu = None
         pairs = []
         skel = None
@@ -167,24 +169,32 @@ class Diagram:
             parts = line.split()
             if not parts or parts[0].startswith("#"):
                 continue
-            if parts[0] == "vertices":
-                nt, nu = int(parts[1]), int(parts[2])
-            elif parts[0] == "edge":
-                pairs.append((int(parts[1]), int(parts[2])))
-            elif parts[0] == "skeleton":
-                if parts[1] == "none":
+            try:
+                if parts[0] == "vertices" and len(parts) == 3:
+                    nt, nu = int(parts[1]), int(parts[2])
+                    if nt < 0 or nu < 0:
+                        raise ValueError
+                elif parts[0] == "edge" and len(parts) == 3:
+                    pairs.append((int(parts[1]), int(parts[2])))
+                elif parts[0] == "skeleton" and parts[1:] == ["none"]:
                     skel = None
-                elif parts[1] == "empty":
+                elif parts[0] == "skeleton" and parts[1:] == ["empty"]:
                     skel = ()
-                else:
+                elif parts[0] == "skeleton" and len(parts) > 1:
                     skel = tuple(int(x) for x in parts[1:])
-            else:
-                raise DiagramError(f"bad line: {line}")
+                else:
+                    raise ValueError
+            except ValueError:
+                raise DiagramError(f"bad line: {line.strip()}") from None
         if nt is None:
             raise DiagramError("missing vertices line")
         nd = 3 * nt + nu
+        if 2 * len(pairs) != nd:
+            raise DiagramError(f"{len(pairs)} edge lines cannot pair {nd} darts once each")
         pairing = [-1] * nd
         for a, b in pairs:
+            if not (0 <= a < nd and 0 <= b < nd):
+                raise DiagramError(f"edge {a} {b}: darts run from 0 to {nd - 1}")
             pairing[a], pairing[b] = b, a
         return cls(nt, nu, pairing, skel)
 
@@ -255,8 +265,6 @@ def _canonicalize(d):
         return base + (dart - base + step) % 3
 
     cands = [_Cand(r) for r in range(d.n_darts)]
-    best_tokens = []
-    step_schedule_done = False
 
     i = 0
     emissions = ("tag", "alpha", "sigma", "skel")
@@ -295,7 +303,6 @@ def _canonicalize(d):
                         expanded.append((-1, c))
             mn = min(t for t, _ in expanded)
             cands = [c for t, c in expanded if t == mn]
-            best_tokens.append(mn)
         i += 1
 
     parities = {c.parity for c in cands}
@@ -413,12 +420,6 @@ class LinComb:
 
     def is_zero(self):
         return not self.terms
-
-    def scaled(self, c):
-        out = LinComb()
-        for diag, v in self:
-            out.add(diag, v * c)
-        return out
 
     def __add__(self, other):
         out = LinComb()
@@ -592,9 +593,6 @@ def _resolve(d, t, u, first_partner, second_partner):
     return Diagram(new_nt, new_nu, pairing, skel=tuple(skel))
 
 
-_CHORD_CACHE = {}
-
-
 def chord_reduce(d):
     """Full STU reduction of a skeleton diagram to chord diagrams (cached)."""
     if isinstance(d, LinComb):
@@ -605,21 +603,21 @@ def chord_reduce(d):
     canon, sign, zero = d.canonical()
     if zero:
         return LinComb()
-    key = canon._encoding()
-    if key not in _CHORD_CACHE:
-        if canon.nt == 0:
-            res = LinComb.of(canon)
-        else:
-            legs = stu_eligible_legs(canon)
-            if not legs:
-                raise DiagramError("internal part detached from the skeleton")
-            res = LinComb()
-            for diag, c in stu_expand(canon, legs[0]):
-                res.add_comb(chord_reduce(diag), c)
-        _CHORD_CACHE[key] = res
-    out = LinComb()
-    out.add_comb(_CHORD_CACHE[key], sign)
-    return out
+    return LinComb().add_comb(_reduce_canonical(canon), sign)
+
+
+@functools.cache
+def _reduce_canonical(canon):
+    """STU reduction of a canonical diagram; the result is shared, never mutated."""
+    if canon.nt == 0:
+        return LinComb.of(canon)
+    legs = stu_eligible_legs(canon)
+    if not legs:
+        raise DiagramError("internal part detached from the skeleton")
+    res = LinComb()
+    for diag, c in stu_expand(canon, legs[0]):
+        res.add_comb(chord_reduce(diag), c)
+    return res
 
 
 def chord_endpoints(d):
@@ -980,8 +978,8 @@ def reduce_B(c, max_diagrams=4000):
     if not support:
         return {}
     diagrams, relations = ihx_saturate(support, max_diagrams=max_diagrams)
-    index = {diag._encoding(): i for i, diag in enumerate(sorted(
-        (d for d in diagrams), key=lambda x: x._encoding()))}
+    encodings = sorted(diag._encoding() for diag in diagrams)
+    index = {enc: i for i, enc in enumerate(encodings)}
     rows = []
     for rel in relations:
         rows.append({index[diag._encoding()]: as_field(Fraction(coeff))
@@ -997,9 +995,7 @@ def reduce_B(c, max_diagrams=4000):
                     vec[col] = s
                 else:
                     vec.pop(col, None)
-    back = {enc: i for enc, i in index.items()}
-    rev = {i: enc for enc, i in back.items()}
-    return {rev[i]: v for i, v in vec.items() if v}
+    return {encodings[i]: v for i, v in vec.items() if v}
 
 
 def dim_B_piece(degree, legs, max_diagrams=20000):
@@ -1158,9 +1154,6 @@ def dim_A_by_stu(m):
 def _word_canonical(pairs, n):
     """Rotation-minimal encoding of a chord pairing on n circle points."""
     best = None
-    partner = {}
-    for a, b in pairs:
-        partner[a], partner[b] = b, a
     for r in range(n):
         code = tuple(sorted(tuple(sorted(((a - r) % n, (b - r) % n))) for a, b in pairs))
         if best is None or code < best:

@@ -14,11 +14,17 @@ one factor of -1 per *crossing* pair of chords whose terms are both odd
 Casimir term always have equal parity).  The sign is applied when a chord
 opens, against the already-open odd chords it crosses.
 
-Two independent carriers implement the module interface: the Verma module
-of highest weight n*lambda0 (states are PBW monomials in the lowering
-operators, coefficients polynomial in n and alpha), and any
-finite-dimensional representation (states are basis vectors; the full
-endomorphism is accumulated so the scalar can be Schur-checked).
+Both methods share one path.  A carrier implements the module interface of
+the sweep (``lift``, ``start``, ``apply``, ``extract``), and ``extract``
+turns the final state into the chord diagram's scalar.  ``_chord_sum`` sums
+those scalars over ``chord_reduce``; each carrier memoizes them in
+``carrier.values``, keyed by canonical chord diagram, and one carrier per
+(algebra, weight) or (algebra, representation) is kept for the process.
+The two carriers are independent: the Verma module of highest weight
+n*lambda0 (states are PBW monomials in the lowering operators, coefficients
+polynomial in n and alpha), and any finite-dimensional representation
+(states are basis vectors; the full endomorphism is accumulated and
+Schur-checked to be an exact scalar).
 """
 
 from __future__ import annotations
@@ -29,10 +35,6 @@ from .diagrams import DiagramError, LinComb, chord_endpoints, chord_reduce, chi_
 from .scalars import MultiPoly, RationalFunction
 
 STATE_SUM_VERTEX_LIMIT = 12  # cost guard for dim-17 contractions
-
-# counters for the degree-bound invariant (checked on every Verma call)
-DEGREE_BOUND_CHECKS = 0
-DEGREE_BOUND_VIOLATIONS = 0
 
 
 class CostBoundError(RuntimeError):
@@ -150,6 +152,7 @@ class VermaCarrier:
                     for h, i in self.cartan_index.items()}
         self.zero_mono = (0,) * self.r
         self._memo = {}
+        self.values = {}
 
     def lift(self, c):
         if isinstance(c, MultiPoly):
@@ -235,6 +238,7 @@ class EndoCarrier:
         self.rep = rep
         self.vars = ring_vars
         self.one = MultiPoly.const(1, ring_vars) if ring_vars else Fraction(1)
+        self.values = {}
 
     def lift(self, c):
         if self.vars:
@@ -246,8 +250,17 @@ class EndoCarrier:
     def start(self):
         return {(j, j): self.one for j in range(self.rep.dim)}
 
-    def extract(self, vec):
-        return vec
+    def extract(self, endo):
+        """The scalar of the final endomorphism, checked to be exactly scalar."""
+        zero = self.lift(0)
+        scalar = endo.get((0, 0), zero)
+        for (col, idx), v in endo.items():
+            if col != idx and v:
+                raise SchurCheckError(f"off-diagonal entry at {(col, idx)}: {v}")
+        for j in range(self.rep.dim):
+            if endo.get((j, j), zero) != scalar:
+                raise SchurCheckError(f"diagonal mismatch at column {j}")
+        return scalar
 
     def apply(self, x, vec, scale=None):
         out = {}
@@ -305,7 +318,8 @@ def _plan_rotation(chords, n, branch):
 
 
 def sweep_chords(L, carrier, chords, n_positions, rotation=None):
-    """Contract a chord diagram given as endpoint pairs on n positions."""
+    """Contract a chord diagram given as endpoint pairs on n positions into
+    the carrier's scalar."""
     terms = _casimir_terms(L, carrier)
     if rotation is None:
         chords = _plan_rotation(chords, n_positions, len(terms))
@@ -360,16 +374,34 @@ def _merge(states, pend, vec):
 # ------------------------------------------------------------ public surface
 
 
-_VERMA_CARRIERS = {}
-_VERMA_VALUES = {}
-_STATESUM_VALUES = {}
+_CARRIERS = {}  # (L.name, lambda0) or (L.name, rep.name) -> carrier
 
 
-def _verma_carrier(L, lambda0):
-    key = (L.name, tuple(lambda0))
-    if key not in _VERMA_CARRIERS:
-        _VERMA_CARRIERS[key] = VermaCarrier(L, lambda0)
-    return _VERMA_CARRIERS[key]
+def _chord_sum(d, L, carrier, check=None):
+    """Value of a skeleton diagram, or a LinComb of them, on the carrier.
+
+    Chord values come from ``carrier.values`` or from a fresh sweep;
+    ``check(diagram, value)`` runs on the value of every diagram.
+    """
+    if isinstance(d, LinComb):
+        total = carrier.lift(0)
+        for diag, c in d:
+            total = total + _chord_sum(diag, L, carrier, check) * Fraction(c)
+        return total
+    if d.skel is None:
+        raise DiagramError("weight systems evaluate skeleton diagrams")
+    value = carrier.lift(0)
+    for chord_diag, c in chord_reduce(d):
+        key = chord_diag.canonical_key()
+        chord_value = carrier.values.get(key)
+        if chord_value is None:
+            chords = chord_endpoints(chord_diag)
+            chord_value = sweep_chords(L, carrier, chords, 2 * len(chords))
+            carrier.values[key] = chord_value
+        value = value + chord_value * Fraction(c)
+    if check is not None:
+        check(d, value)
+    return value
 
 
 def eval_verma(d, L, lambda0):
@@ -377,39 +409,21 @@ def eval_verma(d, L, lambda0):
     n*lambda0, as an exact polynomial in n (and alpha, symbolically).
 
     The degree bound deg_n <= (number of skeleton vertices) is asserted on
-    every call.
+    every diagram evaluated.
     """
-    global DEGREE_BOUND_CHECKS, DEGREE_BOUND_VIOLATIONS
-    carrier = _verma_carrier(L, lambda0)
-    if isinstance(d, LinComb):
-        total = MultiPoly.zero(carrier.vars)
-        for diag, c in d:
-            total = total + eval_verma(diag, L, lambda0) * Fraction(c)
-        return total
-    if d.skel is None:
-        raise DiagramError("weight systems evaluate skeleton diagrams")
-    value = MultiPoly.zero(carrier.vars)
-    for chord_diag, c in chord_reduce(d):
-        value = value + _verma_chord_value(chord_diag, L, carrier) * Fraction(c)
-    DEGREE_BOUND_CHECKS += 1
+    key = (L.name, tuple(lambda0))
+    if key not in _CARRIERS:
+        _CARRIERS[key] = VermaCarrier(L, lambda0)
+    return _chord_sum(d, L, _CARRIERS[key], check=_assert_degree_bound)
+
+
+def _assert_degree_bound(d, value):
     if value.degree_in("n") > len(d.skel):
-        DEGREE_BOUND_VIOLATIONS += 1
         raise AssertionError(
             f"degree bound violated: deg_n={value.degree_in('n')} > {len(d.skel)} skeleton vertices")
-    return value
 
 
-def _verma_chord_value(chord_diag, L, carrier):
-    key = (L.name, carrier.lambda0, chord_diag.canonical_key())
-    got = _VERMA_VALUES.get(key)
-    if got is None:
-        chords = chord_endpoints(chord_diag)
-        got = sweep_chords(L, carrier, chords, 2 * len(chords))
-        _VERMA_VALUES[key] = got
-    return got
-
-
-def eval_state_sum(d, L, rep=None, rotation=None):
+def eval_state_sum(d, L, rep=None):
     """Scalar by which a skeleton diagram acts in a finite-dimensional rep.
 
     The full endomorphism is computed and Schur-checked to be an exact
@@ -417,45 +431,14 @@ def eval_state_sum(d, L, rep=None, rotation=None):
     """
     if rep is None:
         rep = adjoint_rep(L)
-    if isinstance(d, LinComb):
-        total = 0
-        for diag, c in d:
-            total = eval_state_sum(diag, L, rep, rotation=rotation) * Fraction(c) + total
-        return total
-    if d.skel is None:
-        raise DiagramError("weight systems evaluate skeleton diagrams")
-    if rep.dim > 8 and d.n_vertices > STATE_SUM_VERTEX_LIMIT:
+    diagrams = [diag for diag, _ in d] if isinstance(d, LinComb) else [d]
+    if rep.dim > 8 and any(x.n_vertices > STATE_SUM_VERTEX_LIMIT for x in diagrams):
         raise CostBoundError(
             f"state sum over dim {rep.dim} limited to {STATE_SUM_VERTEX_LIMIT} vertices")
-    total = 0
-    for chord_diag, c in chord_reduce(d):
-        total = _statesum_chord_value(chord_diag, L, rep, rotation) * Fraction(c) + total
-    return total
-
-
-def _statesum_chord_value(chord_diag, L, rep, rotation=None):
-    key = (L.name, rep.name, chord_diag.canonical_key(), rotation)
-    got = _STATESUM_VALUES.get(key)
-    if got is None:
-        ring_vars = ("alpha",) if L.symbolic else ()
-        carrier = EndoCarrier(rep, ring_vars)
-        chords = chord_endpoints(chord_diag)
-        endo = sweep_chords(L, carrier, chords, 2 * len(chords), rotation=rotation)
-        got = _schur_scalar(endo, rep.dim, carrier)
-        _STATESUM_VALUES[key] = got
-    return got
-
-
-def _schur_scalar(endo, dim, carrier):
-    zero = carrier.lift(0)
-    scalar = endo.get((0, 0), zero)
-    for (col, idx), v in endo.items():
-        if col != idx and v:
-            raise SchurCheckError(f"off-diagonal entry at {(col, idx)}: {v}")
-    for j in range(dim):
-        if endo.get((j, j), zero) != scalar:
-            raise SchurCheckError(f"diagonal mismatch at column {j}")
-    return scalar
+    key = (L.name, rep.name)
+    if key not in _CARRIERS:
+        _CARRIERS[key] = EndoCarrier(rep, ("alpha",) if L.symbolic else ())
+    return _chord_sum(d, L, _CARRIERS[key])
 
 
 def adjoint_weight(L):

@@ -14,10 +14,9 @@ reproducible run to run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-Rational = Fraction
 
 
 def _as_fraction(c):
@@ -345,26 +344,11 @@ def univar_gcd(p, q, name):
 
     a, b = trim(a), trim(b)
     while b:
-        a, b = b, trim(_poly_mod(a, b))
+        a, b = b, trim(_poly_divmod(a, b)[1])
     if not a:
         return MultiPoly.zero((name,))
     lead = a[-1]
     return MultiPoly.from_univariate(name, [c / lead for c in a])
-
-
-def _poly_mod(a, b):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and any(a):
-        if not a[-1]:
-            a.pop()
-            continue
-        f = a[-1] / lb
-        shift = len(a) - 1 - db
-        for i, c in enumerate(b):
-            a[shift + i] -= f * c
-        a.pop()
-    return a
 
 
 def squarefree_part(p, name):
@@ -413,9 +397,7 @@ def rational_roots(p, name):
         roots.append((Fraction(0), val))
         coeffs = coeffs[val:]
     # integer-scale
-    denlcm = 1
-    for c in coeffs:
-        denlcm = denlcm * c.denominator // _gcd(denlcm, c.denominator)
+    denlcm = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * denlcm) for c in coeffs]
     lead, trail = ints[-1], ints[0]
     cands = set()
@@ -453,12 +435,6 @@ def _deflate(coeffs, root):
     for i in range(d - 1, 0, -1):
         out[i - 1] = coeffs[i] + root * out[i]
     return out
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n):
@@ -620,11 +596,6 @@ def as_field(x):
 # -- top-level operations -------------------------------------------------------
 
 
-def poly_eval(p, assignment):
-    """Exact substitution of Rationals or MultiPolys into a MultiPoly."""
-    return p.substitute(assignment)
-
-
 @dataclass
 class LinearSolution:
     """Result of an exact linear solve: particular solution + nullspace.
@@ -754,7 +725,7 @@ def matrix_inverse(mat):
     n = len(mat)
     rows = []
     for i in range(n):
-        r = {j: as_field(mat[i][j]) for j in range(n) if _nonzero(mat[i][j])}
+        r = {j: as_field(mat[i][j]) for j in range(n) if mat[i][j]}
         for j in range(n, 2 * n):
             if j - n == i:
                 r[j] = as_field(1)
@@ -793,9 +764,3 @@ def matrix_det(mat):
                 for j in range(col, n):
                     a[i][j] = a[i][j] - f * a[col][j]
     return det
-
-
-def _nonzero(x):
-    if isinstance(x, (int, Fraction)):
-        return bool(x)
-    return bool(x)

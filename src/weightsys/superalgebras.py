@@ -91,10 +91,6 @@ class SuperAlgebra:
                         out.pop(k, None)
         return out
 
-    def ad_matrix(self, i):
-        """Columns of ad(b_i): column j holds [b_i, b_j]."""
-        return [self.bracket(i, j) for j in range(self.dim)]
-
     def casimir_matrix(self):
         mat = [[0] * self.dim for _ in range(self.dim)]
         for i, j, c in self.casimir:

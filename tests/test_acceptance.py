@@ -9,7 +9,6 @@ from fractions import Fraction
 
 import pytest
 
-import weightsys.evaluation as evaluation
 from weightsys.asymptotics import (
     LeadingCoefficientQuery,
     closed_form_check,
@@ -121,15 +120,13 @@ def test_criterion_05_keystone(k):
 
 def test_criterion_06_degree_bounds():
     # the bound is asserted inside every eval_verma call; run a battery and
-    # confirm the counters saw traffic and no violations
+    # check it again on each value
     D = d21(Fraction(2))
-    for d in all_chord_diagrams(2):
-        eval_verma(d, D, (3, 1, 1))
-    eval_verma(wheel_on_circle(2), D, (3, 1, 1))
-    assert evaluation.DEGREE_BOUND_CHECKS > 0
-    assert evaluation.DEGREE_BOUND_VIOLATIONS == 0
+    battery = all_chord_diagrams(2) + [wheel_on_circle(2)]
+    for d in battery:
+        assert eval_verma(d, D, (3, 1, 1)).degree_in("n") <= len(d.skel)
     _report(6, f"deg_n <= #skeleton vertices held on every Verma evaluation "
-               f"({evaluation.DEGREE_BOUND_CHECKS} checks, 0 violations)")
+               f"({len(battery)} diagrams)")
 
 
 def test_criterion_07_character_certificate():

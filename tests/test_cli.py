@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from weightsys.cli import main
 from weightsys.diagrams import chord_diagram_from_word, empty_circle, wheel_on_circle
@@ -148,6 +149,29 @@ def test_eval_cost_guard(tmp_path, capsys):
 def test_alpha_guard(capsys):
     code, _ = run(capsys, "--command", "leading", "--alpha", "0")
     assert code == 2
+
+
+ONE_CHORD = "vertices 0 2\nedge 0 1\nskeleton 0 1\n"
+
+
+@pytest.mark.parametrize("text, args", [
+    ("vertices 0 2\nedge 0 x\nskeleton 0 1\n", "--command eval --algebra sl2 --mode statesum"),
+    ("vertices 0 2\nedge 0 9\nskeleton 0 1\n", "--command eval --algebra sl2 --mode statesum"),
+    ("vertices 0 2\nedge 0 1\nskeleton none\n", "--command eval --algebra sl2"),
+    (ONE_CHORD, "--command eval --algebra d21 --weight 3,1"),
+    (ONE_CHORD, "--command eval --algebra sl2 --weight 3,1"),
+    (ONE_CHORD, "--command eval --algebra d21 --alpha x"),
+    (ONE_CHORD, "--command leading --k 7"),
+])
+def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys, text, args):
+    f = tmp_path / "diagram.txt"
+    f.write_text(text)
+    code = main(args.split() + ["--diagram", str(f)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
 
 
 def test_deterministic_output(capsys):

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weightsys.diagrams import (
     Diagram,
@@ -240,6 +241,25 @@ def test_serialization_roundtrip_and_stability():
         assert back.canonical_key() == d.canonical_key()
         canon = d.canonical()[0]
         assert Diagram.from_text(canon.to_text())._encoding() == canon._encoding()
+
+
+_tokens = st.one_of(st.integers(-2, 9).map(str), st.integers().map(str),
+                    st.sampled_from(["x", "none", "empty", "1.5", "#"]))
+_lines = st.one_of(
+    st.builds(lambda head, rest: " ".join([head, *rest]),
+              st.sampled_from(["vertices", "edge", "skeleton"]),
+              st.lists(_tokens, max_size=5)),
+    st.text(max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_lines, max_size=8))
+def test_from_text_parses_or_raises_diagram_error(lines):
+    try:
+        d = Diagram.from_text("\n".join(lines))
+    except DiagramError:
+        return
+    assert Diagram.from_text(d.to_text()) == d
 
 
 def test_lincomb_collection_uses_signs():

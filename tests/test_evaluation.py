@@ -119,11 +119,15 @@ def test_cut_rotation_invariance(D_sym):
     assert all(v == vals[0] for v in vals[1:])
 
 
-def test_degree_bound_is_asserted(D2):
-    before = evaluation.DEGREE_BOUND_CHECKS
-    eval_verma(wheel_on_circle(2), D2, (3, 1, 1))
-    assert evaluation.DEGREE_BOUND_CHECKS > before
-    assert evaluation.DEGREE_BOUND_VIOLATIONS == 0
+def test_degree_bound_is_asserted(D2, monkeypatch):
+    # a sweep returning n^9 for a one-chord diagram (two skeleton vertices)
+    # must trip the bound; fresh carriers keep the fake value out of the memos
+    monkeypatch.setattr(evaluation, "_CARRIERS", {})
+    monkeypatch.setattr(evaluation, "sweep_chords",
+                        lambda *args, **kwargs: MultiPoly.variable("n") ** 9)
+    one = chord_diagram_from_word([(0, 1)], 2)
+    with pytest.raises(AssertionError, match="degree bound violated"):
+        eval_verma(one, D2, (3, 1, 1))
 
 
 def test_exact_ratio():

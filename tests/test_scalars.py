@@ -11,7 +11,6 @@ from weightsys.scalars import (
     matrix_det,
     matrix_inverse,
     matrix_rank,
-    poly_eval,
     rational_roots,
     solve_linear_system,
     squarefree_part,
@@ -55,17 +54,17 @@ def test_poly_eval_examples():
     alpha = P("alpha")
     # alpha^2 + alpha at alpha = 1
     p = alpha * alpha + alpha
-    assert poly_eval(p, {"alpha": Fraction(1)}) == 2
+    assert p.substitute({"alpha": Fraction(1)}) == 2
 
     # renaming-style substitution: sigma3 -> -alpha - alpha^2
     s3 = P("sigma3")
     image = -alpha - alpha * alpha
-    assert poly_eval(s3, {"sigma3": image}) == image
+    assert s3.substitute({"sigma3": image}) == image
 
     # (1 + alpha) * n^k at alpha = 1, k = 2  ->  2 n^2
     n = P("n")
     p = (1 + alpha) * n ** 2
-    assert poly_eval(p, {"alpha": Fraction(1)}) == 2 * n ** 2
+    assert p.substitute({"alpha": Fraction(1)}) == 2 * n ** 2
 
 
 def test_partial_substitution_keeps_other_vars():
