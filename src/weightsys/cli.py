@@ -21,6 +21,8 @@ from .diagrams import Diagram, DiagramError
 from .superalgebras import d21, sl2, validate, cartan_form_block
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_COST = 0, 1, 2, 3
+MODES = {"validate": (), "leading": ("alpha1", "symbolic"),
+         "certify": ("auto", "character", "full"), "eval": ("verma", "statesum")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -233,15 +235,13 @@ def build_parser():
     ap = _Parser(
         prog="weightsys",
         description="Exact diagram-algebra and weight-system calculations")
-    ap.add_argument("--command", required=True,
-                    choices=["validate", "leading", "certify", "eval"])
+    ap.add_argument("--command", required=True, choices=list(MODES))
     ap.add_argument("--k", type=int, help="leg count / range end (even)")
     ap.add_argument("--q", help="symmetric cofactor Q, e.g. 1, e2, e3, e2^2")
     ap.add_argument("--alpha", type=_parse_alpha_list,
                     help="comma-separated rational alpha samples")
-    ap.add_argument("--mode", help="command-specific mode "
-                                   "(leading: alpha1|symbolic; certify: auto|character|full; "
-                                   "eval: verma|statesum)")
+    ap.add_argument("--mode", help="command-specific mode (" + "; ".join(
+        f"{cmd}: {'|'.join(modes)}" for cmd, modes in MODES.items() if modes) + ")")
     ap.add_argument("--format", default="text", choices=["text", "json", "csv"])
     ap.add_argument("--out", help="output path (default stdout)")
     ap.add_argument("--table", help="parameter table path")
@@ -258,6 +258,10 @@ def main(argv=None):
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+        modes = MODES[args.command]
+        if args.mode is not None and args.mode not in modes:
+            ap.error(f"--mode {args.mode!r}: {args.command} takes "
+                     + ("no --mode" if not modes else "one of " + ", ".join(modes)))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     handler = {"validate": cmd_validate, "leading": cmd_leading,

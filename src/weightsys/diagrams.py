@@ -10,7 +10,10 @@ Half-edge ("dart") layout: trivalent vertex v owns darts 3v, 3v+1, 3v+2 and
 its cyclic order is 3v -> 3v+1 -> 3v+2 -> 3v; univalent vertex u (labelled
 nt + j) owns the single dart 3*nt + j.  ``pairing`` is the edge involution
 on darts.  ``skel`` is None or the tuple of univalent vertex labels in
-circle order (a cyclic sequence; rotations are isomorphic).
+circle order (a cyclic sequence; rotations are isomorphic).  ``_from_edges``
+builds every pairing from a list of dart pairs, and ``_cut`` does every
+renumbering after vertices are removed: kept vertices keep their relative
+order and fresh vertices take the labels after them.
 
 Canonical forms: the minimal rooted-traversal encoding over all choices of
 root dart and per-vertex orientation (reversing a cyclic order flips the
@@ -191,16 +194,45 @@ class Diagram:
         nd = 3 * nt + nu
         if 2 * len(pairs) != nd:
             raise DiagramError(f"{len(pairs)} edge lines cannot pair {nd} darts once each")
-        pairing = [-1] * nd
         for a, b in pairs:
             if not (0 <= a < nd and 0 <= b < nd):
                 raise DiagramError(f"edge {a} {b}: darts run from 0 to {nd - 1}")
-            pairing[a], pairing[b] = b, a
-        return cls(nt, nu, pairing, skel)
+        return _from_edges(nt, nu, pairs, skel)
 
     def __repr__(self):
         sk = "B" if self.skel is None else "A"
         return f"<Diagram {sk} deg={self.degree} nt={self.nt} legs={self.nu}>"
+
+
+def _from_edges(nt, nu, edges, skel=None):
+    """The diagram whose pairing joins the two darts of each pair in ``edges``."""
+    pairing = [-1] * (3 * nt + nu)
+    for a, b in edges:
+        pairing[a], pairing[b] = b, a
+    return Diagram(nt, nu, pairing, skel)
+
+
+def _cut(d, drop, new_nt):
+    """Renumber d's vertices outside ``drop`` for a diagram with new_nt
+    trivalent vertices.
+
+    Kept trivalent vertices take labels 0, 1, ... and kept univalent ones
+    new_nt, new_nt + 1, ..., both in their old order, so fresh vertices
+    take the labels after them.  Returns (new label of each kept vertex,
+    new number of each kept dart, the edges between kept darts).
+    """
+    kept_t = [v for v in range(d.nt) if v not in drop]
+    kept_u = [v for v in range(d.nt, d.n_vertices) if v not in drop]
+    vmap, dmap = {}, {}
+    for i, v in enumerate(kept_t):
+        vmap[v] = i
+        dmap.update(zip(d.vertex_darts(v), range(3 * i, 3 * i + 3)))
+    for j, v in enumerate(kept_u):
+        vmap[v] = new_nt + j
+        dmap[3 * d.nt + v - d.nt] = 3 * new_nt + j
+    edges = [(dmap[a], dmap[b]) for a, b in enumerate(d.pairing)
+             if a < b and a in dmap and b in dmap]
+    return vmap, dmap, edges
 
 
 def empty_circle():
@@ -452,17 +484,10 @@ def wheel(k):
     each, no skeleton.  Cyclic order at hub i: (leg, next, prev)."""
     if k < 2 or k % 2:
         raise DiagramError("wheel needs an even leg count >= 2")
-    nt, nu = k, k
-    pairing = [-1] * (3 * nt + nu)
-
-    def pair(a, b):
-        pairing[a], pairing[b] = b, a
-
     # darts at hub i: 3i = leg slot, 3i+1 = to next hub, 3i+2 = to previous hub
-    for i in range(k):
-        pair(3 * i, 3 * nt + i)
-        pair(3 * i + 1, 3 * ((i + 1) % k) + 2)
-    return Diagram(nt, nu, pairing)
+    edges = [(3 * i, 3 * k + i) for i in range(k)]
+    edges += [(3 * i + 1, 3 * ((i + 1) % k) + 2) for i in range(k)]
+    return _from_edges(k, k, edges)
 
 
 def wheel_on_circle(k):
@@ -535,62 +560,18 @@ def _resolve(d, t, u, first_partner, second_partner):
     """Remove internal vertex t and leg u; attach the two cut edges to two
     new skeleton legs at u's position, ``first_partner`` first in circle
     order."""
-    nt, nu = d.nt, d.nu
-    old_nt3 = 3 * nt
-    new_nt = nt - 1
-    new_nu = nu + 1
-
-    tv_map = {}
-    idx = 0
-    for v in range(nt):
-        if v == t:
-            continue
-        tv_map[v] = idx
-        idx += 1
-    uv_map = {}
-    idx = 0
-    for v in range(nt, nt + nu):
-        if v == u:
-            continue
-        uv_map[v] = idx
-        idx += 1
-    # two fresh legs occupy the last two univalent slots: A (first) then B
-    legA, legB = new_nt + nu - 1, new_nt + nu
-
-    def nd(old):
-        if old < old_nt3:
-            return 3 * tv_map[old // 3] + (old % 3)
-        return 3 * new_nt + uv_map[nt + (old - old_nt3)]
-
-    pairing = [-1] * (3 * new_nt + new_nu)
-
-    def pair(a, b):
-        pairing[a], pairing[b] = b, a
-
-    removed = set(d.vertex_darts(t)) | set(d.vertex_darts(u))
-    for dart in range(d.n_darts):
-        if dart in removed:
-            continue
-        p = d.pairing[dart]
-        if p in removed:
-            continue
-        pair(nd(dart), nd(p))
-    dartA = 3 * new_nt + (legA - new_nt)
-    dartB = 3 * new_nt + (legB - new_nt)
-    if first_partner in removed and second_partner in removed:
-        # both cut edges close onto each other: a chord between the new legs
-        pair(dartA, dartB)
-    else:
-        pair(dartA, nd(first_partner))
-        pair(dartB, nd(second_partner))
-
+    new_nt = d.nt - 1
+    vmap, dmap, edges = _cut(d, (t, u), new_nt)
+    # two fresh legs take the last two univalent slots: A (first) then B
+    leg_a, dart_a = new_nt + d.nu - 1, 3 * new_nt + d.nu - 1
+    if first_partner in dmap:
+        edges += [(dart_a, dmap[first_partner]), (dart_a + 1, dmap[second_partner])]
+    else:  # both cut edges close onto each other: a chord between the new legs
+        edges.append((dart_a, dart_a + 1))
     skel = []
     for v in d.skel:
-        if v == u:
-            skel.extend((legA, legB))
-        else:
-            skel.append(uv_map[v] + new_nt)
-    return Diagram(new_nt, new_nu, pairing, skel=tuple(skel))
+        skel.extend((leg_a, leg_a + 1) if v == u else (vmap[v],))
+    return _from_edges(new_nt, d.nu + 1, edges, skel)
 
 
 def chord_reduce(d):
@@ -652,56 +633,20 @@ def skeleton_swap(d, i):
     skel2[i], skel2[(i + 1) % n] = y, x
     swapped = Diagram(d.nt, d.nu, d.pairing, skel=tuple(skel2))
 
-    # Y term: new trivalent vertex t with cyclic (to-skeleton, x-edge, y-edge)
-    nt, nu = d.nt, d.nu
-    new_nt = nt + 1
-    new_nu = nu - 1
-    t = nt  # fresh trivalent label
-    xv_dart, yv_dart = d.vertex_darts(x)[0], d.vertex_darts(y)[0]
-    px, py = d.pairing[xv_dart], d.pairing[yv_dart]
-
-    uv_map = {}
-    idx = 0
-    for v in range(nt, nt + nu):
-        if v in (x, y):
-            continue
-        uv_map[v] = idx
-        idx += 1
-    legU = new_nt + new_nu - 1  # fused leg, last univalent slot
-    uv_dart = 3 * new_nt + (legU - new_nt)
-
-    def ndart(old):
-        if old < 3 * nt:
-            return old  # trivalent block unchanged (fresh vertex appended)
-        return 3 * new_nt + uv_map[nt + (old - 3 * nt)]
-
-    pairing = [-1] * (3 * new_nt + new_nu)
-
-    def pair(a, b):
-        pairing[a], pairing[b] = b, a
-
-    removed = {xv_dart, yv_dart}
-    for dart in range(d.n_darts):
-        if dart in removed or d.pairing[dart] in removed:
-            continue
-        pair(ndart(dart), ndart(d.pairing[dart]))
-    t0, t1, t2 = 3 * t, 3 * t + 1, 3 * t + 2  # (skeleton, x-edge, y-edge)
-    pair(t0, uv_dart)
-    if px == yv_dart:  # x and y were chorded together
-        pair(t1, t2)
-    else:
-        pair(t1, ndart(px))
-        pair(t2, ndart(py))
-    skel = []
-    for v in d.skel:
-        if v == x:
-            skel.append(legU)
-        elif v == y:
-            continue
-        else:
-            skel.append(uv_map[v] + new_nt)
-    y_term = Diagram(new_nt, new_nu, pairing, skel=tuple(skel))
-    return swapped, y_term
+    # Y term: fresh trivalent vertex nt with cyclic order (to-skeleton,
+    # x-edge, y-edge); the fused leg takes the last univalent slot
+    new_nt = d.nt + 1
+    vmap, dmap, edges = _cut(d, (x, y), new_nt)
+    t0 = 3 * d.nt
+    leg = new_nt + d.nu - 2
+    edges.append((t0, 3 * new_nt + d.nu - 2))
+    px, py = (d.pairing[d.vertex_darts(v)[0]] for v in (x, y))
+    if px in dmap:
+        edges += [(t0 + 1, dmap[px]), (t0 + 2, dmap[py])]
+    else:  # x and y were chorded together
+        edges.append((t0 + 1, t0 + 2))
+    skel = [leg if v == x else vmap[v] for v in d.skel if v != y]
+    return swapped, _from_edges(new_nt, d.nu - 1, edges, skel)
 
 
 def sort_skeleton_to(d, target_order, coeff=1):
@@ -776,24 +721,15 @@ def ladder(r):
     if r < 1:
         raise DiagramError("ladder needs r >= 1")
     nt = 2 * r + 1
-    nu = 3
-    pairing = [-1] * (3 * nt + nu)
-
-    def pair(a, b):
-        pairing[a], pairing[b] = b, a
-
     # path vertices 0..2r (vertex r is the fold); darts (3v, 3v+1, 3v+2) =
     # (path-prev, middle, path-next); middle = rung, or the fold leg at v=r
-    for v in range(nt - 1):
-        pair(3 * v + 2, 3 * (v + 1))
-    for i in range(r):
-        pair(3 * i + 1, 3 * (2 * r - i) + 1)
-    legA, legB, legC = nt, nt + 1, nt + 2
-    pair(3 * 0, 3 * nt + 0)            # rail A start
-    pair(3 * (nt - 1) + 2, 3 * nt + 1)  # rail B start (path end)
-    pair(3 * r + 1, 3 * nt + 2)         # fold leg
-    diag = Diagram(nt, nu, pairing)
-    return InsertionPiece(diag, (legA, legB, legC), name=f"ladder({r})")
+    edges = [(3 * v + 2, 3 * (v + 1)) for v in range(nt - 1)]
+    edges += [(3 * i + 1, 3 * (2 * r - i) + 1) for i in range(r)]
+    edges += [(0, 3 * nt),                  # rail A start
+              (3 * (nt - 1) + 2, 3 * nt + 1),  # rail B start (path end)
+              (3 * r + 1, 3 * nt + 2)]        # fold leg
+    diag = _from_edges(nt, 3, edges)
+    return InsertionPiece(diag, (nt, nt + 1, nt + 2), name=f"ladder({r})")
 
 
 def triangle():
@@ -811,59 +747,21 @@ def insert_at_vertex(d, v, piece, rotation=0):
     if v >= d.nt:
         raise DiagramError("insertion needs a trivalent vertex")
     p = piece.diagram
-    pd = [p.pairing[p.vertex_darts(leg)[0]] for leg in piece.legs]  # piece-side glue darts
-    cut = list(d.vertex_darts(v))
-    cut_partners = [d.pairing[c] for c in cut]
-
     nt = d.nt - 1 + p.nt
-    nu = d.nu
-    tv_map = {}
-    idx = 0
-    for w in range(d.nt):
-        if w == v:
-            continue
-        tv_map[w] = idx
-        idx += 1
-    p_off = d.nt - 1
-
-    def nd_host(old):
-        if old < 3 * d.nt:
-            return 3 * tv_map[old // 3] + (old % 3)
-        return 3 * nt + (old - 3 * d.nt)
-
-    def nd_piece(old):
-        return 3 * (p_off + old // 3) + (old % 3)
-
-    pairing = [-1] * (3 * nt + nu)
-
-    def pair(a, b):
-        pairing[a], pairing[b] = b, a
-
-    cutset = set(cut)
-    for dart in range(d.n_darts):
-        if dart in cutset or d.pairing[dart] in cutset:
-            continue
-        pair(nd_host(dart), nd_host(d.pairing[dart]))
-    removed_piece = {p.vertex_darts(leg)[0] for leg in piece.legs}
-    for dart in range(3 * p.nt):
-        q = p.pairing[dart]
-        if q in removed_piece:
-            continue
-        pair(nd_piece(dart), nd_piece(q))
+    vmap, dmap, edges = _cut(d, (v,), nt)
+    # the piece's trivalent vertices take the labels after the host's
+    off = 3 * (d.nt - 1)
+    edges += [(off + a, off + b) for a, b in enumerate(p.pairing[:3 * p.nt])
+              if a < b < 3 * p.nt]
+    glue = [off + p.pairing[p.vertex_darts(leg)[0]] for leg in piece.legs]
     for slot in range(3):
-        host = cut_partners[slot]
-        glue = pd[(slot + rotation) % 3]
-        if host in cutset:
-            # v had a self-loop: connect the two glue darts directly
-            other_slot = cut.index(host)
-            if other_slot > slot:
-                pair(nd_piece(glue), nd_piece(pd[(other_slot + rotation) % 3]))
-        else:
-            pair(nd_host(host), nd_piece(glue))
-    skel = None if d.skel is None else tuple(nd_host(d.vertex_darts(u)[0]) - 3 * nt + nt
-                                             for u in d.skel)
-    out = Diagram(nt, nu, pairing, skel=skel)
-    return LinComb.of(out, piece.sign)
+        host = d.pairing[3 * v + slot]
+        if host in dmap:
+            edges.append((dmap[host], glue[(slot + rotation) % 3]))
+        elif host % 3 > slot:  # a self-loop at v joins two glue darts
+            edges.append((glue[(slot + rotation) % 3], glue[(host % 3 + rotation) % 3]))
+    skel = None if d.skel is None else [vmap[u] for u in d.skel]
+    return LinComb.of(_from_edges(nt, d.nu, edges, skel), piece.sign)
 
 
 # -- IHX saturation and reduction ---------------------------------------------------
@@ -898,36 +796,12 @@ def ihx_relation(d, h):
 def _rewire(d, u, w, triple_u, triple_w):
     """Rebuild d with the half-edge triples at trivalent u, w replaced (the
     entries name old darts whose partners are preserved)."""
-    old_partner = {}
-    slots = {}
-    for v, triple in ((u, triple_u), (w, triple_w)):
-        for s, old in enumerate(triple):
-            slots[old] = 3 * v + s
-    for old in list(slots):
-        old_partner[old] = d.pairing[old]
-
-    def nd(old):
-        return slots.get(old, old)
-
+    slots = (3 * u, 3 * u + 1, 3 * u + 2, 3 * w, 3 * w + 1, 3 * w + 2)
+    move = dict(zip(triple_u + triple_w, slots))
     pairing = list(d.pairing)
-    touched = set(slots) | {d.pairing[o] for o in slots}
-    for t in touched:
-        pairing[t] = -1
-
-    def pair(x, y):
-        pairing[x], pairing[y] = y, x
-
-    done = set()
-    for old, target in slots.items():
-        if old in done:
-            continue
-        partner = old_partner[old]
-        done.add(old)
-        if partner in slots:
-            done.add(partner)
-            pair(target, slots[partner])
-        else:
-            pair(target, partner)
+    for old, new in move.items():
+        partner = move.get(d.pairing[old], d.pairing[old])
+        pairing[new], pairing[partner] = partner, new
     return Diagram(d.nt, d.nu, pairing, skel=d.skel)
 
 
@@ -1067,11 +941,7 @@ def enumerate_connected(degree, legs):
 
 def chord_diagram_from_word(pairs, n):
     """Chord diagram on n circle positions from a pairing of positions."""
-    nu = n
-    pairing = [-1] * nu
-    for a, b in pairs:
-        pairing[a], pairing[b] = b, a
-    return Diagram(0, nu, tuple(pairing), skel=tuple(range(nu)))
+    return _from_edges(0, n, pairs, skel=range(n))
 
 
 def all_chord_diagrams(m):
@@ -1105,17 +975,9 @@ def one_vertex_diagrams(m):
     for tripod_pos in itertools.combinations(range(n), 3):
         rest = [i for i in range(n) if i not in tripod_pos]
         for pairs in _pairings(rest):
-            nt, nu = 1, n
-            pairing = [-1] * (3 + nu)
-
-            def pair(a, b, pairing=pairing):
-                pairing[a], pairing[b] = b, a
-
-            for s, pos in enumerate(tripod_pos):
-                pair(s, 3 + pos)
-            for a, b in pairs:
-                pair(3 + a, 3 + b)
-            diag = Diagram(nt, nu, tuple(pairing), skel=tuple(range(1, 1 + nu)))
+            edges = [(s, 3 + pos) for s, pos in enumerate(tripod_pos)]
+            edges += [(3 + a, 3 + b) for a, b in pairs]
+            diag = _from_edges(1, n, edges, skel=range(1, 1 + n))
             canon, _, zero = diag.canonical()
             if not zero:
                 found.setdefault(canon._encoding(), canon)

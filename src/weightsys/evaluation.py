@@ -429,16 +429,16 @@ def eval_state_sum(d, L, rep=None):
     The full endomorphism is computed and Schur-checked to be an exact
     scalar multiple of the identity; the scalar is returned.
     """
-    if rep is None:
-        rep = adjoint_rep(L)
-    diagrams = [diag for diag, _ in d] if isinstance(d, LinComb) else [d]
-    if rep.dim > 8 and any(x.n_vertices > STATE_SUM_VERTEX_LIMIT for x in diagrams):
-        raise CostBoundError(
-            f"state sum over dim {rep.dim} limited to {STATE_SUM_VERTEX_LIMIT} vertices")
-    key = (L.name, rep.name)
+    key = (L.name, f"adjoint({L.name})" if rep is None else rep.name)
     if key not in _CARRIERS:
+        rep = adjoint_rep(L) if rep is None else rep
         _CARRIERS[key] = EndoCarrier(rep, ("alpha",) if L.symbolic else ())
-    return _chord_sum(d, L, _CARRIERS[key])
+    carrier = _CARRIERS[key]
+    diagrams = [diag for diag, _ in d] if isinstance(d, LinComb) else [d]
+    if carrier.rep.dim > 8 and any(x.n_vertices > STATE_SUM_VERTEX_LIMIT for x in diagrams):
+        raise CostBoundError(
+            f"state sum over dim {carrier.rep.dim} limited to {STATE_SUM_VERTEX_LIMIT} vertices")
+    return _chord_sum(d, L, carrier)
 
 
 def adjoint_weight(L):

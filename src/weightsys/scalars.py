@@ -223,8 +223,16 @@ class MultiPoly:
         return a.terms == b.terms
 
     def __hash__(self):
-        r = self.restrict_vars()
-        return hash((r.vars, tuple(sorted(r.terms.items()))))
+        return _value_hash(self, MultiPoly.const(1))
+
+    def _leading_term(self):
+        """(coefficient, {variable: exponent}) of the leading term under the
+        graded order on name-sorted variables; the same order for every
+        variable set, since a missing variable has exponent 0."""
+        names = sorted(range(len(self.vars)), key=self.vars.__getitem__)
+        expo, c = max(self.terms.items(),
+                      key=lambda t: (sum(t[0]), [t[0][i] for i in names]))
+        return c, {v: e for v, e in zip(self.vars, expo) if e}
 
     # -- substitution -----------------------------------------------------------
 
@@ -562,7 +570,7 @@ class RationalFunction:
         return (self.num * o.den - o.num * self.den).is_zero()
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return _value_hash(self.num, self.den)
 
     def __str__(self):
         if self.den.is_constant() and self.den.constant_value() == 1:
@@ -571,6 +579,18 @@ class RationalFunction:
 
     def __repr__(self):
         return f"RationalFunction({self})"
+
+
+def _value_hash(num, den):
+    """A hash of num/den that depends only on its value: the hash of the
+    ratio of leading terms.  Leading terms multiply, so equal fractions have
+    equal ratios; a constant hashes as its Fraction."""
+    if num.is_zero():
+        return hash(Fraction(0))
+    (cn, en), (cd, ed) = num._leading_term(), den._leading_term()
+    expo = tuple(sorted((v, en.get(v, 0) - ed.get(v, 0)) for v in en.keys() | ed.keys()
+                        if en.get(v, 0) != ed.get(v, 0)))
+    return hash((cn / cd, expo)) if expo else hash(cn / cd)
 
 
 def _exact_univar_div(p, g, name):

@@ -162,6 +162,10 @@ ONE_CHORD = "vertices 0 2\nedge 0 1\nskeleton 0 1\n"
     (ONE_CHORD, "--command eval --algebra sl2 --weight 3,1"),
     (ONE_CHORD, "--command eval --algebra d21 --alpha x"),
     (ONE_CHORD, "--command leading --k 7"),
+    (ONE_CHORD, "--command eval --algebra sl2 --mode foo"),
+    (ONE_CHORD, "--command leading --k 2 --mode foo"),
+    (ONE_CHORD, "--command certify --k 2 --mode foo"),
+    (ONE_CHORD, "--command validate --mode full"),
 ])
 def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys, text, args):
     f = tmp_path / "diagram.txt"

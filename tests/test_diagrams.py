@@ -30,6 +30,7 @@ from weightsys.diagrams import (
     ladder,
     one_vertex_diagrams,
     reduce_B,
+    skeleton_swap,
     sort_skeleton_to,
     stu_eligible_legs,
     stu_expand,
@@ -182,6 +183,8 @@ def test_insertion_degree_bookkeeping():
     assert diag.degree == 7 and diag.legs == 6
     assert triangle().degree == 1
     assert ladder(3).degree == 3 and ladder(9).degree == 9
+    with pytest.raises(DiagramError):
+        insert_at_vertex(wheel(6), 6, triangle())  # vertex 6 is a leg
 
 
 def test_caterpillar_realization():
@@ -283,6 +286,21 @@ def test_tadpole_is_zero_and_stu_cancels():
     assert is_zero_by_symmetry(tadpole)
     assert LinComb.of(tadpole).is_zero()
     assert stu_expand(tadpole, 1).is_zero()
+    # inserting at the looped vertex joins two glue darts: still zero
+    for rotation in range(3):
+        assert insert_at_vertex(tadpole, 0, triangle(), rotation).is_zero()
+    with pytest.raises(DiagramError):
+        skeleton_swap(tadpole, 0)  # a one-leg skeleton has nothing to swap
+
+
+def test_swapping_the_ends_of_one_chord():
+    # the two ends of an isolated chord: swapping them changes nothing, and
+    # the Y term closes the chord into a loop at the new vertex (a tadpole)
+    d = chord_diagram_from_word([(0, 1), (2, 3)], 4)
+    for i in (0, 2):
+        swapped, y_term = skeleton_swap(d, i)
+        assert swapped.canonical_key() == d.canonical_key()
+        assert is_zero_by_symmetry(y_term)
 
 
 def test_mixed_degree_combination_rejected():

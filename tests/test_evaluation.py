@@ -130,6 +130,21 @@ def test_degree_bound_is_asserted(D2, monkeypatch):
         eval_verma(one, D2, (3, 1, 1))
 
 
+def test_state_sum_reuses_the_adjoint_carrier(L, monkeypatch):
+    built = []
+
+    def counting_adjoint_rep(alg):
+        built.append(alg.name)
+        return adjoint_rep(alg)
+
+    monkeypatch.setattr(evaluation, "_CARRIERS", {})
+    monkeypatch.setattr(evaluation, "adjoint_rep", counting_adjoint_rep)
+    one = chord_diagram_from_word([(0, 1)], 2)
+    two = chord_diagram_from_word([(0, 2), (1, 3)], 4)
+    assert [eval_state_sum(x, L) for x in (one, two, one)] == [4, 8, 4]
+    assert built == ["sl2"]
+
+
 def test_exact_ratio():
     n = MultiPoly.variable("n")
     a = MultiPoly.variable("alpha")

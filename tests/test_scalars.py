@@ -151,6 +151,16 @@ def test_rational_function_reduction():
     assert (f - f).is_zero()
     with pytest.raises(ZeroDivisionError):
         RationalFunction(a, MultiPoly.zero(("alpha",)))
+    # equal values hash equally, whatever their representation
+    x, y = P("x"), P("y")
+    pairs = [(RationalFunction(x * y, y ** 2), RationalFunction(x, y)),
+             (RationalFunction(MultiPoly.const(6, ("x",)), 4), Fraction(3, 2)),
+             (RationalFunction(x + y, 1), (y + x).with_vars(("y", "x"))),
+             (RationalFunction(-a * 2, -a), 2),
+             (f, a + 1),
+             (f - f, 0)]
+    for left, right in pairs:
+        assert left == right and hash(left) == hash(right)
 
 
 def test_matrix_inverse_over_rational_functions():
