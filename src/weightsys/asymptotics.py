@@ -111,13 +111,12 @@ def find_n0(k, lambda0=DEFAULT_LAMBDA0):
     p = sun_verma_polynomial(k, lambda0)
     lead = p.coefficient_in("n", k) if not p.is_zero() else MultiPoly.zero(("alpha",))
     want = math.factorial(k) * top
-    if not (lead == want if isinstance(want, MultiPoly) else lead == MultiPoly.const(want, lead.vars)):
+    if lead != want:
         raise AssertionError("n^k coefficient disagrees with the root-system formula")
 
     report = {"k": k, "top_coefficient": str(top),
               "n_k_coefficient_equals_k_factorial_times_top": True}
-    top_zero = top.is_zero() if isinstance(top, MultiPoly) else not top
-    if top_zero:
+    if not top:
         report.update({"n0": None,
                        "certified": False,
                        "note": "leading coefficient vanishes identically; "

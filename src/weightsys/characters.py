@@ -22,6 +22,7 @@ kill it.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -212,59 +213,35 @@ def specialize_alpha(s):
 class LieParamFamily:
     name: str
     triple: tuple          # three MultiPolys in the family parameter (or constants)
-    parameter: str         # parameter variable name ("" for numeric rows)
     vanishing_factor: int  # index into FACTOR_LABELS
 
 
-def _parse_poly(expr):
-    """Tiny parser for table entries: sums of terms  c | v | c*v | c*v^k | v/k."""
-    expr = expr.replace(" ", "")
-    if not expr:
-        raise ValueError("empty table entry")
-    terms = []
-    i = 0
-    sign = 1
-    if expr[0] in "+-":
-        sign = -1 if expr[0] == "-" else 1
-        i = 1
-    cur = ""
-    parts = []
-    signs = [sign]
-    while i < len(expr):
-        ch = expr[i]
-        if ch in "+-":
-            parts.append(cur)
-            signs.append(-1 if ch == "-" else 1)
-            cur = ""
-        else:
-            cur += ch
-        i += 1
-    parts.append(cur)
-    total = None
-    for sgn, part in zip(signs, parts):
-        coef = Fraction(1)
-        var = None
-        power = 1
-        for piece in part.split("*"):
-            if not piece:
-                raise ValueError(f"bad term in {expr!r}")
-            if piece[0].isalpha():
-                if "^" in piece:
-                    var, pw = piece.split("^")
-                    power = int(pw)
-                else:
-                    var = piece
-            else:
-                if "/" in piece:
-                    num, den = piece.split("/")
-                    coef *= Fraction(int(num), int(den))
-                else:
-                    coef *= Fraction(int(piece))
-        if var is None:
-            term = MultiPoly.const(sgn * coef)
-        else:
-            term = MultiPoly((var,), {(power,): sgn * coef})
-        total = term if total is None else total + term
+_FACTOR = re.compile(r"(?:([0-9]+)(?:/([0-9]+))?|([A-Za-z_][A-Za-z0-9_]*))(?:\^([0-9]+))?")
+
+
+def _read_poly(text, lookup):
+    """Read a polynomial typed by a user: a sum of signed terms, a term a
+    ``*``-product of factors, a factor a rational literal (``2``, ``10/3``)
+    or an identifier, optionally raised to ``^k`` (so ``10/3^2`` is
+    (10/3)^2).  ``lookup`` turns an identifier into a polynomial.  Spaces
+    are ignored; any other input raises ValueError."""
+    signed = text.replace(" ", "")
+    if not signed.startswith(("+", "-")):
+        signed = "+" + signed
+    parts = re.split(r"([+-])", signed)[1:]
+    total = MultiPoly.zero()
+    for sign, term in zip(parts[::2], parts[1::2]):
+        value = MultiPoly.const(-1 if sign == "-" else 1)
+        for factor in term.split("*"):
+            m = _FACTOR.fullmatch(factor)
+            if not m:
+                raise ValueError(f"cannot read {text!r}: bad factor {factor!r}")
+            num, den, name, power = m.groups()
+            if den is not None and not int(den):
+                raise ValueError(f"zero denominator in {text!r}")
+            base = lookup(name) if name else Fraction(int(num), int(den or 1))
+            value = value * base ** int(power or 1)
+        total = total + value
     return total
 
 
@@ -279,12 +256,14 @@ def load_family_table(path=None):
         if not line or line.startswith("#"):
             continue
         name, lam, mu, nu, factor = [x.strip() for x in line.split(";")]
-        triple = tuple(_parse_poly(x) for x in (lam, mu, nu))
-        params = {v for p in triple for v in p.vars if p.degree_in(v) > 0}
-        if len(params) > 1:
+        triple = tuple(_read_poly(x, MultiPoly.variable) for x in (lam, mu, nu))
+        if len({v for p in triple for v in p.vars if p.degree_in(v) > 0}) > 1:
             raise ValueError(f"family {name} uses more than one parameter")
-        families.append(LieParamFamily(name, triple, params.pop() if params else "",
-                                       int(factor)))
+        index = int(factor)
+        if index not in range(len(FACTOR_LABELS)):
+            raise ValueError(f"family {name}: factor index {index} is not in "
+                             f"0..{len(FACTOR_LABELS) - 1}")
+        families.append(LieParamFamily(name, triple, index))
     return families
 
 
@@ -324,45 +303,18 @@ def vanishing_table(p, families=None):
 
 
 def parse_Q(spec):
-    """Q from a short spec: '1', 'e2', 'e3', 'e2^2', 'e2*e3', ... (monomials
-    and sums of monomials in e2, e3; 't' is accepted for rejection tests)."""
-    spec = spec.replace(" ", "")
+    """Q from a short spec: '1', 'e2', 'e3', 'e2^2', 'e2*e3', ... (sums of
+    products of e1, e2, e3 and rationals; 't' = e1 is accepted for rejection
+    tests).  Any other name raises ValueError."""
     e1, e2, e3 = elementary()
-    env = {"e2": e2, "e3": e3, "t": e1, "e1": e1}
-    total = None
-    for sgn, part in _split_sum(spec):
-        term = MultiPoly.const(sgn, LMN)
-        for piece in part.split("*"):
-            if "^" in piece:
-                base, pw = piece.split("^")
-                val = env.get(base)
-                if val is None:
-                    val = MultiPoly.const(Fraction(base), LMN)
-                term = term * val ** int(pw)
-            else:
-                val = env.get(piece)
-                if val is None:
-                    val = MultiPoly.const(Fraction(piece), LMN)
-                term = term * val
-        total = term if total is None else total + term
-    return total
+    env = {"e1": e1, "e2": e2, "e3": e3, "t": e1}
 
+    def lookup(name):
+        if name not in env:
+            raise ValueError(f"unknown name {name!r} in Q (use e1, e2, e3, t)")
+        return env[name]
 
-def _split_sum(expr):
-    out = []
-    sign = 1
-    cur = ""
-    for ch in expr:
-        if ch in "+-" and cur:
-            out.append((sign, cur))
-            sign = -1 if ch == "-" else 1
-            cur = ""
-        elif ch in "+-" and not cur:
-            sign = -1 if ch == "-" else sign
-        else:
-            cur += ch
-    out.append((sign, cur))
-    return out
+    return _read_poly(spec, lookup).with_vars(LMN)
 
 
 def q_degree_and_t_check(Q):

@@ -177,7 +177,7 @@ def cmd_certify(args):
         bundle = characters.build_D_element(k, q_spec=q_spec, sun_report=sun,
                                             families=characters.load_family_table(args.table)
                                             if args.table else None)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     _emit(bundle, args.format if args.format != "csv" else "json", args.out)

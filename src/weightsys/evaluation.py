@@ -453,10 +453,6 @@ def exact_ratio(num, den):
     """num / den for two polynomials that must be exactly proportional with a
     ratio free of n; returns the ratio (Fraction or RationalFunction in
     alpha), or raises ValueError if the proportionality fails."""
-    if isinstance(num, Fraction) and isinstance(den, Fraction):
-        if not den:
-            raise ZeroDivisionError("zero denominator value")
-        return num / den
     num = num if isinstance(num, MultiPoly) else MultiPoly.const(num)
     den = den if isinstance(den, MultiPoly) else MultiPoly.const(den)
     num, den = num._aligned(den)
@@ -501,7 +497,7 @@ def ratio_character(piece, probes):
             num = eval_state_sum(num_src, L, aux)
         else:
             raise ValueError(f"unknown mode {mode}")
-        if (den.is_zero() if isinstance(den, MultiPoly) else not den):
+        if not den:
             raise ValueError("probe has zero weight-system value")
         r = exact_ratio(num, den)
         ratios.append(r)

@@ -21,12 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalars import (
-    MultiPoly,
-    RationalFunction,
-    matrix_det,
-    matrix_inverse,
-)
+from .scalars import MultiPoly, matrix_det, matrix_inverse
 
 EVEN, ODD = 0, 1
 
@@ -381,9 +376,7 @@ def validate(L, check_form=True):
         failures = []
         for i in range(n):
             for k in range(n):
-                acc = sum((RationalFunction.from_scalar(mat[i][j]) * g[j][k]
-                           for j in range(n) if mat[i][j]),
-                          RationalFunction.from_scalar(0))
+                acc = sum(mat[i][j] * g[j][k] for j in range(n) if mat[i][j])
                 if acc != (1 if i == k else 0):
                     failures.append((i, k))
         report["casimir_inverse_tensor"] = {"ok": not failures, "failures": failures[:5]}
@@ -404,12 +397,8 @@ def validate(L, check_form=True):
             for y in range(n):
                 bxy = L.bracket(x, y)
                 for z in range(n):
-                    lhs = sum((RationalFunction.from_scalar(c) * g[k][z]
-                               for k, c in bxy.items()),
-                              RationalFunction.from_scalar(0))
-                    rhs = sum((RationalFunction.from_scalar(c) * g[x][k]
-                               for k, c in L.bracket(y, z).items()),
-                              RationalFunction.from_scalar(0))
+                    lhs = sum(c * g[k][z] for k, c in bxy.items())
+                    rhs = sum(c * g[x][k] for k, c in L.bracket(y, z).items())
                     if lhs != rhs:
                         failures.append((L.basis_names[x], L.basis_names[y], L.basis_names[z]))
         report["form_invariant"] = {"ok": not failures, "failures": failures[:5]}

@@ -1,12 +1,16 @@
 """Symmetric-polynomial character calculus and the certificate."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from weightsys.characters import (
     FACTOR_LABELS,
+    LMN,
+    _read_poly,
     build_D_element,
     build_P,
     chi0_image_test,
@@ -142,6 +146,34 @@ def test_q_parsing_and_constraints():
     assert q_degree_and_t_check(parse_Q("1")) == (0, False)
     assert q_degree_and_t_check(parse_Q("e2"))[0] == 2
     assert q_degree_and_t_check(parse_Q("t*e2")) == (3, True)
+    for bad in ("e2--e3", "1/0", "N", "e2^", "1.5", ""):
+        with pytest.raises(ValueError):
+            parse_Q(bad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="e123tNx+-*/^ 0123456789", max_size=16))
+def test_typed_polynomials_parse_or_raise_value_error(text):
+    # a large power of e2 in lam, mu, nu takes seconds; the grammar is the same
+    assume(all(int(k) <= 12 for k in re.findall(r"\^([0-9]+)", text.replace(" ", ""))))
+    for read in (parse_Q, lambda s: _read_poly(s, MultiPoly.variable)):
+        try:
+            read(text)
+        except ValueError:
+            pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(-5, 5), st.integers(0, 3), st.integers(0, 3)),
+                min_size=1, max_size=4))
+def test_typed_sums_read_as_built(terms):
+    text = "".join(f"{'-' if c < 0 else '+'}{abs(c)}*e2^{i}*e3^{j}" for c, i, j in terms)
+    _, e2, e3 = elementary()
+    x2, x3 = MultiPoly.variable("e2"), MultiPoly.variable("e3")
+    q = parse_Q(text)
+    assert q.vars == LMN
+    assert q == sum((c * e2 ** i * e3 ** j for c, i, j in terms), MultiPoly.zero(LMN))
+    assert _read_poly(text, MultiPoly.variable) == sum(c * x2 ** i * x3 ** j for c, i, j in terms)
 
 
 def test_certificates():

@@ -59,6 +59,22 @@ def test_validate_with_corrupted_table(tmp_path, capsys):
     assert witnesses and witnesses[0]["witness"]
 
 
+@pytest.mark.parametrize("row", [
+    "sl; -2; 2; 1/0; 5",
+    "sl; -2; 2; 2*a*b; 5",
+    "sl; -2; 2; N/2; 5",
+    "sl; -2; 2; N; 99",
+])
+def test_validate_reports_an_unreadable_table(tmp_path, capsys, row):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(row + "\n")
+    code, out = run(capsys, "--command", "validate", "--format", "json",
+                    "--table", str(bad))
+    assert code == 1
+    report = json.loads(out)
+    assert report["status"] == "fail" and report["table_error"]
+
+
 def test_leading_table(capsys):
     code, out = run(capsys, "--command", "leading", "--k", "10", "--format", "json")
     assert code == 0
@@ -166,6 +182,8 @@ ONE_CHORD = "vertices 0 2\nedge 0 1\nskeleton 0 1\n"
     (ONE_CHORD, "--command leading --k 2 --mode foo"),
     (ONE_CHORD, "--command certify --k 2 --mode foo"),
     (ONE_CHORD, "--command validate --mode full"),
+    (ONE_CHORD, "--command certify --k 4 --q 1/0"),
+    (ONE_CHORD, "--command certify --k 4 --table /nonexistent/table.txt"),
 ])
 def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys, text, args):
     f = tmp_path / "diagram.txt"
