@@ -15,7 +15,6 @@ gives the nonvanishing search implemented in :func:`find_n0`.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import MultiPoly, rational_roots, squarefree_part
@@ -23,30 +22,20 @@ from .scalars import MultiPoly, rational_roots, squarefree_part
 DEFAULT_LAMBDA0 = (3, 1, 1)
 
 
-@dataclass
-class LeadingCoefficientQuery:
-    k: int
-    lambda0: tuple = DEFAULT_LAMBDA0
-    alpha: object = None  # None = symbolic, Fraction otherwise
+def top_coefficient(k, lambda0=DEFAULT_LAMBDA0, alpha=None):
+    """2 * sum_{beta in Delta+} (-1)^{deg beta} <lambda0, beta>^k, exact, over
+    the positive roots of D(2,1,alpha).
 
-    def __post_init__(self):
-        if self.k % 2 or self.k < 2:
-            raise ValueError("k must be even and >= 2")
-
-
-def top_coefficient(q, rootdata=None):
-    """2 * sum_{beta in Delta+} (-1)^{deg beta} <lambda0, beta>^k, exact.
-
-    With alpha symbolic the result is a polynomial in alpha; at a rational
-    alpha it is a Fraction.  ``rootdata`` defaults to D(2,1,alpha)'s.
+    With ``alpha`` None the result is a polynomial in alpha; at a rational
+    alpha it is a Fraction.  Raises ValueError unless k is even and >= 2.
     """
-    if rootdata is None:
-        rootdata = _d21_rootdata(q.alpha)
-    lam0 = q.lambda0
+    if k % 2 or k < 2:
+        raise ValueError("k must be even and >= 2")
+    rootdata = _d21_rootdata(alpha)
     total = 0
     for coords, parity, _ in rootdata.positive_roots:
-        ip = rootdata.inner(lam0, coords)
-        term = ip ** q.k
+        ip = rootdata.inner(lambda0, coords)
+        term = ip ** k
         total = (-term if parity else term) + total
     return 2 * total
 
@@ -69,7 +58,7 @@ def closed_form_check(ks=range(2, 41, 2)):
     rows = []
     ok = True
     for k in ks:
-        computed = top_coefficient(LeadingCoefficientQuery(k, alpha=Fraction(1)))
+        computed = top_coefficient(k, alpha=Fraction(1))
         closed = closed_form_value(k)
         match = computed == closed
         positive = closed > 0
@@ -81,18 +70,18 @@ def closed_form_check(ks=range(2, 41, 2)):
 
 
 @functools.cache
-def sun_verma_polynomial(k, lambda0=DEFAULT_LAMBDA0):
+def sun_verma_polynomial(k):
     """eval of the symmetrized k-wheel on the symbolic D(2,1,alpha) Verma
-    module of weight n*lambda0 (a tuple), cached: this is the expensive
+    module of weight n*DEFAULT_LAMBDA0, cached: this is the expensive
     computation."""
     from .diagrams import chi_bar, wheel
     from .evaluation import eval_verma
     from .superalgebras import d21
 
-    return eval_verma(chi_bar(wheel(k)), d21(), lambda0)
+    return eval_verma(chi_bar(wheel(k)), d21(), DEFAULT_LAMBDA0)
 
 
-def find_n0(k, lambda0=DEFAULT_LAMBDA0):
+def find_n0(k):
     """Nonvanishing certificate for the symmetrized k-wheel.
 
     Computes the full value polynomial p(n, alpha), verifies that its n^k
@@ -106,9 +95,8 @@ def find_n0(k, lambda0=DEFAULT_LAMBDA0):
     """
     import math
 
-    q = LeadingCoefficientQuery(k)
-    top = top_coefficient(q)
-    p = sun_verma_polynomial(k, lambda0)
+    top = top_coefficient(k)
+    p = sun_verma_polynomial(k)
     lead = p.coefficient_in("n", k) if not p.is_zero() else MultiPoly.zero(("alpha",))
     want = math.factorial(k) * top
     if lead != want:

@@ -38,7 +38,6 @@ def sym_vars():
 
 def is_symmetric(p):
     p = p.with_vars(LMN)
-    base = sorted((tuple(sorted(e, reverse=True)), c) for e, c in p.terms.items())
     for perm in itertools.permutations(range(3)):
         permuted = {}
         for e, c in p.terms.items():
@@ -145,36 +144,9 @@ def chi0_image_test(p):
 # ----------------------------------------------------------- sigma specialization
 
 
-@dataclass
-class SigmaPoly:
-    """Element of Q[sigma2, sigma3] with weighted degree deg sigma_i = i."""
-
-    poly: MultiPoly
-
-    def weighted_degree(self):
-        if self.poly.is_zero():
-            return -1
-        return max(2 * e[0] + 3 * e[1] for e in self.poly.terms)
-
-    def is_zero(self):
-        return self.poly.is_zero()
-
-    def is_weighted_homogeneous(self):
-        degs = {2 * e[0] + 3 * e[1] for e in self.poly.terms}
-        return len(degs) <= 1
-
-    def __mul__(self, other):
-        return SigmaPoly(self.poly * other.poly)
-
-    def __eq__(self, other):
-        return self.poly == (other.poly if isinstance(other, SigmaPoly) else other)
-
-    def __str__(self):
-        return str(self.poly)
-
-
 def chi_prime_D(p):
-    """Impose t = 0 and rewrite in sigma2 = e2, sigma3 = e3."""
+    """Impose t = 0 and rewrite in sigma2 = e2, sigma3 = e3; the result is a
+    MultiPoly in ("sigma2", "sigma3")."""
     q = to_elementary(p)
     q0 = q.substitute({"e1": Fraction(0)})
     out = {}
@@ -182,7 +154,12 @@ def chi_prime_D(p):
     i2 = q0.vars.index("e3")
     for e, c in q0.terms.items():
         out[(e[i1], e[i2])] = c
-    return SigmaPoly(MultiPoly(("sigma2", "sigma3"), out))
+    return MultiPoly(("sigma2", "sigma3"), out)
+
+
+def sigma_degrees(s):
+    """Weighted degrees (deg sigma_i = i) of the terms of a chi_prime_D image."""
+    return {2 * e[0] + 3 * e[1] for e in s.terms}
 
 
 SIGMA2_ALPHA = "-1-alpha-alpha^2"
@@ -196,7 +173,7 @@ def specialize_alpha(s):
     alpha = MultiPoly.variable("alpha")
     s2 = -1 - alpha - alpha ** 2
     s3 = -alpha - alpha ** 2
-    poly = s.poly.substitute({"sigma2": s2, "sigma3": s3}).restrict_vars()
+    poly = s.substitute({"sigma2": s2, "sigma3": s3}).restrict_vars()
     if poly.is_zero():
         return poly, [], None
     if poly.is_constant():
@@ -264,6 +241,8 @@ def load_family_table(path=None):
             raise ValueError(f"family {name}: factor index {index} is not in "
                              f"0..{len(FACTOR_LABELS) - 1}")
         families.append(LieParamFamily(name, triple, index))
+    if not families:
+        raise ValueError(f"{path}: the table has no family rows")
     return families
 
 
@@ -333,7 +312,7 @@ def q_degree_and_t_check(Q):
 # ---------------------------------------------------------------- certificate
 
 
-def build_D_element(k, Q=None, q_spec="1", families=None, sun_report=None):
+def build_D_element(k, q_spec="1", families=None, sun_report=None):
     """Certificate bundle for the degree-(k+d) element built from Q and the
     k-wheel, d = 15 + deg Q.
 
@@ -346,8 +325,7 @@ def build_D_element(k, Q=None, q_spec="1", families=None, sun_report=None):
     """
     if k % 2 or k < 2:
         raise ValueError("k must be even and >= 2")
-    if Q is None:
-        Q = parse_Q(q_spec)
+    Q = parse_Q(q_spec)
     deg_q, divisible = q_degree_and_t_check(Q)
     if divisible:
         raise ValueError("Q must not be divisible by t")
@@ -359,11 +337,12 @@ def build_D_element(k, Q=None, q_spec="1", families=None, sun_report=None):
     PQ = P * Q
     member, f_part, g_part = chi0_image_test(PQ)
     sigma = chi_prime_D(PQ)
+    sigma_degs = sigma_degrees(sigma)
     poly, roots, sq = specialize_alpha(sigma)
     table = vanishing_table(PQ, families)
 
     character_ok = (member and not sigma.is_zero() and not poly.is_zero()
-                    and table["ok"] and sigma.is_weighted_homogeneous())
+                    and table["ok"] and len(sigma_degs) <= 1)
     bundle = {
         "kind": "nonvanishing-certificate",
         "k": k,
@@ -381,7 +360,7 @@ def build_D_element(k, Q=None, q_spec="1", families=None, sun_report=None):
                 "cofactor_of_t+lam_t+mu_t+nu": str(g_part),
             } if member else None,
             "sigma_image": str(sigma),
-            "sigma_weighted_degree": sigma.weighted_degree(),
+            "sigma_weighted_degree": max(sigma_degs, default=-1),
             "alpha_specialization": {
                 "poly": str(poly),
                 "degree": poly.degree_in("alpha"),

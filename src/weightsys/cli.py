@@ -31,14 +31,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"error: {message}\n")
 
 
-def _parse_alpha_list(spec):
+def _parse_alpha(spec):
     try:
-        alphas = [Fraction(x) for x in spec.split(",")]
+        alpha = Fraction(spec)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a comma-separated list of rationals: {spec!r}")
-    if any(a in (0, -1) for a in alphas):
+        raise argparse.ArgumentTypeError(f"not a rational: {spec!r}")
+    if alpha in (0, -1):
         raise argparse.ArgumentTypeError("alpha must avoid 0 and -1")
-    return alphas
+    return alpha
 
 
 def _parse_weight(spec, L):
@@ -61,16 +61,6 @@ def _parse_weight(spec, L):
 def _emit(report, fmt, out):
     if fmt == "json":
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    elif fmt == "csv":
-        rows = report.get("rows", [])
-        if rows:
-            keys = sorted(rows[0])
-            lines = [",".join(keys)]
-            for row in rows:
-                lines.append(",".join(str(row.get(k, "")) for k in keys))
-            text = "\n".join(lines) + "\n"
-        else:
-            text = ""
     else:
         text = _as_text(report)
     if out:
@@ -122,9 +112,8 @@ def cmd_validate(args):
                    "ok": cartan_ok, "witness": []})
     ok = ok and cartan_ok
 
-    table_path = args.table
     try:
-        families = characters.load_family_table(table_path) if table_path else None
+        families = characters.load_family_table(args.table)
         vt = characters.vanishing_table(characters.build_P(), families)
     except (ValueError, OSError) as exc:
         vt = {"ok": False, "rows": [], "error": str(exc)}
@@ -151,7 +140,7 @@ def cmd_leading(args):
         rows = []
         ok = True
         for k in ks:
-            top = asymptotics.top_coefficient(asymptotics.LeadingCoefficientQuery(k))
+            top = asymptotics.top_coefficient(k)
             val = str(top) if top else "0 (identically in alpha)"
             rows.append({"k": k, "computed": val})
         report = {"command": "leading", "mode": "symbolic", "rows": rows,
@@ -166,8 +155,8 @@ def cmd_leading(args):
 
 
 def cmd_certify(args):
-    k = args.k or 4
-    q_spec = args.q or "1"
+    k = 4 if args.k is None else args.k
+    q_spec = "1" if args.q is None else args.q
     mode = args.mode or "auto"
     try:
         if mode == "full" or (mode == "auto" and k <= 2):
@@ -175,12 +164,11 @@ def cmd_certify(args):
         else:
             sun = None
         bundle = characters.build_D_element(k, q_spec=q_spec, sun_report=sun,
-                                            families=characters.load_family_table(args.table)
-                                            if args.table else None)
+                                            families=characters.load_family_table(args.table))
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    _emit(bundle, args.format if args.format != "csv" else "json", args.out)
+    _emit(bundle, args.format, args.out)
     if k == 2:
         # honest caveat case: the bundle is emitted but not certified
         return EXIT_OK if bundle["character_level"]["ok"] else EXIT_FAIL
@@ -199,14 +187,14 @@ def cmd_eval(args):
     except (OSError, UnicodeDecodeError, DiagramError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    max_degree = args.max_degree or 6
+    max_degree = 6 if args.max_degree is None else args.max_degree
     if diag.degree > max_degree:
         sys.stderr.write(f"error: diagram degree {diag.degree} exceeds --max-degree {max_degree}\n")
         return EXIT_COST
     if args.algebra == "sl2":
         L = sl2()
-    elif args.alpha:
-        L = d21(args.alpha[0])
+    elif args.alpha is not None:
+        L = d21(args.alpha)
     else:
         L = d21()
     try:
@@ -238,11 +226,11 @@ def build_parser():
     ap.add_argument("--command", required=True, choices=list(MODES))
     ap.add_argument("--k", type=int, help="leg count / range end (even)")
     ap.add_argument("--q", help="symmetric cofactor Q, e.g. 1, e2, e3, e2^2")
-    ap.add_argument("--alpha", type=_parse_alpha_list,
-                    help="comma-separated rational alpha samples")
+    ap.add_argument("--alpha", type=_parse_alpha,
+                    help="rational alpha for eval on d21, e.g. 2 or 1/2")
     ap.add_argument("--mode", help="command-specific mode (" + "; ".join(
         f"{cmd}: {'|'.join(modes)}" for cmd, modes in MODES.items() if modes) + ")")
-    ap.add_argument("--format", default="text", choices=["text", "json", "csv"])
+    ap.add_argument("--format", default="text", choices=["text", "json"])
     ap.add_argument("--out", help="output path (default stdout)")
     ap.add_argument("--table", help="parameter table path")
     ap.add_argument("--diagram", help="diagram file for eval")

@@ -805,8 +805,9 @@ def _rewire(d, u, w, triple_u, triple_w):
     return Diagram(d.nt, d.nu, pairing, skel=d.skel)
 
 
-def ihx_saturate(seed_diagrams, max_diagrams=4000):
-    """Closure of a diagram set under IHX moves, plus the relations."""
+def ihx_saturate(seed_diagrams, max_diagrams):
+    """Closure of a diagram set under IHX moves, plus the relations; raises
+    DiagramError once the closure would exceed ``max_diagrams`` diagrams."""
     frontier = []
     seen = {}
     for diag in seed_diagrams:
@@ -836,7 +837,7 @@ def ihx_saturate(seed_diagrams, max_diagrams=4000):
     return list(seen.values()), relations
 
 
-def reduce_B(c, max_diagrams=4000):
+def reduce_B(c):
     """Coordinates of a LinComb of skeleton-free diagrams modulo AS/IHX.
 
     The relation span is computed on the IHX saturation of the support (the
@@ -851,7 +852,7 @@ def reduce_B(c, max_diagrams=4000):
     support = [diag for diag, _ in c]
     if not support:
         return {}
-    diagrams, relations = ihx_saturate(support, max_diagrams=max_diagrams)
+    diagrams, relations = ihx_saturate(support, max_diagrams=4000)
     encodings = sorted(diag._encoding() for diag in diagrams)
     index = {enc: i for i, enc in enumerate(encodings)}
     rows = []
@@ -872,7 +873,7 @@ def reduce_B(c, max_diagrams=4000):
     return {encodings[i]: v for i, v in vec.items() if v}
 
 
-def dim_B_piece(degree, legs, max_diagrams=20000):
+def dim_B_piece(degree, legs):
     """Dimension of the connected (degree, legs) piece modulo AS/IHX, by
     exhaustive enumeration and exact rank computation."""
     from .scalars import matrix_rank
@@ -880,7 +881,7 @@ def dim_B_piece(degree, legs, max_diagrams=20000):
     diagrams = enumerate_connected(degree, legs)
     if not diagrams:
         return 0
-    all_diags, relations = ihx_saturate(diagrams, max_diagrams=max_diagrams)
+    all_diags, relations = ihx_saturate(diagrams, max_diagrams=20000)
     index = {diag._encoding(): i for i, diag in enumerate(sorted(
         (d for d in all_diags), key=lambda x: x._encoding()))}
     rows = [{index[diag._encoding()]: Fraction(coeff) for diag, coeff in rel}

@@ -317,16 +317,11 @@ def _plan_rotation(chords, n, branch):
     return best or []
 
 
-def sweep_chords(L, carrier, chords, n_positions, rotation=None):
+def sweep_chords(L, carrier, chords, n_positions):
     """Contract a chord diagram given as endpoint pairs on n positions into
     the carrier's scalar."""
     terms = _casimir_terms(L, carrier)
-    if rotation is None:
-        chords = _plan_rotation(chords, n_positions, len(terms))
-    else:
-        chords = sorted(tuple(sorted(((p - rotation) % n_positions,
-                                      (q - rotation) % n_positions)))
-                        for p, q in chords)
+    chords = _plan_rotation(chords, n_positions, len(terms))
     open_at = {q: ci for ci, (p, q) in enumerate(chords)}
     close_at = {p: ci for ci, (p, q) in enumerate(chords)}
     states = {(): carrier.start()}

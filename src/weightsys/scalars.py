@@ -560,9 +560,6 @@ class RationalFunction:
     def __rtruediv__(self, other):
         return RationalFunction.from_scalar(other) / self
 
-    def inverse(self):
-        return RationalFunction(self.den, self.num)
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -732,9 +729,7 @@ def _nullspace(pivots, rref, ncols, rhs_col):
     return basis
 
 
-def matrix_rank(rows, ncols=None):
-    if ncols is None:
-        ncols = 1 + max((max(r) for r in rows if r), default=-1)
+def matrix_rank(rows, ncols):
     field_rows = [{c: as_field(v) for c, v in r.items() if v} for r in rows]
     pivots, _ = sparse_rref(field_rows, ncols)
     return len(pivots)

@@ -297,7 +297,7 @@ def _is_zero_lc(lc):
     return all(not v for v in lc.values())
 
 
-def validate(L, check_form=True):
+def validate(L):
     """Run every structural check on a SuperAlgebra, exactly.
 
     Returns a report dict with one entry per check: {"ok": bool,
@@ -365,43 +365,42 @@ def validate(L, check_form=True):
             failures.append(L.basis_names[x])
     report["casimir_ad_invariance"] = {"ok": not failures, "failures": failures[:5]}
 
-    if check_form:
-        mat = L.casimir_matrix()
-        det = matrix_det(mat)
-        report["casimir_regular"] = {"ok": bool(det), "failures": []}
+    mat = L.casimir_matrix()
+    det = matrix_det(mat)
+    report["casimir_regular"] = {"ok": bool(det), "failures": []}
 
-        g = L.form()
-        # inverse-tensor identity (g is built as the inverse; recheck the
-        # contraction explicitly as a guard against cache corruption)
-        failures = []
-        for i in range(n):
-            for k in range(n):
-                acc = sum(mat[i][j] * g[j][k] for j in range(n) if mat[i][j])
-                if acc != (1 if i == k else 0):
-                    failures.append((i, k))
-        report["casimir_inverse_tensor"] = {"ok": not failures, "failures": failures[:5]}
+    g = L.form()
+    # inverse-tensor identity (g is built as the inverse; recheck the
+    # contraction explicitly as a guard against cache corruption)
+    failures = []
+    for i in range(n):
+        for k in range(n):
+            acc = sum(mat[i][j] * g[j][k] for j in range(n) if mat[i][j])
+            if acc != (1 if i == k else 0):
+                failures.append((i, k))
+    report["casimir_inverse_tensor"] = {"ok": not failures, "failures": failures[:5]}
 
-        failures = []
-        for i in range(n):
-            for j in range(n):
-                sgn = -1 if (par[i] and par[j]) else 1
-                if g[i][j] != (g[j][i] * sgn if sgn == -1 else g[j][i]):
-                    failures.append((L.basis_names[i], L.basis_names[j]))
-                if par[i] != par[j] and g[i][j]:
-                    failures.append((L.basis_names[i], L.basis_names[j], "parity"))
-        report["form_supersymmetric"] = {"ok": not failures, "failures": failures[:5]}
+    failures = []
+    for i in range(n):
+        for j in range(n):
+            sgn = -1 if (par[i] and par[j]) else 1
+            if g[i][j] != (g[j][i] * sgn if sgn == -1 else g[j][i]):
+                failures.append((L.basis_names[i], L.basis_names[j]))
+            if par[i] != par[j] and g[i][j]:
+                failures.append((L.basis_names[i], L.basis_names[j], "parity"))
+    report["form_supersymmetric"] = {"ok": not failures, "failures": failures[:5]}
 
-        # invariance <[x,y],z> = <x,[y,z]>
-        failures = []
-        for x in range(n):
-            for y in range(n):
-                bxy = L.bracket(x, y)
-                for z in range(n):
-                    lhs = sum(c * g[k][z] for k, c in bxy.items())
-                    rhs = sum(c * g[x][k] for k, c in L.bracket(y, z).items())
-                    if lhs != rhs:
-                        failures.append((L.basis_names[x], L.basis_names[y], L.basis_names[z]))
-        report["form_invariant"] = {"ok": not failures, "failures": failures[:5]}
+    # invariance <[x,y],z> = <x,[y,z]>
+    failures = []
+    for x in range(n):
+        for y in range(n):
+            bxy = L.bracket(x, y)
+            for z in range(n):
+                lhs = sum(c * g[k][z] for k, c in bxy.items())
+                rhs = sum(c * g[x][k] for k, c in L.bracket(y, z).items())
+                if lhs != rhs:
+                    failures.append((L.basis_names[x], L.basis_names[y], L.basis_names[z]))
+    report["form_invariant"] = {"ok": not failures, "failures": failures[:5]}
 
     report["ok"] = all(v["ok"] for k, v in report.items() if isinstance(v, dict))
     return report

@@ -64,6 +64,7 @@ def test_validate_with_corrupted_table(tmp_path, capsys):
     "sl; -2; 2; 2*a*b; 5",
     "sl; -2; 2; N/2; 5",
     "sl; -2; 2; N; 99",
+    "# no family rows",
 ])
 def test_validate_reports_an_unreadable_table(tmp_path, capsys, row):
     bad = tmp_path / "bad.txt"
@@ -184,6 +185,9 @@ ONE_CHORD = "vertices 0 2\nedge 0 1\nskeleton 0 1\n"
     (ONE_CHORD, "--command validate --mode full"),
     (ONE_CHORD, "--command certify --k 4 --q 1/0"),
     (ONE_CHORD, "--command certify --k 4 --table /nonexistent/table.txt"),
+    (ONE_CHORD, "--command certify --k 4 --table /dev/null"),
+    (ONE_CHORD, "--command eval --algebra d21 --alpha 2,3"),
+    (ONE_CHORD, "--command certify --k 4 --format csv"),
 ])
 def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys, text, args):
     f = tmp_path / "diagram.txt"
@@ -191,6 +195,22 @@ def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys, text, args)
     code = main(args.split() + ["--diagram", str(f)])
     captured = capsys.readouterr()
     assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["--command", "certify", "--k", "0"], 2),
+    (["--command", "certify", "--q", ""], 2),
+    (["--command", "eval", "--algebra", "sl2", "--max-degree", "0"], 3),
+])
+def test_zero_and_empty_values_are_not_replaced_by_defaults(tmp_path, capsys, argv, want):
+    f = tmp_path / "diagram.txt"
+    f.write_text(ONE_CHORD)
+    code = main(argv + ["--diagram", str(f)])
+    captured = capsys.readouterr()
+    assert code == want
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ")

@@ -111,12 +111,19 @@ def test_stu_invariance_of_evaluation(D2):
         assert total == base
 
 
-def test_cut_rotation_invariance(D_sym):
-    # reordering the processing of (odd) Casimir legs by moving the cut
+def test_cut_rotation_invariance(D_sym, monkeypatch):
+    # moving the cut reorders the processing of the (odd) Casimir legs; the
+    # three distinct cuts of this asymmetric diagram all give the planned value
     carrier = VermaCarrier(D_sym, (3, 1, 1))
-    chords = [(0, 2), (1, 3)]
-    vals = [sweep_chords(D_sym, carrier, chords, 4, rotation=r) for r in range(4)]
-    assert all(v == vals[0] for v in vals[1:])
+    chords, n = [(0, 2), (1, 4), (3, 5)], 6
+    want = sweep_chords(D_sym, carrier, chords, n)
+    assert want
+    cuts = {tuple(sorted(tuple(sorted(((p - r) % n, (q - r) % n))) for p, q in chords))
+            for r in range(n)}
+    assert len(cuts) == 3
+    for cut in cuts:
+        monkeypatch.setattr(evaluation, "_plan_rotation", lambda *args, cut=cut: list(cut))
+        assert sweep_chords(D_sym, carrier, chords, n) == want
 
 
 def test_degree_bound_is_asserted(D2, monkeypatch):

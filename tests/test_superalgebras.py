@@ -79,7 +79,7 @@ def test_full_validation_numeric(D2):
 def test_corrupted_constant_reports_witness(D_sym):
     bad = corrupt(D_sym, D_sym.index("E1"), D_sym.index("F1"), D_sym.index("H2"),
                   MultiPoly.const(1, ("alpha",)))
-    rep = validate(bad, check_form=False)
+    rep = validate(bad)
     assert not rep["super_jacobi"]["ok"]
     assert rep["super_jacobi"]["failures"]
 
