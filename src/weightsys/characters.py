@@ -226,7 +226,9 @@ DEFAULT_TABLE = Path(__file__).parent / "data" / "lie_families.txt"
 
 
 def load_family_table(path=None):
-    path = Path(path) if path else DEFAULT_TABLE
+    if path == "":
+        raise ValueError("the family table path is empty")
+    path = DEFAULT_TABLE if path is None else Path(path)
     families = []
     for raw in path.read_text().splitlines():
         line = raw.strip()

@@ -63,11 +63,7 @@ def _emit(report, fmt, out):
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:
         text = _as_text(report)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    (out or sys.stdout).write(text)
 
 
 def _as_text(report, indent=0):
@@ -231,7 +227,7 @@ def build_parser():
     ap.add_argument("--mode", help="command-specific mode (" + "; ".join(
         f"{cmd}: {'|'.join(modes)}" for cmd, modes in MODES.items() if modes) + ")")
     ap.add_argument("--format", default="text", choices=["text", "json"])
-    ap.add_argument("--out", help="output path (default stdout)")
+    ap.add_argument("--out", help="output path (default stdout), opened before the run")
     ap.add_argument("--table", help="parameter table path")
     ap.add_argument("--diagram", help="diagram file for eval")
     ap.add_argument("--algebra", default="d21", choices=["sl2", "d21"],
@@ -250,11 +246,27 @@ def main(argv=None):
         if args.mode is not None and args.mode not in modes:
             ap.error(f"--mode {args.mode!r}: {args.command} takes "
                      + ("no --mode" if not modes else "one of " + ", ".join(modes)))
+        if args.out is not None:
+            try:
+                args.out = open(args.out, "w")
+            except OSError as exc:
+                ap.error(f"--out: {exc}")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     handler = {"validate": cmd_validate, "leading": cmd_leading,
                "certify": cmd_certify, "eval": cmd_eval}[args.command]
-    return handler(args)
+    # values are printed exactly, however many digits they have
+    lift = getattr(sys, "set_int_max_str_digits", None)
+    if lift:
+        limit = sys.get_int_max_str_digits()
+        lift(0)
+    try:
+        return handler(args)
+    finally:
+        if lift:
+            lift(limit)
+        if args.out is not None:
+            args.out.close()
 
 
 if __name__ == "__main__":

@@ -17,9 +17,10 @@ order and fresh vertices take the labels after them.
 
 Canonical forms: the minimal rooted-traversal encoding over all choices of
 root dart and per-vertex orientation (reversing a cyclic order flips the
-sign, so canonicalize returns a sign along with the representative).  A
-diagram admitting an odd-parity self-encoding equals minus itself and is
-zero in the quotient; LinComb drops such terms on insertion.
+sign, so ``Diagram.canonical`` returns a sign along with the
+representative).  A diagram admitting an odd-parity self-encoding equals
+minus itself and is zero in the quotient; LinComb drops such terms on
+insertion.
 """
 
 from __future__ import annotations
@@ -385,16 +386,6 @@ def _rebuild(d, cand):
             relab = relab[k:] + relab[:k]
         skel = tuple(relab)
     return Diagram(nt, nu, pairing, skel, check=False)
-
-
-def canonicalize(d):
-    """(canonical diagram, sign in {+1, -1}) relating d to its representative."""
-    canon, sign, _ = d.canonical()
-    return canon, sign
-
-
-def is_zero_by_symmetry(d):
-    return d.canonical()[2]
 
 
 # -- linear combinations ------------------------------------------------------------
@@ -805,9 +796,9 @@ def _rewire(d, u, w, triple_u, triple_w):
     return Diagram(d.nt, d.nu, pairing, skel=d.skel)
 
 
-def ihx_saturate(seed_diagrams, max_diagrams):
+def ihx_saturate(seed_diagrams):
     """Closure of a diagram set under IHX moves, plus the relations; raises
-    DiagramError once the closure would exceed ``max_diagrams`` diagrams."""
+    DiagramError once the closure would exceed 4000 diagrams."""
     frontier = []
     seen = {}
     for diag in seed_diagrams:
@@ -830,8 +821,8 @@ def ihx_saturate(seed_diagrams, max_diagrams):
             for term, _ in rel:
                 k = term._encoding()
                 if k not in seen:
-                    if len(seen) >= max_diagrams:
-                        raise DiagramError("IHX saturation exceeded the configured bound")
+                    if len(seen) >= 4000:
+                        raise DiagramError("IHX saturation exceeded 4000 diagrams")
                     seen[k] = term
                     frontier.append(term)
     return list(seen.values()), relations
@@ -852,7 +843,7 @@ def reduce_B(c):
     support = [diag for diag, _ in c]
     if not support:
         return {}
-    diagrams, relations = ihx_saturate(support, max_diagrams=4000)
+    diagrams, relations = ihx_saturate(support)
     encodings = sorted(diag._encoding() for diag in diagrams)
     index = {enc: i for i, enc in enumerate(encodings)}
     rows = []
@@ -871,22 +862,6 @@ def reduce_B(c):
                 else:
                     vec.pop(col, None)
     return {encodings[i]: v for i, v in vec.items() if v}
-
-
-def dim_B_piece(degree, legs):
-    """Dimension of the connected (degree, legs) piece modulo AS/IHX, by
-    exhaustive enumeration and exact rank computation."""
-    from .scalars import matrix_rank
-
-    diagrams = enumerate_connected(degree, legs)
-    if not diagrams:
-        return 0
-    all_diags, relations = ihx_saturate(diagrams, max_diagrams=20000)
-    index = {diag._encoding(): i for i, diag in enumerate(sorted(
-        (d for d in all_diags), key=lambda x: x._encoding()))}
-    rows = [{index[diag._encoding()]: Fraction(coeff) for diag, coeff in rel}
-            for rel in relations]
-    return len(index) - matrix_rank(rows, len(index))
 
 
 def enumerate_connected(degree, legs):
@@ -1088,12 +1063,3 @@ def dim_A_by_four_term(m):
             words[key] = len(words)
     rank = matrix_rank(rows, len(words)) if rows else 0
     return len(all_words) - rank
-
-
-def basis_A(m):
-    """Dimension of the degree-m circle space, both routes; they must agree."""
-    by_stu = dim_A_by_stu(m)
-    by_4t = dim_A_by_four_term(m)
-    if by_stu != by_4t:
-        raise DiagramError(f"dimension mismatch at degree {m}: {by_stu} vs {by_4t}")
-    return by_stu

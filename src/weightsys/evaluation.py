@@ -54,76 +54,17 @@ class Representation:
     ``columns[x][j]`` is the sparse column {i: coeff} of rho(b_x) e_j.
     """
 
-    def __init__(self, L, columns, parity, name):
-        self.L = L
+    def __init__(self, columns, parity, name):
         self.columns = columns
         self.parity = parity
         self.dim = len(parity)
         self.name = name
 
 
-def _mat_mul(cols_a, cols_b, dim):
-    """Columns of A·B from columns of A and B."""
-    out = []
-    for j in range(dim):
-        acc = {}
-        for k, c in cols_b[j].items():
-            for i, v in cols_a[k].items():
-                s = acc.get(i, 0) + c * v
-                if s:
-                    acc[i] = s
-                else:
-                    acc.pop(i, None)
-        out.append(acc)
-    return out
-
-
 def adjoint_rep(L):
     """rho(x) = ad x on the algebra itself."""
     columns = [[L.bracket(x, j) for j in range(L.dim)] for x in range(L.dim)]
-    return Representation(L, columns, L.parity, name=f"adjoint({L.name})")
-
-
-def bracket_relation_defects(rep):
-    """All pairs where the super bracket relation fails for rep's matrices."""
-    L = rep.L
-    n = L.dim
-    dim = rep.dim
-    bad = []
-    for i in range(n):
-        for j in range(n):
-            lhs = [dict() for _ in range(dim)]
-            for k, c in L.bracket(i, j).items():
-                for col in range(dim):
-                    for r, v in rep.columns[k][col].items():
-                        s = lhs[col].get(r, 0) + c * v
-                        if s:
-                            lhs[col][r] = s
-                        else:
-                            lhs[col].pop(r, None)
-            ab = _mat_mul(rep.columns[i], rep.columns[j], dim)
-            ba = _mat_mul(rep.columns[j], rep.columns[i], dim)
-            sgn = -1 if (L.parity[i] and L.parity[j]) else 1
-            ok = True
-            for col in range(dim):
-                acc = dict(ab[col])
-                for r, v in ba[col].items():
-                    acc[r] = acc.get(r, 0) - sgn * v
-                for r, v in lhs[col].items():
-                    acc[r] = acc.get(r, 0) - v
-                if any(v for v in acc.values()):
-                    ok = False
-            if not ok:
-                bad.append((L.basis_names[i], L.basis_names[j]))
-    return bad
-
-
-def supertrace(rep, x):
-    acc = 0
-    for j in range(rep.dim):
-        v = rep.columns[x][j].get(j, 0)
-        acc = acc + (-v if rep.parity[j] else v)
-    return acc
+    return Representation(columns, L.parity, name=f"adjoint({L.name})")
 
 
 # ------------------------------------------------------------- module carriers

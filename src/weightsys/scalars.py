@@ -341,9 +341,8 @@ class MultiPoly:
 
 
 def univar_gcd(p, q, name):
-    """Monic gcd of two univariate polynomials (coefficient lists ok too)."""
-    a = p.as_univariate(name) if isinstance(p, MultiPoly) else list(p)
-    b = q.as_univariate(name) if isinstance(q, MultiPoly) else list(q)
+    """Monic gcd of two polynomials univariate in ``name``."""
+    a, b = p.as_univariate(name), q.as_univariate(name)
 
     def trim(c):
         while c and not c[-1]:
@@ -591,12 +590,9 @@ def _value_hash(num, den):
 
 
 def _exact_univar_div(p, g, name):
-    other_vars = tuple(v for v in p.vars if v != name)
-    if all(p.degree_in(v) == 0 for v in other_vars):
-        q, r = _poly_divmod(p.as_univariate(name), g.as_univariate(name))
-        assert not any(r)
-        return MultiPoly.from_univariate(name, q).with_vars(p.vars)
-    raise ValueError("exact division only implemented for univariate input")
+    q, r = _poly_divmod(p.as_univariate(name), g.as_univariate(name))
+    assert not any(r)
+    return MultiPoly.from_univariate(name, q).with_vars(p.vars)
 
 
 def as_field(x):
@@ -753,29 +749,3 @@ def matrix_inverse(mat):
         for j in range(n):
             inv[p][j] = row.get(n + j, as_field(0))
     return inv
-
-
-def matrix_det(mat):
-    """Exact determinant by fraction-full elimination over the lifted field."""
-    n = len(mat)
-    a = [[as_field(mat[i][j]) for j in range(n)] for i in range(n)]
-    det = as_field(1)
-    for col in range(n):
-        pr = None
-        for i in range(col, n):
-            if a[i][col]:
-                pr = i
-                break
-        if pr is None:
-            return as_field(0)
-        if pr != col:
-            a[col], a[pr] = a[pr], a[col]
-            det = -det
-        det = det * a[col][col]
-        inv = as_field(1) / a[col][col]
-        for i in range(col + 1, n):
-            if a[i][col]:
-                f = a[i][col] * inv
-                for j in range(col, n):
-                    a[i][j] = a[i][j] - f * a[col][j]
-    return det

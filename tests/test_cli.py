@@ -1,11 +1,16 @@
 """CLI behaviour: exit codes, determinism, report shapes."""
 
+import contextlib
+import io
 import json
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from weightsys import asymptotics, characters
 from weightsys.cli import main
 from weightsys.diagrams import chord_diagram_from_word, empty_circle, wheel_on_circle
 
@@ -203,6 +208,7 @@ def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys, text, args)
 @pytest.mark.parametrize("argv, want", [
     (["--command", "certify", "--k", "0"], 2),
     (["--command", "certify", "--q", ""], 2),
+    (["--command", "certify", "--k", "4", "--table", ""], 2),
     (["--command", "eval", "--algebra", "sl2", "--max-degree", "0"], 3),
 ])
 def test_zero_and_empty_values_are_not_replaced_by_defaults(tmp_path, capsys, argv, want):
@@ -214,6 +220,89 @@ def test_zero_and_empty_values_are_not_replaced_by_defaults(tmp_path, capsys, ar
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ")
+
+
+def test_validate_rejects_an_empty_table_path(capsys):
+    code, out = run(capsys, "--command", "validate", "--format", "json", "--table", "")
+    assert code == 1
+    assert json.loads(out)["table_error"] == "the family table path is empty"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--command", "certify", "--k", "4"],
+    ["--command", "leading", "--k", "4"],
+])
+def test_unwritable_out_fails_before_the_run(capsys, monkeypatch, argv):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the command ran before --out was opened")
+
+    monkeypatch.setattr(characters, "build_D_element", must_not_run)
+    monkeypatch.setattr(asymptotics, "closed_form_check", must_not_run)
+    code = main(argv + ["--out", "/nonexistent/x.json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+
+
+def test_out_writes_the_stdout_bytes(tmp_path, capsys):
+    argv = ["--command", "leading", "--k", "6", "--format", "json"]
+    code, out = run(capsys, *argv)
+    dest = tmp_path / "report.json"
+    assert main(argv + ["--out", str(dest)]) == code == 0
+    assert capsys.readouterr().out == ""
+    assert dest.read_text() == out
+
+
+def test_values_longer_than_the_int_string_limit_print(tmp_path, capsys):
+    f = tmp_path / "chord.txt"
+    f.write_text(ONE_CHORD)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out = run(capsys, "--command", "eval", "--diagram", str(f), "--algebra", "d21",
+                    "--alpha", "1e5000", "--format", "json")
+    assert code == 0
+    # 4*n^2*alpha + 4*n^2 - 4*n*alpha - 4*n at alpha = 10^5000
+    c = "4" + "0" * 4999 + "4"
+    assert json.loads(out)["value"] == f"{c}*n^2 - {c}*n"
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def _option(values):
+    junk = st.text(alphabet="0123456789,/-+ .xadjoint", max_size=10)
+    return st.one_of(st.none(), values, junk)
+
+
+@pytest.fixture(scope="module")
+def one_chord_file(tmp_path_factory):
+    f = tmp_path_factory.mktemp("fuzz") / "chord.txt"
+    f.write_text(ONE_CHORD)
+    return str(f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from([["eval", "--algebra", "sl2"], ["eval", "--algebra", "d21"],
+                                 ["leading"]]),
+       weight=_option(st.one_of(st.just("adjoint"), st.lists(
+           st.integers(-50, 50), max_size=4).map(lambda xs: ",".join(map(str, xs))))),
+       alpha=_option(st.fractions(max_denominator=20).map(str)),
+       max_degree=_option(st.integers(-3, 8).map(str)),
+       k=_option(st.integers(-20, 60).map(str)))
+def test_options_fuzz(one_chord_file, command, weight, alpha, max_degree, k):
+    argv = ["--command", *command, "--diagram", one_chord_file]
+    for flag, value in (("--weight", weight), ("--alpha", alpha),
+                        ("--max-degree", max_degree), ("--k", k)):
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        assert out.getvalue() and not err.getvalue()
+    else:
+        assert code in (2, 3)
+        assert len(err.getvalue().splitlines()) == 1
+        assert err.getvalue().startswith("error: ")
 
 
 def test_deterministic_output(capsys):

@@ -11,7 +11,6 @@ from weightsys.superalgebras import (
     corrupt,
     d21,
     sl2,
-    specialize_vogel_ring,
     validate,
 )
 
@@ -127,12 +126,11 @@ def test_vogel_ring_specialization():
     b = MultiPoly.variable("b")
     c = MultiPoly.variable("c")
     al = MultiPoly.variable("alpha")
-    s = (a + b + c).with_vars(("a", "b", "c"))
-    assert specialize_vogel_ring(s).is_zero()
-    sig2 = (a * b + a * c + b * c).with_vars(("a", "b", "c"))
-    assert specialize_vogel_ring(sig2) == -1 - al - al ** 2
-    sig3 = (a * b * c).with_vars(("a", "b", "c"))
-    assert specialize_vogel_ring(sig3) == -al - al ** 2
+    # D(2,1,alpha) sits at Vogel parameters (a, b, c) = (-alpha-1, 1, alpha)
+    vogel = {"a": -al - 1, "b": 1, "c": al}
+    assert (a + b + c).substitute(vogel).is_zero()
+    assert (a * b + a * c + b * c).substitute(vogel) == -1 - al - al ** 2
+    assert (a * b * c).substitute(vogel) == -al - al ** 2
 
 
 def test_validation_report_serializes_to_json(D2):

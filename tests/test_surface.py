@@ -1,0 +1,77 @@
+"""Nothing in src/weightsys exists only for a test.
+
+Every top-level function and class of the package must be reachable from
+the program's own module-level code (the CLI entry point among it), from
+what the benchmark child (perfbench/child.py) imports or its tracer
+(perfbench/tracing.py) wraps, or from a name in KEEP, which gives the
+reason the tests need that name as it is.
+"""
+
+import ast
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "weightsys"
+PERFBENCH = ROOT / "perfbench"
+
+KEEP = {
+    "ratio_character": "acceptance criterion 09 (insertion ratio)",
+    "exact_ratio": "acceptance criterion 09 (insertion ratio)",
+    "reduce_B": "acceptance criterion 10 and the exhaustive AS/IHX oracle",
+    "ihx_relation": "acceptance criterion 10 and the exhaustive AS/IHX oracle",
+    "enumerate_connected": "acceptance criterion 10 and the exhaustive AS/IHX oracle",
+    "sort_skeleton_to": "the constructive k! filtration test",
+    "skeleton_swap": "the constructive k! filtration test",
+    "wheel_on_circle": "diagram generator",
+    "empty_circle": "diagram generator",
+    "corrupt": "the negative control of validate",
+    "from_elementary": "the inverse map in the symmetric-function round trips",
+}
+
+
+def _references(node, out):
+    if isinstance(node, ast.Name):
+        out.add(node.id)
+    elif isinstance(node, ast.Attribute):
+        out.add(node.attr)
+    for child in ast.iter_child_nodes(node):
+        _references(child, out)
+    return out
+
+
+def _benchmark_names():
+    """Names perfbench imports from weightsys or wraps by name."""
+    names, modules, attributes = set(), set(), set()
+    for node in ast.walk(ast.parse((PERFBENCH / "child.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module == "weightsys":
+            modules.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("weightsys."):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            attributes.add((node.value.id, node.attr))
+    names.update(attr for module, attr in attributes if module in modules)
+    for stmt in ast.parse((PERFBENCH / "tracing.py").read_text()).body:
+        if isinstance(stmt, ast.Assign) and getattr(stmt.targets[0], "id", None) in ("SPANS", "COUNTS"):
+            names.update(attr.split(".")[0] for _, attr, _ in ast.literal_eval(stmt.value))
+    return names
+
+
+def test_every_name_is_reachable_without_the_tests():
+    defined = defaultdict(list)     # name -> [(module, names its body uses)]
+    live = _benchmark_names() | set(KEEP)
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined[stmt.name].append((path.stem, _references(stmt, set())))
+            else:
+                _references(stmt, live)
+    assert set(KEEP) <= set(defined)
+    frontier = list(live)
+    while frontier:
+        for _, uses in defined.get(frontier.pop(), ()):
+            frontier.extend(uses - live)
+            live |= uses
+    orphans = sorted(f"{module}.{name}" for name, defs in defined.items()
+                     if name not in live for module, _ in defs)
+    assert not orphans, f"called only by tests, so delete them: {', '.join(orphans)}"
