@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .scalars import MultiPoly, rational_roots, squarefree_part
+from .scalars import CostBoundError, MultiPoly, rational_roots, squarefree_part
 
 LMN = ("lam", "mu", "nu")
 
@@ -194,6 +194,7 @@ class LieParamFamily:
 
 
 _FACTOR = re.compile(r"(?:([0-9]+)(?:/([0-9]+))?|([A-Za-z_][A-Za-z0-9_]*))(?:\^([0-9]+))?")
+POLY_DEGREE_LIMIT = 20  # degree of a typed term; Q = e2^10 certifies in about 1 s
 
 
 def _read_poly(text, lookup):
@@ -201,7 +202,8 @@ def _read_poly(text, lookup):
     ``*``-product of factors, a factor a rational literal (``2``, ``10/3``)
     or an identifier, optionally raised to ``^k`` (so ``10/3^2`` is
     (10/3)^2).  ``lookup`` turns an identifier into a polynomial.  Spaces
-    are ignored; any other input raises ValueError."""
+    are ignored; any other input raises ValueError.  A term of degree above
+    POLY_DEGREE_LIMIT raises CostBoundError before it is expanded."""
     signed = text.replace(" ", "")
     if not signed.startswith(("+", "-")):
         signed = "+" + signed
@@ -209,6 +211,7 @@ def _read_poly(text, lookup):
     total = MultiPoly.zero()
     for sign, term in zip(parts[::2], parts[1::2]):
         value = MultiPoly.const(-1 if sign == "-" else 1)
+        degree = 0
         for factor in term.split("*"):
             m = _FACTOR.fullmatch(factor)
             if not m:
@@ -217,7 +220,13 @@ def _read_poly(text, lookup):
             if den is not None and not int(den):
                 raise ValueError(f"zero denominator in {text!r}")
             base = lookup(name) if name else Fraction(int(num), int(den or 1))
-            value = value * base ** int(power or 1)
+            power = int(power or 1)
+            if name:
+                degree += base.degree() * power
+            if degree > POLY_DEGREE_LIMIT:
+                raise CostBoundError(f"{text!r} has a term of degree {degree}, "
+                                     f"above the bound {POLY_DEGREE_LIMIT}")
+            value = value * base ** power
         total = total + value
     return total
 

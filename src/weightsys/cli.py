@@ -18,11 +18,13 @@ from fractions import Fraction
 
 from . import asymptotics, characters
 from .diagrams import Diagram, DiagramError
+from .scalars import CostBoundError
 from .superalgebras import d21, sl2, validate, cartan_form_block
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_COST = 0, 1, 2, 3
 MODES = {"validate": (), "leading": ("alpha1", "symbolic"),
          "certify": ("auto", "character", "full"), "eval": ("verma", "statesum")}
+SYMBOLIC_K_LIMIT = 100  # leading --mode symbolic: k = 100 takes about 1 s, cost grows as k^3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,7 +113,7 @@ def cmd_validate(args):
     try:
         families = characters.load_family_table(args.table)
         vt = characters.vanishing_table(characters.build_P(), families)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, CostBoundError) as exc:
         vt = {"ok": False, "rows": [], "error": str(exc)}
     for row in vt.get("rows", []):
         checks.append({"algebra": "parameter-table", "check": row["family"],
@@ -131,6 +133,9 @@ def cmd_leading(args):
     if kmax % 2 or kmax < 2:
         sys.stderr.write(f"error: --k must be even and >= 2, got {kmax}\n")
         return EXIT_USAGE
+    if args.mode == "symbolic" and kmax > SYMBOLIC_K_LIMIT:
+        sys.stderr.write(f"error: --k {kmax} exceeds the symbolic bound {SYMBOLIC_K_LIMIT}\n")
+        return EXIT_COST
     ks = list(range(2, kmax + 1, 2))
     if args.mode == "symbolic":
         rows = []
@@ -164,6 +169,9 @@ def cmd_certify(args):
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except CostBoundError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_COST
     _emit(bundle, args.format, args.out)
     if k == 2:
         # honest caveat case: the bundle is emitted but not certified
@@ -203,7 +211,7 @@ def cmd_eval(args):
             value = evaluation.eval_state_sum(diag, L)
         else:
             value = evaluation.eval_verma(diag, L, weight)
-    except evaluation.CostBoundError as exc:
+    except CostBoundError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_COST
     except DiagramError as exc:  # e.g. a diagram without skeleton

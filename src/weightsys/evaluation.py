@@ -14,16 +14,16 @@ one factor of -1 per *crossing* pair of chords whose terms are both odd
 Casimir term always have equal parity).  The sign is applied when a chord
 opens, against the already-open odd chords it crosses.
 
-Both methods share one path.  A carrier implements the module interface of
-the sweep (``lift``, ``start``, ``apply``, ``extract``), and ``extract``
-turns the final state into the chord diagram's scalar.  ``_chord_sum`` sums
-those scalars over ``chord_reduce``; each carrier memoizes them in
-``carrier.values``, keyed by canonical chord diagram, and one carrier per
-(algebra, weight) or (algebra, representation) is kept for the process.
-The two carriers are independent: the Verma module of highest weight
-n*lambda0 (states are PBW monomials in the lowering operators, coefficients
-polynomial in n and alpha), and any finite-dimensional representation
-(states are basis vectors; the full endomorphism is accumulated and
+Both methods share one path.  A carrier is the sweep's whole interface: it
+owns its scalar ring and the Casimir ``terms`` in it, and implements
+``start``, ``apply`` and ``extract``, which turns the final state into the
+chord diagram's scalar.  ``_chord_sum`` sums those scalars over
+``chord_reduce``; each carrier memoizes them in ``carrier.values``, keyed by
+canonical chord diagram, and one carrier per (algebra, weight) or algebra
+is kept for the process.  The two carriers are independent: the Verma
+module of highest weight n*lambda0 (PBW monomial states, coefficients in
+Q[n] or Q[n, alpha]), and the adjoint representation (basis-vector states
+in the algebra's own scalars; the full endomorphism is accumulated and
 Schur-checked to be an exact scalar).
 """
 
@@ -32,42 +32,22 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .diagrams import DiagramError, LinComb, chord_endpoints, chord_reduce, chi_bar, insert_at_vertex
-from .scalars import MultiPoly, RationalFunction
+from .scalars import CostBoundError, MultiPoly, RationalFunction
 
 STATE_SUM_VERTEX_LIMIT = 12  # cost guard for dim-17 contractions
-
-
-class CostBoundError(RuntimeError):
-    pass
 
 
 class SchurCheckError(AssertionError):
     pass
 
 
-# ------------------------------------------------------------ representations
-
-
-class Representation:
-    """Matrices per algebra basis element over the algebra's scalar ring.
-
-    ``columns[x][j]`` is the sparse column {i: coeff} of rho(b_x) e_j.
-    """
-
-    def __init__(self, columns, parity, name):
-        self.columns = columns
-        self.parity = parity
-        self.dim = len(parity)
-        self.name = name
+# ------------------------------------------------------------- module carriers
 
 
 def adjoint_rep(L):
-    """rho(x) = ad x on the algebra itself."""
-    columns = [[L.bracket(x, j) for j in range(L.dim)] for x in range(L.dim)]
-    return Representation(columns, L.parity, name=f"adjoint({L.name})")
-
-
-# ------------------------------------------------------------- module carriers
+    """rho(x) = ad x on the algebra itself: ``columns[x][j]`` is the sparse
+    column {i: coeff} of [b_x, b_j]."""
+    return [[L.bracket(x, j) for j in range(L.dim)] for x in range(L.dim)]
 
 
 class VermaCarrier:
@@ -75,36 +55,35 @@ class VermaCarrier:
 
     Monomials are exponent tuples over the lowering operators in PBW order;
     odd exponents stay in {0, 1} (an odd square rewrites through [x,x]/2).
-    Coefficients live in Q[n] or Q[n, alpha].
+    Coefficients live in Q[n] or Q[n, alpha]; the bracket table, the Casimir
+    terms and lambda are lifted there once, here.
     """
 
     def __init__(self, L, lambda0):
         rd = L.rootdata
-        self.L = L
-        self.lambda0 = tuple(lambda0)
+        self.parity = L.parity
         self.neg = rd.negative_order
         self.neg_index = {b: i for i, b in enumerate(self.neg)}
         self.cartan_index = {h: i for i, h in enumerate(rd.cartan)}
-        self.r = len(self.neg)
-        self.vars = ("n", "alpha") if L.symbolic else ("n",)
-        self.one = MultiPoly.const(1, self.vars)
-        n_mono = tuple(1 if v == "n" else 0 for v in self.vars)
-        self.lam = {h: MultiPoly(self.vars, {n_mono: Fraction(self.lambda0[i])})
+        ring = ("n", "alpha") if L.symbolic else ("n",)
+        self.one = MultiPoly.const(1, ring)
+        self.zero = MultiPoly.zero(ring)
+        # adding a scalar to the ring's zero lifts it into the ring
+        self.bracket = {key: {k: self.zero + c for k, c in row.items()}
+                        for key, row in L.bracket_table.items()}
+        self.terms = [(x, y, self.zero + w, L.parity[x]) for x, y, w in L.casimir]
+        n_mono = tuple(1 if v == "n" else 0 for v in ring)
+        self.lam = {h: MultiPoly(ring, {n_mono: Fraction(lambda0[i])})
                     for h, i in self.cartan_index.items()}
-        self.zero_mono = (0,) * self.r
+        self.zero_mono = (0,) * len(self.neg)
         self._memo = {}
         self.values = {}
-
-    def lift(self, c):
-        if isinstance(c, MultiPoly):
-            return c.with_vars(self.vars)
-        return MultiPoly.const(c, self.vars)
 
     def start(self):
         return {self.zero_mono: self.one}
 
     def extract(self, vec):
-        return vec.get(self.zero_mono, MultiPoly.zero(self.vars))
+        return vec.get(self.zero_mono, self.zero)
 
     def act(self, x, mono):
         """x . (mono v_lambda) as a normal-ordered state, memoized."""
@@ -130,7 +109,7 @@ class VermaCarrier:
                 out[tuple(m)] = self.one
             elif xi == first:
                 y = self.neg[first]
-                if not self.L.parity[y]:
+                if not self.parity[y]:
                     m = list(mono)
                     m[first] += 1
                     out[tuple(m)] = self.one
@@ -140,8 +119,8 @@ class VermaCarrier:
                     rest = list(mono)
                     rest[first] -= 1
                     rest = tuple(rest)
-                    for z, cz in self.L.bracket(x, x).items():
-                        czl = self.lift(cz) * Fraction(1, 2)
+                    for z, cz in self.bracket.get((x, x), {}).items():
+                        czl = cz * Fraction(1, 2)
                         for m2, c2 in self.act(z, rest).items():
                             _accum(out, m2, czl * c2)
             else:
@@ -149,15 +128,14 @@ class VermaCarrier:
                 rest = list(mono)
                 rest[first] -= 1
                 rest = tuple(rest)
-                sgn = -1 if (self.L.parity[x] and self.L.parity[y]) else 1
+                sgn = -1 if (self.parity[x] and self.parity[y]) else 1
                 for m2, c2 in self.act(x, rest).items():
                     c2s = c2 if sgn == 1 else -c2
                     for m3, c3 in self.act(y, m2).items():
                         _accum(out, m3, c2s * c3)
-                for z, cz in self.L.bracket(x, y).items():
-                    czl = self.lift(cz)
+                for z, cz in self.bracket.get((x, y), {}).items():
                     for m2, c2 in self.act(z, rest).items():
-                        _accum(out, m2, czl * c2)
+                        _accum(out, m2, cz * c2)
         self._memo[key] = out
         return out
 
@@ -172,45 +150,40 @@ class VermaCarrier:
 
 
 class EndoCarrier:
-    """States (input column, basis index) of a finite-dimensional rep; the
-    final state of the sweep is the full endomorphism."""
+    """States (input column, basis index) of the adjoint representation, in
+    the algebra's own scalars; the final state of the sweep is the full
+    endomorphism."""
 
-    def __init__(self, rep, ring_vars):
-        self.rep = rep
-        self.vars = ring_vars
-        self.one = MultiPoly.const(1, ring_vars) if ring_vars else Fraction(1)
+    def __init__(self, L):
+        self.columns = adjoint_rep(L)
+        self.dim = L.dim
+        self.terms = [(x, y, w, L.parity[x]) for x, y, w in L.casimir]
+        self.one = MultiPoly.const(1, ("alpha",)) if L.symbolic else Fraction(1)
+        self.zero = MultiPoly.zero(("alpha",)) if L.symbolic else Fraction(0)
         self.values = {}
 
-    def lift(self, c):
-        if self.vars:
-            if isinstance(c, MultiPoly):
-                return c.with_vars(self.vars)
-            return MultiPoly.const(c, self.vars)
-        return Fraction(c) if not isinstance(c, MultiPoly) else c
-
     def start(self):
-        return {(j, j): self.one for j in range(self.rep.dim)}
+        return {(j, j): self.one for j in range(self.dim)}
 
     def extract(self, endo):
         """The scalar of the final endomorphism, checked to be exactly scalar."""
-        zero = self.lift(0)
-        scalar = endo.get((0, 0), zero)
+        scalar = endo.get((0, 0), self.zero)
         for (col, idx), v in endo.items():
             if col != idx and v:
                 raise SchurCheckError(f"off-diagonal entry at {(col, idx)}: {v}")
-        for j in range(self.rep.dim):
-            if endo.get((j, j), zero) != scalar:
+        for j in range(self.dim):
+            if endo.get((j, j), self.zero) != scalar:
                 raise SchurCheckError(f"diagonal mismatch at column {j}")
         return scalar
 
     def apply(self, x, vec, scale=None):
         out = {}
-        cols = self.rep.columns[x]
+        cols = self.columns[x]
         for (col, idx), c in vec.items():
             if scale is not None:
                 c = c * scale
             for i, v in cols[idx].items():
-                _accum(out, (col, i), c * self.lift(v))
+                _accum(out, (col, i), c * v)
         return out
 
 
@@ -228,13 +201,6 @@ def _accum(d, k, v):
 
 
 # --------------------------------------------------------------- the sweep
-
-
-def _casimir_terms(L, carrier):
-    terms = []
-    for i, j, c in L.casimir:
-        terms.append((i, j, carrier.lift(c), L.parity[i]))
-    return terms
 
 
 def _plan_rotation(chords, n, branch):
@@ -258,10 +224,11 @@ def _plan_rotation(chords, n, branch):
     return best or []
 
 
-def sweep_chords(L, carrier, chords, n_positions):
-    """Contract a chord diagram given as endpoint pairs on n positions into
-    the carrier's scalar."""
-    terms = _casimir_terms(L, carrier)
+def sweep_chords(carrier, chords):
+    """Contract a chord diagram, given as endpoint pairs on the positions
+    0 .. 2*len(chords) - 1, into the carrier's scalar."""
+    terms = carrier.terms
+    n_positions = 2 * len(chords)
     chords = _plan_rotation(chords, n_positions, len(terms))
     open_at = {q: ci for ci, (p, q) in enumerate(chords)}
     close_at = {p: ci for ci, (p, q) in enumerate(chords)}
@@ -310,29 +277,28 @@ def _merge(states, pend, vec):
 # ------------------------------------------------------------ public surface
 
 
-_CARRIERS = {}  # (L.name, lambda0) or (L.name, rep.name) -> carrier
+_CARRIERS = {}  # (L.name, lambda0) or (L.name, "adjoint") -> carrier
 
 
-def _chord_sum(d, L, carrier, check=None):
+def _chord_sum(d, carrier, check=None):
     """Value of a skeleton diagram, or a LinComb of them, on the carrier.
 
     Chord values come from ``carrier.values`` or from a fresh sweep;
     ``check(diagram, value)`` runs on the value of every diagram.
     """
     if isinstance(d, LinComb):
-        total = carrier.lift(0)
+        total = carrier.zero
         for diag, c in d:
-            total = total + _chord_sum(diag, L, carrier, check) * Fraction(c)
+            total = total + _chord_sum(diag, carrier, check) * Fraction(c)
         return total
     if d.skel is None:
         raise DiagramError("weight systems evaluate skeleton diagrams")
-    value = carrier.lift(0)
+    value = carrier.zero
     for chord_diag, c in chord_reduce(d):
         key = chord_diag.canonical_key()
         chord_value = carrier.values.get(key)
         if chord_value is None:
-            chords = chord_endpoints(chord_diag)
-            chord_value = sweep_chords(L, carrier, chords, 2 * len(chords))
+            chord_value = sweep_chords(carrier, chord_endpoints(chord_diag))
             carrier.values[key] = chord_value
         value = value + chord_value * Fraction(c)
     if check is not None:
@@ -350,7 +316,7 @@ def eval_verma(d, L, lambda0):
     key = (L.name, tuple(lambda0))
     if key not in _CARRIERS:
         _CARRIERS[key] = VermaCarrier(L, lambda0)
-    return _chord_sum(d, L, _CARRIERS[key], check=_assert_degree_bound)
+    return _chord_sum(d, _CARRIERS[key], check=_assert_degree_bound)
 
 
 def _assert_degree_bound(d, value):
@@ -359,22 +325,20 @@ def _assert_degree_bound(d, value):
             f"degree bound violated: deg_n={value.degree_in('n')} > {len(d.skel)} skeleton vertices")
 
 
-def eval_state_sum(d, L, rep=None):
-    """Scalar by which a skeleton diagram acts in a finite-dimensional rep.
+def eval_state_sum(d, L):
+    """Scalar by which a skeleton diagram acts in the adjoint representation.
 
     The full endomorphism is computed and Schur-checked to be an exact
     scalar multiple of the identity; the scalar is returned.
     """
-    key = (L.name, f"adjoint({L.name})" if rep is None else rep.name)
-    if key not in _CARRIERS:
-        rep = adjoint_rep(L) if rep is None else rep
-        _CARRIERS[key] = EndoCarrier(rep, ("alpha",) if L.symbolic else ())
-    carrier = _CARRIERS[key]
     diagrams = [diag for diag, _ in d] if isinstance(d, LinComb) else [d]
-    if carrier.rep.dim > 8 and any(x.n_vertices > STATE_SUM_VERTEX_LIMIT for x in diagrams):
+    if L.dim > 8 and any(x.n_vertices > STATE_SUM_VERTEX_LIMIT for x in diagrams):
         raise CostBoundError(
-            f"state sum over dim {carrier.rep.dim} limited to {STATE_SUM_VERTEX_LIMIT} vertices")
-    return _chord_sum(d, L, carrier)
+            f"state sum over dim {L.dim} limited to {STATE_SUM_VERTEX_LIMIT} vertices")
+    key = (L.name, "adjoint")
+    if key not in _CARRIERS:
+        _CARRIERS[key] = EndoCarrier(L)
+    return _chord_sum(d, _CARRIERS[key])
 
 
 def adjoint_weight(L):
@@ -412,25 +376,26 @@ def exact_ratio(num, den):
 def ratio_character(piece, probes):
     """Measure the character value of an insertion piece from probe ratios.
 
-    Each probe is (base_diagram, algebra, mode, weight_or_rep): the base is
-    a connected skeleton-free diagram of degree >= 2; the measured ratio is
+    Each probe is (base_diagram, algebra, mode, weight): the base is
+    a connected skeleton-free diagram of degree >= 2, the weight is None
+    for the state sum; the measured ratio is
     W(chi_bar(piece . base)) / W(chi_bar(base)).  All ratios for one probe
     list must agree exactly; the common value and a report are returned.
     """
     ratios = []
     report = []
-    for base, L, mode, aux in probes:
+    for base, L, mode, weight in probes:
         if base.nt == 0:
             raise DiagramError("probe needs a trivalent vertex to insert at")
         inserted = insert_at_vertex(base, 0, piece)
         num_src = chi_bar(inserted)
         den_src = chi_bar(base)
         if mode == "verma":
-            den = eval_verma(den_src, L, aux)
-            num = eval_verma(num_src, L, aux)
+            den = eval_verma(den_src, L, weight)
+            num = eval_verma(num_src, L, weight)
         elif mode == "statesum":
-            den = eval_state_sum(den_src, L, aux)
-            num = eval_state_sum(num_src, L, aux)
+            den = eval_state_sum(den_src, L)
+            num = eval_state_sum(num_src, L)
         else:
             raise ValueError(f"unknown mode {mode}")
         if not den:

@@ -19,6 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+class CostBoundError(RuntimeError):
+    """An input whose exact computation would exceed a stated cost bound."""
+
+
 def _as_fraction(c):
     if isinstance(c, Fraction):
         return c

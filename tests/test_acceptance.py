@@ -36,7 +36,6 @@ from weightsys.diagrams import (
     wheel_on_circle,
 )
 from weightsys.evaluation import (
-    adjoint_rep,
     adjoint_weight,
     eval_state_sum,
     eval_verma,
@@ -179,7 +178,7 @@ def test_criterion_09_insertion_ratio():
     ])
     assert value == -2
     # the state-sum route measures the same constant
-    value2, _ = ratio_character(t, [(s2, L, "statesum", adjoint_rep(L))])
+    value2, _ = ratio_character(t, [(s2, L, "statesum", None)])
     assert value2 == value
 
     # D(2,1,2): among degree <= 4 classes only the 4-wheel has nonzero value

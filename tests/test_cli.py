@@ -70,6 +70,7 @@ def test_validate_with_corrupted_table(tmp_path, capsys):
     "sl; -2; 2; N/2; 5",
     "sl; -2; 2; N; 99",
     "# no family rows",
+    "sl; -2; 2; N^99; 5",
 ])
 def test_validate_reports_an_unreadable_table(tmp_path, capsys, row):
     bad = tmp_path / "bad.txt"
@@ -210,6 +211,8 @@ def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys, text, args)
     (["--command", "certify", "--q", ""], 2),
     (["--command", "certify", "--k", "4", "--table", ""], 2),
     (["--command", "eval", "--algebra", "sl2", "--max-degree", "0"], 3),
+    (["--command", "leading", "--mode", "symbolic", "--k", "10000"], 3),
+    (["--command", "certify", "--k", "4", "--q", "e2^99"], 3),
 ])
 def test_zero_and_empty_values_are_not_replaced_by_defaults(tmp_path, capsys, argv, want):
     f = tmp_path / "diagram.txt"

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from weightsys.diagrams import (
+    LinComb,
     all_chord_diagrams,
     chi_bar,
     chord_diagram_from_word,
@@ -28,7 +29,7 @@ from weightsys.evaluation import (
     sweep_chords,
 )
 from weightsys.scalars import MultiPoly
-from weightsys.superalgebras import d21, sl2, validate
+from weightsys.superalgebras import corrupt, d21, sl2, validate
 import weightsys.evaluation as evaluation
 
 
@@ -68,23 +69,22 @@ def test_single_chord_d21_adjoint_vanishes(D_sym):
     assert v.substitute({"n": Fraction(1)}).is_zero()
 
 
-def supertrace(rep, x):
-    diagonal = (rep.columns[x][j].get(j, 0) for j in range(rep.dim))
-    return sum(-c if odd else c for c, odd in zip(diagonal, rep.parity))
+def supertrace(A, x):
+    diagonal = (col.get(j, 0) for j, col in enumerate(adjoint_rep(A)[x]))
+    return sum(-c if odd else c for c, odd in zip(diagonal, A.parity))
 
 
 def test_adjoint_rep_properties(L, D2):
     # the columns of ad x are the brackets [x, b_j], so [ad x, ad y] = ad [x, y]
     # is the super Jacobi identity that validate checks entry by entry
     for A in (L, D2):
-        rep = adjoint_rep(A)
-        assert rep.columns == [[A.bracket(x, j) for j in range(A.dim)] for x in range(A.dim)]
+        columns = adjoint_rep(A)
+        assert columns == [[A.bracket(x, j) for j in range(A.dim)] for x in range(A.dim)]
         assert validate(A)["super_jacobi"]["ok"]
-    rep = adjoint_rep(L)
     h = L.index("h")
-    assert sorted(rep.columns[h][j].get(j, 0) for j in range(3)) == [-2, 0, 2]
-    assert supertrace(rep, h) == 0
-    assert supertrace(adjoint_rep(D2), D2.index("H1")) == 0
+    assert sorted(adjoint_rep(L)[h][j].get(j, 0) for j in range(3)) == [-2, 0, 2]
+    assert supertrace(L, h) == 0
+    assert supertrace(D2, D2.index("H1")) == 0
 
 
 @pytest.mark.parametrize("alpha", [Fraction(2), Fraction(3), Fraction(1, 2)])
@@ -122,14 +122,14 @@ def test_cut_rotation_invariance(D_sym, monkeypatch):
     # three distinct cuts of this asymmetric diagram all give the planned value
     carrier = VermaCarrier(D_sym, (3, 1, 1))
     chords, n = [(0, 2), (1, 4), (3, 5)], 6
-    want = sweep_chords(D_sym, carrier, chords, n)
+    want = sweep_chords(carrier, chords)
     assert want
     cuts = {tuple(sorted(tuple(sorted(((p - r) % n, (q - r) % n))) for p, q in chords))
             for r in range(n)}
     assert len(cuts) == 3
     for cut in cuts:
         monkeypatch.setattr(evaluation, "_plan_rotation", lambda *args, cut=cut: list(cut))
-        assert sweep_chords(D_sym, carrier, chords, n) == want
+        assert sweep_chords(carrier, chords) == want
 
 
 def test_degree_bound_is_asserted(D2, monkeypatch):
@@ -175,7 +175,7 @@ def test_triangle_ratio_constant_on_sl2(L):
     s2 = wheel(2)
     (s3, c3), = list(insert_at_vertex(s2, 0, t))
     probes = [(s2, L, "verma", (2,)), (s3, L, "verma", (2,)),
-              (s2, L, "statesum", adjoint_rep(L))]
+              (s2, L, "statesum", None)]
     value, report = ratio_character(t, probes)
     assert value == -2
     assert len(report) == 3
@@ -236,13 +236,30 @@ def test_ladder_acts_consistently(L, D2):
 
 
 def test_schur_check_guards_the_state_sum(L):
-    rep = adjoint_rep(L)
-    # corrupt one matrix entry: the Schur check must catch it
-    bad_cols = [[dict(col) for col in cols] for cols in rep.columns]
-    bad_cols[0][0][1] = bad_cols[0][0].get(1, 0) + 1
-    broken = evaluation.Representation(bad_cols, rep.parity, name="broken")
-    with pytest.raises((SchurCheckError, AssertionError)):
-        eval_state_sum(chord_diagram_from_word([(0, 1)], 2), L, broken)
+    # corrupt one structure constant, [e, e] = h: ad e is then no longer a
+    # representation, and the Schur check must catch the non-scalar result
+    broken = corrupt(L, 0, 0, 1, 1)
+    with pytest.raises(SchurCheckError):
+        eval_state_sum(chord_diagram_from_word([(0, 1)], 2), broken)
+
+
+def test_values_stay_in_the_carrier_ring(L, D2, D_sym):
+    # nothing lifts values: each carrier's sums stay in its own scalar ring,
+    # zero values included
+    one = chord_diagram_from_word([(0, 1)], 2)
+    two = chord_diagram_from_word([(0, 2), (1, 3)], 4)
+    for A in (L, D2):
+        for d in (LinComb(), one, two):
+            assert type(eval_state_sum(d, A)) is Fraction
+    assert eval_state_sum(one, D_sym) == 0
+    for d in (LinComb(), one, two):
+        value = eval_state_sum(d, D_sym)
+        assert isinstance(value, MultiPoly) and value.vars == ("alpha",)
+    for A, weight, ring in ((L, (2,), ("n",)), (D2, (3, 1, 1), ("n",)),
+                            (D_sym, (3, 1, 1), ("n", "alpha"))):
+        for d in (LinComb(), one, two):
+            value = eval_verma(d, A, weight)
+            assert isinstance(value, MultiPoly) and value.vars == ring
 
 
 def test_statesum_cost_guard(D2):
