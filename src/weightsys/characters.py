@@ -1,9 +1,12 @@
 """Symmetric-polynomial character calculus and the nonvanishing certificate.
 
-The ring is Q[lam, mu, nu]^{S3}; symmetric polynomials are rewritten in the
-elementary symmetric functions e1, e2, e3 (with t = e1).  The degree-15
-product P of fifteen linear forms is the pivot of the construction: for
-every homogeneous symmetric Q not divisible by t,
+The ring is Q[lam, mu, nu]^{S3} = Q[e1, e2, e3], and every symmetric
+polynomial here -- the cofactor Q, the degree-15 product P of fifteen linear
+forms and P*Q -- is a MultiPoly in the elementary symmetric functions e1,
+e2, e3 (with t = e1; e_i has degree i in lam, mu, nu).  lam, mu and nu
+appear only in the fifteen linear factors of P and in the parameter triples
+of the Lie families.  P is the pivot of the construction: for every
+homogeneous symmetric Q not divisible by t,
 
   * P*Q lies in the distinguished subring Q[t] + (t+lam)(t+mu)(t+nu)*Q[t,e2,e3],
   * P*Q specializes to zero at the parameter triple of every simple Lie
@@ -22,14 +25,18 @@ kill it.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+from . import asymptotics
 from .scalars import CostBoundError, MultiPoly, rational_roots, squarefree_part
 
 LMN = ("lam", "mu", "nu")
+E = ("e1", "e2", "e3")
+WEIGHT = {"e1": 1, "e2": 2, "e3": 3, "sigma2": 2, "sigma3": 3}
 
 
 def sym_vars():
@@ -60,13 +67,13 @@ def to_elementary(p):
     if not is_symmetric(p):
         raise ValueError("polynomial is not S3-symmetric")
     e1, e2, e3 = elementary()
-    out = MultiPoly.zero(("e1", "e2", "e3"))
+    out = MultiPoly.zero(E)
     work = p
     while not work.is_zero():
         expo, c = max(work.terms.items())
         a, b, cc = sorted(expo, reverse=True)
         mono_e = (a - b, b - cc, cc)
-        out = out + MultiPoly(("e1", "e2", "e3"), {mono_e: c})
+        out = out + MultiPoly(E, {mono_e: c})
         sub = MultiPoly.const(c, LMN)
         for base, power in zip((e1, e2, e3), mono_e):
             if power:
@@ -78,6 +85,13 @@ def to_elementary(p):
 def from_elementary(q):
     e1, e2, e3 = elementary()
     return q.substitute({"e1": e1, "e2": e2, "e3": e3}).with_vars(LMN)
+
+
+def weighted_degrees(p):
+    """Degrees in lam, mu, nu of the terms of p, a polynomial in e1, e2, e3
+    or in sigma2, sigma3 (e_i and sigma_i count i)."""
+    weights = [WEIGHT[v] for v in p.vars]
+    return {sum(w * a for w, a in zip(weights, e)) for e in p.terms}
 
 
 # --------------------------------------------------------------- the product P
@@ -103,9 +117,12 @@ def p_factors():
 
 
 def build_P():
-    p = MultiPoly.const(1, LMN)
-    for f in p_factors():
-        p = p * f
+    """P in e1, e2, e3: the product of its four S3-orbits of factors, each
+    orbit's product rewritten in e1, e2, e3 on its own."""
+    fs = p_factors()
+    p = MultiPoly.const(1, E)
+    for orbit in (fs[0:3], fs[3:6], fs[6:12], fs[12:15]):
+        p = p * to_elementary(math.prod(orbit))
     return p
 
 
@@ -113,29 +130,22 @@ def build_P():
 
 
 def chi0_image_test(p):
-    """Membership in Q[t] + (t+lam)(t+mu)(t+nu) Q[t, e2, e3], with the
-    decomposition when it exists.
+    """Membership of p in e1, e2, e3 in Q[t] + (t+lam)(t+mu)(t+nu) Q[t, e2, e3],
+    with the decomposition when it exists.
 
     In elementary coordinates the second summand is M * Q[e1, e2, e3] with
     M = 2 e1^3 + e1 e2 + e3, monic and linear in e3; dividing out M leaves a
     remainder in Q[e1, e2], and membership holds iff that remainder is free
     of e2.  Returns (member, f, g) with p = f(t) + M*g when member.
     """
-    q = to_elementary(p)
-    # divide by M = e3 + (e1*e2 + 2*e1^3), monic linear in e3
-    tail = MultiPoly(("e1", "e2", "e3"), {(1, 1, 0): Fraction(1), (3, 0, 0): Fraction(2)})
-    d3 = q.degree_in("e3")
-    quotient = MultiPoly.zero(("e1", "e2", "e3"))
-    work = q
-    for power in range(d3, 0, -1):
-        coef = work.coefficient_in("e3", power)
-        if coef.is_zero():
-            continue
-        shift = MultiPoly(("e1", "e2", "e3"), {(0, 0, power - 1): Fraction(1)})
-        part = coef * shift
+    # divide by M = e3 + e1*e2 + 2*e1^3, monic linear in e3
+    m = MultiPoly(E, {(0, 0, 1): 1, (1, 1, 0): 1, (3, 0, 0): 2})
+    quotient = MultiPoly.zero(E)
+    work = p
+    for power in range(p.degree_in("e3"), 0, -1):
+        part = work.coefficient_in("e3", power) * MultiPoly(E, {(0, 0, power - 1): 1})
         quotient = quotient + part
-        work = work - part * MultiPoly(("e1", "e2", "e3"), {(0, 0, 1): Fraction(1)}) \
-            - part * tail
+        work = work - part * m
     member = work.degree_in("e2") <= 0
     f = work if member else None
     return member, f, (quotient if member else None)
@@ -145,21 +155,10 @@ def chi0_image_test(p):
 
 
 def chi_prime_D(p):
-    """Impose t = 0 and rewrite in sigma2 = e2, sigma3 = e3; the result is a
-    MultiPoly in ("sigma2", "sigma3")."""
-    q = to_elementary(p)
-    q0 = q.substitute({"e1": Fraction(0)})
-    out = {}
-    i1 = q0.vars.index("e2")
-    i2 = q0.vars.index("e3")
-    for e, c in q0.terms.items():
-        out[(e[i1], e[i2])] = c
-    return MultiPoly(("sigma2", "sigma3"), out)
-
-
-def sigma_degrees(s):
-    """Weighted degrees (deg sigma_i = i) of the terms of a chi_prime_D image."""
-    return {2 * e[0] + 3 * e[1] for e in s.terms}
+    """Impose t = e1 = 0 on p in e1, e2, e3 and rename e2, e3 to sigma2,
+    sigma3; the result is a MultiPoly in ("sigma2", "sigma3")."""
+    return MultiPoly(("sigma2", "sigma3"),
+                     {(b, c): v for (a, b, c), v in p.with_vars(E).terms.items() if not a})
 
 
 SIGMA2_ALPHA = "-1-alpha-alpha^2"
@@ -201,9 +200,10 @@ def _read_poly(text, lookup):
     """Read a polynomial typed by a user: a sum of signed terms, a term a
     ``*``-product of factors, a factor a rational literal (``2``, ``10/3``)
     or an identifier, optionally raised to ``^k`` (so ``10/3^2`` is
-    (10/3)^2).  ``lookup`` turns an identifier into a polynomial.  Spaces
-    are ignored; any other input raises ValueError.  A term of degree above
-    POLY_DEGREE_LIMIT raises CostBoundError before it is expanded."""
+    (10/3)^2).  ``lookup`` turns an identifier into a pair (polynomial,
+    degree).  Spaces are ignored; any other input raises ValueError.  A
+    term of degree above POLY_DEGREE_LIMIT raises CostBoundError before it
+    is expanded."""
     signed = text.replace(" ", "")
     if not signed.startswith(("+", "-")):
         signed = "+" + signed
@@ -219,10 +219,9 @@ def _read_poly(text, lookup):
             num, den, name, power = m.groups()
             if den is not None and not int(den):
                 raise ValueError(f"zero denominator in {text!r}")
-            base = lookup(name) if name else Fraction(int(num), int(den or 1))
+            base, weight = lookup(name) if name else (Fraction(int(num), int(den or 1)), 0)
             power = int(power or 1)
-            if name:
-                degree += base.degree() * power
+            degree += weight * power
             if degree > POLY_DEGREE_LIMIT:
                 raise CostBoundError(f"{text!r} has a term of degree {degree}, "
                                      f"above the bound {POLY_DEGREE_LIMIT}")
@@ -244,7 +243,8 @@ def load_family_table(path=None):
         if not line or line.startswith("#"):
             continue
         name, lam, mu, nu, factor = [x.strip() for x in line.split(";")]
-        triple = tuple(_read_poly(x, MultiPoly.variable) for x in (lam, mu, nu))
+        triple = tuple(_read_poly(x, lambda v: (MultiPoly.variable(v), 1))
+                       for x in (lam, mu, nu))
         if len({v for p in triple for v in p.vars if p.degree_in(v) > 0}) > 1:
             raise ValueError(f"family {name} uses more than one parameter")
         index = int(factor)
@@ -258,8 +258,9 @@ def load_family_table(path=None):
 
 
 def vanishing_table(p, families=None):
-    """Substitute every family's parameter triple into a symmetric polynomial
-    carrying the factor structure of P and report the factor that kills it.
+    """Substitute every family's parameter triple into a polynomial in e1,
+    e2, e3 carrying the factor structure of P and report the factor of P
+    that kills it.
 
     The input must vanish identically for every family (a hard failure
     otherwise); the recorded factor of P must be identically zero and every
@@ -271,10 +272,10 @@ def vanishing_table(p, families=None):
     report = []
     ok = True
     for fam in families:
-        sub = {v: t for v, t in zip(LMN, fam.triple)}
-        p_val = p.with_vars(LMN).substitute(sub)
-        p_zero = p_val.is_zero()
-        factor_vals = [f.substitute(sub) for f in factors]
+        a, b, c = fam.triple
+        p_zero = p.substitute({"e1": a + b + c, "e2": a * b + a * c + b * c,
+                               "e3": a * b * c}).is_zero()
+        factor_vals = [f.substitute(dict(zip(LMN, fam.triple))) for f in factors]
         zero_idx = [i for i, v in enumerate(factor_vals) if v.is_zero()]
         row_ok = (p_zero and zero_idx == [fam.vanishing_factor])
         ok = ok and row_ok
@@ -293,46 +294,42 @@ def vanishing_table(p, families=None):
 
 
 def parse_Q(spec):
-    """Q from a short spec: '1', 'e2', 'e3', 'e2^2', 'e2*e3', ... (sums of
-    products of e1, e2, e3 and rationals; 't' = e1 is accepted for rejection
-    tests).  Any other name raises ValueError."""
-    e1, e2, e3 = elementary()
-    env = {"e1": e1, "e2": e2, "e3": e3, "t": e1}
-
+    """Q in e1, e2, e3 from a short spec: '1', 'e2', 'e3', 'e2^2', 'e2*e3',
+    ... (sums of products of e1, e2, e3 and rationals; 't' = e1 is accepted
+    for rejection tests).  e_i counts i toward the degree bound.  Any other
+    name raises ValueError."""
     def lookup(name):
-        if name not in env:
+        v = "e1" if name == "t" else name
+        if v not in E:
             raise ValueError(f"unknown name {name!r} in Q (use e1, e2, e3, t)")
-        return env[name]
+        return MultiPoly.variable(v).with_vars(E), WEIGHT[v]
 
-    return _read_poly(spec, lookup).with_vars(LMN)
+    return _read_poly(spec, lookup).with_vars(E)
 
 
 def q_degree_and_t_check(Q):
-    """(degree, divisible_by_t) for a homogeneous symmetric Q."""
-    if not is_symmetric(Q):
-        raise ValueError("Q must be S3-symmetric")
-    degs = {sum(e) for e in Q.terms}
+    """(degree in lam, mu, nu, divisible_by_t) for a homogeneous Q in e1, e2, e3."""
+    degs = weighted_degrees(Q)
     if len(degs) > 1:
         raise ValueError("Q must be homogeneous")
     deg = degs.pop() if degs else 0
-    qe = to_elementary(Q)
-    divisible = qe.substitute({"e1": Fraction(0)}).is_zero()
-    return deg, divisible
+    return deg, Q.coefficient_in("e1", 0).is_zero()
 
 
 # ---------------------------------------------------------------- certificate
 
 
-def build_D_element(k, q_spec="1", families=None, sun_report=None):
+def build_D_element(k, q_spec="1", families=None, full=False):
     """Certificate bundle for the degree-(k+d) element built from Q and the
     k-wheel, d = 15 + deg Q.
 
     The character-level part is always produced: membership of P*Q in the
     distinguished subring, the nonzero sigma-image with its alpha
     specialization and explicit root set, and the per-family vanishing
-    table.  ``sun_report`` (from asymptotics.find_n0) attaches the wheel
-    side; for k = 2 the leading coefficient vanishes and the bundle records
-    the honest caveat instead of a certificate.
+    table.  ``full`` runs asymptotics.find_n0, once Q has been accepted, and
+    attaches its report as the wheel side; for k = 2 the leading
+    coefficient vanishes and the bundle records the honest caveat instead
+    of a certificate.
     """
     if k % 2 or k < 2:
         raise ValueError("k must be even and >= 2")
@@ -343,12 +340,13 @@ def build_D_element(k, q_spec="1", families=None, sun_report=None):
     if deg_q == 1:
         raise ValueError("deg Q = 1 is excluded (deg Q = 0 or >= 2)")
     d = 15 + deg_q
+    sun_report = asymptotics.find_n0(k) if full else None
 
     P = build_P()
     PQ = P * Q
     member, f_part, g_part = chi0_image_test(PQ)
     sigma = chi_prime_D(PQ)
-    sigma_degs = sigma_degrees(sigma)
+    sigma_degs = weighted_degrees(sigma)
     poly, roots, sq = specialize_alpha(sigma)
     table = vanishing_table(PQ, families)
 
@@ -362,9 +360,9 @@ def build_D_element(k, q_spec="1", families=None, sun_report=None):
         "degree": k + d,
         "legs": k,
         "character_level": {
-            "P_degree": P.degree(),
-            "PQ_degree": PQ.degree(),
-            "PQ_elementary": str(to_elementary(PQ)),
+            "P_degree": max(weighted_degrees(P)),
+            "PQ_degree": max(weighted_degrees(PQ)),
+            "PQ_elementary": str(PQ),
             "PQ_in_image": member,
             "image_decomposition": {
                 "t_part": str(f_part),

@@ -160,12 +160,9 @@ def cmd_certify(args):
     q_spec = "1" if args.q is None else args.q
     mode = args.mode or "auto"
     try:
-        if mode == "full" or (mode == "auto" and k <= 2):
-            sun = asymptotics.find_n0(k)
-        else:
-            sun = None
-        bundle = characters.build_D_element(k, q_spec=q_spec, sun_report=sun,
-                                            families=characters.load_family_table(args.table))
+        bundle = characters.build_D_element(
+            k, q_spec=q_spec, families=characters.load_family_table(args.table),
+            full=mode == "full" or (mode == "auto" and k <= 2))
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -407,10 +407,11 @@ def rational_roots(p, name):
     if val:
         roots.append((Fraction(0), val))
         coeffs = coeffs[val:]
-    # integer-scale
+    # integer-scale, then remove the content
     denlcm = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * denlcm) for c in coeffs]
-    lead, trail = ints[-1], ints[0]
+    content = math.gcd(*ints)
+    lead, trail = ints[-1] // content, ints[0] // content
     cands = set()
     for pnum in _divisors(abs(trail)):
         for qden in _divisors(abs(lead)):
@@ -419,33 +420,14 @@ def rational_roots(p, name):
     cur = list(coeffs)
     for cand in sorted(cands):
         mult = 0
-        while True:
-            if len(cur) <= 1:
+        while len(cur) > 1:
+            quotient, rem = _poly_divmod(cur, [-cand, 1])
+            if any(rem):
                 break
-            if _eval_coeffs(cur, cand):
-                break
-            cur = _deflate(cur, cand)
-            mult += 1
+            cur, mult = quotient, mult + 1
         if mult:
             roots.append((cand, mult))
     return sorted(roots)
-
-
-def _eval_coeffs(coeffs, x):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _deflate(coeffs, root):
-    """Synthetic division of p by (x - root); caller guarantees divisibility."""
-    d = len(coeffs) - 1
-    out = [Fraction(0)] * d
-    out[d - 1] = coeffs[d]
-    for i in range(d - 1, 0, -1):
-        out[i - 1] = coeffs[i] + root * out[i]
-    return out
 
 
 def _divisors(n):

@@ -128,11 +128,11 @@ def test_criterion_06_degree_bounds():
 
 
 def test_criterion_07_character_certificate():
+    from weightsys.characters import E, chi0_image_test, weighted_degrees
     P = build_P()
-    assert P.degree() == 15
-    from weightsys.characters import chi0_image_test, elementary
-    e1, e2, e3 = elementary()
-    for Q in (MultiPoly.const(1, ("lam", "mu", "nu")), e2, e3, e2 * e2):
+    assert weighted_degrees(P) == {15}
+    e2, e3 = (MultiPoly.variable(v).with_vars(E) for v in ("e2", "e3"))
+    for Q in (MultiPoly.const(1, E), e2, e3, e2 * e2):
         member, _, _ = chi0_image_test(P * Q)
         assert member
     s = chi_prime_D(P)
@@ -151,7 +151,8 @@ def test_criterion_08_nonvanishing_certificate():
     assert sun["certified"]
     ds = []
     for q_spec in ("1", "e2"):
-        bundle = build_D_element(4, q_spec=q_spec, sun_report=sun)
+        bundle = build_D_element(4, q_spec=q_spec, full=True)
+        assert bundle["wheel_side"] == sun
         spec = bundle["character_level"]["alpha_specialization"]
         assert spec["degree"] > 0
         assert spec["rational_roots"]

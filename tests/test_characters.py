@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from weightsys.characters import (
+    E,
     FACTOR_LABELS,
     LMN,
     _read_poly,
@@ -15,20 +16,27 @@ from weightsys.characters import (
     build_P,
     chi0_image_test,
     chi_prime_D,
-    elementary,
     from_elementary,
     is_symmetric,
     load_family_table,
     parse_Q,
     p_factors,
     q_degree_and_t_check,
-    sigma_degrees,
     specialize_alpha,
     sym_vars,
     to_elementary,
     vanishing_table,
+    weighted_degrees,
 )
 from weightsys.scalars import MultiPoly
+
+
+def e_vars():
+    return tuple(MultiPoly.variable(v).with_vars(E) for v in E)
+
+
+def read_names(text):
+    return _read_poly(text, lambda name: (MultiPoly.variable(name), 1))
 
 
 @pytest.fixture(scope="module")
@@ -37,14 +45,23 @@ def P():
 
 
 def test_P_degree_and_symmetry(P):
-    assert P.degree() == 15
-    assert is_symmetric(P)
+    assert P.vars == E and weighted_degrees(P) == {15}
+    expanded = from_elementary(P)
+    assert expanded.degree() == 15
+    assert is_symmetric(expanded)
     assert len(p_factors()) == len(FACTOR_LABELS) == 15
 
 
 def test_P_at_unit_point(P):
-    # t=3; prod(t+a)=64, prod(t-a)=8, prod(a+2b)=729, prod(3a-2t)=-27
-    assert P.evaluate({"lam": 1, "mu": 1, "nu": 1}) == -10077696
+    # lam = mu = nu = 1: t=3; prod(t+a)=64, prod(t-a)=8, prod(a+2b)=729, prod(3a-2t)=-27
+    assert P.evaluate({"e1": 3, "e2": 3, "e3": 1}) == -10077696
+
+
+def test_P_equals_the_converted_product_of_its_factors(P):
+    product = MultiPoly.const(1, LMN)
+    for f in p_factors():
+        product = product * f
+    assert P == to_elementary(product)
 
 
 def test_elementary_conversion_roundtrip():
@@ -58,21 +75,22 @@ def test_elementary_conversion_roundtrip():
 
 
 def test_image_membership():
-    e1, e2, e3 = elementary()
+    e1, e2, e3 = e_vars()
     member, f, g = chi0_image_test(e1 ** 5)
     assert member and f.degree() == 5 and g.is_zero()
     member, f, g = chi0_image_test(build_P() * e2)
     assert member
-    # exhibited decomposition reassembles the input
-    M = (e1 + sym_vars()[0]) * (e1 + sym_vars()[1]) * (e1 + sym_vars()[2])
-    rebuilt = from_elementary(f) + M * from_elementary(g)
-    assert rebuilt == build_P() * e2
+    # exhibited decomposition reassembles the input in lam, mu, nu
+    lam, mu, nu = sym_vars()
+    t = lam + mu + nu
+    rebuilt = from_elementary(f) + (t + lam) * (t + mu) * (t + nu) * from_elementary(g)
+    assert rebuilt == from_elementary(build_P() * e2)
     member, _, _ = chi0_image_test(e2)
     assert not member
 
 
 def test_chi_prime_kills_t_multiples():
-    e1, e2, e3 = elementary()
+    e1, e2, e3 = e_vars()
     assert chi_prime_D(e1 * e2).is_zero()
     assert chi_prime_D(e1 ** 3).is_zero()
 
@@ -82,7 +100,7 @@ def test_chi_prime_of_P_matches_brute_force(P):
     s2 = MultiPoly.variable("sigma2").with_vars(("sigma2", "sigma3"))
     s3 = MultiPoly.variable("sigma3").with_vars(("sigma2", "sigma3"))
     assert s == -27 * s3 ** 3 * (4 * s2 ** 3 + 27 * s3 ** 2)
-    assert sigma_degrees(s) == {15}
+    assert weighted_degrees(s) == {15}
     # independent expansion: the squared Vandermonde equals -4 e2^3 - 27 e3^2
     # modulo e1
     lam, mu, nu = sym_vars()
@@ -94,7 +112,7 @@ def test_chi_prime_of_P_matches_brute_force(P):
 
 def test_chi_prime_is_multiplicative():
     rng = random.Random(11)
-    e1, e2, e3 = elementary()
+    e1, e2, e3 = e_vars()
     gens = [e1, e2, e3, e2 + e3, e1 * e1 - 3 * e2]
     for _ in range(6):
         p = gens[rng.randrange(len(gens))] * gens[rng.randrange(len(gens))]
@@ -132,13 +150,42 @@ def test_vanishing_table_and_nondegeneracy(P):
     for name in ("exc", "g2", "f4", "e6", "e7", "e8"):
         assert families[name]["vanishing_factors"] == ["3*nu-2*t"]
     # multiplicativity: P*Q vanishes too
-    e1, e2, e3 = elementary()
+    e1, e2, e3 = e_vars()
     assert vanishing_table(P * e2)["ok"]
     assert vanishing_table(P * (e3 + e2 * e1))["ok"]
 
 
+def _rows_in_lam_mu_nu(p, families):
+    """vanishing_table's rows, computed by substituting each triple into p
+    written out in lam, mu, nu."""
+    p_lmn = from_elementary(p)
+    rows = []
+    for fam in families:
+        sub = dict(zip(LMN, fam.triple))
+        vanishes = p_lmn.substitute(sub).is_zero()
+        zero = [i for i, f in enumerate(p_factors()) if f.substitute(sub).is_zero()]
+        rows.append({
+            "family": fam.name,
+            "triple": [str(t) for t in fam.triple],
+            "input_vanishes": vanishes,
+            "vanishing_factors": [FACTOR_LABELS[i] for i in zero],
+            "expected_factor": FACTOR_LABELS[fam.vanishing_factor],
+            "ok": vanishes and zero == [fam.vanishing_factor],
+        })
+    return rows
+
+
+@pytest.mark.parametrize("spec", ["1", "e2", "e3", "e2^2-3*e1*e3", "e1*e2-e3"])
+def test_vanishing_table_matches_the_lam_mu_nu_substitution(P, spec):
+    families = load_family_table()
+    Q = parse_Q(spec)
+    for p in (P * Q, Q):  # Q alone does not vanish on every family
+        assert vanishing_table(p, families)["rows"] == _rows_in_lam_mu_nu(p, families)
+    assert vanishing_table(P * Q, families)["ok"]
+
+
 def test_q_parsing_and_constraints():
-    e1, e2, e3 = elementary()
+    e1, e2, e3 = e_vars()
     assert parse_Q("e2") == e2
     assert parse_Q("e2^2") == e2 * e2
     assert parse_Q("e2*e3") == e2 * e3
@@ -153,9 +200,9 @@ def test_q_parsing_and_constraints():
 @settings(max_examples=300, deadline=None)
 @given(st.text(alphabet="e123tNx+-*/^ 0123456789", max_size=16))
 def test_typed_polynomials_parse_or_raise_value_error(text):
-    # a large power of e2 in lam, mu, nu takes seconds; the grammar is the same
+    # a large power of a rational literal takes long to expand; the grammar is the same
     assume(all(int(k) <= 12 for k in re.findall(r"\^([0-9]+)", text.replace(" ", ""))))
-    for read in (parse_Q, lambda s: _read_poly(s, MultiPoly.variable)):
+    for read in (parse_Q, read_names):
         try:
             read(text)
         except ValueError:
@@ -167,12 +214,12 @@ def test_typed_polynomials_parse_or_raise_value_error(text):
                 min_size=1, max_size=4))
 def test_typed_sums_read_as_built(terms):
     text = "".join(f"{'-' if c < 0 else '+'}{abs(c)}*e2^{i}*e3^{j}" for c, i, j in terms)
-    _, e2, e3 = elementary()
+    _, e2, e3 = e_vars()
     x2, x3 = MultiPoly.variable("e2"), MultiPoly.variable("e3")
     q = parse_Q(text)
-    assert q.vars == LMN
-    assert q == sum((c * e2 ** i * e3 ** j for c, i, j in terms), MultiPoly.zero(LMN))
-    assert _read_poly(text, MultiPoly.variable) == sum(c * x2 ** i * x3 ** j for c, i, j in terms)
+    assert q.vars == E
+    assert q == sum((c * e2 ** i * e3 ** j for c, i, j in terms), MultiPoly.zero(E))
+    assert read_names(text) == sum(c * x2 ** i * x3 ** j for c, i, j in terms)
 
 
 def test_certificates():

@@ -213,6 +213,10 @@ def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys, text, args)
     (["--command", "eval", "--algebra", "sl2", "--max-degree", "0"], 3),
     (["--command", "leading", "--mode", "symbolic", "--k", "10000"], 3),
     (["--command", "certify", "--k", "4", "--q", "e2^99"], 3),
+    # the degree bound counts degree in lam, mu, nu: e2 counts 2, e3 counts 3
+    (["--command", "certify", "--k", "4", "--q", "e2^11"], 3),
+    (["--command", "certify", "--k", "4", "--q", "e3^7"], 3),
+    (["--command", "certify", "--k", "4", "--q", "e2^10"], 0),
 ])
 def test_zero_and_empty_values_are_not_replaced_by_defaults(tmp_path, capsys, argv, want):
     f = tmp_path / "diagram.txt"
@@ -220,6 +224,9 @@ def test_zero_and_empty_values_are_not_replaced_by_defaults(tmp_path, capsys, ar
     code = main(argv + ["--diagram", str(f)])
     captured = capsys.readouterr()
     assert code == want
+    if want == 0:
+        assert captured.out and captured.err == ""
+        return
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ")
@@ -244,6 +251,24 @@ def test_unwritable_out_fails_before_the_run(capsys, monkeypatch, argv):
     code = main(argv + ["--out", "/nonexistent/x.json"])
     captured = capsys.readouterr()
     assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["--q", "e2^99"], 3),
+    (["--q", "t*e2"], 2),
+    (["--table", "/nonexistent"], 2),
+])
+def test_certify_full_checks_q_and_table_before_the_wheel_side(capsys, monkeypatch, argv, want):
+    def must_not_run(k):
+        raise AssertionError("find_n0 ran before --q and --table were read")
+
+    monkeypatch.setattr(asymptotics, "find_n0", must_not_run)
+    code = main(["--command", "certify", "--k", "4", "--mode", "full"] + argv)
+    captured = capsys.readouterr()
+    assert code == want
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ")

@@ -1,6 +1,6 @@
 """Report bytes are pinned: the twelve well-formed commands of the benchmark's
-cli-certify workload print exactly the stdout stored under tests/golden/
-and exit with the stored code.
+cli-certify workload, and certify for a product and a mixed sum Q, print
+exactly the stdout stored under tests/golden/ and exit with the stored code.
 
 A change that is meant to alter a report regenerates the files with
 
@@ -42,6 +42,8 @@ COMMANDS = {
     "leading_k12_symbolic": ["--command", "leading", "--k", "12", "--mode", "symbolic"] + JSON,
     **{f"certify_k4_q{q}": ["--command", "certify", "--k", "4", "--q", q] + JSON
        for q in ("1", "e2", "e3", "e2^2")},
+    "certify_k4_qe2e3": ["--command", "certify", "--k", "4", "--q", "e2*e3"] + JSON,
+    "certify_k4_qe2^2-3e1e3": ["--command", "certify", "--k", "4", "--q", "e2^2-3*e1*e3"] + JSON,
     "certify_k4_e2_full": ["--command", "certify", "--k", "4", "--q", "e2", "--mode", "full"] + JSON,
     "certify_k2_full": ["--command", "certify", "--k", "2", "--q", "1", "--mode", "full"] + JSON,
     "eval_sl2_statesum": ["--command", "eval", "--diagram", "WHEEL4", "--algebra", "sl2",

@@ -194,6 +194,9 @@ def test_rational_roots_with_multiplicity():
     p = a ** 3 * (a + 1) ** 2 * (2 * a - 3) * (a ** 2 + 1)
     roots = rational_roots(p, "alpha")
     assert roots == [(Fraction(-1), 2), (Fraction(0), 3), (Fraction(3, 2), 1)]
+    # a large content is removed before the divisors of the end coefficients are listed
+    assert rational_roots(2 ** 40 * p, "alpha") == roots
+    assert rational_roots(Fraction(7 ** 30, 3) * p, "alpha") == roots
     sq = squarefree_part(p, "alpha")
     assert rational_roots(sq, "alpha") == [(Fraction(-1), 1), (Fraction(0), 1), (Fraction(3, 2), 1)]
     assert sq.degree_in("alpha") == 5
