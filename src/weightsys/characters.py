@@ -194,6 +194,7 @@ class LieParamFamily:
 
 _FACTOR = re.compile(r"(?:([0-9]+)(?:/([0-9]+))?|([A-Za-z_][A-Za-z0-9_]*))(?:\^([0-9]+))?")
 POLY_DEGREE_LIMIT = 20  # degree of a typed term; Q = e2^10 certifies in about 1 s
+LITERAL_BITS_LIMIT = 1024  # bits of a typed term's literal factors; Q = 7^300 certifies in 0.3 s
 
 
 def _read_poly(text, lookup):
@@ -202,8 +203,9 @@ def _read_poly(text, lookup):
     or an identifier, optionally raised to ``^k`` (so ``10/3^2`` is
     (10/3)^2).  ``lookup`` turns an identifier into a pair (polynomial,
     degree).  Spaces are ignored; any other input raises ValueError.  A
-    term of degree above POLY_DEGREE_LIMIT raises CostBoundError before it
-    is expanded."""
+    term of degree above POLY_DEGREE_LIMIT, or whose literal factors take
+    more than LITERAL_BITS_LIMIT bits, raises CostBoundError before it is
+    expanded; a literal a/b raised to ^k counts k times the bits of a*b."""
     signed = text.replace(" ", "")
     if not signed.startswith(("+", "-")):
         signed = "+" + signed
@@ -211,7 +213,7 @@ def _read_poly(text, lookup):
     total = MultiPoly.zero()
     for sign, term in zip(parts[::2], parts[1::2]):
         value = MultiPoly.const(-1 if sign == "-" else 1)
-        degree = 0
+        degree = bits = 0
         for factor in term.split("*"):
             m = _FACTOR.fullmatch(factor)
             if not m:
@@ -219,12 +221,19 @@ def _read_poly(text, lookup):
             num, den, name, power = m.groups()
             if den is not None and not int(den):
                 raise ValueError(f"zero denominator in {text!r}")
-            base, weight = lookup(name) if name else (Fraction(int(num), int(den or 1)), 0)
             power = int(power or 1)
-            degree += weight * power
+            if name:
+                base, weight = lookup(name)
+                degree += weight * power
+            else:
+                base = Fraction(int(num), int(den or 1))
+                bits += (base.numerator * base.denominator).bit_length() * power
             if degree > POLY_DEGREE_LIMIT:
                 raise CostBoundError(f"{text!r} has a term of degree {degree}, "
                                      f"above the bound {POLY_DEGREE_LIMIT}")
+            if bits > LITERAL_BITS_LIMIT:
+                raise CostBoundError(f"{text!r} has a term whose literals take more than "
+                                     f"{LITERAL_BITS_LIMIT} bits")
             value = value * base ** power
         total = total + value
     return total

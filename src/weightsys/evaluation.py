@@ -20,15 +20,21 @@ owns its scalar ring and the Casimir ``terms`` in it, and implements
 chord diagram's scalar.  ``_chord_sum`` sums those scalars over
 ``chord_reduce``; each carrier memoizes them in ``carrier.values``, keyed by
 canonical chord diagram, and one carrier per (algebra, weight) or algebra
-is kept for the process.  The two carriers are independent: the Verma
-module of highest weight n*lambda0 (PBW monomial states, coefficients in
-Q[n] or Q[n, alpha]), and the adjoint representation (basis-vector states
-in the algebra's own scalars; the full endomorphism is accumulated and
-Schur-checked to be an exact scalar).
+is kept for the process.  The two carriers are independent:
+
+- the Verma module of highest weight n*lambda0: PBW monomial states with
+  coefficients in Q[n] or Q[n, alpha], held as ``_IntPoly`` values (int
+  numerators over one int denominator, each monomial packed into one int),
+  so the sweep does no Fraction arithmetic; ``extract`` converts the final
+  coefficient to a MultiPoly, the type every caller sees;
+- the adjoint representation: basis-vector states in the algebra's own
+  scalars; the full endomorphism is accumulated and Schur-checked to be an
+  exact scalar.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .diagrams import DiagramError, LinComb, chord_endpoints, chord_reduce, chi_bar, insert_at_vertex
@@ -50,13 +56,96 @@ def adjoint_rep(L):
     return [[L.bracket(x, j) for j in range(L.dim)] for x in range(L.dim)]
 
 
+_FIELD = 32  # bits of one variable's exponent in a packed monomial
+_MASK = (1 << _FIELD) - 1
+
+
+class _IntPoly:
+    """A polynomial with rational coefficients as int numerators over one
+    positive int denominator, for the Verma sweep's inner loop.
+
+    ``terms`` maps a packed monomial -- the exponent of the i-th variable in
+    bits [32 i, 32 i + 32) of one int, so a monomial product is one int
+    addition -- to a nonzero int numerator.  ``den`` is coprime to the
+    numerators (1 for zero), so one value has one representation.
+    """
+
+    __slots__ = ("terms", "den")
+
+    def __init__(self, terms, den):
+        """``terms`` (nonzero numerators) is taken over; ``den`` is reduced."""
+        if den != 1:
+            g = math.gcd(den, *terms.values())
+            if g != 1:
+                terms = {k: c // g for k, c in terms.items()}
+                den //= g
+        self.terms = terms
+        self.den = den
+
+    @classmethod
+    def lift(cls, poly):
+        """The value of a MultiPoly, packed by the position of its variables."""
+        den = math.lcm(*(c.denominator for c in poly.terms.values()))
+        return cls({sum(e << (_FIELD * i) for i, e in enumerate(expo)):
+                    c.numerator * (den // c.denominator) for expo, c in poly.terms.items()}, den)
+
+    def to_poly(self, vars):
+        """The MultiPoly in ``vars``, read by position."""
+        return MultiPoly(vars, {tuple((k >> (_FIELD * i)) & _MASK for i in range(len(vars))):
+                                Fraction(c, self.den) for k, c in self.terms.items()})
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __neg__(self):
+        return _IntPoly({k: -c for k, c in self.terms.items()}, self.den)
+
+    def __add__(self, other):
+        da, db = self.den, other.den
+        if da == db:
+            out = dict(self.terms)
+            for k, c in other.terms.items():
+                out[k] = out.get(k, 0) + c
+        else:
+            g = math.gcd(da, db)
+            fa, fb = db // g, da // g
+            out = {k: c * fa for k, c in self.terms.items()}
+            for k, c in other.terms.items():
+                out[k] = out.get(k, 0) + c * fb
+            da *= fa
+        if not all(out.values()):
+            out = {k: c for k, c in out.items() if c}
+        return _IntPoly(out, da)
+
+    def __mul__(self, other):
+        a, b = self.terms, other.terms
+        if len(b) > len(a):
+            a, b = b, a
+        if len(b) == 1:
+            # no two products share a monomial, and ints have no zero divisors
+            (kb, cb), = b.items()
+            out = {k + kb: c * cb for k, c in a.items()}
+        else:
+            out = {}
+            get = out.get
+            for kb, cb in b.items():
+                for ka, ca in a.items():
+                    k = ka + kb
+                    out[k] = get(k, 0) + ca * cb
+            if not all(out.values()):
+                out = {k: c for k, c in out.items() if c}
+        return _IntPoly(out, self.den * other.den)
+
+
 class VermaCarrier:
     """PBW states of the Verma module of highest weight n * lambda0.
 
     Monomials are exponent tuples over the lowering operators in PBW order;
     odd exponents stay in {0, 1} (an odd square rewrites through [x,x]/2).
-    Coefficients live in Q[n] or Q[n, alpha]; the bracket table, the Casimir
-    terms and lambda are lifted there once, here.
+    Coefficients are ``_IntPoly`` values in Q[n] or Q[n, alpha]: the bracket
+    table, the Casimir terms, lambda and 1/2 are lifted there once, here, so
+    the sweep multiplies ints only.  ``extract`` hands the chord diagram's
+    value out as a MultiPoly in the ring.
     """
 
     def __init__(self, L, lambda0):
@@ -65,16 +154,20 @@ class VermaCarrier:
         self.neg = rd.negative_order
         self.neg_index = {b: i for i, b in enumerate(self.neg)}
         self.cartan_index = {h: i for i, h in enumerate(rd.cartan)}
-        ring = ("n", "alpha") if L.symbolic else ("n",)
-        self.one = MultiPoly.const(1, ring)
-        self.zero = MultiPoly.zero(ring)
-        # adding a scalar to the ring's zero lifts it into the ring
-        self.bracket = {key: {k: self.zero + c for k, c in row.items()}
+        self.ring = ("n", "alpha") if L.symbolic else ("n",)
+        self.zero = MultiPoly.zero(self.ring)
+
+        def lift(c):
+            # adding a scalar to the ring's zero puts it in the ring's variables
+            return _IntPoly.lift(self.zero + c)
+
+        self.one = lift(1)
+        self.half = lift(Fraction(1, 2))
+        self.bracket = {key: {k: lift(c) for k, c in row.items()}
                         for key, row in L.bracket_table.items()}
-        self.terms = [(x, y, self.zero + w, L.parity[x]) for x, y, w in L.casimir]
-        n_mono = tuple(1 if v == "n" else 0 for v in ring)
-        self.lam = {h: MultiPoly(ring, {n_mono: Fraction(lambda0[i])})
-                    for h, i in self.cartan_index.items()}
+        self.terms = [(x, y, lift(w), L.parity[x]) for x, y, w in L.casimir]
+        n = MultiPoly.variable("n")
+        self.lam = {h: lift(n * lambda0[i]) for h, i in self.cartan_index.items()}
         self.zero_mono = (0,) * len(self.neg)
         self._memo = {}
         self.values = {}
@@ -83,7 +176,8 @@ class VermaCarrier:
         return {self.zero_mono: self.one}
 
     def extract(self, vec):
-        return vec.get(self.zero_mono, self.zero)
+        value = vec.get(self.zero_mono)
+        return self.zero if value is None else value.to_poly(self.ring)
 
     def act(self, x, mono):
         """x . (mono v_lambda) as a normal-ordered state, memoized."""
@@ -120,7 +214,7 @@ class VermaCarrier:
                     rest[first] -= 1
                     rest = tuple(rest)
                     for z, cz in self.bracket.get((x, x), {}).items():
-                        czl = cz * Fraction(1, 2)
+                        czl = cz * self.half
                         for m2, c2 in self.act(z, rest).items():
                             _accum(out, m2, czl * c2)
             else:

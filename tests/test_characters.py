@@ -1,11 +1,10 @@
 """Symmetric-polynomial character calculus and the certificate."""
 
 import random
-import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from weightsys.characters import (
     E,
@@ -28,7 +27,7 @@ from weightsys.characters import (
     vanishing_table,
     weighted_degrees,
 )
-from weightsys.scalars import MultiPoly
+from weightsys.scalars import CostBoundError, MultiPoly
 
 
 def e_vars():
@@ -200,12 +199,11 @@ def test_q_parsing_and_constraints():
 @settings(max_examples=300, deadline=None)
 @given(st.text(alphabet="e123tNx+-*/^ 0123456789", max_size=16))
 def test_typed_polynomials_parse_or_raise_value_error(text):
-    # a large power of a rational literal takes long to expand; the grammar is the same
-    assume(all(int(k) <= 12 for k in re.findall(r"\^([0-9]+)", text.replace(" ", ""))))
+    # the two documented outcomes of unreadable or too costly input
     for read in (parse_Q, read_names):
         try:
             read(text)
-        except ValueError:
+        except (ValueError, CostBoundError):
             pass
 
 

@@ -71,6 +71,7 @@ def test_validate_with_corrupted_table(tmp_path, capsys):
     "sl; -2; 2; N; 99",
     "# no family rows",
     "sl; -2; 2; N^99; 5",
+    "sl; -2; 2; 7^100000; 5",
 ])
 def test_validate_reports_an_unreadable_table(tmp_path, capsys, row):
     bad = tmp_path / "bad.txt"
@@ -217,6 +218,10 @@ def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys, text, args)
     (["--command", "certify", "--k", "4", "--q", "e2^11"], 3),
     (["--command", "certify", "--k", "4", "--q", "e3^7"], 3),
     (["--command", "certify", "--k", "4", "--q", "e2^10"], 0),
+    # a literal power counts the bits of its expansion: 3 per power of 7
+    (["--command", "certify", "--k", "4", "--q", "7^100000"], 3),
+    (["--command", "certify", "--k", "4", "--q", "7^400"], 3),
+    (["--command", "certify", "--k", "4", "--q", "7^300"], 0),
 ])
 def test_zero_and_empty_values_are_not_replaced_by_defaults(tmp_path, capsys, argv, want):
     f = tmp_path / "diagram.txt"

@@ -1,8 +1,10 @@
 """Weight-system evaluation: two methods, invariances, insertion ratios."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weightsys.diagrams import (
     LinComb,
@@ -20,6 +22,7 @@ from weightsys.diagrams import (
 from weightsys.evaluation import (
     SchurCheckError,
     VermaCarrier,
+    _IntPoly,
     adjoint_rep,
     adjoint_weight,
     eval_state_sum,
@@ -156,6 +159,36 @@ def test_state_sum_reuses_the_adjoint_carrier(L, monkeypatch):
     two = chord_diagram_from_word([(0, 2), (1, 3)], 4)
     assert [eval_state_sum(x, L) for x in (one, two, one)] == [4, 8, 4]
     assert built == ["sl2"]
+
+
+def ring_polys(ring):
+    coeffs = st.builds(Fraction, st.integers(-24, 24), st.sampled_from([1, 2, 3, 8, 24]))
+    monos = st.tuples(*[st.integers(0, 4)] * len(ring))
+    return st.dictionaries(monos, coeffs, max_size=6).map(lambda t: MultiPoly(ring, t))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([("n",), ("n", "alpha")]).flatmap(
+    lambda ring: st.tuples(st.just(ring), ring_polys(ring), ring_polys(ring))))
+def test_int_poly_follows_multipoly(case):
+    # the sweep's int-coefficient values read back as the MultiPoly results,
+    # and each value has one representation: den > 0, coprime to the numerators
+    ring, a, b = case
+    la, lb = _IntPoly.lift(a), _IntPoly.lift(b)
+    # (a + b)(a - b): the cross terms cancel inside one product
+    square_diff = (la + lb) * (la + (-lb))
+    for got, want in ((la, a), (la + lb, a + b), (la * lb, a * b), (-la, -a),
+                      (square_diff, a * a - b * b)):
+        poly = got.to_poly(ring)
+        assert poly.vars == ring and poly == want
+        assert got.den > 0 and math.gcd(got.den, *got.terms.values()) == 1
+        assert all(got.terms.values())
+        again = _IntPoly.lift(want)
+        assert (got.terms, got.den) == (again.terms, again.den)
+    cancelled = la + lb + (-lb)
+    assert (cancelled.terms, cancelled.den) == (la.terms, la.den)
+    zero = la + (-la)
+    assert not zero and zero.den == 1
 
 
 def test_exact_ratio():

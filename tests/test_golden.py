@@ -1,6 +1,7 @@
 """Report bytes are pinned: the twelve well-formed commands of the benchmark's
-cli-certify workload, and certify for a product and a mixed sum Q, print
-exactly the stdout stored under tests/golden/ and exit with the stored code.
+cli-certify workload, and certify for a product, a mixed sum and a large
+literal Q, print exactly the stdout stored under tests/golden/ and exit with
+the stored code.
 
 A change that is meant to alter a report regenerates the files with
 
@@ -44,6 +45,7 @@ COMMANDS = {
        for q in ("1", "e2", "e3", "e2^2")},
     "certify_k4_qe2e3": ["--command", "certify", "--k", "4", "--q", "e2*e3"] + JSON,
     "certify_k4_qe2^2-3e1e3": ["--command", "certify", "--k", "4", "--q", "e2^2-3*e1*e3"] + JSON,
+    "certify_k4_q2^40": ["--command", "certify", "--k", "4", "--q", "2^40"] + JSON,
     "certify_k4_e2_full": ["--command", "certify", "--k", "4", "--q", "e2", "--mode", "full"] + JSON,
     "certify_k2_full": ["--command", "certify", "--k", "2", "--q", "1", "--mode", "full"] + JSON,
     "eval_sl2_statesum": ["--command", "eval", "--diagram", "WHEEL4", "--algebra", "sl2",
