@@ -23,7 +23,7 @@ from .superalgebras import d21, sl2, validate, cartan_form_block
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_COST = 0, 1, 2, 3
 MODES = {"validate": (), "leading": ("alpha1", "symbolic"),
-         "certify": ("auto", "character", "full"), "eval": ("verma", "statesum")}
+         "certify": ("auto", "full"), "eval": ("verma", "statesum")}
 SYMBOLIC_K_LIMIT = 100  # leading --mode symbolic: k = 100 takes about 1 s, cost grows as k^3
 
 
@@ -158,11 +158,10 @@ def cmd_leading(args):
 def cmd_certify(args):
     k = 4 if args.k is None else args.k
     q_spec = "1" if args.q is None else args.q
-    mode = args.mode or "auto"
     try:
         bundle = characters.build_D_element(
             k, q_spec=q_spec, families=characters.load_family_table(args.table),
-            full=mode == "full" or (mode == "auto" and k <= 2))
+            full=args.mode == "full" or k <= 2)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -58,7 +58,7 @@ class Diagram:
 
     @property
     def degree(self):
-        return Fraction(self.n_vertices, 2)
+        return self.n_vertices // 2
 
     @property
     def legs(self):
@@ -244,19 +244,21 @@ def empty_circle():
 # -- canonical search ------------------------------------------------------------
 #
 # Lockstep minimal-encoding search.  Candidates are partial relabelings
-# (root dart + orientation choices); all candidates emit one token per step
-# following the same schedule, and only candidates matching the minimal
-# token survive.  Tokens per dart, in label order: its tag, the label of
-# its edge partner, the label of the cyclic successor (trivalent only),
-# and the label of the skeleton successor's dart (skeleton legs only).
-# New labels are assigned in order of first appearance.
+# (root dart + orientation choices); every candidate emits one tuple for its
+# i-th labelled dart: (tag, label of the edge partner, label of the cyclic
+# successor or -1 at a leg, label of the skeleton successor's dart or -1 off
+# the skeleton).  The tag is 0 at a trivalent dart, 1 at a free leg and 2 at
+# a skeleton leg.  A candidate that meets a trivalent vertex for the first
+# time is cloned for its two orientations.  Only candidates whose tuple
+# equals the minimum survive.  New labels are assigned in order of first
+# appearance, partner before successor, so comparing whole tuples prunes
+# exactly as four passes would that compare one entry each, in turn.
 
 
 class _Cand:
-    __slots__ = ("root", "orient", "pos", "order", "parity")
+    __slots__ = ("orient", "pos", "order", "parity")
 
     def __init__(self, root):
-        self.root = root
         self.orient = {}
         self.pos = {root: 0}
         self.order = [root]
@@ -264,7 +266,6 @@ class _Cand:
 
     def clone(self):
         c = _Cand.__new__(_Cand)
-        c.root = self.root
         c.orient = dict(self.orient)
         c.pos = dict(self.pos)
         c.order = list(self.order)
@@ -284,95 +285,61 @@ def _canonicalize(d):
     if d.n_darts == 0:
         return d, 1, False
     nt3 = 3 * d.nt
+    pairing = d.pairing
     skn = d.skel_next()
-
-    def tag(dart):
-        if dart < nt3:
-            return 0
-        v = d.dart_vertex(dart)
-        return 2 if v in skn else 1
-
-    def sigma_oriented(dart, o):
-        base = 3 * (dart // 3)
-        step = 1 if o == 1 else 2
-        return base + (dart - base + step) % 3
+    # per leg: the dart of its skeleton successor, or -1 off the skeleton
+    succ = [nt3 + skn[v] - d.nt if v in skn else -1 for v in range(d.nt, d.n_vertices)]
 
     cands = [_Cand(r) for r in range(d.n_darts)]
-
     i = 0
-    emissions = ("tag", "alpha", "sigma", "skel")
-    while True:
-        if i >= len(cands[0].order):
-            break
-        for kind in emissions:
-            # candidates may branch on orientation during "sigma"
-            expanded = []
-            scored = []
-            for c in cands:
-                dart = c.order[i]
-                if kind == "tag":
-                    expanded.append((tag(dart), c))
-                elif kind == "alpha":
-                    expanded.append((c.label(d.pairing[dart]), c))
-                elif kind == "sigma":
-                    if dart >= nt3:
-                        expanded.append((-1, c))
-                    else:
-                        v = dart // 3
-                        if v in c.orient:
-                            expanded.append((c.label(sigma_oriented(dart, c.orient[v])), c))
-                        else:
-                            for o in (1, -1):
-                                cc = c.clone()
-                                cc.orient[v] = o
-                                if o == -1:
-                                    cc.parity ^= 1
-                                expanded.append((cc.label(sigma_oriented(dart, o)), cc))
-                else:  # skel
-                    v = d.dart_vertex(dart)
-                    if v in skn:
-                        expanded.append((c.label(d.vertex_darts(skn[v])[0]), c))
-                    else:
-                        expanded.append((-1, c))
-            mn = min(t for t, _ in expanded)
-            cands = [c for t, c in expanded if t == mn]
+    while i < len(cands[0].order):
+        scored = []
+        for c in cands:
+            dart = c.order[i]
+            partner = c.label(pairing[dart])
+            if dart >= nt3:
+                s = succ[dart - nt3]
+                scored.append(((1, partner, -1, -1) if s < 0 else (2, partner, -1, c.label(s)), c))
+                continue
+            v, slot = divmod(dart, 3)
+            o = c.orient.get(v)
+            if o is None:
+                flip = c.clone()
+                flip.orient[v] = -1
+                flip.parity ^= 1
+                c.orient[v] = 1
+                scored.append(((0, partner, c.label(3 * v + (slot + 1) % 3), -1), c))
+                scored.append(((0, partner, flip.label(3 * v + (slot + 2) % 3), -1), flip))
+            else:
+                scored.append(((0, partner, c.label(3 * v + (slot + o) % 3), -1), c))
+        mn = min(t for t, _ in scored)
+        cands = [c for t, c in scored if t == mn]
         i += 1
 
-    parities = {c.parity for c in cands}
-    zero = len(parities) == 2
+    zero = len({c.parity for c in cands}) == 2
     winner = cands[0]
-    sign = -1 if winner.parity else 1
-
-    canon = _rebuild(d, winner)
-    return canon, sign, zero
+    return _rebuild(d, winner), -1 if winner.parity else 1, zero
 
 
 def _rebuild(d, cand):
     """Materialize the canonical diagram described by a winning candidate."""
     nt3 = 3 * d.nt
-    order = cand.order
-    pos = cand.pos
     # canonical vertices in order of first dart appearance
     triv_of_old = {}
     univ_of_old = {}
-    for dart in order:
+    for dart in cand.order:
         v = d.dart_vertex(dart)
         if dart < nt3:
-            if v not in triv_of_old:
-                triv_of_old[v] = (len(triv_of_old), dart)
+            triv_of_old.setdefault(v, (len(triv_of_old), dart))
         else:
-            if v not in univ_of_old:
-                univ_of_old[v] = len(univ_of_old)
+            univ_of_old.setdefault(v, len(univ_of_old))
     nt, nu = len(triv_of_old), len(univ_of_old)
 
     def new_dart(old):
         v = d.dart_vertex(old)
         if old < nt3:
             nv, first = triv_of_old[v]
-            base = 3 * (old // 3)
-            o = cand.orient[v]
-            step = (old - base) * o - (first - base) * o
-            return 3 * nv + step % 3
+            return 3 * nv + (old - first) * cand.orient[v] % 3
         return 3 * nt + univ_of_old[v]
 
     pairing = [-1] * (3 * nt + nu)
@@ -386,6 +353,16 @@ def _rebuild(d, cand):
             relab = relab[k:] + relab[:k]
         skel = tuple(relab)
     return Diagram(nt, nu, pairing, skel, check=False)
+
+
+def _classes(diagrams):
+    """One canonical representative per nonzero class, sorted by encoding."""
+    found = {}
+    for diag in diagrams:
+        canon, _, zero = diag.canonical()
+        if not zero:
+            found.setdefault(canon._encoding(), canon)
+    return [found[k] for k in sorted(found)]
 
 
 # -- linear combinations ------------------------------------------------------------
@@ -799,13 +776,8 @@ def _rewire(d, u, w, triple_u, triple_w):
 def ihx_saturate(seed_diagrams):
     """Closure of a diagram set under IHX moves, plus the relations; raises
     DiagramError once the closure would exceed 4000 diagrams."""
-    frontier = []
-    seen = {}
-    for diag in seed_diagrams:
-        canon, _, zero = diag.canonical()
-        if not zero and canon._encoding() not in seen:
-            seen[canon._encoding()] = canon
-            frontier.append(canon)
+    frontier = _classes(seed_diagrams)
+    seen = {diag._encoding(): diag for diag in frontier}
     relations = []
     rel_keys = set()
     while frontier:
@@ -866,23 +838,21 @@ def reduce_B(c):
 
 def enumerate_connected(degree, legs):
     """All connected skeleton-free diagrams of the given degree and leg
-    count, one canonical representative per nonzero AS-class."""
+    count, one canonical representative per nonzero AS-class, sorted by
+    encoding."""
     nt = 2 * degree - legs
     if nt < 0 or (nt + legs) % 2:
         return []
     nd = 3 * nt + legs
-    found = {}
 
     def backtrack(pairing, used):
         free = [i for i in range(nd) if pairing[i] < 0]
         if not free:
             try:
-                diag = Diagram(nt, legs, tuple(pairing))
+                diag = Diagram(nt, legs, pairing)
             except DiagramError:
                 return
-            canon, _, zero = diag.canonical()
-            if not zero:
-                found.setdefault(canon._encoding(), canon)
+            yield diag
             return
         h = free[0]
         seen_fresh_triv = False
@@ -903,13 +873,12 @@ def enumerate_connected(degree, legs):
             vh = h // 3 if h < 3 * nt else nt + (h - 3 * nt)
             added = [w for w in (v, vh) if w not in used]
             used.update(added)
-            backtrack(pairing, used)
+            yield from backtrack(pairing, used)
             for w in added:
                 used.discard(w)
             pairing[h] = pairing[p] = -1
 
-    backtrack([-1] * nd, set())
-    return list(found.values())
+    return _classes(backtrack([-1] * nd, set()))
 
 
 # -- chord-diagram space (skeleton side) ----------------------------------------------
@@ -922,13 +891,8 @@ def chord_diagram_from_word(pairs, n):
 
 def all_chord_diagrams(m):
     """Canonical chord diagrams with m chords."""
-    found = {}
-    for pairs in _pairings(list(range(2 * m))):
-        diag = chord_diagram_from_word(pairs, 2 * m)
-        canon, _, zero = diag.canonical()
-        if not zero:
-            found.setdefault(canon._encoding(), canon)
-    return [found[k] for k in sorted(found)]
+    return _classes(chord_diagram_from_word(pairs, 2 * m)
+                    for pairs in _pairings(list(range(2 * m))))
 
 
 def _pairings(items):
@@ -947,17 +911,16 @@ def one_vertex_diagrams(m):
     """Degree-m skeleton diagrams with exactly one internal vertex (a tripod
     plus m-2 chords), canonical set."""
     n = 2 * m - 1  # skeleton vertices
-    found = {}
-    for tripod_pos in itertools.combinations(range(n), 3):
-        rest = [i for i in range(n) if i not in tripod_pos]
-        for pairs in _pairings(rest):
-            edges = [(s, 3 + pos) for s, pos in enumerate(tripod_pos)]
-            edges += [(3 + a, 3 + b) for a, b in pairs]
-            diag = _from_edges(1, n, edges, skel=range(1, 1 + n))
-            canon, _, zero = diag.canonical()
-            if not zero:
-                found.setdefault(canon._encoding(), canon)
-    return [found[k] for k in sorted(found)]
+
+    def diagrams():
+        for tripod_pos in itertools.combinations(range(n), 3):
+            rest = [i for i in range(n) if i not in tripod_pos]
+            for pairs in _pairings(rest):
+                edges = [(s, 3 + pos) for s, pos in enumerate(tripod_pos)]
+                edges += [(3 + a, 3 + b) for a, b in pairs]
+                yield _from_edges(1, n, edges, skel=range(1, 1 + n))
+
+    return _classes(diagrams())
 
 
 def dim_A_by_stu(m):

@@ -346,31 +346,33 @@ class MultiPoly:
 
 def univar_gcd(p, q, name):
     """Monic gcd of two polynomials univariate in ``name``."""
-    a, b = p.as_univariate(name), q.as_univariate(name)
-
-    def trim(c):
-        while c and not c[-1]:
-            c.pop()
-        return c
-
-    a, b = trim(a), trim(b)
-    while b:
-        a, b = b, trim(_poly_divmod(a, b)[1])
-    if not a:
-        return MultiPoly.zero((name,))
-    lead = a[-1]
-    return MultiPoly.from_univariate(name, [c / lead for c in a])
+    return MultiPoly.from_univariate(name, _gcd(p.as_univariate(name), q.as_univariate(name)))
 
 
 def squarefree_part(p, name):
     """p / gcd(p, p') for univariate p, normalized monic."""
-    coeffs = p.as_univariate(name)
-    deriv = [i * c for i, c in enumerate(coeffs)][1:]
-    g = univar_gcd(p, MultiPoly.from_univariate(name, deriv), name)
-    q, r = _poly_divmod(coeffs, g.as_univariate(name))
+    return MultiPoly.from_univariate(name, _squarefree(p.as_univariate(name)))
+
+
+def _trim(c):
+    c = list(c)
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def _gcd(a, b):
+    """Monic gcd of two coefficient lists; [] when both are zero."""
+    a, b = _trim(a), _trim(b)
+    while b:
+        a, b = b, _trim(_poly_divmod(a, b)[1])
+    return [c / a[-1] for c in a]
+
+
+def _squarefree(coeffs):
+    q, r = _poly_divmod(coeffs, _gcd(coeffs, [i * c for i, c in enumerate(coeffs)][1:]))
     assert not any(r), "gcd does not divide"
-    lead = next(c for c in reversed(q) if c)
-    return MultiPoly.from_univariate(name, [c / lead for c in q])
+    return [c / q[-1] for c in q]
 
 
 def _poly_divmod(a, b):
@@ -390,11 +392,23 @@ def _poly_divmod(a, b):
     return q, a
 
 
+def _value(coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def rational_roots(p, name):
     """All rational roots of a univariate polynomial, with multiplicities.
 
-    Returns a sorted list of (root, multiplicity).  Exact: candidates come
-    from the rational root theorem and are verified by exact division.
+    Returns a sorted list of (root, multiplicity).  Exact: a rational
+    root's denominator divides the leading coefficient L of the primitive
+    integer polynomial, and two such fractions lie at least 1/L^2 apart.  So
+    each real root of the squarefree part, isolated by its Sturm sequence and
+    narrowed below 1/(2 L^2) by bisection, has one candidate: the fraction
+    with denominator at most L nearest the midpoint.  Exact division
+    verifies it and counts its multiplicity.
     """
     coeffs = p.as_univariate(name)
     if not any(coeffs):
@@ -407,18 +421,23 @@ def rational_roots(p, name):
     if val:
         roots.append((Fraction(0), val))
         coeffs = coeffs[val:]
-    # integer-scale, then remove the content
     denlcm = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * denlcm) for c in coeffs]
-    content = math.gcd(*ints)
-    lead, trail = ints[-1] // content, ints[0] // content
-    cands = set()
-    for pnum in _divisors(abs(trail)):
-        for qden in _divisors(abs(lead)):
-            cands.add(Fraction(pnum, qden))
-            cands.add(Fraction(-pnum, qden))
-    cur = list(coeffs)
-    for cand in sorted(cands):
+    lead = abs(ints[-1]) // math.gcd(*ints)
+    width = Fraction(1, 2 * lead * lead)
+    sq = _squarefree(coeffs)
+    cur = coeffs
+    for a, b in _isolate(sq):
+        # the one root r is simple: sq has the sign of sq(b) on (r, b] only
+        vb = _value(sq, b)
+        while vb and b - a >= width:
+            m = (a + b) / 2
+            vm = _value(sq, m)
+            if not vm or (vm > 0) == (vb > 0):
+                b, vb = m, vm
+            else:
+                a = m
+        cand = ((a + b) / 2).limit_denominator(lead) if vb else b
         mult = 0
         while len(cur) > 1:
             quotient, rem = _poly_divmod(cur, [-cand, 1])
@@ -430,18 +449,29 @@ def rational_roots(p, name):
     return sorted(roots)
 
 
-def _divisors(n):
-    if n == 0:
-        return [1]
+def _isolate(sq):
+    """Intervals (a, b], each holding exactly one real root of the monic
+    squarefree polynomial ``sq``, found by bisection on its Sturm sequence."""
+    chain = [sq, [i * c for i, c in enumerate(sq)][1:]]
+    while len(chain[-1]) > 1:
+        chain.append([-c for c in _trim(_poly_divmod(chain[-2], chain[-1])[1])])
+
+    def changes(x):
+        signs = [v > 0 for v in (_value(q, x) for q in chain) if v]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    bound = 1 + max(abs(c) for c in sq)
     out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+    todo = [(-bound, changes(-bound), bound, changes(bound))]
+    while todo:
+        a, va, b, vb = todo.pop()
+        if va - vb == 1:
+            out.append((a, b))
+        elif va - vb > 1:
+            m = (a + b) / 2
+            vm = changes(m)
+            todo += [(a, va, m, vm), (m, vm, b, vb)]
+    return out
 
 
 # -- rational functions -----------------------------------------------------------

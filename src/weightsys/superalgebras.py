@@ -55,6 +55,10 @@ class RootData:
 
 @dataclass
 class SuperAlgebra:
+    """A Lie superalgebra given by its structure constants.  Its name
+    identifies them: evaluation keeps one carrier per name, so two algebras
+    with one name must share bracket table, Casimir and alpha."""
+
     name: str
     basis_names: list
     parity: tuple
@@ -414,12 +418,13 @@ def cartan_form_block(L):
 
 
 def corrupt(L, i, j, k, delta):
-    """Copy of L with one structure constant shifted (negative-control tool)."""
+    """Copy of L with one structure constant shifted, named after the shift (negative control)."""
     table = {key: dict(val) for key, val in L.bracket_table.items()}
     row = table.setdefault((i, j), {})
     row[k] = row.get(k, 0) + delta
     if not row[k]:
         del row[k]
-    return SuperAlgebra(L.name + "_corrupt", list(L.basis_names), L.parity,
+    name = f"{L.name}_corrupt({i},{j},{k},{delta})"
+    return SuperAlgebra(name, list(L.basis_names), L.parity,
                         table, list(L.casimir), alpha=L.alpha,
                         symbolic=L.symbolic, rootdata=L.rootdata)

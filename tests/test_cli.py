@@ -189,6 +189,7 @@ ONE_CHORD = "vertices 0 2\nedge 0 1\nskeleton 0 1\n"
     (ONE_CHORD, "--command eval --algebra sl2 --mode foo"),
     (ONE_CHORD, "--command leading --k 2 --mode foo"),
     (ONE_CHORD, "--command certify --k 2 --mode foo"),
+    (ONE_CHORD, "--command certify --k 4 --mode character"),
     (ONE_CHORD, "--command validate --mode full"),
     (ONE_CHORD, "--command certify --k 4 --q 1/0"),
     (ONE_CHORD, "--command certify --k 4 --table /nonexistent/table.txt"),
@@ -222,6 +223,8 @@ def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys, text, args)
     (["--command", "certify", "--k", "4", "--q", "7^100000"], 3),
     (["--command", "certify", "--k", "4", "--q", "7^400"], 3),
     (["--command", "certify", "--k", "4", "--q", "7^300"], 0),
+    # a 54-bit coefficient: its alpha polynomial has large end coefficients
+    (["--command", "certify", "--k", "4", "--q", "10000000000000061*e2^3+e3^2"], 0),
 ])
 def test_zero_and_empty_values_are_not_replaced_by_defaults(tmp_path, capsys, argv, want):
     f = tmp_path / "diagram.txt"

@@ -276,6 +276,14 @@ def test_schur_check_guards_the_state_sum(L):
         eval_state_sum(chord_diagram_from_word([(0, 1)], 2), broken)
 
 
+def test_each_corruption_gets_its_own_carrier():
+    # evaluation keeps one carrier per algebra name, so two corruptions of
+    # one algebra must not share a name: [e, f] = 2h, then [e, f] = 3h
+    two = chord_diagram_from_word([(0, 2), (1, 3)], 4)
+    assert str(eval_verma(two, corrupt(sl2(), 0, 2, 1, 1), (2,))) == "4*n^4 + 16*n^3 + 16*n^2 - 16*n"
+    assert str(eval_verma(two, corrupt(sl2(), 0, 2, 1, 2), (2,))) == "4*n^4 + 24*n^3 + 48*n^2 - 36*n"
+
+
 def test_values_stay_in_the_carrier_ring(L, D2, D_sym):
     # nothing lifts values: each carrier's sums stay in its own scalar ring,
     # zero values included

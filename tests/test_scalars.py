@@ -1,5 +1,6 @@
 """Tests for the exact scalar tower and the linear solver."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -194,9 +195,35 @@ def test_rational_roots_with_multiplicity():
     p = a ** 3 * (a + 1) ** 2 * (2 * a - 3) * (a ** 2 + 1)
     roots = rational_roots(p, "alpha")
     assert roots == [(Fraction(-1), 2), (Fraction(0), 3), (Fraction(3, 2), 1)]
-    # a large content is removed before the divisors of the end coefficients are listed
+    # a large content leaves the roots alone
     assert rational_roots(2 ** 40 * p, "alpha") == roots
     assert rational_roots(Fraction(7 ** 30, 3) * p, "alpha") == roots
     sq = squarefree_part(p, "alpha")
     assert rational_roots(sq, "alpha") == [(Fraction(-1), 1), (Fraction(0), 1), (Fraction(3, 2), 1)]
     assert sq.degree_in("alpha") == 5
+
+
+# a*x^2 + n without rational roots: n > 0, or -a*n not a square
+quadratics = st.tuples(st.integers(1, 9), st.integers(-40, 40)).filter(
+    lambda t: t[1] > 0 or (t[1] < 0 and math.isqrt(-t[0] * t[1]) ** 2 != -t[0] * t[1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 50)),
+                       st.integers(1, 2), max_size=4),
+       st.lists(quadratics, max_size=2), rationals.filter(bool))
+def test_rational_roots_of_products_with_known_roots(roots, quads, scale):
+    x = P("alpha")
+    p = MultiPoly.const(scale, ("alpha",))
+    for r, m in roots.items():
+        p = p * (r.denominator * x - r.numerator) ** m
+    for a, n in quads:
+        p = p * (a * x ** 2 + n)
+    assert rational_roots(p, "alpha") == sorted(roots.items())
+
+
+def test_rational_roots_with_large_end_coefficients():
+    # the end coefficients have too many divisors to list in reasonable time
+    x = P("alpha")
+    p = (3 * x - 10 ** 8 + 7) * (x ** 2 + 10 ** 8 + 39)
+    assert rational_roots(p, "alpha") == [(Fraction(10 ** 8 - 7, 3), 1)]
