@@ -25,6 +25,7 @@ EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_COST = 0, 1, 2, 3
 MODES = {"validate": (), "leading": ("alpha1", "symbolic"),
          "certify": ("auto", "full"), "eval": ("verma", "statesum")}
 SYMBOLIC_K_LIMIT = 100  # leading --mode symbolic: k = 100 takes about 1 s, cost grows as k^3
+FULL_K_LIMIT = 6  # certify --mode full: k = 6 takes about 100 s, k = 8 has never finished
 
 
 class _Parser(argparse.ArgumentParser):
@@ -158,6 +159,10 @@ def cmd_leading(args):
 def cmd_certify(args):
     k = 4 if args.k is None else args.k
     q_spec = "1" if args.q is None else args.q
+    # an odd --k stays a usage error, reported by build_D_element
+    if args.mode == "full" and k > FULL_K_LIMIT and k % 2 == 0:
+        sys.stderr.write(f"error: --k {k} exceeds the full-mode bound {FULL_K_LIMIT}\n")
+        return EXIT_COST
     try:
         bundle = characters.build_D_element(
             k, q_spec=q_spec, families=characters.load_family_table(args.table),

@@ -469,7 +469,9 @@ def chi_bar(b, coeff=1):
     """Sum over all leg orderings of gluings into an oriented circle.
 
     Accepts a skeleton-free Diagram or a LinComb of them; a diagram with k
-    legs contributes the sum (not average) of its k! glued versions.
+    legs contributes the sum (not average) of its k! glued versions.  The k
+    rotations of an order glue to one diagram, so the first leg stays put
+    and each of the (k-1)! orders of the rest counts k times.
     """
     if isinstance(b, Diagram):
         b = LinComb.of(b, coeff)
@@ -479,9 +481,9 @@ def chi_bar(b, coeff=1):
             raise DiagramError("chi_bar needs skeleton-free diagrams")
         if diag.nu == 0:
             raise DiagramError("chi_bar is not defined for diagrams without legs")
-        legs = list(range(diag.nt, diag.nt + diag.nu))
-        for perm in itertools.permutations(legs):
-            out.add(Diagram(diag.nt, diag.nu, diag.pairing, skel=perm), c)
+        first, *rest = range(diag.nt, diag.nt + diag.nu)
+        for perm in itertools.permutations(rest):
+            out.add(Diagram(diag.nt, diag.nu, diag.pairing, skel=(first, *perm)), c * diag.nu)
     return out
 
 
@@ -808,7 +810,7 @@ def reduce_B(c):
     Returns {canonical encoding: coefficient} after elimination; the zero
     map means the class is zero.
     """
-    from .scalars import sparse_rref, as_field
+    from .scalars import echelon, reduce_by
 
     if isinstance(c, Diagram):
         c = LinComb.of(c)
@@ -818,22 +820,10 @@ def reduce_B(c):
     diagrams, relations = ihx_saturate(support)
     encodings = sorted(diag._encoding() for diag in diagrams)
     index = {enc: i for i, enc in enumerate(encodings)}
-    rows = []
-    for rel in relations:
-        rows.append({index[diag._encoding()]: as_field(Fraction(coeff))
-                     for diag, coeff in rel})
-    pivots, rref = sparse_rref(rows, len(index))
-    vec = {index[diag._encoding()]: as_field(Fraction(coeff)) for diag, coeff in c}
-    for p, row in zip(pivots, rref):
-        f = vec.get(p)
-        if f:
-            for col, v in row.items():
-                s = vec.get(col, 0) - f * v
-                if s:
-                    vec[col] = s
-                else:
-                    vec.pop(col, None)
-    return {encodings[i]: v for i, v in vec.items() if v}
+    pivots = echelon({index[diag._encoding()]: coeff for diag, coeff in rel}
+                     for rel in relations)
+    vec = reduce_by({index[diag._encoding()]: Fraction(coeff) for diag, coeff in c}, pivots)
+    return {encodings[i]: v for i, v in vec.items()}
 
 
 def enumerate_connected(degree, legs):
@@ -942,10 +932,10 @@ def dim_A_by_stu(m):
             expansions.append(exp)
         for e1, e2 in itertools.combinations(expansions, 2):
             rel = e1 - e2
-            row = {index[t._encoding()]: Fraction(c) for t, c in rel}
+            row = {index[t._encoding()]: c for t, c in rel}
             if row:
                 rows.append(row)
-    rank = matrix_rank(rows, len(classes)) if rows else 0
+    rank = matrix_rank(rows)
     return len(classes) - rank
 
 
@@ -1013,16 +1003,10 @@ def dim_A_by_four_term(m):
                 out.append((p2 + 1, shift2(second)))
                 idx = reg(out)
                 row[idx] = row.get(idx, 0) + sgn
-            row = {k: Fraction(v) for k, v in row.items() if v}
-            if row:
+            if any(row.values()):
                 rows.append(row)
 
     # count all chord classes with the same independent canonicalizer
-    all_words = set()
-    for pairs in _pairings(list(range(2 * m))):
-        all_words.add(_word_canonical(pairs, 2 * m))
-    for key in all_words:
-        if key not in words:
-            words[key] = len(words)
-    rank = matrix_rank(rows, len(words)) if rows else 0
+    all_words = {_word_canonical(pairs, 2 * m) for pairs in _pairings(list(range(2 * m)))}
+    rank = matrix_rank(rows)
     return len(all_words) - rank

@@ -6,10 +6,15 @@ stdlib type directly).  On top of that sit sparse multivariate polynomials
 (:class:`MultiPoly`) and fractions of those (:class:`RationalFunction`).
 Every operation is exact; floating point never appears.
 
-The linear solver works over any field whose elements support +, -, *, /
-and truthiness (Fraction and RationalFunction both qualify).  Pivoting is
-deterministic (lowest row, lowest column first) so echelon forms are
-reproducible run to run.
+The linear algebra works over any field whose elements support +, -, *, /
+and truthiness (Fraction and RationalFunction both qualify).  One
+elimination serves it all: :func:`echelon` reduces each row against the
+pivots found so far and keeps a nonzero remainder as the row of its lowest
+column, and :func:`reduce_by` gives a vector's normal form modulo those
+rows, zero at every pivot column.  A rank reads only the number of pivots;
+back-substitution runs only in :func:`sparse_rref`, whose reduced rows the
+inverse and the solver read.  Pivot columns, normal forms and reduced rows
+depend on the row space alone, not on the order of the rows.
 """
 
 from __future__ import annotations
@@ -641,54 +646,58 @@ class LinearSolution:
     pivots: list
 
 
-def sparse_rref(rows, ncols):
+def reduce_by(vec, pivots):
+    """Normal form of sparse ``vec`` modulo the span of ``pivots``.
+
+    ``pivots`` is an echelon form ``{pivot column: row}`` as :func:`echelon`
+    returns it.  Rows are subtracted in increasing pivot order, so the
+    result is zero at every pivot column; it depends only on ``vec`` and
+    the span.
+    """
+    vec = dict(vec)
+    for p in sorted(pivots):
+        f = vec.get(p)
+        if f:
+            for c, v in pivots[p].items():
+                s = vec.get(c, 0) - f * v
+                if s:
+                    vec[c] = s
+                else:
+                    vec.pop(c, None)
+    return vec
+
+
+def echelon(rows):
+    """Echelon form of sparse rows (dicts col -> value): ``{pivot column:
+    row}``, each row 1 at its pivot and 0 at the pivots found before it.
+
+    Each row, lifted by :func:`as_field`, is reduced against the pivots so
+    far; a nonzero remainder becomes the row of its lowest column.  The
+    pivot columns are those of the reduced row echelon form.
+    """
+    pivots = {}
+    for r in rows:
+        vec = reduce_by({c: as_field(v) for c, v in r.items() if v}, pivots)
+        if vec:
+            p = min(vec)
+            inv = vec[p]
+            pivots[p] = {c: v / inv for c, v in vec.items()}
+    return pivots
+
+
+def sparse_rref(rows):
     """Reduced row echelon form of sparse rows (dicts col -> value).
 
-    Deterministic: pivots are chosen as the lowest available column, rows
-    in input order; returns (pivot_columns, rref_rows).
+    The :func:`echelon` rows with each tail reduced by :func:`reduce_by`,
+    highest pivot first; returns (pivot_columns, rref_rows), pivots
+    increasing.
     """
-    work = [dict(r) for r in rows if r]
-    pivots = []
-    rref = []
-    for col in range(ncols):
-        pr = None
-        for i, r in enumerate(work):
-            if col in r:
-                pr = i
-                break
-        if pr is None:
-            continue
-        row = work.pop(pr)
-        inv = row[col]
-        row = {c: v / inv for c, v in row.items()}
-        for other in rref:
-            if col in other:
-                f = other[col]
-                for c, v in row.items():
-                    s = other.get(c, 0) - f * v
-                    if s:
-                        other[c] = s
-                    else:
-                        other.pop(c, None)
-        nxt = []
-        for r in work:
-            if col in r:
-                f = r[col]
-                for c, v in row.items():
-                    s = r.get(c, 0) - f * v
-                    if s:
-                        r[c] = s
-                    else:
-                        r.pop(c, None)
-            if r:
-                nxt.append(r)
-        work = nxt
-        rref.append(row)
-        pivots.append(col)
-        if not work:
-            break
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    return [pivots[i] for i in order], [rref[i] for i in order]
+    pivots = echelon(rows)
+    for p in sorted(pivots, reverse=True):
+        tail = {c: v for c, v in pivots[p].items() if c != p}
+        pivots[p] = {p: pivots[p][p], **reduce_by(tail, pivots)}
+    order = sorted(pivots)
+    return order, [pivots[p] for p in order]
 
 
 def solve_linear_system(rows, rhs, ncols=None):
@@ -704,14 +713,7 @@ def solve_linear_system(rows, rhs, ncols=None):
     if len(rhs) != len(rows):
         raise ValueError("rhs length mismatch")
     RHS = ncols  # augmented column
-    aug = []
-    for r, b in zip(rows, rhs):
-        rr = {c: as_field(v) for c, v in r.items() if v}
-        b = as_field(b)
-        if b:
-            rr[RHS] = b
-        aug.append(rr)
-    pivots, rref = sparse_rref(aug, ncols + 1)
+    pivots, rref = sparse_rref({**r, RHS: b} for r, b in zip(rows, rhs))
     if RHS in pivots:
         return LinearSolution(False, None, _nullspace(pivots, rref, ncols, RHS),
                               rank=len([p for p in pivots if p != RHS]),
@@ -741,23 +743,14 @@ def _nullspace(pivots, rref, ncols, rhs_col):
     return basis
 
 
-def matrix_rank(rows, ncols):
-    field_rows = [{c: as_field(v) for c, v in r.items() if v} for r in rows]
-    pivots, _ = sparse_rref(field_rows, ncols)
-    return len(pivots)
+def matrix_rank(rows):
+    return len(echelon(rows))
 
 
 def matrix_inverse(mat):
     """Exact inverse of a dense square matrix; entries lifted to a field."""
     n = len(mat)
-    rows = []
-    for i in range(n):
-        r = {j: as_field(mat[i][j]) for j in range(n) if mat[i][j]}
-        for j in range(n, 2 * n):
-            if j - n == i:
-                r[j] = as_field(1)
-        rows.append(r)
-    pivots, rref = sparse_rref(rows, 2 * n)
+    pivots, rref = sparse_rref({**dict(enumerate(row)), n + i: 1} for i, row in enumerate(mat))
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     inv = [[as_field(0)] * n for _ in range(n)]

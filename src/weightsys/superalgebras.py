@@ -370,7 +370,7 @@ def validate(L):
     report["casimir_ad_invariance"] = {"ok": not failures, "failures": failures[:5]}
 
     mat = L.casimir_matrix()
-    full_rank = matrix_rank([dict(enumerate(row)) for row in mat], n) == n
+    full_rank = matrix_rank([dict(enumerate(row)) for row in mat]) == n
     report["casimir_regular"] = {"ok": full_rank, "failures": []}
 
     g = L.form()

@@ -268,10 +268,13 @@ def test_unwritable_out_fails_before_the_run(capsys, monkeypatch, argv):
     (["--q", "e2^99"], 3),
     (["--q", "t*e2"], 2),
     (["--table", "/nonexistent"], 2),
+    # the last --k wins: above the full-mode bound, and odd
+    (["--k", "8"], 3),
+    (["--k", "9"], 2),
 ])
 def test_certify_full_checks_q_and_table_before_the_wheel_side(capsys, monkeypatch, argv, want):
     def must_not_run(k):
-        raise AssertionError("find_n0 ran before --q and --table were read")
+        raise AssertionError("find_n0 ran before --k, --q and --table were checked")
 
     monkeypatch.setattr(asymptotics, "find_n0", must_not_run)
     code = main(["--command", "certify", "--k", "4", "--mode", "full"] + argv)

@@ -227,9 +227,9 @@ def test_wheel_class_is_nonzero():
 
 
 def test_circle_space_dimensions():
-    assert dim_A_by_stu(1) == dim_A_by_four_term(1) == 1
-    assert dim_A_by_stu(2) == dim_A_by_four_term(2)
-    assert dim_A_by_stu(3) == dim_A_by_four_term(3)
+    # Bar-Natan's dimensions of the circle space in degrees 1 to 4
+    for m, dim in ((1, 1), (2, 2), (3, 3), (4, 6)):
+        assert dim_A_by_stu(m) == dim_A_by_four_term(m) == dim
     # one-vertex diagram sets exist at each degree
     assert len(one_vertex_diagrams(2)) >= 1
 

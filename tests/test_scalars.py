@@ -9,10 +9,13 @@ from hypothesis import given, settings, strategies as st
 from weightsys.scalars import (
     MultiPoly,
     RationalFunction,
+    echelon,
     matrix_inverse,
     matrix_rank,
     rational_roots,
+    reduce_by,
     solve_linear_system,
+    sparse_rref,
     squarefree_part,
 )
 
@@ -121,9 +124,9 @@ def test_degree2_stu_consistency_system():
     # #classes - 0 = 2 for the degree-2 piece.  Values frozen from the
     # brute-force expansion in the diagram tests.
     rows = [{0: 1, 1: -1}, {0: 1, 1: -1}, {0: 1, 1: -1}]
-    assert matrix_rank(rows, 2) == 1
+    assert matrix_rank(rows) == 1
     diffs = [{0: 0, 1: 0}, {0: 0, 1: 0}]
-    assert matrix_rank(diffs, 2) == 0
+    assert matrix_rank(diffs) == 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -140,6 +143,44 @@ def test_solver_residuals_are_exactly_zero(mat, rhs):
         for r in rows:
             acc = sum((v * vec.get(j, 0) for j, v in r.items()), Fraction(0))
             assert acc == 0
+
+
+def _check_elimination(rows, order, scales):
+    """The reduced form does not depend on the order or the scale of the
+    rows; it has 1 at each pivot and 0 at the others; every row reduces to
+    zero against the echelon form; the rank is the number of pivots."""
+    pivots, rref = sparse_rref(rows)
+    moved = [{c: v * scales[i] for c, v in rows[i].items()} for i in order]
+    assert sparse_rref(moved) == (pivots, rref)
+    for p, row in zip(pivots, rref):
+        assert row[p] == 1
+        assert not any(row.get(q) for q in pivots if q != p)
+    ech = echelon(moved)
+    assert sorted(ech) == pivots
+    for r in rows:
+        assert not reduce_by(r, ech)
+    assert matrix_rank(rows) == matrix_rank(moved) == len(pivots)
+
+
+sparse_rows = st.lists(st.dictionaries(st.integers(0, 5), rationals, max_size=4), max_size=7)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_rows.flatmap(lambda rows: st.tuples(
+    st.just(rows), st.permutations(range(len(rows))),
+    st.lists(rationals.filter(bool), min_size=len(rows), max_size=len(rows)))))
+def test_elimination_does_not_depend_on_row_order_or_scale(case):
+    rows, order, scales = case
+    _check_elimination([{c: v for c, v in r.items() if v} for r in rows], order, scales)
+
+
+def test_elimination_over_rational_functions_does_not_depend_on_row_order():
+    a = P("alpha")
+    rows = [{0: a, 1: 1, 3: a + 1}, {0: a * a, 1: a, 2: 1}, {1: a - 1, 2: a, 3: 1},
+            {0: 2 * a, 1: 2, 3: 2 * a + 2}]
+    rows = [{c: RationalFunction.from_scalar(v) for c, v in r.items()} for r in rows]
+    _check_elimination(rows, [3, 1, 0, 2], [a, 1, a + 1, -2])
+    assert matrix_rank(rows) == 3
 
 
 def test_rational_function_reduction():
@@ -174,8 +215,8 @@ def test_matrix_inverse_over_rational_functions():
                        for k in range(2)), RationalFunction.from_scalar(0))
             assert acc == (1 if i == j else 0)
     # validate's casimir_regular reads regularity from the rank
-    assert matrix_rank([dict(enumerate(row)) for row in mat], 2) == 2
-    assert matrix_rank([{0: a, 1: 1}, {0: a * a, 1: a}], 2) == 1
+    assert matrix_rank([dict(enumerate(row)) for row in mat]) == 2
+    assert matrix_rank([{0: a, 1: 1}, {0: a * a, 1: a}]) == 1
 
 
 def test_solver_over_rational_function_field():
