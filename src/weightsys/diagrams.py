@@ -20,7 +20,10 @@ root dart and per-vertex orientation (reversing a cyclic order flips the
 sign, so ``Diagram.canonical`` returns a sign along with the
 representative).  A diagram admitting an odd-parity self-encoding equals
 minus itself and is zero in the quotient; LinComb drops such terms on
-insertion.
+insertion.  A chord diagram (a skeleton and no trivalent vertex) has no
+orientation to choose, so ``_canonical_chords`` runs the same traversal
+on plain ints, root by root, and returns exactly the encoding of the
+general search ``_canonical_search``, with sign 1.
 """
 
 from __future__ import annotations
@@ -284,6 +287,56 @@ class _Cand:
 def _canonicalize(d):
     if d.n_darts == 0:
         return d, 1, False
+    if d.nt == 0 and d.skel is not None:
+        return _canonical_chords(d)
+    return _canonical_search(d)
+
+
+def _canonical_chords(d):
+    """The general search's result for a chord diagram, on plain ints.
+
+    Every dart is a skeleton leg, so a root's tuple stream is the flat list
+    (partner label, skeleton-successor label) per labelled dart, and it has
+    no orientation choices: sign 1, never zero.  A root stops once its
+    prefix exceeds the best stream; on equal streams the lowest root wins.
+    The winner's stream is the canonical diagram: entry 2i is the label
+    paired with label i, entry 2i + 1 the label after it on the circle.
+    """
+    pairing, skel = d.pairing, d.skel
+    n = len(skel)
+    succ = [0] * n
+    for i, u in enumerate(skel):
+        succ[u] = skel[i + 1 - n]
+    best = None
+    for root in range(n):
+        pos = [-1] * n
+        pos[root] = 0
+        order = [root]
+        stream = []
+        tied = best is not None
+        for k in range(2 * n):
+            dart = order[k >> 1]
+            nxt = succ[dart] if k & 1 else pairing[dart]
+            lab = pos[nxt]
+            if lab < 0:
+                lab = pos[nxt] = len(order)
+                order.append(nxt)
+            if tied:
+                if lab > best[k]:
+                    break
+                tied = lab == best[k]
+            stream.append(lab)
+        else:
+            if not tied:
+                best = stream
+    labels = [0]
+    for _ in range(n - 1):
+        labels.append(best[2 * labels[-1] + 1])
+    return Diagram(0, n, best[::2], labels, check=False), 1, False
+
+
+def _canonical_search(d):
+    """The lockstep search over all roots and orientations."""
     nt3 = 3 * d.nt
     pairing = d.pairing
     skn = d.skel_next()
@@ -960,7 +1013,7 @@ def dim_A_by_four_term(m):
 
     n = 2 * m - 1
     words = {}
-    rows = []
+    relations = {}  # each relation once: sorted nonzero items, first coefficient > 0
 
     def reg(pairs):
         key = _word_canonical(pairs, 2 * m)
@@ -1003,10 +1056,13 @@ def dim_A_by_four_term(m):
                 out.append((p2 + 1, shift2(second)))
                 idx = reg(out)
                 row[idx] = row.get(idx, 0) + sgn
-            if any(row.values()):
-                rows.append(row)
+            items = sorted((k, c) for k, c in row.items() if c)
+            if items:
+                if items[0][1] < 0:
+                    items = [(k, -c) for k, c in items]
+                relations[tuple(items)] = None
 
     # count all chord classes with the same independent canonicalizer
     all_words = {_word_canonical(pairs, 2 * m) for pairs in _pairings(list(range(2 * m)))}
-    rank = matrix_rank(rows)
+    rank = matrix_rank([dict(items) for items in relations])
     return len(all_words) - rank

@@ -16,20 +16,24 @@ opens, against the already-open odd chords it crosses.
 
 Both methods share one path.  A carrier is the sweep's whole interface: it
 owns its scalar ring and the Casimir ``terms`` in it, and implements
-``start``, ``apply`` and ``extract``, which turns the final state into the
-chord diagram's scalar.  ``_chord_sum`` sums those scalars over
-``chord_reduce``; each carrier memoizes them in ``carrier.values``, keyed by
-canonical chord diagram, and one carrier per (algebra, weight) or algebra
-is kept for the process.  The two carriers are independent:
+``start``, ``apply`` and ``extract(state, n_chords)``, which turns the final
+state of a sweep over n_chords chords into the chord diagram's scalar.
+``_chord_sum`` sums those scalars over ``chord_reduce``; each carrier
+memoizes them in ``carrier.values``, keyed by canonical chord diagram, and
+one carrier per (algebra, weight) or algebra is kept for the process.  The
+two carriers are independent:
 
 - the Verma module of highest weight n*lambda0: PBW monomial states with
   coefficients in Q[n] or Q[n, alpha], held as ``_IntPoly`` values (int
   numerators over one int denominator, each monomial packed into one int),
   so the sweep does no Fraction arithmetic; ``extract`` converts the final
   coefficient to a MultiPoly, the type every caller sees;
-- the adjoint representation: basis-vector states in the algebra's own
-  scalars; the full endomorphism is accumulated and Schur-checked to be an
-  exact scalar.
+- the adjoint representation: basis-vector states on ints, or on
+  ``_IntPoly`` values in Q[alpha] for symbolic D(2,1,alpha).  The ad maps
+  and the Casimir weights are scaled to integers once, so the sweep
+  accumulates the full endomorphism times a known power of the scale;
+  ``extract`` Schur-checks it to be an exact scalar and divides that power
+  out, handing out a Fraction, or a MultiPoly in alpha.
 """
 
 from __future__ import annotations
@@ -175,7 +179,7 @@ class VermaCarrier:
     def start(self):
         return {self.zero_mono: self.one}
 
-    def extract(self, vec):
+    def extract(self, vec, n_chords):
         value = vec.get(self.zero_mono)
         return self.zero if value is None else value.to_poly(self.ring)
 
@@ -244,31 +248,61 @@ class VermaCarrier:
 
 
 class EndoCarrier:
-    """States (input column, basis index) of the adjoint representation, in
-    the algebra's own scalars; the final state of the sweep is the full
-    endomorphism."""
+    """States (input column, basis index) of the adjoint representation, on
+    ints, or on ``_IntPoly`` values in Q[alpha] for symbolic D(2,1,alpha).
+
+    The ad columns are scaled by ``da``, the lcm of their denominators, and
+    the Casimir weights by ``dw``, so every entry lifts to an integer
+    (polynomial) once, here.  A chord applies one weight and two ad maps,
+    so after m chords the final state is the full endomorphism times
+    ``(da**2 * dw)**m``; ``extract`` Schur-checks it and divides once.
+    """
 
     def __init__(self, L):
-        self.columns = adjoint_rep(L)
+        columns = adjoint_rep(L)
+        if L.symbolic:
+            self.ring = ("alpha",)
+            self.zero = MultiPoly.zero(self.ring)
+
+            def den(v):
+                return math.lcm(*(c.denominator for c in v.terms.values()))
+
+            def lift(v):
+                return _IntPoly.lift(self.zero + v)
+        else:
+            self.ring = None
+            self.zero = Fraction(0)
+            den, lift = (lambda v: v.denominator), int
+        da = math.lcm(*(den(v) for row in columns for col in row for v in col.values()))
+        dw = math.lcm(*(den(w) for _, _, w in L.casimir))
+        self.columns = [[{i: lift(v * da) for i, v in col.items()} for col in row]
+                        for row in columns]
+        self.terms = [(x, y, lift(w * dw), L.parity[x]) for x, y, w in L.casimir]
+        self.chord_scale = da * da * dw
+        self.one = lift(1)
         self.dim = L.dim
-        self.terms = [(x, y, w, L.parity[x]) for x, y, w in L.casimir]
-        self.one = MultiPoly.const(1, ("alpha",)) if L.symbolic else Fraction(1)
-        self.zero = MultiPoly.zero(("alpha",)) if L.symbolic else Fraction(0)
         self.values = {}
 
     def start(self):
         return {(j, j): self.one for j in range(self.dim)}
 
-    def extract(self, endo):
-        """The scalar of the final endomorphism, checked to be exactly scalar."""
-        scalar = endo.get((0, 0), self.zero)
-        for (col, idx), v in endo.items():
-            if col != idx and v:
-                raise SchurCheckError(f"off-diagonal entry at {(col, idx)}: {v}")
-        for j in range(self.dim):
-            if endo.get((j, j), self.zero) != scalar:
+    def extract(self, endo, n_chords):
+        """The scalar of the final endomorphism: the Schur check (zero off
+        the diagonal, one value on it) runs on the scaled entries, then one
+        division by the scale of n_chords chords."""
+        for col, idx in endo:
+            if col != idx:
+                raise SchurCheckError(f"off-diagonal entry at {(col, idx)}")
+        symbolic = self.ring is not None
+        diagonal = [endo.get((j, j)) for j in range(self.dim)]
+        entries = [(v.terms if v else {}) if symbolic else (v or 0) for v in diagonal]
+        for j, e in enumerate(entries):
+            if e != entries[0]:
                 raise SchurCheckError(f"diagonal mismatch at column {j}")
-        return scalar
+        unit = self.chord_scale ** n_chords
+        if symbolic:
+            return _IntPoly(dict(entries[0]), unit).to_poly(self.ring)
+        return Fraction(entries[0], unit)
 
     def apply(self, x, vec, scale=None):
         out = {}
@@ -355,8 +389,7 @@ def sweep_chords(carrier, chords):
         states = nxt
         if not states:
             break
-    final = states.get((), {})
-    return carrier.extract(final)
+    return carrier.extract(states.get((), {}), len(chords))
 
 
 def _merge(states, pend, vec):

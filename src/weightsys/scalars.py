@@ -703,15 +703,18 @@ def sparse_rref(rows):
 def solve_linear_system(rows, rhs, ncols=None):
     """Solve rows . x = rhs exactly over a field.
 
-    ``rows`` are sparse vectors (dicts col -> value) sharing one ambient
-    dimension; ``rhs`` is a dense list, one entry per row.  Inconsistency
-    is a legal return, not an error.
+    ``rows`` are sparse vectors (dicts col -> value) over the columns
+    0 .. ncols - 1 (a column outside them raises ValueError); ``rhs`` is a
+    dense list, one entry per row.  Inconsistency is a legal return, not an
+    error.
     """
     rows = [dict(r) for r in rows]
     if ncols is None:
         ncols = 1 + max((max(r) for r in rows if r), default=-1)
     if len(rhs) != len(rows):
         raise ValueError("rhs length mismatch")
+    if any(not 0 <= c < ncols for r in rows for c in r):
+        raise ValueError(f"a row has a column outside 0 .. {ncols - 1}")
     RHS = ncols  # augmented column
     pivots, rref = sparse_rref({**r, RHS: b} for r, b in zip(rows, rhs))
     if RHS in pivots:

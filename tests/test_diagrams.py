@@ -8,10 +8,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import weightsys.scalars as scalars
 from weightsys.diagrams import (
     Diagram,
     DiagramError,
     LinComb,
+    _canonical_search,
+    _canonicalize,
+    _pairings,
     chi_bar,
     chord_diagram_from_word,
     chord_endpoints,
@@ -230,6 +234,7 @@ def test_circle_space_dimensions():
     # Bar-Natan's dimensions of the circle space in degrees 1 to 4
     for m, dim in ((1, 1), (2, 2), (3, 3), (4, 6)):
         assert dim_A_by_stu(m) == dim_A_by_four_term(m) == dim
+    assert dim_A_by_four_term(5) == 10
     # one-vertex diagram sets exist at each degree
     assert len(one_vertex_diagrams(2)) >= 1
 
@@ -318,3 +323,43 @@ def test_chord_canonicalization_mod_rotation():
         r = rng.randrange(1, 2 * m)
         rotated = [((a + r) % (2 * m), (b + r) % (2 * m)) for a, b in pairs]
         assert chord_diagram_from_word(rotated, 2 * m).canonical_key() == key
+
+
+def test_chord_fast_path_matches_the_general_search():
+    # every chord diagram of degree 1 to 5 as a matching of circle points,
+    # plus seeded relabellings: permuted vertex labels, rotated skeleton
+    rng = random.Random(20261018)
+    for m in range(1, 6):
+        n = 2 * m
+        for pairs in _pairings(list(range(n))):
+            d = chord_diagram_from_word(pairs, n)
+            other = relabeled(d, [], rng.sample(range(n), n), [])
+            r = rng.randrange(n)
+            for case in (d, Diagram(0, n, other.pairing, other.skel[r:] + other.skel[:r])):
+                fast, sign, zero = _canonicalize(case)
+                slow, slow_sign, slow_zero = _canonical_search(case)
+                assert fast._encoding() == slow._encoding()
+                assert (sign, zero) == (slow_sign, slow_zero) == (1, False)
+
+
+def test_four_term_relations_are_ranked_once(monkeypatch):
+    captured = []
+    rank = scalars.matrix_rank
+
+    def capture(rows):
+        rows = list(rows)
+        captured.append(rows)
+        return rank(rows)
+
+    monkeypatch.setattr(scalars, "matrix_rank", capture)
+    assert dim_A_by_four_term(4) == 6
+    rows, = captured
+    # the relation builder emits 532 nonzero rows at m = 4; 25 of them are
+    # distinct up to sign
+    assert len(rows) == 25
+    keys = set()
+    for row in rows:
+        items = tuple(sorted((k, c) for k, c in row.items() if c))
+        negated = tuple((k, -c) for k, c in items)
+        assert items and items not in keys and negated not in keys
+        keys.add(items)

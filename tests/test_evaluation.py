@@ -20,6 +20,7 @@ from weightsys.diagrams import (
     wheel_on_circle,
 )
 from weightsys.evaluation import (
+    EndoCarrier,
     SchurCheckError,
     VermaCarrier,
     _IntPoly,
@@ -301,6 +302,37 @@ def test_values_stay_in_the_carrier_ring(L, D2, D_sym):
         for d in (LinComb(), one, two):
             value = eval_verma(d, A, weight)
             assert isinstance(value, MultiPoly) and value.vars == ring
+
+
+def test_adjoint_carrier_works_on_integers(L, D2, D_sym):
+    # each ad entry is lifted by one common factor and each Casimir weight by
+    # another, to an int or a den-1 _IntPoly; a chord costs the square of
+    # the first times the second.  Every D(2,1,alpha) chord value in the
+    # adjoint is 0, so the value goldens alone cannot see these scales.
+    for A in (L, D2, d21(Fraction(1, 3)), D_sym):
+        carrier = EndoCarrier(A)
+
+        def ratios(pairs):
+            out = set()
+            for lifted, true in pairs:
+                if A.symbolic:
+                    assert lifted.den == 1
+                    lifted, true = lifted.to_poly(("alpha",)), carrier.zero + true
+                    expo, c = next(iter(true.terms.items()))
+                    scale = lifted.terms[expo] / c
+                    assert lifted == true * scale
+                else:
+                    assert type(lifted) is int
+                    scale = lifted / true
+                out.add(scale)
+            return out
+
+        da, = ratios((col[i], v) for x in range(A.dim) for j, col in enumerate(carrier.columns[x])
+                     for i, v in A.bracket(x, j).items())
+        dw, = ratios((lw, w) for (_, _, lw, _), (_, _, w) in zip(carrier.terms, A.casimir))
+        assert da.denominator == dw.denominator == 1 and da > 0 and dw > 0
+        assert carrier.chord_scale == da * da * dw
+    assert EndoCarrier(L).chord_scale == 2  # sl2: integer ad maps, a weight 1/2
 
 
 def test_statesum_cost_guard(D2):

@@ -116,6 +116,15 @@ def test_solver_inconsistent_is_a_legal_return():
     assert sol.particular is None
 
 
+def test_solver_rejects_a_column_outside_ncols():
+    # the augmented column sits at ncols: a row reaching it must not be
+    # silently overwritten by the right-hand side
+    with pytest.raises(ValueError):
+        solve_linear_system([{0: 1, 1: 1}], [5], ncols=1)
+    with pytest.raises(ValueError):
+        solve_linear_system([{0: 1}, {3: 2}], [1, 1], ncols=3)
+
+
 def test_degree2_stu_consistency_system():
     # The three expansions of the one-internal-vertex degree-2 diagram, in
     # coordinates (noncrossing, crossing) of the two chord classes: each
