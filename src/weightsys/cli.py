@@ -26,6 +26,9 @@ MODES = {"validate": (), "leading": ("alpha1", "symbolic"),
          "certify": ("auto", "full"), "eval": ("verma", "statesum")}
 SYMBOLIC_K_LIMIT = 100  # leading --mode symbolic: k = 100 takes about 1 s, cost grows as k^3
 FULL_K_LIMIT = 6  # certify --mode full: k = 6 takes about 100 s, k = 8 has never finished
+# eval: the planned cost of one chord diagram's sweep (evaluation.sweep_cost);
+# 3,017,194 on d21 takes about 10 s, and the all-crossing degree-6 diagram plans 51,292,332
+EVAL_SWEEP_LIMIT = 4_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -208,6 +211,11 @@ def cmd_eval(args):
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     try:
+        cost = evaluation.sweep_cost(diag, L)
+        if cost > EVAL_SWEEP_LIMIT:
+            sys.stderr.write(f"error: a sweep of this diagram on {L.name} plans cost {cost}, "
+                             f"above the eval bound {EVAL_SWEEP_LIMIT}\n")
+            return EXIT_COST
         if weight is None:
             value = evaluation.eval_state_sum(diag, L)
         else:

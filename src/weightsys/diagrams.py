@@ -20,14 +20,19 @@ root dart and per-vertex orientation (reversing a cyclic order flips the
 sign, so ``Diagram.canonical`` returns a sign along with the
 representative).  A diagram admitting an odd-parity self-encoding equals
 minus itself and is zero in the quotient; LinComb drops such terms on
-insertion.  A chord diagram (a skeleton and no trivalent vertex) has no
-orientation to choose, so ``_canonical_chords`` runs the same traversal
-on plain ints, root by root, and returns exactly the encoding of the
-general search ``_canonical_search``, with sign 1.
+insertion.  One search, ``_canonicalize``, serves every diagram: each
+traversal packs a dart's step into one int, branches on the two
+orientations of a trivalent vertex when it first reaches it, and stops as
+soon as its prefix exceeds the least one reached so far.  Branches advance
+together, so a run of orientation ties, as along a ladder, is settled as
+the branches go rather than one whole branch after another.  A chord
+diagram has no orientation to choose: its roots run one after another, its
+sign is 1 and it is never zero.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from fractions import Fraction
@@ -246,166 +251,140 @@ def empty_circle():
 
 # -- canonical search ------------------------------------------------------------
 #
-# Lockstep minimal-encoding search.  Candidates are partial relabelings
-# (root dart + orientation choices); every candidate emits one tuple for its
-# i-th labelled dart: (tag, label of the edge partner, label of the cyclic
-# successor or -1 at a leg, label of the skeleton successor's dart or -1 off
-# the skeleton).  The tag is 0 at a trivalent dart, 1 at a free leg and 2 at
-# a skeleton leg.  A candidate that meets a trivalent vertex for the first
-# time is cloned for its two orientations.  Only candidates whose tuple
-# equals the minimum survive.  New labels are assigned in order of first
-# appearance, partner before successor, so comparing whole tuples prunes
-# exactly as four passes would that compare one entry each, in turn.
+# Minimal-encoding search.  A traversal fixes a root dart and labels darts in
+# order of first appearance; labelled dart i emits one entry (tag, label of
+# its edge partner, label of its successor), labelling the partner before the
+# successor.  The tag is 0 at a trivalent dart, whose successor is the next
+# dart in the chosen cyclic order, 1 at a free leg, which has none (a dart n
+# labelled n stands in), and 2 at a skeleton leg, whose successor is the
+# next leg's dart on the circle.  The entry is packed into the int
+# (tag * n + partner) * (n + 1) + successor, which orders entries as the
+# triples would, so streams compare entry by entry.
+#
+# On its first visit to a trivalent vertex a traversal keeps the vertex's
+# cyclic order and sets the reversed order aside as a second traversal; the
+# choice code, 1 at the root, gains a bit there, 1 when reversed.  Waiting
+# traversals are kept sorted by the dart they stopped at, and one that
+# reaches a new vertex more than _LEAD darts ahead of another stops there,
+# so branches and roots advance nearly together; a chord diagram, which has
+# no vertex, runs its roots one after another.  ``best`` is the least stream
+# prefix any traversal has reached.  Every such prefix starts a full stream,
+# so a traversal whose entry exceeds best's can never be least and stops;
+# one that undercuts best at dart i cuts best there and drops the traversals
+# waiting beyond dart i, whose prefixes hold the old entry.  The winner is
+# the least (root, code) among traversals that finish on the final best:
+# their codes have one bit per vertex, so that is the lowest root, then the
+# kept order before the reversed one at each vertex in turn.  The diagram is
+# zero when their codes have both parities.
+#
+# _LEAD changes no result, only the order of work.  With 0, traversals of
+# the 30- to 44-vertex caterpillars of characters._diagram_level stop and
+# restart at almost every vertex; 8 takes about a third less time there.
+# Depth-first branching (the last branch set aside resumes first) is no
+# option: along a ladder the first of two branches often proves the worse
+# only after everything beyond it was explored, and a 32-vertex caterpillar
+# took 12 s.
 
-
-class _Cand:
-    __slots__ = ("orient", "pos", "order", "parity")
-
-    def __init__(self, root):
-        self.orient = {}
-        self.pos = {root: 0}
-        self.order = [root]
-        self.parity = 0
-
-    def clone(self):
-        c = _Cand.__new__(_Cand)
-        c.orient = dict(self.orient)
-        c.pos = dict(self.pos)
-        c.order = list(self.order)
-        c.parity = self.parity
-        return c
-
-    def label(self, dart):
-        if dart in self.pos:
-            return self.pos[dart]
-        lab = len(self.order)
-        self.pos[dart] = lab
-        self.order.append(dart)
-        return lab
+_LEAD = 8
 
 
 def _canonicalize(d):
-    if d.n_darts == 0:
+    """(canonical diagram, sign, zero_by_symmetry) from the minimal stream."""
+    n, nt3 = d.n_darts, 3 * d.nt
+    if n == 0:
         return d, 1, False
-    if d.nt == 0 and d.skel is not None:
-        return _canonical_chords(d)
-    return _canonical_search(d)
-
-
-def _canonical_chords(d):
-    """The general search's result for a chord diagram, on plain ints.
-
-    Every dart is a skeleton leg, so a root's tuple stream is the flat list
-    (partner label, skeleton-successor label) per labelled dart, and it has
-    no orientation choices: sign 1, never zero.  A root stops once its
-    prefix exceeds the best stream; on equal streams the lowest root wins.
-    The winner's stream is the canonical diagram: entry 2i is the label
-    paired with label i, entry 2i + 1 the label after it on the circle.
-    """
     pairing, skel = d.pairing, d.skel
-    n = len(skel)
-    succ = [0] * n
-    for i, u in enumerate(skel):
-        succ[u] = skel[i + 1 - n]
-    best = None
-    for root in range(n):
-        pos = [-1] * n
-        pos[root] = 0
-        order = [root]
-        stream = []
-        tied = best is not None
-        for k in range(2 * n):
-            dart = order[k >> 1]
-            nxt = succ[dart] if k & 1 else pairing[dart]
-            lab = pos[nxt]
-            if lab < 0:
-                lab = pos[nxt] = len(order)
-                order.append(nxt)
-            if tied:
-                if lab > best[k]:
-                    break
-                tied = lab == best[k]
-            stream.append(lab)
+    w = n + 1
+    tagged = [0] * nt3 + [(1 if skel is None else 2) * n * w] * d.nu
+    # each dart's successor with its vertex kept (index 1) or reversed (2)
+    kept = [x + 1 - 3 * (x % 3 == 2) for x in range(nt3)] + [n] * d.nu
+    for i, u in enumerate(skel or ()):
+        kept[nt3 + u - d.nt] = nt3 + skel[i + 1 - len(skel)] - d.nt
+    turn = (None, kept, [x + 2 - 3 * (x % 3 != 0) for x in range(nt3)])
+    blank = [None] * n + [n]   # labels by dart; the stand-in dart n keeps n
+    best, first, parities = [], None, 0
+    # waiting traversals, sorted: (dart index, root, code, darts by label,
+    # per-vertex orientation: 0 not yet chosen, 1 kept, 2 reversed); one
+    # rebuilds its labels by dart when it runs again.  The roots not yet
+    # started wait at dart 0 outside the list.
+    waiting, next_root = [], 0
+    while waiting or next_root < n:
+        pos = blank.copy()
+        if waiting and (waiting[0][0] == 0 or next_root == n):
+            start, root, code, order, orient = waiting.pop(0)
+            for lab, x in enumerate(order):
+                pos[x] = lab
         else:
-            if not tied:
-                best = stream
-    labels = [0]
-    for _ in range(n - 1):
-        labels.append(best[2 * labels[-1] + 1])
-    return Diagram(0, n, best[::2], labels, check=False), 1, False
-
-
-def _canonical_search(d):
-    """The lockstep search over all roots and orientations."""
-    nt3 = 3 * d.nt
-    pairing = d.pairing
-    skn = d.skel_next()
-    # per leg: the dart of its skeleton successor, or -1 off the skeleton
-    succ = [nt3 + skn[v] - d.nt if v in skn else -1 for v in range(d.nt, d.n_vertices)]
-
-    cands = [_Cand(r) for r in range(d.n_darts)]
-    i = 0
-    while i < len(cands[0].order):
-        scored = []
-        for c in cands:
-            dart = c.order[i]
-            partner = c.label(pairing[dart])
-            if dart >= nt3:
-                s = succ[dart - nt3]
-                scored.append(((1, partner, -1, -1) if s < 0 else (2, partner, -1, c.label(s)), c))
-                continue
-            v, slot = divmod(dart, 3)
-            o = c.orient.get(v)
-            if o is None:
-                flip = c.clone()
-                flip.orient[v] = -1
-                flip.parity ^= 1
-                c.orient[v] = 1
-                scored.append(((0, partner, c.label(3 * v + (slot + 1) % 3), -1), c))
-                scored.append(((0, partner, flip.label(3 * v + (slot + 2) % 3), -1), flip))
+            start, root, code, order, orient = 0, next_root, 1, [next_root], bytearray(d.nt)
+            pos[root] = 0
+            next_root += 1
+        limit = len(best)
+        for i in range(start, n):
+            dart = order[i]
+            x = pairing[dart]
+            p = pos[x]
+            if p is None:
+                p = pos[x] = len(order)
+                order.append(x)
+            if dart < nt3:
+                v = dart // 3
+                o = orient[v]
+                if not o:
+                    # a root not yet started, or a waiting traversal, is behind
+                    if i > _LEAD and next_root < n or waiting and waiting[0][0] < i - _LEAD:
+                        bisect.insort(waiting, (i, root, code, order, orient))
+                        break
+                    o = orient[v] = 1
+                    flip = orient.copy()
+                    flip[v] = 2
+                    bisect.insort(waiting, (i, root, 2 * code + 1, order.copy(), flip))
+                    code *= 2
+                x = turn[o][dart]
             else:
-                scored.append(((0, partner, c.label(3 * v + (slot + o) % 3), -1), c))
-        mn = min(t for t, _ in scored)
-        cands = [c for t, c in scored if t == mn]
-        i += 1
-
-    zero = len({c.parity for c in cands}) == 2
-    winner = cands[0]
-    return _rebuild(d, winner), -1 if winner.parity else 1, zero
-
-
-def _rebuild(d, cand):
-    """Materialize the canonical diagram described by a winning candidate."""
-    nt3 = 3 * d.nt
-    # canonical vertices in order of first dart appearance
-    triv_of_old = {}
-    univ_of_old = {}
-    for dart in cand.order:
-        v = d.dart_vertex(dart)
-        if dart < nt3:
-            triv_of_old.setdefault(v, (len(triv_of_old), dart))
+                x = kept[dart]
+            s = pos[x]
+            if s is None:
+                s = pos[x] = len(order)
+                order.append(x)
+            e = tagged[dart] + p * w + s
+            if i < limit:
+                b = best[i]
+                if e != b:
+                    if e > b:
+                        break
+                    best[i:] = [e]
+                    limit = i
+                    waiting = [t for t in waiting if t[0] <= i]
+                    first, parities = None, 0
+            else:
+                best.append(e)
         else:
-            univ_of_old.setdefault(v, len(univ_of_old))
-    nt, nu = len(triv_of_old), len(univ_of_old)
-
-    def new_dart(old):
-        v = d.dart_vertex(old)
-        if old < nt3:
-            nv, first = triv_of_old[v]
-            return 3 * nv + (old - first) * cand.orient[v] % 3
-        return 3 * nt + univ_of_old[v]
-
-    pairing = [-1] * (3 * nt + nu)
-    for old in range(d.n_darts):
-        pairing[new_dart(old)] = new_dart(d.pairing[old])
-    skel = None
-    if d.skel is not None:
-        relab = [nt + univ_of_old[u] for u in d.skel]
-        if relab:
-            k = relab.index(min(relab))
-            relab = relab[k:] + relab[:k]
-        skel = tuple(relab)
-    return Diagram(nt, nu, pairing, skel, check=False)
+            parities |= 1 << code.bit_count() % 2
+            if first is None or (root, code) < first:
+                first = root, code
+    # read the diagram back: trivalent vertices in label order, each with its
+    # darts along the chosen cyclic order, then the legs in label order, and
+    # the circle from the first leg
+    entries = [divmod(e, w) for e in best]   # (tag * n + partner, successor)
+    new = [-1] * n
+    v, leg = 0, nt3
+    for lab, (tp, s) in enumerate(entries):
+        if tp >= n:
+            new[lab] = leg
+            leg += 1
+        elif new[lab] < 0:
+            new[lab], new[s], new[entries[s][1]] = 3 * v, 3 * v + 1, 3 * v + 2
+            v += 1
+    canon = [0] * n
+    for lab, (tp, _) in enumerate(entries):
+        canon[new[lab]] = new[tp % n]
+    if skel is not None:
+        skel, lab = [], new.index(nt3) if d.nu else 0
+        for _ in range(d.nu):
+            skel.append(new[lab] - nt3 + d.nt)
+            lab = entries[lab][1]
+    sign = (-1) ** (first[1].bit_count() - 1)
+    return Diagram(d.nt, d.nu, canon, skel, check=False), sign, parities == 3
 
 
 def _classes(diagrams):

@@ -332,7 +332,9 @@ def _accum(d, k, v):
 
 
 def _plan_rotation(chords, n, branch):
-    """Rotate the cut to minimize the open-width cost of the sweep."""
+    """Rotate the cut to minimize the open-width cost of the sweep: the
+    (rotated chords, cost), where each opening and each closing costs
+    branch ** (the number of chords open there)."""
     best, best_cost = None, None
     for r in range(max(n, 1)):
         rot = sorted(tuple(sorted(((p - r) % n, (q - r) % n))) for p, q in chords)
@@ -349,7 +351,7 @@ def _plan_rotation(chords, n, branch):
                 width -= 1
         if best_cost is None or cost < best_cost:
             best, best_cost = rot, cost
-    return best or []
+    return best or [], best_cost
 
 
 def sweep_chords(carrier, chords):
@@ -357,7 +359,7 @@ def sweep_chords(carrier, chords):
     0 .. 2*len(chords) - 1, into the carrier's scalar."""
     terms = carrier.terms
     n_positions = 2 * len(chords)
-    chords = _plan_rotation(chords, n_positions, len(terms))
+    chords, _ = _plan_rotation(chords, n_positions, len(terms))
     open_at = {q: ci for ci, (p, q) in enumerate(chords)}
     close_at = {p: ci for ci, (p, q) in enumerate(chords)}
     states = {(): carrier.start()}
@@ -431,6 +433,16 @@ def _chord_sum(d, carrier, check=None):
     if check is not None:
         check(d, value)
     return value
+
+
+def sweep_cost(d, L):
+    """The largest planned cost of the sweeps that evaluating a skeleton
+    diagram on L runs, one per chord diagram of its STU reduction; no sweep
+    runs."""
+    if d.skel is None:
+        raise DiagramError("weight systems evaluate skeleton diagrams")
+    return max((_plan_rotation(ends, 2 * len(ends), len(L.casimir))[1]
+                for ends in (chord_endpoints(c) for c, _ in chord_reduce(d))), default=0)
 
 
 def eval_verma(d, L, lambda0):

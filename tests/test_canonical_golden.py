@@ -1,15 +1,17 @@
-"""Canonical forms are pinned: ``Diagram.canonical`` of about 500 diagrams
-gives exactly the encoding and sign stored in
-tests/golden/canonical_forms.json (sign 0 when the diagram is zero by
-symmetry).
+"""Canonical forms are pinned: ``Diagram.canonical`` of 874 diagrams gives
+exactly the encoding and sign stored in tests/golden/canonical_forms.json
+(sign 0 when the diagram is zero by symmetry).
 
 The corpus is the classes of ``enumerate_connected(d, l)`` for d <= 4, of
 ``all_chord_diagrams(m)`` for m <= 4, of ``one_vertex_diagrams(4)`` and
-the support of ``chi_bar(wheel(6))``, plus three zero-by-symmetry
-diagrams (the tripod and the 3- and 5-wheels).  Each comes with three
-seeded relabelings, and each relabeling also flipped at one trivalent
-vertex when it has one.  An entry is keyed by its input diagram, so the
-test rebuilds every input from its key and needs no enumeration.
+the support of ``chi_bar(wheel(6))``, three zero-by-symmetry diagrams (the
+tripod and the 3- and 5-wheels), and last the 105 classes of
+``all_chord_diagrams(5)``, which pin exact degree-5 chord encodings.  Each
+comes with three seeded relabelings, and each relabeling also flipped at
+one trivalent vertex when it has one.  New bases go at the end, so the
+seeded relabelings of the earlier ones stay put.  An entry is keyed by its
+input diagram, so the test rebuilds every input from its key and needs no
+enumeration.
 
 A change that is meant to alter canonical forms regenerates the file with
 
@@ -63,6 +65,7 @@ def corpus():
     bases += one_vertex_diagrams(4)
     bases += [c for c, _ in chi_bar(wheel(6))]
     bases += [_from_edges(1, 3, [(0, 3), (1, 4), (2, 5)]), odd_wheel(3), odd_wheel(5)]
+    bases += all_chord_diagrams(5)
     rng = random.Random(10)
     out = []
     for base in bases:

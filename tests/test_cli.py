@@ -10,9 +10,10 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weightsys import asymptotics, characters
-from weightsys.cli import main
+from weightsys import asymptotics, characters, evaluation
+from weightsys.cli import EVAL_SWEEP_LIMIT, main
 from weightsys.diagrams import chord_diagram_from_word, empty_circle, wheel_on_circle
+from weightsys.superalgebras import d21
 
 
 VALIDATE_SCHEMA = {
@@ -168,6 +169,26 @@ def test_eval_cost_guard(tmp_path, capsys):
     code, _ = run(capsys, "--command", "eval", "--diagram", str(f),
                   "--algebra", "d21", "--max-degree", "6")
     assert code == 3
+
+
+def test_eval_sweep_cost_bound(tmp_path, capsys):
+    # six pairwise crossing chords plan 51,292,332 on d21's 17 Casimir terms
+    # and 2,184 on sl2's 3; the bound applies before any sweep
+    cross6 = chord_diagram_from_word([(i, i + 6) for i in range(6)], 12)
+    assert evaluation.sweep_cost(cross6, d21()) == 51292332
+    f = tmp_path / "cross6.txt"
+    f.write_text(cross6.to_text())
+    code = main(["--command", "eval", "--diagram", str(f), "--algebra", "d21"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    code, out = run(capsys, "--command", "eval", "--diagram", str(f),
+                    "--algebra", "sl2", "--mode", "statesum", "--format", "json")
+    assert code == 0 and json.loads(out)["value"]
+    # the glued 4-wheel peaks at 20,264 over its chord diagrams
+    assert evaluation.sweep_cost(wheel_on_circle(4), d21()) == 20264 < EVAL_SWEEP_LIMIT
 
 
 def test_alpha_guard(capsys):

@@ -13,9 +13,8 @@ from weightsys.diagrams import (
     Diagram,
     DiagramError,
     LinComb,
-    _canonical_search,
-    _canonicalize,
     _pairings,
+    _word_canonical,
     chi_bar,
     chord_diagram_from_word,
     chord_endpoints,
@@ -325,21 +324,28 @@ def test_chord_canonicalization_mod_rotation():
         assert chord_diagram_from_word(rotated, 2 * m).canonical_key() == key
 
 
-def test_chord_fast_path_matches_the_general_search():
+def test_chord_classes_match_the_four_term_oracle():
     # every chord diagram of degree 1 to 5 as a matching of circle points,
-    # plus seeded relabellings: permuted vertex labels, rotated skeleton
+    # and one seeded relabelling of each (permuted vertex labels, rotated
+    # skeleton): equal canonical keys exactly when the oracle's
+    # rotation-minimal words are equal
     rng = random.Random(20261018)
+    word_of, key_of = {}, {}
     for m in range(1, 6):
         n = 2 * m
         for pairs in _pairings(list(range(n))):
             d = chord_diagram_from_word(pairs, n)
             other = relabeled(d, [], rng.sample(range(n), n), [])
             r = rng.randrange(n)
-            for case in (d, Diagram(0, n, other.pairing, other.skel[r:] + other.skel[:r])):
-                fast, sign, zero = _canonicalize(case)
-                slow, slow_sign, slow_zero = _canonical_search(case)
-                assert fast._encoding() == slow._encoding()
-                assert (sign, zero) == (slow_sign, slow_zero) == (1, False)
+            other = Diagram(0, n, other.pairing, other.skel[r:] + other.skel[:r])
+            word = _word_canonical(pairs, n)
+            for case in (d, other):
+                canon, sign, zero = case.canonical()
+                assert (sign, zero) == (1, False)
+                key = canon._encoding()
+                assert word_of.setdefault(key, word) == word
+                assert key_of.setdefault(word, key) == key
+    assert len(key_of) == 1 + 2 + 5 + 18 + 105
 
 
 def test_four_term_relations_are_ranked_once(monkeypatch):

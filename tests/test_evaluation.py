@@ -93,6 +93,16 @@ def test_adjoint_rep_properties(L, D2):
 
 @pytest.mark.parametrize("alpha", [Fraction(2), Fraction(3), Fraction(1, 2)])
 def test_two_method_agreement_degree2(alpha):
+    """The Verma value at n = 1 on the adjoint weight equals the adjoint
+    state sum on every chord diagram of degree 1 and 2.
+
+    On D(2,1,alpha) both sides are 0 for every diagram: the single chord's
+    value is the Casimir eigenvalue of the adjoint representation, which is
+    0 there.  So this checks only the vanishing and the Schur scalarity of
+    the state sum; sl2 carries the nonzero comparisons
+    (``test_single_chord_sl2_two_methods`` and criterion 4 of
+    tests/test_acceptance.py).
+    """
     D = d21(alpha)
     lam = adjoint_weight(D)
     for d in all_chord_diagrams(1) + all_chord_diagrams(2):
@@ -132,7 +142,7 @@ def test_cut_rotation_invariance(D_sym, monkeypatch):
             for r in range(n)}
     assert len(cuts) == 3
     for cut in cuts:
-        monkeypatch.setattr(evaluation, "_plan_rotation", lambda *args, cut=cut: list(cut))
+        monkeypatch.setattr(evaluation, "_plan_rotation", lambda *args, cut=cut: (list(cut), 0))
         assert sweep_chords(carrier, chords) == want
 
 
