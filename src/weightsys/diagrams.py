@@ -18,16 +18,17 @@ order and fresh vertices take the labels after them.
 Canonical forms: the minimal rooted-traversal encoding over all choices of
 root dart and per-vertex orientation (reversing a cyclic order flips the
 sign, so ``Diagram.canonical`` returns a sign along with the
-representative).  A diagram admitting an odd-parity self-encoding equals
-minus itself and is zero in the quotient; LinComb drops such terms on
-insertion.  One search, ``_canonicalize``, serves every diagram: each
-traversal packs a dart's step into one int, branches on the two
-orientations of a trivalent vertex when it first reaches it, and stops as
-soon as its prefix exceeds the least one reached so far.  Branches advance
-together, so a run of orientation ties, as along a ladder, is settled as
-the branches go rather than one whole branch after another.  A chord
-diagram has no orientation to choose: its roots run one after another, its
-sign is 1 and it is never zero.
+representative, which holds itself as its own form).  A diagram admitting
+an odd-parity self-encoding equals minus itself and is zero in the
+quotient; LinComb drops such terms on insertion.  One search,
+``_canonicalize``, serves every diagram: each traversal packs a dart's
+step into one int, branches on the two orientations of a trivalent vertex
+when it first reaches it, and stops as soon as its prefix exceeds the
+least one reached so far.  Branches advance together, so a run of
+orientation ties, as along a ladder, is settled as the branches go rather
+than one whole branch after another.  A chord diagram has no orientation
+to choose: its roots run one after another, its sign is 1 and it is never
+zero.
 """
 
 from __future__ import annotations
@@ -135,7 +136,11 @@ class Diagram:
     # -- canonicalization -----------------------------------------------------
 
     def canonical(self):
-        """(canonical diagram, sign, zero_by_symmetry) -- cached."""
+        """(canonical diagram, sign, zero_by_symmetry) -- cached.
+
+        The canonical diagram comes with its own form cached: itself, sign
+        1 and the class's zero flag, so a stored canonical diagram is never
+        searched again."""
         if self._canon is None:
             self._canon = _canonicalize(self)
         return self._canon
@@ -384,7 +389,11 @@ def _canonicalize(d):
             skel.append(new[lab] - nt3 + d.nt)
             lab = entries[lab][1]
     sign = (-1) ** (first[1].bit_count() - 1)
-    return Diagram(d.nt, d.nu, canon, skel, check=False), sign, parities == 3
+    out = Diagram(d.nt, d.nu, canon, skel, check=False)
+    # out's traversal from dart 0 with no vertex reversed gives best and is
+    # the least (root, code), so out is its own form with sign 1
+    out._canon = out, 1, parities == 3
+    return out, sign, parities == 3
 
 
 def _classes(diagrams):
@@ -931,11 +940,18 @@ def _pairings(items):
 
 def one_vertex_diagrams(m):
     """Degree-m skeleton diagrams with exactly one internal vertex (a tripod
-    plus m-2 chords), canonical set."""
+    plus m-2 chords), canonical set.
+
+    Rotating the circle keeps the diagram, and the tripod's three legs keep
+    their cyclic order when their positions are sorted again, so a tripod
+    at (0, a, b) with 0 < a < b reaches every class: C(2m-2, 2) tripod
+    positions rather than C(2m-1, 3).
+    """
     n = 2 * m - 1  # skeleton vertices
 
     def diagrams():
-        for tripod_pos in itertools.combinations(range(n), 3):
+        for a, b in itertools.combinations(range(1, n), 2):
+            tripod_pos = (0, a, b)
             rest = [i for i in range(n) if i not in tripod_pos]
             for pairs in _pairings(rest):
                 edges = [(s, 3 + pos) for s, pos in enumerate(tripod_pos)]
@@ -951,6 +967,8 @@ def dim_A_by_stu(m):
     three) eligible edges in all ways."""
     from .scalars import matrix_rank
 
+    if m < 0:
+        raise ValueError(f"degree must be at least 0, got {m}")
     classes = all_chord_diagrams(m)
     index = {c._encoding(): i for i, c in enumerate(classes)}
     rows = []
@@ -990,6 +1008,8 @@ def dim_A_by_four_term(m):
     machinery)."""
     from .scalars import matrix_rank
 
+    if m < 0:
+        raise ValueError(f"degree must be at least 0, got {m}")
     n = 2 * m - 1
     words = {}
     relations = {}  # each relation once: sorted nonzero items, first coefficient > 0

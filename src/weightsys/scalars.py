@@ -8,17 +8,20 @@ Every operation is exact; floating point never appears.
 
 The linear algebra works over any field whose elements support +, -, *, /
 and truthiness (Fraction and RationalFunction both qualify).  One
-elimination serves it all: :func:`echelon` reduces each row against the
-pivots found so far and keeps a nonzero remainder as the row of its lowest
-column, and :func:`reduce_by` gives a vector's normal form modulo those
-rows, zero at every pivot column.  A rank reads only the number of pivots;
-back-substitution runs only in :func:`sparse_rref`, whose reduced rows the
-inverse and the solver read.  Pivot columns, normal forms and reduced rows
-depend on the row space alone, not on the order of the rows.
+elimination serves fields and normal forms: :func:`echelon` reduces each
+row against the pivots found so far and keeps a nonzero remainder as the
+row of its lowest column, and :func:`reduce_by` gives a vector's normal
+form modulo those rows, zero at every pivot column.  Back-substitution
+runs only in :func:`sparse_rref`, whose reduced rows the inverse and the
+solver read.  Pivot columns, normal forms and reduced rows depend on the
+row space alone, not on the order of the rows.  A rank reads only the
+number of pivots; when every entry is an int it is found fraction-free, on
+Python ints with each kept row primitive, and otherwise by :func:`echelon`.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -747,7 +750,55 @@ def _nullspace(pivots, rref, ncols, rhs_col):
 
 
 def matrix_rank(rows):
+    """Rank of sparse rows (dicts col -> value) over Q, or over the field
+    of their entries: :func:`_int_rank` when every entry is an int, else
+    the number of :func:`echelon` pivots."""
+    rows = list(rows)
+    if all(isinstance(v, int) for r in rows for v in r.values()):
+        return _int_rank(rows)
     return len(echelon(rows))
+
+
+def _int_rank(rows):
+    """Rank of sparse int rows by fraction-free elimination.
+
+    Each kept row is primitive (its content divided out) and keyed by its
+    lowest column.  A new row is reduced at its own columns only, taken in
+    increasing order from a heap: at a kept row's column c it becomes
+    ``a * row - f * kept`` with ``a`` and ``f`` the two entries at c over
+    their gcd, and its first nonzero column that keys no kept row makes it
+    a kept row.  Scaling by nonzero ints keeps the rational span, so the
+    kept rows are an echelon basis of it.
+    """
+    pivots = {}
+    for r in rows:
+        vec = {c: v for c, v in r.items() if v}
+        heap = list(vec)
+        heapq.heapify(heap)
+        while heap:
+            c = heapq.heappop(heap)
+            f = vec.get(c)
+            if not f:
+                continue
+            piv = pivots.get(c)
+            if piv is None:
+                g = math.gcd(*vec.values())
+                pivots[c] = {k: v // g for k, v in vec.items()}
+                break
+            a = piv[c]
+            g = math.gcd(a, f)
+            a, f = a // g, f // g
+            if a != 1:
+                vec = {k: a * v for k, v in vec.items()}
+            for k, v in piv.items():
+                s = vec.get(k, 0) - f * v
+                if s:
+                    if k not in vec:
+                        heapq.heappush(heap, k)
+                    vec[k] = s
+                else:
+                    vec.pop(k, None)
+    return len(pivots)
 
 
 def matrix_inverse(mat):

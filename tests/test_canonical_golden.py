@@ -30,6 +30,7 @@ from weightsys.diagrams import (
     _from_edges,
     all_chord_diagrams,
     chi_bar,
+    chord_reduce,
     enumerate_connected,
     one_vertex_diagrams,
     wheel,
@@ -93,6 +94,20 @@ def forms(diagrams):
 def test_canonical_forms_match_the_golden_file():
     golden = json.loads(GOLDEN.read_text())
     assert forms(from_key(k) for k in golden) == golden
+
+
+def test_canonical_diagrams_are_their_own_canonical_forms():
+    # a canonical diagram caches (itself, 1, zero flag); a fresh copy, whose
+    # form is searched, must give the same encoding, sign and zero flag
+    inputs = [from_key(k) for k in json.loads(GOLDEN.read_text())]
+    inputs += [c for c, _ in chord_reduce(chi_bar(wheel(6)))]
+    for d in inputs:
+        canon, _, zero = d.canonical()
+        cached = canon.canonical()
+        assert cached[0] is canon and cached[1:] == (1, zero)
+        fresh = Diagram(canon.nt, canon.nu, canon.pairing, canon.skel)
+        again, sign, fresh_zero = fresh.canonical()
+        assert (again._encoding(), sign, fresh_zero) == (canon._encoding(), 1, zero)
 
 
 if __name__ == "__main__":

@@ -13,6 +13,8 @@ from weightsys.diagrams import (
     Diagram,
     DiagramError,
     LinComb,
+    _classes,
+    _from_edges,
     _pairings,
     _word_canonical,
     chi_bar,
@@ -229,13 +231,25 @@ def test_wheel_class_is_nonzero():
     assert enumerate_connected(3, 4) == []
 
 
-def test_circle_space_dimensions():
-    # Bar-Natan's dimensions of the circle space in degrees 1 to 4
-    for m, dim in ((1, 1), (2, 2), (3, 3), (4, 6)):
-        assert dim_A_by_stu(m) == dim_A_by_four_term(m) == dim
-    assert dim_A_by_four_term(5) == 10
-    # one-vertex diagram sets exist at each degree
-    assert len(one_vertex_diagrams(2)) >= 1
+def test_circle_space_dimensions(monkeypatch):
+    # Bar-Natan's dimensions of the circle space in degrees 0 to 5 from both
+    # oracles; the rows they rank are ints, and their fraction-free rank is
+    # the field rank of echelon, in builder order and reversed
+    captured = []
+    rank = scalars.matrix_rank
+
+    def capture(rows):
+        rows = list(rows)
+        captured.append(rows)
+        return rank(rows)
+
+    monkeypatch.setattr(scalars, "matrix_rank", capture)
+    for oracle in (dim_A_by_stu, dim_A_by_four_term):
+        assert [oracle(m) for m in range(6)] == [1, 1, 2, 3, 6, 10]
+    assert len(captured) == 12
+    for rows in captured:
+        assert all(type(v) is int for r in rows for v in r.values())
+        assert rank(rows) == rank(rows[::-1]) == len(scalars.echelon(rows))
 
 
 def test_serialization_roundtrip_and_stability():
@@ -369,3 +383,27 @@ def test_four_term_relations_are_ranked_once(monkeypatch):
         negated = tuple((k, -c) for k, c in items)
         assert items and items not in keys and negated not in keys
         keys.add(items)
+
+
+def test_one_tripod_per_rotation_orbit():
+    # tripods at (0, a, b) give the classes, in order, of a tripod at
+    # every one of the C(2m-1, 3) position triples
+    for m in range(6):
+        n = 2 * m - 1
+        full = []
+        for tripod in itertools.combinations(range(n), 3):
+            rest = [i for i in range(n) if i not in tripod]
+            for pairs in _pairings(rest):
+                edges = [(s, 3 + pos) for s, pos in enumerate(tripod)]
+                edges += [(3 + a, 3 + b) for a, b in pairs]
+                full.append(_from_edges(1, n, edges, skel=range(1, 1 + n)))
+        classes = [c._encoding() for c in _classes(full)]
+        assert [c._encoding() for c in one_vertex_diagrams(m)] == classes
+        assert bool(classes) == (m >= 2)
+
+
+def test_oracles_reject_a_negative_degree():
+    for oracle in (dim_A_by_stu, dim_A_by_four_term):
+        assert oracle(0) == 1
+        with pytest.raises(ValueError, match="degree must be at least 0"):
+            oracle(-1)

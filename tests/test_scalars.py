@@ -183,6 +183,26 @@ def test_elimination_does_not_depend_on_row_order_or_scale(case):
     _check_elimination([{c: v for c, v in r.items() if v} for r in rows], order, scales)
 
 
+int_entries = st.one_of(st.integers(-2, 2), st.integers(-2 ** 70, 2 ** 70))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, 7), int_entries, max_size=5), max_size=8),
+       st.data())
+def test_integer_rank_matches_the_field_rank(rows, data):
+    # zero rows, zero entries, repeated rows, multiples and sums of rows
+    if rows:
+        pick = st.sampled_from(rows)
+        for r in data.draw(st.lists(pick, max_size=3)):
+            rows.append(dict(r))
+        for r, k in data.draw(st.lists(st.tuples(pick, int_entries), max_size=2)):
+            rows.append({c: k * v for c, v in r.items()})
+        for r, t in data.draw(st.lists(st.tuples(pick, pick), max_size=2)):
+            rows.append({c: r.get(c, 0) + t.get(c, 0) for c in {*r, *t}})
+        rows = data.draw(st.permutations(rows))
+    assert matrix_rank(rows) == len(echelon(rows))
+
+
 def test_elimination_over_rational_functions_does_not_depend_on_row_order():
     a = P("alpha")
     rows = [{0: a, 1: 1, 3: a + 1}, {0: a * a, 1: a, 2: 1}, {1: a - 1, 2: a, 3: 1},
