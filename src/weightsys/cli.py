@@ -16,8 +16,9 @@ import json
 import sys
 from fractions import Fraction
 
-from . import asymptotics, characters
+from . import asymptotics, characters, evaluation
 from .diagrams import Diagram, DiagramError
+from .evaluation import EVAL_SWEEP_LIMIT  # the eval cost bound, as the CLI reports it
 from .scalars import CostBoundError
 from .superalgebras import d21, sl2, validate, cartan_form_block
 
@@ -26,9 +27,6 @@ MODES = {"validate": (), "leading": ("alpha1", "symbolic"),
          "certify": ("auto", "full"), "eval": ("verma", "statesum")}
 SYMBOLIC_K_LIMIT = 100  # leading --mode symbolic: k = 100 takes about 1 s, cost grows as k^3
 FULL_K_LIMIT = 6  # certify --mode full: k = 6 takes about 100 s, k = 8 has never finished
-# eval: the planned cost of one chord diagram's sweep (evaluation.sweep_cost);
-# 3,017,194 on d21 takes about 10 s, and the all-crossing degree-6 diagram plans 51,292,332
-EVAL_SWEEP_LIMIT = 4_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -184,8 +182,6 @@ def cmd_certify(args):
 
 
 def cmd_eval(args):
-    from . import evaluation
-
     if not args.diagram:
         sys.stderr.write("error: --diagram FILE is required for eval\n")
         return EXIT_USAGE

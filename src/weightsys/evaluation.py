@@ -1,27 +1,45 @@
 """Weight-system evaluation: state sums and Verma highest-weight values.
 
-A skeleton diagram is first STU-reduced to chord diagrams; a chord diagram
-is then contracted by a right-to-left sweep along the circle.  Each chord
-carries one Casimir term (x, y, w): y acts at the later endpoint, x is held
-pending until the earlier endpoint.  The sweep keeps a map from pending
-assignments to module states, merging branches with equal pendings -- this
-is exact sparse tensor contraction along a path, and the rotation of the
-cut is chosen to keep the number of simultaneously open chords small.
+A skeleton diagram is evaluated one of two ways, chosen by its shape alone:
+
+- with more trivalent vertices than legs (``d.nt > d.nu``, as an insertion
+  into a wheel), its internal graph is contracted into one sparse tensor on
+  its legs (``leg_tensor``), which ``sweep_legs`` then applies along the
+  circle;
+- otherwise (chord diagrams, wheels) it is STU-reduced to chord diagrams,
+  each contracted by ``sweep_chords``.
+
+Each STU step doubles the terms at a trivalent vertex, so contraction wins
+where vertices outnumber legs: the symmetrized triangle-inserted 4-wheel on
+symbolic D(2,1,alpha) took 2.4 s through 41 chord diagrams and takes 0.07 s
+as three leg tensors, all zero (2-core host, CPython 3.11).  Where they do
+not, the leg tensor is large and STU wins on D(2,1,alpha): the symmetrized
+4-wheel on symbolic D(2,1,alpha) takes 0.37 s through STU and 0.44 s by
+contraction, and the 6-wheel on D(2,1,2) took 65 s and 121 s in a
+prototype of this contraction, with a 290,159-entry tensor.
+
+The chord sweep goes right to left along the circle.  Each chord carries
+one Casimir term (x, y, w): y acts at the later endpoint, x is held pending
+until the earlier endpoint.  The sweep keeps a map from pending
+assignments to module states, merging branches with equal pendings -- exact
+sparse tensor contraction along a path -- and the rotation of the cut is
+chosen to keep the number of simultaneously open chords small.
 
 Koszul signs: permuting the Casimir factors into circle order costs exactly
 one factor of -1 per *crossing* pair of chords whose terms are both odd
 (nested and disjoint pairs contribute nothing because the two legs of one
-Casimir term always have equal parity).  The sign is applied when a chord
-opens, against the already-open odd chords it crosses.
+Casimir term always have equal parity).  The sweep applies the sign when a
+chord opens, against the already-open odd chords it crosses; the leg
+contraction applies the same rule to the Casimir edges of its layout.
 
-Both methods share one path.  A carrier is the sweep's whole interface: it
-owns its scalar ring and the Casimir ``terms`` in it, and implements
-``start``, ``apply`` and ``extract(state, n_chords)``, which turns the final
-state of a sweep over n_chords chords into the chord diagram's scalar.
-``_chord_sum`` sums those scalars over ``chord_reduce``; each carrier
-memoizes them in ``carrier.values``, keyed by canonical chord diagram, and
-one carrier per (algebra, weight) or algebra is kept for the process.  The
-two carriers are independent:
+Both methods share the carriers.  A carrier owns its scalar ring, the
+Casimir ``terms`` and the ``bracket`` table in it, and implements
+``start``, ``apply`` and ``extract(state, degree)``, which turns the final
+state of a diagram of that degree into its scalar.  ``_evaluate`` plans
+every sweep against ``EVAL_SWEEP_LIMIT`` before it runs any, and each
+carrier memoizes the values in ``carrier.values``, keyed by canonical chord
+diagram or canonical contracted diagram; one carrier per (algebra, weight)
+or algebra is kept for the process.  The two carriers are independent:
 
 - the Verma module of highest weight n*lambda0: PBW monomial states with
   coefficients in Q[n] or Q[n, alpha], held as ``_IntPoly`` values (int
@@ -30,10 +48,10 @@ two carriers are independent:
   coefficient to a MultiPoly, the type every caller sees;
 - the adjoint representation: basis-vector states on ints, or on
   ``_IntPoly`` values in Q[alpha] for symbolic D(2,1,alpha).  The ad maps
-  and the Casimir weights are scaled to integers once, so the sweep
-  accumulates the full endomorphism times a known power of the scale;
-  ``extract`` Schur-checks it to be an exact scalar and divides that power
-  out, handing out a Fraction, or a MultiPoly in alpha.
+  (the bracket table) and the Casimir weights are scaled to integers once,
+  so the sweep accumulates the full endomorphism times a known power of
+  the scale; ``extract`` Schur-checks it to be an exact scalar and divides
+  that power out, handing out a Fraction, or a MultiPoly in alpha.
 """
 
 from __future__ import annotations
@@ -45,6 +63,9 @@ from .diagrams import DiagramError, LinComb, chord_endpoints, chord_reduce, chi_
 from .scalars import CostBoundError, MultiPoly, RationalFunction
 
 STATE_SUM_VERTEX_LIMIT = 12  # cost guard for dim-17 contractions
+# the planned cost of one sweep (see sweep_cost): 3,017,194 on D(2,1,alpha)
+# takes about 10 s, and the all-crossing degree-6 chord diagram plans 51,292,332
+EVAL_SWEEP_LIMIT = 4_000_000
 
 
 class SchurCheckError(AssertionError):
@@ -179,7 +200,7 @@ class VermaCarrier:
     def start(self):
         return {self.zero_mono: self.one}
 
-    def extract(self, vec, n_chords):
+    def extract(self, vec, degree):
         value = vec.get(self.zero_mono)
         return self.zero if value is None else value.to_poly(self.ring)
 
@@ -251,11 +272,13 @@ class EndoCarrier:
     """States (input column, basis index) of the adjoint representation, on
     ints, or on ``_IntPoly`` values in Q[alpha] for symbolic D(2,1,alpha).
 
-    The ad columns are scaled by ``da``, the lcm of their denominators, and
-    the Casimir weights by ``dw``, so every entry lifts to an integer
-    (polynomial) once, here.  A chord applies one weight and two ad maps,
-    so after m chords the final state is the full endomorphism times
-    ``(da**2 * dw)**m``; ``extract`` Schur-checks it and divides once.
+    The ad columns, which are the bracket table, are scaled by ``da``, the
+    lcm of their denominators, and the Casimir weights by ``dw``, so every
+    entry lifts to an integer (polynomial) once, here.  A diagram of degree
+    m has 2m trivalent vertices and legs, each applying the bracket or an ad
+    map once, and m Casimir edges, so its final state is the full
+    endomorphism times ``(da**2 * dw)**m``; ``extract`` Schur-checks it and
+    divides once.
     """
 
     def __init__(self, L):
@@ -277,8 +300,10 @@ class EndoCarrier:
         dw = math.lcm(*(den(w) for _, _, w in L.casimir))
         self.columns = [[{i: lift(v * da) for i, v in col.items()} for col in row]
                         for row in columns]
+        self.bracket = {(x, j): col for x, row in enumerate(self.columns)
+                        for j, col in enumerate(row) if col}
         self.terms = [(x, y, lift(w * dw), L.parity[x]) for x, y, w in L.casimir]
-        self.chord_scale = da * da * dw
+        self.degree_scale = da * da * dw
         self.one = lift(1)
         self.dim = L.dim
         self.values = {}
@@ -286,10 +311,10 @@ class EndoCarrier:
     def start(self):
         return {(j, j): self.one for j in range(self.dim)}
 
-    def extract(self, endo, n_chords):
+    def extract(self, endo, degree):
         """The scalar of the final endomorphism: the Schur check (zero off
         the diagonal, one value on it) runs on the scaled entries, then one
-        division by the scale of n_chords chords."""
+        division by the scale of the diagram's degree."""
         for col, idx in endo:
             if col != idx:
                 raise SchurCheckError(f"off-diagonal entry at {(col, idx)}")
@@ -299,7 +324,7 @@ class EndoCarrier:
         for j, e in enumerate(entries):
             if e != entries[0]:
                 raise SchurCheckError(f"diagonal mismatch at column {j}")
-        unit = self.chord_scale ** n_chords
+        unit = self.degree_scale ** degree
         if symbolic:
             return _IntPoly(dict(entries[0]), unit).to_poly(self.ring)
         return Fraction(entries[0], unit)
@@ -403,46 +428,346 @@ def _merge(states, pend, vec):
             _accum(cur, k, v)
 
 
+# ------------------------------------------------------------ leg contraction
+#
+# Each trivalent vertex takes its label through one dart, its output: a root
+# through the dart to a leg, any later vertex through the dart to an earlier
+# one.  The output's label is a component of the bracket [y, x] of the
+# labels of the two darts after it in the cyclic order, y on the second and
+# x on the first: STU at a leg sends the vertex to D[.., y, x, ..] -
+# D[.., x, y, ..], the bracket's expansion in the representation.  Every
+# other edge, chords included, carries the Casimir.
+#
+# Signs.  Lay the legs out in a reference order: each connected internal
+# part's root leg, then its other legs in the order they get labels, then
+# each chord's two ends side by side.  Replacing the root leg by the root's
+# arguments (y, x), and an argument fed by a later vertex by that vertex's
+# arguments, recursively, turns the layout into a sequence of Casimir
+# half-edges.  A term's sign is the Koszul sign of bringing each Casimir's
+# halves together: -1 per crossing pair of odd edges.  A pair's sign is taken
+# when the first of its two edges has both ends placed.  The other edge's
+# parity is then a register's (one end placed), or is summed up through the
+# registers that stand for unplaced subgraphs: a bracket is even, so such a
+# register's parity is that of all the halves below it.  Each step's sign
+# thus reads registers only, and states with equal registers merge.  Last,
+# the legs are permuted from the reference order into circle order with the
+# Koszul sign of their odd labels.  The bracket tensor is cyclic under this
+# rule, so any vertex may take any output; the next vertex is the one with
+# the most edges to vertices already placed, which keeps the registers few.
+
+
+def _leg_plan(d):
+    """The steps of ``leg_tensor`` for skeleton diagram d, with no labels.
+
+    A state's registers hold the labels of the legs set so far and, for
+    each edge from a placed to an unplaced vertex, the label its unplaced
+    dart must take.  A step is (lookup, keep, what): the registers it reads,
+    those it keeps, and ("chord",) or ("vertex", root, checked, loop, new,
+    closing).  A vertex reads the label its output must take (a root labels
+    its leg instead), then those its inputs in ``checked`` must match, x
+    being input 0 and y input 1; ``loop`` says x and y share an edge.
+    ``new`` lists what it appends: ("out",) the root's leg, ("pass", input)
+    an input's label for a later vertex's output, or ("edge", input, first)
+    the other end's label of the input's Casimir edge, first when the
+    input's half comes first in the layout.  ``closing`` lists each edge
+    that gets both ends placed, in order, as (the input whose parity is the
+    edge's, the mask of kept registers and the counts of x and y parities
+    that its sign reads).  Returns (steps, the register of each leg in
+    circle order, the pairs of circle positions that the reference order
+    has the other way round).
+    """
+    nt, nt3, pairing = d.nt, 3 * d.nt, d.pairing
+    circle = [nt3 + u - nt for u in d.skel]   # leg darts
+
+    def turn(x):
+        return x - x % 3 + (x + 1) % 3
+
+    def across(x):
+        """The trivalent vertex at the other end of dart x's edge, if any."""
+        return pairing[x] // 3 if pairing[x] < nt3 else None
+
+    rank, out = {}, {}
+    while len(rank) < nt:
+        placed = {v: [x for x in range(3 * v, 3 * v + 3) if across(x) in rank]
+                  for v in range(nt) if v not in rank}
+        v = max(placed, key=lambda v: (len(placed[v]), -v))
+        if placed[v]:
+            out[v] = min(placed[v], key=lambda x: rank[across(x)])
+        else:
+            # a new component: its root takes the first free leg on the circle
+            g = next((g for g in circle if across(g) is not None and across(g) not in rank), None)
+            if g is None:
+                raise DiagramError("internal part detached from the skeleton")
+            v = across(g)
+            out[v] = pairing[g]
+        rank[v] = len(rank)
+    order = list(rank)   # in the order placed
+    fed = {pairing[o]: v for v, o in out.items()}   # dart -> vertex whose output it carries
+
+    def halves(x):
+        """The Casimir half-edges standing in for what dart x carries."""
+        v = fed.get(x)
+        if v is None:
+            return [x]
+        return halves(turn(turn(out[v]))) + halves(turn(out[v]))
+
+    layout, legs = [], []   # the half-edges, and the legs, in reference order
+    for v in order:
+        o = out[v]
+        if pairing[o] >= nt3:
+            legs.append(pairing[o])
+            layout += halves(pairing[o])
+        for q in map(pairing.__getitem__, (turn(o), turn(turn(o)))):
+            if q >= nt3:
+                legs.append(q)
+                layout.append(q)
+    for g in circle:
+        if across(g) is None and g not in legs:
+            legs += [g, pairing[g]]
+            layout += [g, pairing[g]]
+    pos = {x: i for i, x in enumerate(layout)}
+
+    def inside(a, b, span):
+        # an open edge counts by its placed half, an unplaced subgraph whole
+        return span is not None and a < span[0] and span[1] < b
+
+    # each register's dart, and its span in the layout: an open edge's
+    # placed half, an unplaced subgraph's halves, or None for a leg
+    darts, spans, steps = [], [], []
+    for v in order:
+        o = out[v]
+        ins = (turn(o), turn(turn(o)))
+        lookup = [darts.index(t) for t in (o, *ins) if t in darts]
+        checked = [w for w, t in enumerate(ins) if t in darts]
+        keep = [j for j, t in enumerate(darts) if t not in (o, *ins)]
+        spans, darts = [spans[j] for j in keep], [darts[j] for j in keep]
+        root, loop = pairing[o] >= nt3, pairing[ins[0]] == ins[1]
+        new, ends, fresh = [], [], []   # ends: (input, the edge's positions) of closing edges
+        if root:
+            new.append(("out",))
+            spans.append(None)
+            darts.append(pairing[o])
+        for w, t in enumerate(ins):
+            q = pairing[t]
+            if w in checked or q == ins[0]:   # to a placed vertex, or y's self-loop
+                ends.append((w, sorted((pos[t], pos[q]))))
+            elif q == ins[1]:
+                continue
+            elif q < nt3 and out[q // 3] == q:
+                block = [pos[x] for x in halves(t)]
+                new.append(("pass", w))
+                fresh.append((w, (block[0], block[-1])))
+                spans.append(fresh[-1][1])
+                darts.append(q)
+            else:
+                new.append(("edge", w, pos[t] < pos[q]))
+                if q >= nt3:
+                    ends.append((w, sorted((pos[t], pos[q]))))
+                    spans.append(None)
+                else:
+                    fresh.append((w, (pos[t], pos[t])))
+                    spans.append(fresh[-1][1])
+                darts.append(q)
+        closing = []
+        for i, (w, (a, b)) in enumerate(ends):
+            mask = sum(1 << keep[j] for j in range(len(keep)) if inside(a, b, spans[j]))
+            counts = [0, 0]
+            for w2, span in fresh:
+                counts[w2] ^= inside(a, b, span)
+            for w2, (a2, b2) in ends[i + 1:]:
+                counts[w2] ^= (a < a2 < b) != (a < b2 < b)
+            closing.append((w, mask, *counts))
+        steps.append((lookup, keep, ("vertex", root, checked, loop, new, closing)))
+    for g in circle:
+        if across(g) is None and pos[g] < pos[pairing[g]]:
+            steps.append(([], list(range(len(darts))), ("chord",)))
+            darts += [g, pairing[g]]
+    ref = [legs.index(g) for g in circle]
+    swapped = [(i, j) for j in range(len(circle)) for i in range(j) if ref[i] > ref[j]]
+    return steps, [darts.index(g) for g in circle], swapped
+
+
+def _step_table(what, carrier, parity, first, second):
+    """One step's entries by the labels it reads: (appended registers,
+    coefficient with the sign its own labels give, mask of the kept
+    registers whose odd parities each flip that sign)."""
+    if what[0] == "chord":
+        # a chord's ends sit side by side in the layout: no sign
+        return {(): [((x, y), w, 0) for x, y, w, _ in carrier.terms]}
+    table = {}
+    _, root, checked, loop, new, closing = what
+    for (y, x), row in carrier.bracket.items():
+        lab = (x, y)
+        par = (parity[x], parity[y])
+        if loop and first[y][0] != x:
+            continue
+        for c, val in row.items():
+            if loop:
+                val = val * first[y][1]   # y's half comes first
+            regs = []
+            for spec in new:
+                if spec[0] == "out":
+                    regs.append(c)
+                elif spec[0] == "pass":
+                    regs.append(lab[spec[1]])
+                else:
+                    partner, weight = (first if spec[2] else second)[lab[spec[1]]]
+                    regs.append(partner)
+                    val = val * weight
+            mask = sign = 0
+            for w, kept, nx, ny in closing:
+                if par[w]:
+                    mask ^= kept
+                    sign ^= (nx & par[0]) ^ (ny & par[1])
+            index = ((c,) if not root else ()) + tuple(lab[w] for w in checked)
+            table.setdefault(index, []).append((tuple(regs), -val if sign else val, mask))
+    return table
+
+
+def leg_tensor(carrier, d):
+    """The internal graph of skeleton diagram d contracted into a sparse
+    tensor on its legs: {labels of the legs in circle order: coefficient},
+    the coefficients in the carrier's ring and at its scale."""
+    steps, circle, swapped = _leg_plan(d)
+    parity = {x: par for x, _, _, par in carrier.terms}
+    # the Casimir relabels: a label at an edge's first (second) half gives
+    # the other half's label and the weight
+    first = {x: (y, w) for x, y, w, _ in carrier.terms}
+    second = {y: (x, w) for x, y, w, _ in carrier.terms}
+    if not len(first) == len(second) == len(carrier.terms):
+        raise ValueError("leg contraction needs one Casimir partner per basis element")
+    state = {(): carrier.one}
+    for lookup, keep, what in steps:
+        table = _step_table(what, carrier, parity, first, second)
+        signed = any(mask for entries in table.values() for _, _, mask in entries)
+        nxt = {}
+        for key, coeff in state.items():
+            entries = table.get(tuple([key[r] for r in lookup]))
+            if not entries:
+                continue
+            base = tuple([key[j] for j in keep])
+            odd = sum([parity[label] << j for j, label in enumerate(key)]) if signed else 0
+            for regs, val, mask in entries:
+                val = coeff * val   # nonzero: the rings have no zero divisors
+                if odd & mask and (odd & mask).bit_count() & 1:
+                    val = -val
+                k = base + regs
+                s = nxt.get(k)
+                if s is None:
+                    nxt[k] = val
+                else:
+                    s = s + val
+                    if s:
+                        nxt[k] = s
+                    else:
+                        del nxt[k]
+        state = nxt
+    tensor = {}
+    for key, coeff in state.items():
+        labels = tuple(key[j] for j in circle)
+        if sum(parity[labels[i]] & parity[labels[j]] for i, j in swapped) & 1:
+            coeff = -coeff
+        tensor[labels] = coeff
+    return tensor
+
+
+def sweep_legs(carrier, tensor, degree):
+    """Act with a leg tensor along the circle into the carrier's scalar of a
+    diagram of the given degree.
+
+    The entries are walked depth-first through the trie of their label
+    suffixes, so each trie node is one ``carrier.apply`` and at most one
+    state per leg is alive; an entry's coefficient scales its first leg.
+    """
+    total = {}
+    stack = [carrier.start()]   # stack[k]: the state after the last k legs
+    prev = ()
+    for labels, coeff in sorted(tensor.items(), key=lambda item: item[0][::-1]):
+        n, shared = len(labels), 0
+        while prev and shared < n - 1 and labels[n - 1 - shared] == prev[n - 1 - shared]:
+            shared += 1
+        del stack[shared + 1:]
+        for x in labels[n - 1 - shared:0:-1]:
+            stack.append(carrier.apply(x, stack[-1]))
+        for k, v in carrier.apply(labels[0], stack[-1], scale=coeff).items():
+            _accum(total, k, v)
+        prev = labels
+    return carrier.extract(total, degree)
+
+
 # ------------------------------------------------------------ public surface
 
 
 _CARRIERS = {}  # (L.name, lambda0) or (L.name, "adjoint") -> carrier
 
 
-def _chord_sum(d, carrier, check=None):
-    """Value of a skeleton diagram, or a LinComb of them, on the carrier.
-
-    Chord values come from ``carrier.values`` or from a fresh sweep;
-    ``check(diagram, value)`` runs on the value of every diagram.
-    """
-    if isinstance(d, LinComb):
-        total = carrier.zero
-        for diag, c in d:
-            total = total + _chord_sum(diag, carrier, check) * Fraction(c)
-        return total
+def _parts(d):
+    """[(canonical diagram, coefficient)]: the diagrams whose values make
+    up skeleton diagram d's.  That is d's canonical form when d has more
+    trivalent vertices than legs, evaluated by contraction; otherwise the
+    chord diagrams of its STU reduction, each swept."""
     if d.skel is None:
         raise DiagramError("weight systems evaluate skeleton diagrams")
-    value = carrier.zero
-    for chord_diag, c in chord_reduce(d):
-        key = chord_diag.canonical_key()
-        chord_value = carrier.values.get(key)
-        if chord_value is None:
-            chord_value = sweep_chords(carrier, chord_endpoints(chord_diag))
-            carrier.values[key] = chord_value
-        value = value + chord_value * Fraction(c)
-    if check is not None:
-        check(d, value)
-    return value
+    if d.nt > d.nu:
+        canon, sign, zero = d.canonical()
+        return [] if zero else [(canon, sign)]
+    return list(chord_reduce(d))
+
+
+def _cost(x, L):
+    """The planned cost of evaluating one part: a chord diagram's sweep plan
+    (``_plan_rotation``), or for a contracted diagram the size of the
+    largest leg trie, a branch per basis element at each leg."""
+    if x.is_chord_diagram():
+        ends = chord_endpoints(x)
+        return _plan_rotation(ends, 2 * len(ends), len(L.casimir))[1]
+    return sum(L.dim ** k for k in range(1, x.nu + 1))
 
 
 def sweep_cost(d, L):
     """The largest planned cost of the sweeps that evaluating a skeleton
-    diagram on L runs, one per chord diagram of its STU reduction; no sweep
-    runs."""
-    if d.skel is None:
-        raise DiagramError("weight systems evaluate skeleton diagrams")
-    return max((_plan_rotation(ends, 2 * len(ends), len(L.casimir))[1]
-                for ends in (chord_endpoints(c) for c, _ in chord_reduce(d))), default=0)
+    diagram on L runs; nothing is swept or contracted."""
+    return max((_cost(x, L) for x, _ in _parts(d)), default=0)
+
+
+def _evaluate(d, L, carrier, check=None):
+    """Value of a skeleton diagram, or a LinComb of them, on L's carrier.
+
+    Part values come from ``carrier.values`` or are computed fresh, after
+    every part still to compute is planned within ``EVAL_SWEEP_LIMIT``;
+    ``check(diagram, value)`` runs on the value of every diagram.
+    """
+    terms = d if isinstance(d, LinComb) else [(d, 1)]
+    parts = [(diag, c, [(x.canonical_key(), x, cx) for x, cx in _parts(diag)])
+             for diag, c in terms]
+    for _, _, ps in parts:
+        for key, x, _ in ps:
+            if key not in carrier.values:
+                cost = _cost(x, L)
+                if cost > EVAL_SWEEP_LIMIT:
+                    raise CostBoundError(f"a sweep of this diagram on {L.name} plans cost {cost}, "
+                                         f"above the eval bound {EVAL_SWEEP_LIMIT}")
+    values = []
+    for diag, _, ps in parts:
+        value = carrier.zero
+        for key, x, cx in ps:
+            part = carrier.values.get(key)
+            if part is None:
+                if x.is_chord_diagram():
+                    part = sweep_chords(carrier, chord_endpoints(x))
+                else:
+                    part = sweep_legs(carrier, leg_tensor(carrier, x), x.degree)
+                carrier.values[key] = part
+            value = value + part * Fraction(cx)
+        if check is not None:
+            check(diag, value)
+        values.append(value)
+    if not isinstance(d, LinComb):
+        return values[0]
+    total = carrier.zero
+    for (_, c, _), value in zip(parts, values):
+        total = total + value * Fraction(c)
+    return total
 
 
 def eval_verma(d, L, lambda0):
@@ -455,7 +780,7 @@ def eval_verma(d, L, lambda0):
     key = (L.name, tuple(lambda0))
     if key not in _CARRIERS:
         _CARRIERS[key] = VermaCarrier(L, lambda0)
-    return _chord_sum(d, _CARRIERS[key], check=_assert_degree_bound)
+    return _evaluate(d, L, _CARRIERS[key], check=_assert_degree_bound)
 
 
 def _assert_degree_bound(d, value):
@@ -477,7 +802,7 @@ def eval_state_sum(d, L):
     key = (L.name, "adjoint")
     if key not in _CARRIERS:
         _CARRIERS[key] = EndoCarrier(L)
-    return _chord_sum(d, _CARRIERS[key])
+    return _evaluate(d, L, _CARRIERS[key])
 
 
 def adjoint_weight(L):

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from weightsys import asymptotics, characters, evaluation
 from weightsys.cli import EVAL_SWEEP_LIMIT, main
-from weightsys.diagrams import chord_diagram_from_word, empty_circle, wheel_on_circle
+from weightsys.diagrams import (chi_bar, chord_diagram_from_word, empty_circle, insert_at_vertex,
+                                triangle, wheel, wheel_on_circle)
 from weightsys.superalgebras import d21
 
 
@@ -189,6 +190,21 @@ def test_eval_sweep_cost_bound(tmp_path, capsys):
     assert code == 0 and json.loads(out)["value"]
     # the glued 4-wheel peaks at 20,264 over its chord diagrams
     assert evaluation.sweep_cost(wheel_on_circle(4), d21()) == 20264 < EVAL_SWEEP_LIMIT
+    assert EVAL_SWEEP_LIMIT is evaluation.EVAL_SWEEP_LIMIT
+
+
+def test_sweep_cost_plans_a_contraction_by_its_leg_trie(monkeypatch):
+    # a diagram with more trivalent vertices than legs is contracted: its
+    # plan is the leg trie, one branch per basis element at each of its
+    # four legs, found with no STU reduction
+    (tri, c), = list(insert_at_vertex(wheel(4), 0, triangle()))
+    glued = next(iter(chi_bar(tri, c)))[0]
+
+    def refuse(*args):
+        raise AssertionError("STU ran")
+
+    monkeypatch.setattr(evaluation, "chord_reduce", refuse)
+    assert evaluation.sweep_cost(glued, d21()) == 17 + 17 ** 2 + 17 ** 3 + 17 ** 4 == 88740
 
 
 def test_alpha_guard(capsys):

@@ -7,12 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weightsys.diagrams import (
+    Diagram,
     LinComb,
     all_chord_diagrams,
     chi_bar,
     chord_diagram_from_word,
+    chord_reduce,
     empty_circle,
+    enumerate_connected,
     insert_at_vertex,
+    ladder,
     stu_eligible_legs,
     stu_expand,
     triangle,
@@ -29,8 +33,10 @@ from weightsys.evaluation import (
     eval_state_sum,
     eval_verma,
     exact_ratio,
+    leg_tensor,
     ratio_character,
     sweep_chords,
+    sweep_legs,
 )
 from weightsys.scalars import MultiPoly
 from weightsys.superalgebras import corrupt, d21, sl2, validate
@@ -341,10 +347,118 @@ def test_adjoint_carrier_works_on_integers(L, D2, D_sym):
                      for i, v in A.bracket(x, j).items())
         dw, = ratios((lw, w) for (_, _, lw, _), (_, _, w) in zip(carrier.terms, A.casimir))
         assert da.denominator == dw.denominator == 1 and da > 0 and dw > 0
-        assert carrier.chord_scale == da * da * dw
-    assert EndoCarrier(L).chord_scale == 2  # sl2: integer ad maps, a weight 1/2
+        assert carrier.degree_scale == da * da * dw
+    assert EndoCarrier(L).degree_scale == 2  # sl2: integer ad maps, a weight 1/2
 
 
 def test_statesum_cost_guard(D2):
     with pytest.raises(evaluation.CostBoundError):
         eval_state_sum(wheel_on_circle(8), D2)
+
+
+def two_method_corpus():
+    """(name, LinComb) of skeleton diagrams: every connected diagram of
+    degree 1 to 4 with 2 or 4 legs, glued in two leg orders; the glued and
+    the symmetrized 4-wheel; the triangle and ladder(2) inserted into the
+    2- and 4-wheels, symmetrized."""
+    out = []
+    for deg in range(1, 5):
+        for legs in (2, 4):
+            for b in enumerate_connected(deg, legs):
+                first, *rest = range(b.nt, b.nt + b.nu)
+                for order in (rest, rest[::-1]):
+                    glued = Diagram(b.nt, b.nu, b.pairing, skel=(first, *order))
+                    out.append((f"connected {glued.to_text()}", LinComb.of(glued)))
+    out += [("wheel_on_circle(4)", LinComb.of(wheel_on_circle(4))),
+            ("chi_bar(wheel(4))", chi_bar(wheel(4)))]
+    for piece in (triangle(), ladder(2)):
+        for k in (2, 4):
+            (diag, c), = list(insert_at_vertex(wheel(k), 0, piece))
+            out.append((f"{piece.name} in wheel({k})", chi_bar(diag, c)))
+    return out
+
+
+TWO_METHOD_CORPUS = two_method_corpus()
+D21_DEGREE_4 = ("ladder(2) in wheel(2)", "wheel_on_circle(4)")
+
+
+@pytest.mark.parametrize("alpha", [None, Fraction(2), Fraction(1, 3), "symbolic"])
+def test_contraction_agrees_with_stu(alpha):
+    # the two evaluations of a skeleton diagram, called directly: the leg
+    # tensor swept along the circle, and the chord diagrams of the STU
+    # reduction swept one by one (through eval_*, which memoizes them).
+    # D(2,1,alpha) takes the diagrams of degree at most 3, and the ladder in
+    # the 2-wheel and the glued 4-wheel with their Verma values only:
+    # contraction costs 0.1-0.5 s for each other one there, and STU seconds
+    # to a minute for the inserted 4-wheels.  The goldens pin those values,
+    # and chi_bar(wheel(4))'s, from STU.  The weights are the Verma
+    # golden's, so the chord values are swept once for both.
+    L = sl2() if alpha is None else d21(None if alpha == "symbolic" else alpha)
+    weight = {None: (2,), Fraction(2): adjoint_weight(L)}.get(alpha, (3, 1, 1))
+    verma, adjoint = VermaCarrier(L, weight), EndoCarrier(L)
+    nonzero = 0
+    for name, d in TWO_METHOD_CORPUS:
+        large = any(x.degree > 3 for x, _ in d)
+        if L.dim > 3 and large and name not in D21_DEGREE_4:
+            continue
+        reduced = chord_reduce(d)
+        methods = [(verma, eval_verma(reduced, L, weight))]
+        if not large or L.dim == 3:
+            methods.append((adjoint, eval_state_sum(reduced, L)))
+        for carrier, want in methods:
+            got = carrier.zero
+            for x, c in d:
+                got = got + sweep_legs(carrier, leg_tensor(carrier, x), x.degree) * Fraction(c)
+            assert got == want, name
+            nonzero += bool(want) and any(x.nt for x, _ in d)
+    # most values vanish on D(2,1,alpha), where the adjoint Casimir is 0
+    assert nonzero >= (60 if alpha is None else 1)
+
+
+def test_more_vertices_than_legs_is_contracted_the_rest_reduced(L, monkeypatch):
+    # the only dispatch: a skeleton diagram with more trivalent vertices than
+    # legs is contracted, any other one goes through STU and the chord sweep
+    (tri, c), = list(insert_at_vertex(wheel(2), 0, triangle()))
+    glued = next(iter(chi_bar(tri, c)))[0]
+    assert glued.nt > glued.nu
+    monkeypatch.setattr(evaluation, "_CARRIERS", {})
+
+    def refuse(*args):
+        raise AssertionError("the other path ran")
+
+    with monkeypatch.context() as m:
+        m.setattr(evaluation, "chord_reduce", refuse)
+        contracted = eval_verma(glued, L, (2,))
+    assert contracted == eval_verma(chord_reduce(glued), L, (2,))
+    with monkeypatch.context() as m:
+        m.setattr(evaluation, "leg_tensor", refuse)
+        assert eval_verma(wheel_on_circle(4), L, (2,))
+
+
+def test_the_library_bounds_the_sweep_before_sweeping(monkeypatch):
+    # six pairwise crossing chords plan 51,292,332 on D(2,1,alpha), and a
+    # leg trie over six legs 17 + 17^2 + ... + 17^6: both evaluations refuse
+    # them before any sweep, unless the value is already known
+    monkeypatch.setattr(evaluation, "_CARRIERS", {})
+
+    def refuse(*args):
+        raise AssertionError("swept")
+
+    monkeypatch.setattr(evaluation, "sweep_chords", refuse)
+    monkeypatch.setattr(evaluation, "leg_tensor", refuse)
+    D = d21()
+    cross6 = chord_diagram_from_word([(i, i + 6) for i in range(6)], 12)
+    for evaluate in (lambda d: eval_verma(d, D, (3, 1, 1)), lambda d: eval_state_sum(d, D)):
+        with pytest.raises(evaluation.CostBoundError, match="plans cost 51292332"):
+            evaluate(cross6)
+        with pytest.raises(evaluation.CostBoundError, match="plans cost 51292332"):
+            evaluate(LinComb.of(chord_diagram_from_word([(2 * i, 2 * i + 1) for i in range(6)], 12))
+                     + LinComb.of(cross6))
+    (big, c), = list(insert_at_vertex(wheel(6), 0, triangle()))
+    big = Diagram(big.nt, big.nu, big.pairing, skel=range(big.nt, big.nt + big.nu))
+    assert big.nt > big.nu == 6
+    with pytest.raises(evaluation.CostBoundError, match=f"plans cost {sum(17 ** k for k in range(1, 7))}"):
+        eval_verma(big, D, (3, 1, 1))
+    carrier = evaluation._CARRIERS[(D.name, (3, 1, 1))]
+    carrier.values[cross6.canonical_key()] = carrier.zero
+    assert eval_verma(cross6, D, (3, 1, 1)).is_zero()
