@@ -15,6 +15,12 @@ builds every pairing from a list of dart pairs, and ``_cut`` does every
 renumbering after vertices are removed: kept vertices keep their relative
 order and fresh vertices take the labels after them.
 
+Every diagram is validated when built, those from STU and the generators
+included; only the canonical form ``_canonicalize`` reads back from a
+validated diagram skips it.  ``_validate`` checks the pairing, the
+skeleton and the vertex count, then walks the vertices once for
+connectivity, starting from every skeleton leg at once.
+
 Canonical forms: the minimal rooted-traversal encoding over all choices of
 root dart and per-vertex orientation (reversing a cyclic order flips the
 sign, so ``Diagram.canonical`` returns a sign along with the
@@ -88,27 +94,18 @@ class Diagram:
         base = 3 * (d // 3)
         return base + (d - base + 1) % 3
 
-    def skel_next(self):
-        """Map univalent vertex -> successor around the skeleton."""
-        if self.skel is None:
-            return {}
-        n = len(self.skel)
-        return {self.skel[i]: self.skel[(i + 1) % n] for i in range(n)}
-
     def is_chord_diagram(self):
         return self.skel is not None and self.nt == 0
 
     def _validate(self):
-        nd = self.n_darts
-        if len(self.pairing) != nd:
+        nd, pairing = self.n_darts, self.pairing
+        if len(pairing) != nd:
             raise DiagramError("pairing length mismatch")
-        for d in range(nd):
-            p = self.pairing[d]
-            if not (0 <= p < nd) or self.pairing[p] != d or p == d:
+        for d, p in enumerate(pairing):
+            if not (0 <= p < nd) or pairing[p] != d or p == d:
                 raise DiagramError(f"pairing is not a fixed-point-free involution at dart {d}")
         if self.skel is not None:
-            univ = set(range(self.nt, self.nt + self.nu))
-            if sorted(self.skel) != sorted(univ):
+            if sorted(self.skel) != list(range(self.nt, self.nt + self.nu)):
                 raise DiagramError("skeleton must list every univalent vertex exactly once")
         if self.n_vertices % 2 != 0:
             raise DiagramError("vertex count must be even")
@@ -116,22 +113,25 @@ class Diagram:
             raise DiagramError("diagram must be connected (through the skeleton if present)")
 
     def _connected(self):
-        skn = self.skel_next()
-        seen = {0}
-        stack = [0]
+        """Whether edges, and the skeleton if present, join every vertex.
+
+        The walk runs over vertices.  The skeleton joins all legs, which
+        ``_validate`` has checked it lists, so every leg starts the walk."""
+        nt, nt3, pairing = self.nt, 3 * self.nt, self.pairing
+        stack = list(self.skel) if self.skel else [0]
+        seen = bytearray(self.n_vertices)
+        for v in stack:
+            seen[v] = 1
+        reached = len(stack)
         while stack:
-            d = stack.pop()
-            for nxt in (self.pairing[d], self.sigma(d)):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-            v = self.dart_vertex(d)
-            if v in skn:
-                nd = self.vertex_darts(skn[v])[0]
-                if nd not in seen:
-                    seen.add(nd)
-                    stack.append(nd)
-        return len(seen) == self.n_darts
+            v = stack.pop()
+            for p in pairing[3 * v:3 * v + 3] if v < nt else (pairing[v + 2 * nt],):
+                w = p // 3 if p < nt3 else p - 2 * nt
+                if not seen[w]:
+                    seen[w] = 1
+                    reached += 1
+                    stack.append(w)
+        return reached == len(seen)
 
     # -- canonicalization -----------------------------------------------------
 
@@ -921,20 +921,36 @@ def chord_diagram_from_word(pairs, n):
 
 
 def all_chord_diagrams(m):
-    """Canonical chord diagrams with m chords."""
-    return _classes(chord_diagram_from_word(pairs, 2 * m)
-                    for pairs in _pairings(list(range(2 * m))))
+    """Canonical chord diagrams with m chords.
+
+    Rotating the circle keeps the diagram, so a rotation that takes one end
+    of a shortest chord to 0 and its other end forward to g <= m reaches
+    every class: only the pairings with chord (0, g) and every other chord
+    at least g long around the circle are built, 1,456 rather than 10,395
+    at m = 6.
+    """
+    n = 2 * m
+    if not m:
+        return _classes([chord_diagram_from_word([], 0)])
+    return _classes(chord_diagram_from_word([(0, g), *pairs], n)
+                    for g in range(1, m + 1)
+                    for pairs in _pairings([i for i in range(1, n) if i != g],
+                                           range(g, n - g + 1)))
 
 
-def _pairings(items):
+def _pairings(items, span=None):
+    """Every matching of the increasing list ``items`` into pairs (a, b),
+    a < b; with ``span``, only pairs whose b - a lies in it."""
     if not items:
         yield []
         return
     a = items[0]
     for i in range(1, len(items)):
         b = items[i]
+        if span is not None and b - a not in span:
+            continue
         rest = items[1:i] + items[i + 1:]
-        for tail in _pairings(rest):
+        for tail in _pairings(rest, span):
             yield [(a, b)] + tail
 
 
@@ -943,14 +959,19 @@ def one_vertex_diagrams(m):
     plus m-2 chords), canonical set.
 
     Rotating the circle keeps the diagram, and the tripod's three legs keep
-    their cyclic order when their positions are sorted again, so a tripod
-    at (0, a, b) with 0 < a < b reaches every class: C(2m-2, 2) tripod
-    positions rather than C(2m-1, 3).
+    their cyclic order when their positions are sorted again.  Taking
+    another leg to 0 turns the gaps (a, b - a, n - b) of a tripod at
+    (0, a, b) cyclically, so the tripods whose gap triple is least among
+    its three turns reach every class: about a third of the C(2m-2, 2)
+    positions (0, a, b), rather than C(2m-1, 3).
     """
     n = 2 * m - 1  # skeleton vertices
 
     def diagrams():
         for a, b in itertools.combinations(range(1, n), 2):
+            gaps = (a, b - a, n - b)
+            if gaps > gaps[1:] + gaps[:1] or gaps > gaps[2:] + gaps[:2]:
+                continue
             tripod_pos = (0, a, b)
             rest = [i for i in range(n) if i not in tripod_pos]
             for pairs in _pairings(rest):
@@ -963,8 +984,8 @@ def one_vertex_diagrams(m):
 
 def dim_A_by_stu(m):
     """dim of the degree-m circle space: chord classes modulo the relations
-    induced by resolving one-internal-vertex diagrams along their (up to
-    three) eligible edges in all ways."""
+    induced by resolving one-internal-vertex diagrams along each of their
+    three legs in turn."""
     from .scalars import matrix_rank
 
     if m < 0:
@@ -973,16 +994,11 @@ def dim_A_by_stu(m):
     index = {c._encoding(): i for i, c in enumerate(classes)}
     rows = []
     for diag in one_vertex_diagrams(m):
-        legs = stu_eligible_legs(diag)
-        expansions = []
-        for u in legs:
-            exp = LinComb()
-            for term, coeff in stu_expand(diag, u):
-                exp.add_comb(chord_reduce(term), coeff)
-            expansions.append(exp)
-        for e1, e2 in itertools.combinations(expansions, 2):
-            rel = e1 - e2
-            row = {index[t._encoding()]: c for t, c in rel}
+        # resolving the one vertex leaves chord diagrams, and the relations
+        # against the first resolution span those between any two
+        first, *others = (stu_expand(diag, u) for u in stu_eligible_legs(diag))
+        for exp in others:
+            row = {index[t._encoding()]: c for t, c in first - exp}
             if row:
                 rows.append(row)
     rank = matrix_rank(rows)
@@ -993,13 +1009,17 @@ def dim_A_by_stu(m):
 
 
 def _word_canonical(pairs, n):
-    """Rotation-minimal encoding of a chord pairing on n circle points."""
-    best = None
-    for r in range(n):
-        code = tuple(sorted(tuple(sorted(((a - r) % n, (b - r) % n))) for a, b in pairs))
-        if best is None or code < best:
-            best = code
-    return best
+    """Rotation-minimal encoding of a chord pairing on n circle points.
+
+    Entry i of the gap word is how far point i's partner lies ahead of it,
+    (partner - i) % n.  The gap word fixes the pairing, and rotating the
+    pairing rotates the word, so the least of the word's n rotations names
+    the class."""
+    gaps = [0] * n
+    for a, b in pairs:
+        gaps[a], gaps[b] = (b - a) % n, (a - b) % n
+    twice = tuple(gaps) * 2
+    return min((twice[r:r + n] for r in range(n)), default=())
 
 
 def dim_A_by_four_term(m):

@@ -17,6 +17,7 @@ from weightsys.diagrams import (
     _from_edges,
     _pairings,
     _word_canonical,
+    all_chord_diagrams,
     chi_bar,
     chord_diagram_from_word,
     chord_endpoints,
@@ -407,3 +408,39 @@ def test_oracles_reject_a_negative_degree():
         assert oracle(0) == 1
         with pytest.raises(ValueError, match="degree must be at least 0"):
             oracle(-1)
+
+
+def test_every_class_has_a_rotation_with_a_shortest_chord_at_zero():
+    # the classes, in order, of every pairing of the 2m circle points
+    for m in range(7):
+        full = _classes(chord_diagram_from_word(pairs, 2 * m)
+                        for pairs in _pairings(list(range(2 * m))))
+        assert ([c._encoding() for c in all_chord_diagrams(m)]
+                == [c._encoding() for c in full])
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0, 2, (1,), (0, 1)), "pairing length mismatch"),
+    ((0, 4, (1, 0, 2, 3), (0, 1, 2, 3)), "involution at dart 2"),
+    ((0, 4, (1, 2, 3, 0), (0, 1, 2, 3)), "involution at dart 0"),
+    ((0, 4, (1, 0, 4, 2), (0, 1, 2, 3)), "involution at dart 2"),
+    ((0, 4, (1, 0, 3, 2), (0, 1, 2)), "every univalent vertex exactly once"),
+    ((0, 4, (1, 0, 3, 2), (0, 1, 2, 2)), "every univalent vertex exactly once"),
+    # an odd vertex count is an odd dart count (3nt + nu and nt + nu have one
+    # parity), which no involution pairs: the pairing check fires first
+    ((1, 2, (3, 4, 2, 0, 1), (1, 2)), "involution at dart 2"),
+    # two chords with no skeleton: two components
+    ((0, 4, (1, 0, 3, 2)), "must be connected"),
+    # a chord on the circle and a detached theta (vertices 0 and 1)
+    ((2, 2, (3, 4, 5, 0, 1, 2, 7, 6), (2, 3)), "must be connected"),
+])
+def test_validate_names_what_is_wrong(args, message):
+    with pytest.raises(DiagramError, match=message):
+        Diagram(*args)
+
+
+def test_a_diagram_may_be_connected_only_through_its_skeleton():
+    # two chords side by side, and a theta on two legs beside a chord
+    Diagram(0, 4, (1, 0, 3, 2), (0, 1, 2, 3))
+    theta_legs = ((0, 6), (1, 4), (2, 5), (3, 7), (8, 9))
+    _from_edges(2, 4, theta_legs, (2, 3, 4, 5))

@@ -27,6 +27,7 @@ KEEP = {
     "empty_circle": "diagram generator",
     "corrupt": "the negative control of validate",
     "from_elementary": "the inverse map in the symmetric-function round trips",
+    "sweep_cost": "the eval cost-bound tests, which read a plan without running it",
 }
 
 
