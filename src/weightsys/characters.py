@@ -389,7 +389,6 @@ def build_D_element(k, q_spec="1", families=None, full=False):
             "vanishing_table": table,
             "ok": character_ok,
         },
-        "diagram_level": _diagram_level(k, d),
     }
     if sun_report is not None:
         bundle["wheel_side"] = sun_report
@@ -412,42 +411,4 @@ def build_D_element(k, q_spec="1", families=None, full=False):
         excluded.update(r for r, _ in sun_report["excluded_rational_alpha"])
     bundle["excluded_alpha_values"] = sorted(excluded, key=lambda s: Fraction(s))
     return bundle
-
-
-DIAGRAM_LEVEL_LIMIT = 40  # total trivalent vertices the realization may carry
-
-
-def _diagram_level(k, d):
-    """Caterpillar realization of a representative insertion monomial of
-    degree d acting on the k-wheel, with degree and leg count asserted.
-
-    The monomial t^(d-12) x3 x9 is used for d >= 13 (the shape of the worked
-    degree-21 example); the realization depends on the shipped piece
-    conventions and is labelled as such.  Oversized requests report the
-    bound instead of a diagram.
-    """
-    from .diagrams import insert_at_vertex, ladder, triangle, wheel
-
-    if d < 13:
-        return {"skipped": f"no representative monomial shipped for d = {d}"}
-    pieces = [ladder(9), ladder(3)] + [triangle()] * (d - 12)
-    nt = 2 * (k + d) - k
-    if nt > DIAGRAM_LEVEL_LIMIT:
-        return {"skipped": f"realization needs {nt} trivalent vertices, "
-                           f"bound is {DIAGRAM_LEVEL_LIMIT}"}
-    diag = wheel(k)
-    sign = 1
-    for piece in pieces:
-        (diag, c), = list(insert_at_vertex(diag, 0, piece))
-        sign *= c
-    assert diag.degree == k + d and diag.legs == k
-    return {
-        "monomial": f"t^{d - 12} x3 x9",
-        "degree": k + d,
-        "legs": k,
-        "sign_under_conventions": sign,
-        "canonical_serialization": diag.canonical()[0].to_text(),
-        "note": "representative realization; depends on the shipped "
-                "insertion-piece conventions",
-    }
 
