@@ -264,15 +264,15 @@ def main(argv=None):
     handler = {"validate": cmd_validate, "leading": cmd_leading,
                "certify": cmd_certify, "eval": cmd_eval}[args.command]
     # values are printed exactly, however many digits they have
-    lift = getattr(sys, "set_int_max_str_digits", None)
-    if lift:
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_digits:
         limit = sys.get_int_max_str_digits()
-        lift(0)
+        set_digits(0)
     try:
         return handler(args)
     finally:
-        if lift:
-            lift(limit)
+        if set_digits:
+            set_digits(limit)
         if args.out is not None:
             args.out.close()
 

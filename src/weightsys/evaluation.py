@@ -42,16 +42,14 @@ diagram or canonical contracted diagram; one carrier per (algebra, weight)
 or algebra is kept for the process.  The two carriers are independent:
 
 - the Verma module of highest weight n*lambda0: PBW monomial states with
-  coefficients in Q[n] or Q[n, alpha], held as ``_IntPoly`` values (int
-  numerators over one int denominator, each monomial packed into one int),
-  so the sweep does no Fraction arithmetic; ``extract`` converts the final
-  coefficient to a MultiPoly, the type every caller sees;
+  MultiPoly coefficients in Q[n] or Q[n, alpha], whose packed int storage
+  keeps Fraction arithmetic out of the sweep;
 - the adjoint representation: basis-vector states on ints, or on
-  ``_IntPoly`` values in Q[alpha] for symbolic D(2,1,alpha).  The ad maps
-  (the bracket table) and the Casimir weights are scaled to integers once,
-  so the sweep accumulates the full endomorphism times a known power of
-  the scale; ``extract`` Schur-checks it to be an exact scalar and divides
-  that power out, handing out a Fraction, or a MultiPoly in alpha.
+  MultiPolys in Q[alpha] for symbolic D(2,1,alpha).  The ad maps (the
+  bracket table) and the Casimir weights are scaled to integers once, so
+  the sweep accumulates the full endomorphism times a known power of the
+  scale; ``extract`` Schur-checks it to be an exact scalar and divides that
+  power out, handing out a Fraction, or a MultiPoly in alpha.
 """
 
 from __future__ import annotations
@@ -81,96 +79,15 @@ def adjoint_rep(L):
     return [[L.bracket(x, j) for j in range(L.dim)] for x in range(L.dim)]
 
 
-_FIELD = 32  # bits of one variable's exponent in a packed monomial
-_MASK = (1 << _FIELD) - 1
-
-
-class _IntPoly:
-    """A polynomial with rational coefficients as int numerators over one
-    positive int denominator, for the Verma sweep's inner loop.
-
-    ``terms`` maps a packed monomial -- the exponent of the i-th variable in
-    bits [32 i, 32 i + 32) of one int, so a monomial product is one int
-    addition -- to a nonzero int numerator.  ``den`` is coprime to the
-    numerators (1 for zero), so one value has one representation.
-    """
-
-    __slots__ = ("terms", "den")
-
-    def __init__(self, terms, den):
-        """``terms`` (nonzero numerators) is taken over; ``den`` is reduced."""
-        if den != 1:
-            g = math.gcd(den, *terms.values())
-            if g != 1:
-                terms = {k: c // g for k, c in terms.items()}
-                den //= g
-        self.terms = terms
-        self.den = den
-
-    @classmethod
-    def lift(cls, poly):
-        """The value of a MultiPoly, packed by the position of its variables."""
-        den = math.lcm(*(c.denominator for c in poly.terms.values()))
-        return cls({sum(e << (_FIELD * i) for i, e in enumerate(expo)):
-                    c.numerator * (den // c.denominator) for expo, c in poly.terms.items()}, den)
-
-    def to_poly(self, vars):
-        """The MultiPoly in ``vars``, read by position."""
-        return MultiPoly(vars, {tuple((k >> (_FIELD * i)) & _MASK for i in range(len(vars))):
-                                Fraction(c, self.den) for k, c in self.terms.items()})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __neg__(self):
-        return _IntPoly({k: -c for k, c in self.terms.items()}, self.den)
-
-    def __add__(self, other):
-        da, db = self.den, other.den
-        if da == db:
-            out = dict(self.terms)
-            for k, c in other.terms.items():
-                out[k] = out.get(k, 0) + c
-        else:
-            g = math.gcd(da, db)
-            fa, fb = db // g, da // g
-            out = {k: c * fa for k, c in self.terms.items()}
-            for k, c in other.terms.items():
-                out[k] = out.get(k, 0) + c * fb
-            da *= fa
-        if not all(out.values()):
-            out = {k: c for k, c in out.items() if c}
-        return _IntPoly(out, da)
-
-    def __mul__(self, other):
-        a, b = self.terms, other.terms
-        if len(b) > len(a):
-            a, b = b, a
-        if len(b) == 1:
-            # no two products share a monomial, and ints have no zero divisors
-            (kb, cb), = b.items()
-            out = {k + kb: c * cb for k, c in a.items()}
-        else:
-            out = {}
-            get = out.get
-            for kb, cb in b.items():
-                for ka, ca in a.items():
-                    k = ka + kb
-                    out[k] = get(k, 0) + ca * cb
-            if not all(out.values()):
-                out = {k: c for k, c in out.items() if c}
-        return _IntPoly(out, self.den * other.den)
-
-
 class VermaCarrier:
     """PBW states of the Verma module of highest weight n * lambda0.
 
     Monomials are exponent tuples over the lowering operators in PBW order;
     odd exponents stay in {0, 1} (an odd square rewrites through [x,x]/2).
-    Coefficients are ``_IntPoly`` values in Q[n] or Q[n, alpha]: the bracket
-    table, the Casimir terms, lambda and 1/2 are lifted there once, here, so
-    the sweep multiplies ints only.  ``extract`` hands the chord diagram's
-    value out as a MultiPoly in the ring.
+    Coefficients are MultiPolys in the ring Q[n] or Q[n, alpha]: the bracket
+    table, the Casimir terms, lambda and 1/2 are put in the ring's variables
+    once, here, so every product in the sweep takes MultiPoly's path for
+    equal variables.  ``extract`` hands out the final coefficient.
     """
 
     def __init__(self, L, lambda0):
@@ -179,20 +96,15 @@ class VermaCarrier:
         self.neg = rd.negative_order
         self.neg_index = {b: i for i, b in enumerate(self.neg)}
         self.cartan_index = {h: i for i, h in enumerate(rd.cartan)}
-        self.ring = ("n", "alpha") if L.symbolic else ("n",)
-        self.zero = MultiPoly.zero(self.ring)
-
-        def lift(c):
-            # adding a scalar to the ring's zero puts it in the ring's variables
-            return _IntPoly.lift(self.zero + c)
-
-        self.one = lift(1)
-        self.half = lift(Fraction(1, 2))
-        self.bracket = {key: {k: lift(c) for k, c in row.items()}
+        zero = self.zero = MultiPoly.zero(("n", "alpha") if L.symbolic else ("n",))
+        # adding a scalar to the ring's zero puts it in the ring's variables
+        self.one = zero + 1
+        self.half = zero + Fraction(1, 2)
+        self.bracket = {key: {k: zero + c for k, c in row.items()}
                         for key, row in L.bracket_table.items()}
-        self.terms = [(x, y, lift(w), L.parity[x]) for x, y, w in L.casimir]
+        self.terms = [(x, y, zero + w, L.parity[x]) for x, y, w in L.casimir]
         n = MultiPoly.variable("n")
-        self.lam = {h: lift(n * lambda0[i]) for h, i in self.cartan_index.items()}
+        self.lam = {h: zero + n * lambda0[i] for h, i in self.cartan_index.items()}
         self.zero_mono = (0,) * len(self.neg)
         self._memo = {}
         self.values = {}
@@ -201,8 +113,7 @@ class VermaCarrier:
         return {self.zero_mono: self.one}
 
     def extract(self, vec, degree):
-        value = vec.get(self.zero_mono)
-        return self.zero if value is None else value.to_poly(self.ring)
+        return vec.get(self.zero_mono, self.zero)
 
     def act(self, x, mono):
         """x . (mono v_lambda) as a normal-ordered state, memoized."""
@@ -270,11 +181,11 @@ class VermaCarrier:
 
 class EndoCarrier:
     """States (input column, basis index) of the adjoint representation, on
-    ints, or on ``_IntPoly`` values in Q[alpha] for symbolic D(2,1,alpha).
+    ints, or on MultiPolys in Q[alpha] for symbolic D(2,1,alpha).
 
     The ad columns, which are the bracket table, are scaled by ``da``, the
     lcm of their denominators, and the Casimir weights by ``dw``, so every
-    entry lifts to an integer (polynomial) once, here.  A diagram of degree
+    entry becomes an integer (polynomial) once, here.  A diagram of degree
     m has 2m trivalent vertices and legs, each applying the bracket or an ad
     map once, and m Casimir edges, so its final state is the full
     endomorphism times ``(da**2 * dw)**m``; ``extract`` Schur-checks it and
@@ -284,27 +195,21 @@ class EndoCarrier:
     def __init__(self, L):
         columns = adjoint_rep(L)
         if L.symbolic:
-            self.ring = ("alpha",)
-            self.zero = MultiPoly.zero(self.ring)
-
-            def den(v):
-                return math.lcm(*(c.denominator for c in v.terms.values()))
-
-            def lift(v):
-                return _IntPoly.lift(self.zero + v)
+            # adding a scalar to the ring's zero puts it in Q[alpha]
+            self.zero = MultiPoly.zero(("alpha",))
+            scaled, den = self.zero.__add__, (lambda v: (self.zero + v).den)
         else:
-            self.ring = None
             self.zero = Fraction(0)
-            den, lift = (lambda v: v.denominator), int
+            scaled, den = int, (lambda v: v.denominator)
         da = math.lcm(*(den(v) for row in columns for col in row for v in col.values()))
         dw = math.lcm(*(den(w) for _, _, w in L.casimir))
-        self.columns = [[{i: lift(v * da) for i, v in col.items()} for col in row]
+        self.columns = [[{i: scaled(v * da) for i, v in col.items()} for col in row]
                         for row in columns]
         self.bracket = {(x, j): col for x, row in enumerate(self.columns)
                         for j, col in enumerate(row) if col}
-        self.terms = [(x, y, lift(w * dw), L.parity[x]) for x, y, w in L.casimir]
+        self.terms = [(x, y, scaled(w * dw), L.parity[x]) for x, y, w in L.casimir]
         self.degree_scale = da * da * dw
-        self.one = lift(1)
+        self.one = scaled(1)
         self.dim = L.dim
         self.values = {}
 
@@ -318,16 +223,11 @@ class EndoCarrier:
         for col, idx in endo:
             if col != idx:
                 raise SchurCheckError(f"off-diagonal entry at {(col, idx)}")
-        symbolic = self.ring is not None
-        diagonal = [endo.get((j, j)) for j in range(self.dim)]
-        entries = [(v.terms if v else {}) if symbolic else (v or 0) for v in diagonal]
-        for j, e in enumerate(entries):
-            if e != entries[0]:
+        diagonal = [endo.get((j, j), self.zero) for j in range(self.dim)]
+        for j, e in enumerate(diagonal):
+            if e != diagonal[0]:
                 raise SchurCheckError(f"diagonal mismatch at column {j}")
-        unit = self.degree_scale ** degree
-        if symbolic:
-            return _IntPoly(dict(entries[0]), unit).to_poly(self.ring)
-        return Fraction(entries[0], unit)
+        return diagonal[0] * Fraction(1, self.degree_scale ** degree)
 
     def apply(self, x, vec, scale=None):
         out = {}

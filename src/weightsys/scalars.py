@@ -4,7 +4,11 @@ Rationals are ``fractions.Fraction`` (arbitrary precision, always reduced,
 positive denominator -- exactly the invariants we need, so we use the
 stdlib type directly).  On top of that sit sparse multivariate polynomials
 (:class:`MultiPoly`) and fractions of those (:class:`RationalFunction`).
-Every operation is exact; floating point never appears.
+A MultiPoly packs each monomial into one int and keeps int numerators over
+one reduced denominator, so its arithmetic runs on Python ints, and the
+evaluation sweep uses it as it is; ``terms`` reads it back as exponent
+tuples and Fractions.  Every operation is exact; floating point never
+appears.
 
 The linear algebra works over any field whose elements support +, -, *, /
 and truthiness (Fraction and RationalFunction both qualify).  One
@@ -39,89 +43,122 @@ def _as_fraction(c):
     raise TypeError(f"not a rational constant: {c!r}")
 
 
+_BITS = 32  # bits of one variable's exponent in a packed monomial
+_EXPONENT_MASK = (1 << _BITS) - 1
+
+
+def _exponents(key, nv):
+    """The exponent tuple of a packed monomial in nv variables."""
+    return tuple((key >> (_BITS * i)) & _EXPONENT_MASK for i in range(nv))
+
+
+def _poly(vars, nums, den):
+    """The MultiPoly with nonzero int numerators ``nums`` (taken over) by
+    packed monomial over the positive int ``den``, reduced to lowest terms."""
+    if den != 1:
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            nums = {k: c // g for k, c in nums.items()}
+            den //= g
+    p = object.__new__(MultiPoly)
+    p.vars = vars
+    p.nums = nums
+    p.den = den
+    return p
+
+
 class MultiPoly:
     """Sparse polynomial over Q in an ordered tuple of named variables.
 
-    ``terms`` maps exponent tuples (one entry per variable) to nonzero
-    Fractions.  The zero polynomial has an empty term map.  Instances are
-    treated as immutable; arithmetic aligns variable sets automatically.
+    A monomial is packed into one int, the exponent of the i-th variable in
+    bits [32 i, 32 i + 32), so multiplying monomials is one int addition.
+    ``nums`` maps each packed monomial to a nonzero int numerator over one
+    positive int ``den``, coprime to the numerators and 1 for zero, so each
+    value has exactly one representation.  ``terms`` reads the same value
+    as a map from exponent tuples to nonzero Fractions.  Instances are
+    treated as immutable; arithmetic aligns variable sets automatically,
+    and values in one variable tuple, as in the evaluation sweep, skip the
+    alignment at the cost of one comparison.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "nums", "den")
 
     def __init__(self, vars, terms):
+        """The polynomial with coefficient ``terms[e]`` (an int or Fraction)
+        at exponent tuple e, one exponent in 0 .. 2**32 - 1 per variable."""
         vars = tuple(vars)
         nv = len(vars)
-        clean = {}
+        coeffs = {}
         for expo, c in terms.items():
-            expo = tuple(expo)
             if len(expo) != nv:
                 raise ValueError(f"exponent arity {len(expo)} != {nv} variables")
-            c = _as_fraction(c)
-            if c:
-                clean[expo] = c
+            key = 0
+            for i, e in enumerate(expo):
+                if not 0 <= e <= _EXPONENT_MASK:
+                    raise ValueError(f"exponent {e} is outside 0 .. 2**{_BITS} - 1")
+                key |= e << (_BITS * i)
+            coeffs[key] = coeffs.get(key, 0) + _as_fraction(c)
+        coeffs = {k: c for k, c in coeffs.items() if c}
+        den = math.lcm(*(c.denominator for c in coeffs.values()))
         self.vars = vars
-        self.terms = clean
+        self.nums = {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}
+        self.den = den
+
+    @property
+    def terms(self):
+        """{exponent tuple: nonzero Fraction}, built on each read."""
+        nv, den = len(self.vars), self.den
+        return {_exponents(k, nv): Fraction(c, den) for k, c in self.nums.items()}
 
     # -- construction -----------------------------------------------------
 
     @classmethod
     def const(cls, c, vars=()):
         c = _as_fraction(c)
-        if not c:
-            return cls(vars, {})
-        return cls(vars, {(0,) * len(vars): c})
+        return _poly(tuple(vars), {0: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def variable(cls, name):
-        return cls((name,), {(1,): Fraction(1)})
+        return _poly((name,), {1: 1}, 1)
 
     @classmethod
     def zero(cls, vars=()):
-        return cls(vars, {})
+        return _poly(tuple(vars), {}, 1)
 
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self.nums
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     def is_constant(self):
-        return all(all(e == 0 for e in expo) for expo in self.terms)
+        return self.nums.keys() <= {0}
 
     def constant_value(self):
-        if not self.terms:
-            return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"not a constant: {self}")
-        return next(iter(self.terms.values()))
+        return Fraction(self.nums.get(0, 0), self.den)
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        nv = len(self.vars)
+        return max((sum(_exponents(k, nv)) for k in self.nums), default=-1)
 
     def degree_in(self, name):
-        if name not in self.vars:
-            return 0 if self.terms else -1
-        if not self.terms:
+        if not self.nums:
             return -1
-        i = self.vars.index(name)
-        return max(e[i] for e in self.terms)
+        if name not in self.vars:
+            return 0
+        shift = _BITS * self.vars.index(name)
+        return max((k >> shift) & _EXPONENT_MASK for k in self.nums)
 
     def coefficient_in(self, name, power):
         """Coefficient of name**power, a polynomial in the same variables."""
-        i = self.vars.index(name)
-        out = {}
-        for expo, c in self.terms.items():
-            if expo[i] == power:
-                e = list(expo)
-                e[i] = 0
-                out[tuple(e)] = out.get(tuple(e), Fraction(0)) + c
-        return MultiPoly(self.vars, out)
+        shift = _BITS * self.vars.index(name)
+        return _poly(self.vars, {k - (power << shift): c for k, c in self.nums.items()
+                                 if (k >> shift) & _EXPONENT_MASK == power}, self.den)
 
     # -- variable-set plumbing ----------------------------------------------
 
@@ -130,23 +167,19 @@ class MultiPoly:
         vars = tuple(vars)
         if vars == self.vars:
             return self
-        idx = []
-        for v in self.vars:
-            if v not in vars:
-                if self.degree_in(v) > 0:
-                    raise ValueError(f"cannot drop live variable {v}")
-                idx.append(None)
-            else:
-                idx.append(vars.index(v))
-        out = {}
-        for expo, c in self.terms.items():
-            e = [0] * len(vars)
-            for j, p in enumerate(expo):
-                if p:
-                    e[idx[j]] = p
-            key = tuple(e)
-            out[key] = out.get(key, Fraction(0)) + c
-        return MultiPoly(vars, out)
+        shifts = []   # (field in self, field in vars) of each variable kept
+        for i, v in enumerate(self.vars):
+            if v in vars:
+                shifts.append((_BITS * i, _BITS * vars.index(v)))
+            elif self.degree_in(v) > 0:
+                raise ValueError(f"cannot drop live variable {v}")
+        nums = {}
+        for k, c in self.nums.items():
+            key = 0
+            for old, new in shifts:
+                key |= ((k >> old) & _EXPONENT_MASK) << new
+            nums[key] = c
+        return _poly(vars, nums, self.den)
 
     def restrict_vars(self):
         """Drop variables that never occur."""
@@ -166,51 +199,69 @@ class MultiPoly:
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other):
-        a, b = self._aligned(other)
-        if a is NotImplemented:
-            return NotImplemented
-        out = dict(a.terms)
-        for expo, c in b.terms.items():
-            s = out.get(expo, Fraction(0)) + c
-            if s:
-                out[expo] = s
-            else:
-                out.pop(expo, None)
-        return MultiPoly(a.vars, out)
+        a = self
+        if other.__class__ is not MultiPoly or other.vars != a.vars:
+            a, other = a._aligned(other)
+            if a is NotImplemented:
+                return NotImplemented
+        da, db = a.den, other.den
+        if da == db:
+            out = dict(a.nums)
+            for k, c in other.nums.items():
+                out[k] = out.get(k, 0) + c
+        else:
+            g = math.gcd(da, db)
+            fa, fb = db // g, da // g
+            out = {k: c * fa for k, c in a.nums.items()}
+            for k, c in other.nums.items():
+                out[k] = out.get(k, 0) + c * fb
+            da *= fa
+        if not all(out.values()):
+            out = {k: c for k, c in out.items() if c}
+        return _poly(a.vars, out, da)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return _poly(self.vars, {k: -c for k, c in self.nums.items()}, self.den)
 
     def __sub__(self, other):
-        a, b = self._aligned(other)
-        if a is NotImplemented:
+        if not isinstance(other, (int, Fraction, MultiPoly)):
             return NotImplemented
-        return a + (-b)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if not c:
-                return MultiPoly(self.vars, {})
-            return MultiPoly(self.vars, {e: c * v for e, v in self.terms.items()})
-        a, b = self._aligned(other)
-        if a is NotImplemented:
-            return NotImplemented
-        out = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(key, Fraction(0)) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return MultiPoly(a.vars, out)
+        a = self
+        if other.__class__ is not MultiPoly or other.vars != a.vars:
+            if isinstance(other, (int, Fraction)):
+                if not other:
+                    return MultiPoly.zero(a.vars)
+                num = other.numerator
+                return _poly(a.vars, {k: c * num for k, c in a.nums.items()},
+                             a.den * other.denominator)
+            a, other = a._aligned(other)
+            if a is NotImplemented:
+                return NotImplemented
+        x, y = a.nums, other.nums
+        if len(y) > len(x):
+            x, y = y, x
+        if len(y) == 1:
+            # no two products share a monomial, and ints have no zero divisors
+            (ky, cy), = y.items()
+            out = {k + ky: c * cy for k, c in x.items()}
+        else:
+            out = {}
+            get = out.get
+            for ky, cy in y.items():
+                for kx, cx in x.items():
+                    k = kx + ky
+                    out[k] = get(k, 0) + cx * cy
+            if not all(out.values()):
+                out = {k: c for k, c in out.items() if c}
+        return _poly(a.vars, out, a.den * other.den)
 
     __rmul__ = __mul__
 
@@ -232,7 +283,7 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         a, b = self._aligned(other)
-        return a.terms == b.terms
+        return a.nums == b.nums and a.den == b.den
 
     def __hash__(self):
         return _value_hash(self, MultiPoly.const(1))
@@ -242,9 +293,9 @@ class MultiPoly:
         graded order on name-sorted variables; the same order for every
         variable set, since a missing variable has exponent 0."""
         names = sorted(range(len(self.vars)), key=self.vars.__getitem__)
-        expo, c = max(self.terms.items(),
+        expo, c = max(((_exponents(k, len(self.vars)), c) for k, c in self.nums.items()),
                       key=lambda t: (sum(t[0]), [t[0][i] for i in names]))
-        return c, {v: e for v, e in zip(self.vars, expo) if e}
+        return Fraction(c, self.den), {v: e for v, e in zip(self.vars, expo) if e}
 
     # -- substitution -----------------------------------------------------------
 
@@ -270,21 +321,28 @@ class MultiPoly:
             else:
                 raise TypeError(f"bad substitution value for {v}: {val!r}")
         out_vars = tuple(dict.fromkeys(tuple(keep) + tuple(extra)))
+        # the terms grouped by their substituted exponents, each group's
+        # monomials repacked in out_vars
+        fields = [(_BITS * i, v, _BITS * out_vars.index(v) if v in keep else None)
+                  for i, v in enumerate(self.vars)]
+        groups = {}
+        for k, c in self.nums.items():
+            mono, powers = 0, []
+            for shift, v, new in fields:
+                p = (k >> shift) & _EXPONENT_MASK
+                if p and new is None:
+                    powers.append((v, p))
+                elif p:
+                    mono |= p << new
+            groups.setdefault(tuple(powers), {})[mono] = c
         total = MultiPoly.zero(out_vars)
         pow_cache = {}
-        for expo, c in self.terms.items():
-            term = MultiPoly.const(c, out_vars)
-            for v, p in zip(self.vars, expo):
-                if p == 0:
-                    continue
-                if v in values:
-                    key = (v, p)
-                    if key not in pow_cache:
-                        pow_cache[key] = (values[v] ** p).with_vars(out_vars)
-                    term = term * pow_cache[key]
-                else:
-                    mono = tuple(p if x == v else 0 for x in out_vars)
-                    term = term * MultiPoly(out_vars, {mono: Fraction(1)})
+        for powers, nums in groups.items():
+            term = _poly(out_vars, nums, self.den)
+            for key in powers:
+                if key not in pow_cache:
+                    pow_cache[key] = (values[key[0]] ** key[1]).with_vars(out_vars)
+                term = term * pow_cache[key]
             total = total + term
         return total
 
@@ -303,10 +361,10 @@ class MultiPoly:
         d = self.degree_in(name)
         if d < 0:
             return [Fraction(0)]
-        i = self.vars.index(name) if name in self.vars else None
+        shift = _BITS * self.vars.index(name) if name in self.vars else 0
         coeffs = [Fraction(0)] * (d + 1)
-        for expo, c in self.terms.items():
-            coeffs[expo[i] if i is not None else 0] += c
+        for k, c in self.nums.items():
+            coeffs[(k >> shift) & _EXPONENT_MASK] = Fraction(c, self.den)
         return coeffs
 
     @classmethod
@@ -319,7 +377,7 @@ class MultiPoly:
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
 
     def __str__(self):
-        if not self.terms:
+        if not self.nums:
             return "0"
         parts = []
         for expo, c in self._sorted_terms():
@@ -331,9 +389,8 @@ class MultiPoly:
                     factors.append(f"{v}^{p}")
             mono = "*".join(factors)
             if not mono:
-                parts.append((c, str(abs(c)) if c.denominator == 1 else f"{abs(c)}"))
-                continue
-            if abs(c) == 1:
+                parts.append((c, str(abs(c))))
+            elif abs(c) == 1:
                 parts.append((c, mono))
             else:
                 parts.append((c, f"{abs(c)}*{mono}"))
@@ -517,7 +574,7 @@ class RationalFunction:
                 if g.degree_in(v) > 0:
                     num = _exact_univar_div(num, g, v)
                     den = _exact_univar_div(den, g, v)
-        lead = den._sorted_terms()[0][1] if den.terms else Fraction(1)
+        lead = den._sorted_terms()[0][1]
         num = num * (Fraction(1) / lead)
         den = den * (Fraction(1) / lead)
         self.num = num

@@ -27,7 +27,10 @@ from weightsys.characters import (
     vanishing_table,
     weighted_degrees,
 )
+from weightsys.diagrams import Diagram, InsertionPiece, wheel
+from weightsys.evaluation import ratio_character
 from weightsys.scalars import CostBoundError, MultiPoly
+from weightsys.superalgebras import d21, sl2
 
 
 def e_vars():
@@ -137,6 +140,26 @@ def test_alpha_specialization(P):
     s3 = MultiPoly.variable("sigma3")
     p3, roots3, _ = specialize_alpha(s3.with_vars(("sigma2", "sigma3")))
     assert [(str(r), m) for r, m in roots3] == [("-1", 1), ("0", 1)]
+
+
+# a connected piece of insertion degree 3 with legs 7, 8, 9 in cyclic order
+X3_PIECE = "vertices 7 3\n" + "".join(
+    f"edge {a} {b}\n" for a, b in ((0, 3), (1, 6), (2, 12), (4, 9), (5, 15), (7, 10), (8, 18),
+                                   (11, 21), (13, 16), (14, 22), (17, 19), (20, 23))) \
+    + "skeleton none\n"
+
+
+def test_sigma3_substitution_is_an_evaluated_character():
+    # inserted at a vertex of the 4-wheel, the piece multiplies the Verma
+    # value on symbolic D(2,1,alpha) by 12 times the image of sigma3
+    piece = InsertionPiece(Diagram.from_text(X3_PIECE), (7, 8, 9))
+    assert piece.degree == 3
+    sigma3 = MultiPoly(("sigma2", "sigma3"), {(0, 1): 1})
+    image, _, _ = specialize_alpha(sigma3)
+    ratio, _ = ratio_character(piece, [(wheel(4), d21(), "verma", (3, 1, 1))])
+    assert ratio == 12 * image and str(ratio) == "-12*alpha^2 - 12*alpha"
+    ratio, _ = ratio_character(piece, [(wheel(4), sl2(), "verma", (2,))])
+    assert ratio == -24
 
 
 def test_vanishing_table_and_nondegeneracy(P):

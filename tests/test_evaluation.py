@@ -1,10 +1,8 @@
 """Weight-system evaluation: two methods, invariances, insertion ratios."""
 
-import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from weightsys.diagrams import (
     Diagram,
@@ -27,7 +25,6 @@ from weightsys.evaluation import (
     EndoCarrier,
     SchurCheckError,
     VermaCarrier,
-    _IntPoly,
     adjoint_rep,
     adjoint_weight,
     eval_state_sum,
@@ -178,36 +175,6 @@ def test_state_sum_reuses_the_adjoint_carrier(L, monkeypatch):
     assert built == ["sl2"]
 
 
-def ring_polys(ring):
-    coeffs = st.builds(Fraction, st.integers(-24, 24), st.sampled_from([1, 2, 3, 8, 24]))
-    monos = st.tuples(*[st.integers(0, 4)] * len(ring))
-    return st.dictionaries(monos, coeffs, max_size=6).map(lambda t: MultiPoly(ring, t))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from([("n",), ("n", "alpha")]).flatmap(
-    lambda ring: st.tuples(st.just(ring), ring_polys(ring), ring_polys(ring))))
-def test_int_poly_follows_multipoly(case):
-    # the sweep's int-coefficient values read back as the MultiPoly results,
-    # and each value has one representation: den > 0, coprime to the numerators
-    ring, a, b = case
-    la, lb = _IntPoly.lift(a), _IntPoly.lift(b)
-    # (a + b)(a - b): the cross terms cancel inside one product
-    square_diff = (la + lb) * (la + (-lb))
-    for got, want in ((la, a), (la + lb, a + b), (la * lb, a * b), (-la, -a),
-                      (square_diff, a * a - b * b)):
-        poly = got.to_poly(ring)
-        assert poly.vars == ring and poly == want
-        assert got.den > 0 and math.gcd(got.den, *got.terms.values()) == 1
-        assert all(got.terms.values())
-        again = _IntPoly.lift(want)
-        assert (got.terms, got.den) == (again.terms, again.den)
-    cancelled = la + lb + (-lb)
-    assert (cancelled.terms, cancelled.den) == (la.terms, la.den)
-    zero = la + (-la)
-    assert not zero and zero.den == 1
-
-
 def test_exact_ratio():
     n = MultiPoly.variable("n")
     a = MultiPoly.variable("alpha")
@@ -302,7 +269,7 @@ def test_each_corruption_gets_its_own_carrier():
 
 
 def test_values_stay_in_the_carrier_ring(L, D2, D_sym):
-    # nothing lifts values: each carrier's sums stay in its own scalar ring,
+    # no value leaves its ring: each carrier's sums stay in its own scalar ring,
     # zero values included
     one = chord_diagram_from_word([(0, 1)], 2)
     two = chord_diagram_from_word([(0, 2), (1, 3)], 4)
@@ -321,8 +288,8 @@ def test_values_stay_in_the_carrier_ring(L, D2, D_sym):
 
 
 def test_adjoint_carrier_works_on_integers(L, D2, D_sym):
-    # each ad entry is lifted by one common factor and each Casimir weight by
-    # another, to an int or a den-1 _IntPoly; a chord costs the square of
+    # each ad entry is scaled by one common factor and each Casimir weight by
+    # another, to an int or a den-1 MultiPoly; a chord costs the square of
     # the first times the second.  Every D(2,1,alpha) chord value in the
     # adjoint is 0, so the value goldens alone cannot see these scales.
     for A in (L, D2, d21(Fraction(1, 3)), D_sym):
@@ -330,16 +297,16 @@ def test_adjoint_carrier_works_on_integers(L, D2, D_sym):
 
         def ratios(pairs):
             out = set()
-            for lifted, true in pairs:
+            for scaled, true in pairs:
                 if A.symbolic:
-                    assert lifted.den == 1
-                    lifted, true = lifted.to_poly(("alpha",)), carrier.zero + true
+                    assert scaled.den == 1 and scaled.vars == ("alpha",)
+                    true = carrier.zero + true
                     expo, c = next(iter(true.terms.items()))
-                    scale = lifted.terms[expo] / c
-                    assert lifted == true * scale
+                    scale = scaled.terms[expo] / c
+                    assert scaled == true * scale
                 else:
-                    assert type(lifted) is int
-                    scale = lifted / true
+                    assert type(scaled) is int
+                    scale = scaled / true
                 out.add(scale)
             return out
 

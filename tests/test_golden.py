@@ -8,7 +8,12 @@ A change that is meant to alter a report regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and the diff of tests/golden/ shows what changed.
+and the diff of tests/golden/ shows what changed.  The k = 6 certificate,
+tests/golden/certify_k6_full.out, takes about 100 s; the CI workflow, not
+this module, checks it, and it regenerates with
+
+    PYTHONPATH=src python -m weightsys --command certify --k 6 --q 1 --mode full \\
+        --format json > tests/golden/certify_k6_full.out
 """
 
 import contextlib

@@ -53,6 +53,68 @@ def test_substitution_is_ring_hom(p, q, a, b):
     assert (p + q).substitute(sub) == p.substitute(sub) + q.substitute(sub)
 
 
+def _ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def ring_terms(ring):
+    coeffs = st.builds(Fraction, st.integers(-24, 24), st.sampled_from([1, 2, 3, 8, 24]))
+    return st.dictionaries(st.tuples(*[st.integers(0, 4)] * len(ring)), coeffs, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([("n",), ("n", "alpha")]).flatmap(
+    lambda ring: st.tuples(st.just(ring), ring_terms(ring), ring_terms(ring))), rationals)
+def test_multipoly_follows_a_fraction_reference(case, k):
+    # +, *, negation and (a+b)(a-b) against exponent-tuple/Fraction dicts;
+    # each value has one representation: den > 0 and coprime to the
+    # numerators, no zero numerator, and the same packed data however built
+    ring, ta, tb = case
+    a, b = MultiPoly(ring, ta), MultiPoly(ring, tb)
+    ra, rb = ({e: c for e, c in t.items() if c} for t in (ta, tb))
+    neg_b = {e: -c for e, c in rb.items()}
+    for got, want in ((a, ra), (a + b, _ref_add(ra, rb)), (a * b, _ref_mul(ra, rb)),
+                      (-b, neg_b), (a * k, _ref_mul(ra, {(0,) * len(ring): k})),
+                      ((a + b) * (a - b), _ref_mul(_ref_add(ra, rb), _ref_add(ra, neg_b)))):
+        assert got.vars == ring and got.terms == want
+        assert all(type(c) is Fraction for c in got.terms.values())
+        assert got.den > 0 and math.gcd(got.den, *got.nums.values()) == 1
+        assert all(got.nums.values())
+        again = MultiPoly(ring, want)
+        assert (got.nums, got.den) == (again.nums, again.den)
+        assert MultiPoly(got.vars, got.terms) == got
+    moved = a.with_vars(ring[::-1] + ("x",))
+    assert moved == a and hash(moved) == hash(a)
+    cancelled = a + b - b
+    assert (cancelled.nums, cancelled.den) == (a.nums, a.den)
+    zero = a + (-a)
+    assert not zero and zero.nums == {} and zero.den == 1
+
+
+def test_constructor_rejects_exponents_outside_the_packed_field():
+    # an exponent is 32 bits of the packed monomial; a wider one would
+    # spill into the next variable's field
+    for e in (-1, 2 ** 32, 2 ** 40):
+        with pytest.raises(ValueError):
+            MultiPoly(("n", "alpha"), {(e, 0): 1})
+    top = MultiPoly(("n", "alpha"), {(2 ** 32 - 1, 0): 1})
+    assert top.degree_in("n") == 2 ** 32 - 1 and top.degree_in("alpha") == 0
+    with pytest.raises(ValueError):
+        MultiPoly(("n", "alpha"), {(1,): 1})
+
+
 def test_poly_eval_examples():
     alpha = P("alpha")
     # alpha^2 + alpha at alpha = 1
