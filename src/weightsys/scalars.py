@@ -44,12 +44,12 @@ def _as_fraction(c):
 
 
 _BITS = 32  # bits of one variable's exponent in a packed monomial
-_EXPONENT_MASK = (1 << _BITS) - 1
+_EXPONENT_MAX = (1 << _BITS) - 1  # all ones: masks one field
 
 
 def _exponents(key, nv):
     """The exponent tuple of a packed monomial in nv variables."""
-    return tuple((key >> (_BITS * i)) & _EXPONENT_MASK for i in range(nv))
+    return tuple((key >> (_BITS * i)) & _EXPONENT_MAX for i in range(nv))
 
 
 def _poly(vars, nums, den):
@@ -94,7 +94,7 @@ class MultiPoly:
                 raise ValueError(f"exponent arity {len(expo)} != {nv} variables")
             key = 0
             for i, e in enumerate(expo):
-                if not 0 <= e <= _EXPONENT_MASK:
+                if not 0 <= e <= _EXPONENT_MAX:
                     raise ValueError(f"exponent {e} is outside 0 .. 2**{_BITS} - 1")
                 key |= e << (_BITS * i)
             coeffs[key] = coeffs.get(key, 0) + _as_fraction(c)
@@ -152,13 +152,13 @@ class MultiPoly:
         if name not in self.vars:
             return 0
         shift = _BITS * self.vars.index(name)
-        return max((k >> shift) & _EXPONENT_MASK for k in self.nums)
+        return max((k >> shift) & _EXPONENT_MAX for k in self.nums)
 
     def coefficient_in(self, name, power):
         """Coefficient of name**power, a polynomial in the same variables."""
         shift = _BITS * self.vars.index(name)
         return _poly(self.vars, {k - (power << shift): c for k, c in self.nums.items()
-                                 if (k >> shift) & _EXPONENT_MASK == power}, self.den)
+                                 if (k >> shift) & _EXPONENT_MAX == power}, self.den)
 
     # -- variable-set plumbing ----------------------------------------------
 
@@ -177,7 +177,7 @@ class MultiPoly:
         for k, c in self.nums.items():
             key = 0
             for old, new in shifts:
-                key |= ((k >> old) & _EXPONENT_MASK) << new
+                key |= ((k >> old) & _EXPONENT_MAX) << new
             nums[key] = c
         return _poly(vars, nums, self.den)
 
@@ -329,7 +329,7 @@ class MultiPoly:
         for k, c in self.nums.items():
             mono, powers = 0, []
             for shift, v, new in fields:
-                p = (k >> shift) & _EXPONENT_MASK
+                p = (k >> shift) & _EXPONENT_MAX
                 if p and new is None:
                     powers.append((v, p))
                 elif p:
@@ -364,7 +364,7 @@ class MultiPoly:
         shift = _BITS * self.vars.index(name) if name in self.vars else 0
         coeffs = [Fraction(0)] * (d + 1)
         for k, c in self.nums.items():
-            coeffs[(k >> shift) & _EXPONENT_MASK] = Fraction(c, self.den)
+            coeffs[(k >> shift) & _EXPONENT_MAX] = Fraction(c, self.den)
         return coeffs
 
     @classmethod
@@ -731,9 +731,10 @@ def echelon(rows):
     """Echelon form of sparse rows (dicts col -> value): ``{pivot column:
     row}``, each row 1 at its pivot and 0 at the pivots found before it.
 
-    Each row, lifted by :func:`as_field`, is reduced against the pivots so
-    far; a nonzero remainder becomes the row of its lowest column.  The
-    pivot columns are those of the reduced row echelon form.
+    Each row, its entries taken into a field by :func:`as_field`, is
+    reduced against the pivots so far; a nonzero remainder becomes the row
+    of its lowest column.  The pivot columns are those of the reduced row
+    echelon form.
     """
     pivots = {}
     for r in rows:
@@ -859,7 +860,7 @@ def _int_rank(rows):
 
 
 def matrix_inverse(mat):
-    """Exact inverse of a dense square matrix; entries lifted to a field."""
+    """Exact inverse of a dense square matrix; entries taken into a field."""
     n = len(mat)
     pivots, rref = sparse_rref({**dict(enumerate(row)), n + i: 1} for i, row in enumerate(mat))
     if pivots[:n] != list(range(n)):
