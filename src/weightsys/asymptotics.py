@@ -69,11 +69,10 @@ def closed_form_check(ks=range(2, 41, 2)):
     return {"ok": ok, "rows": rows}
 
 
-@functools.cache
 def sun_verma_polynomial(k):
     """eval of the symmetrized k-wheel on the symbolic D(2,1,alpha) Verma
-    module of weight n*DEFAULT_LAMBDA0, cached: this is the expensive
-    computation."""
+    module of weight n*DEFAULT_LAMBDA0: the expensive computation.  The
+    symbolic carrier keeps every chord value, so a repeat is cheap."""
     from .diagrams import chi_bar, wheel
     from .evaluation import eval_verma
     from .superalgebras import d21

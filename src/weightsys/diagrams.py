@@ -1028,7 +1028,12 @@ def _word_canonical(pairs, n):
 def dim_A_by_four_term(m):
     """dim of the degree-m circle space from the four-term relations, built
     by direct index surgery on chord words (independent of the Diagram
-    machinery)."""
+    machinery).
+
+    A relation marks three of 2m - 1 points and pairs the rest.  Rotating
+    the circle commutes with doubling a point and keeps every word's class,
+    so the relations marked (0, p2, p3) are all of them, and they come
+    first, in the same order, among those of every ordered triple."""
     from .scalars import matrix_rank
 
     if m < 0:
@@ -1037,46 +1042,24 @@ def dim_A_by_four_term(m):
     words = {}
     relations = {}  # each relation once: sorted nonzero items, first coefficient > 0
 
-    def reg(pairs):
-        key = _word_canonical(pairs, 2 * m)
-        if key not in words:
-            words[key] = len(words)
-        return words[key]
+    def term(pairs, at, first, second):
+        # double point `at` into two adjacent points, chorded to `first` and
+        # then `second`; renumber to 2m points and index the word's class
+        def shift(x):
+            return x + 1 if x > at else x
 
-    for marked in itertools.permutations(range(n), 3):
-        p1, p2, p3 = marked
-        rest = [i for i in range(n) if i not in marked]
+        out = [(shift(a), shift(b)) for a, b in pairs]
+        out += [(at, shift(first)), (at + 1, shift(second))]
+        return words.setdefault(_word_canonical(out, 2 * m), len(words))
+
+    for p2, p3 in itertools.permutations(range(1, n), 2):
+        rest = [i for i in range(1, n) if i not in (p2, p3)]
         for pairs in _pairings(rest):
             row = {}
-
-            def build(double_at, to_first, to_second):
-                # expand position double_at into two adjacent points, chorded
-                # to the two marked singles; renumber to 2m points
-                def shift(x):
-                    return x + 1 if x > double_at else x
-
-                out = []
-                for a, b in pairs:
-                    out.append((shift(a), shift(b)))
-                out.append((double_at, shift(to_first)))
-                out.append((double_at + 1, shift(to_second)))
-                return out
-
-            # D[(P3,P2)@P1] - D[(P2,P3)@P1] - D[(P1,P3)@P2] + D[(P3,P1)@P2]
-            for pairs4, sgn in (
-                (build(p1, p3, p2), 1),
-                (build(p1, p2, p3), -1),
-            ):
-                idx = reg(pairs4)
-                row[idx] = row.get(idx, 0) + sgn
-            for first, second, sgn in ((p1, p3, -1), (p3, p1, 1)):
-                def shift2(x):
-                    return x + 1 if x > p2 else x
-
-                out = [(shift2(a), shift2(b)) for a, b in pairs]
-                out.append((p2, shift2(first)))
-                out.append((p2 + 1, shift2(second)))
-                idx = reg(out)
+            # D[(P3,P2)@P1] - D[(P2,P3)@P1] - D[(P1,P3)@P2] + D[(P3,P1)@P2], P1 = 0
+            for at, first, second, sgn in ((0, p3, p2, 1), (0, p2, p3, -1),
+                                           (p2, 0, p3, -1), (p2, p3, 0, 1)):
+                idx = term(pairs, at, first, second)
                 row[idx] = row.get(idx, 0) + sgn
             items = sorted((k, c) for k, c in row.items() if c)
             if items:

@@ -83,9 +83,10 @@ class VermaCarrier:
     """PBW states of the Verma module of highest weight n * lambda0.
 
     Monomials are exponent tuples over the lowering operators in PBW order;
-    odd exponents stay in {0, 1} (an odd square rewrites through [x,x]/2).
+    odd exponents stay in {0, 1}: an odd x squares to [x, x]/2, and the
+    constructor raises ValueError unless that is zero.
     Coefficients are MultiPolys in the ring Q[n] or Q[n, alpha]: the bracket
-    table, the Casimir terms, lambda and 1/2 are put in the ring's variables
+    table, the Casimir terms and lambda are put in the ring's variables
     once, here, so every product in the sweep takes MultiPoly's path for
     equal variables.  ``extract`` hands out the final coefficient.
     """
@@ -94,12 +95,15 @@ class VermaCarrier:
         rd = L.rootdata
         self.parity = L.parity
         self.neg = rd.negative_order
+        for y in self.neg:
+            if self.parity[y] and any(L.bracket_table.get((y, y), {}).values()):
+                raise ValueError(f"odd lowering operator {L.basis_names[y]} "
+                                 f"has a nonzero square in {L.name}")
         self.neg_index = {b: i for i, b in enumerate(self.neg)}
         self.cartan_index = {h: i for i, h in enumerate(rd.cartan)}
         zero = self.zero = MultiPoly.zero(("n", "alpha") if L.symbolic else ("n",))
         # adding a scalar to the ring's zero puts it in the ring's variables
         self.one = zero + 1
-        self.half = zero + Fraction(1, 2)
         self.bracket = {key: {k: zero + c for k, c in row.items()}
                         for key, row in L.bracket_table.items()}
         self.terms = [(x, y, zero + w, L.parity[x]) for x, y, w in L.casimir]
@@ -138,21 +142,11 @@ class VermaCarrier:
                 m[xi] = 1
                 out[tuple(m)] = self.one
             elif xi == first:
-                y = self.neg[first]
-                if not self.parity[y]:
+                # an odd x squares to [x, x]/2, which __init__ checks is 0
+                if not self.parity[x]:
                     m = list(mono)
                     m[first] += 1
                     out[tuple(m)] = self.one
-                else:
-                    # odd square: x.x = [x,x]/2 (zero for our instances, but
-                    # kept general)
-                    rest = list(mono)
-                    rest[first] -= 1
-                    rest = tuple(rest)
-                    for z, cz in self.bracket.get((x, x), {}).items():
-                        czl = cz * self.half
-                        for m2, c2 in self.act(z, rest).items():
-                            _accum(out, m2, czl * c2)
             else:
                 y = self.neg[first]
                 rest = list(mono)

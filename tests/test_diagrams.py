@@ -375,7 +375,7 @@ def test_four_term_relations_are_ranked_once(monkeypatch):
     monkeypatch.setattr(scalars, "matrix_rank", capture)
     assert dim_A_by_four_term(4) == 6
     rows, = captured
-    # the relation builder emits 532 nonzero rows at m = 4; 25 of them are
+    # the relation builder emits 76 nonzero rows at m = 4; 25 of them are
     # distinct up to sign
     assert len(rows) == 25
     keys = set()
@@ -401,6 +401,45 @@ def test_one_tripod_per_rotation_orbit():
         classes = [c._encoding() for c in _classes(full)]
         assert [c._encoding() for c in one_vertex_diagrams(m)] == classes
         assert bool(classes) == (m >= 2)
+
+
+def _four_term_rows_of_every_triple(m):
+    """The four-term rows of every ordered triple of marked points, deduplicated
+    up to sign in the order first met: the reference for the builder's
+    triples (0, p2, p3)."""
+    n = 2 * m - 1
+    words = {}
+    relations = {}
+    for p1, p2, p3 in itertools.permutations(range(n), 3):
+        rest = [i for i in range(n) if i not in (p1, p2, p3)]
+        for pairs in _pairings(rest):
+            row = {}
+            for at, first, second, sgn in ((p1, p3, p2, 1), (p1, p2, p3, -1),
+                                           (p2, p1, p3, -1), (p2, p3, p1, 1)):
+                out = [(a + (a > at), b + (b > at)) for a, b in pairs]
+                out += [(at, first + (first > at)), (at + 1, second + (second > at))]
+                idx = words.setdefault(_word_canonical(out, 2 * m), len(words))
+                row[idx] = row.get(idx, 0) + sgn
+            items = sorted((k, c) for k, c in row.items() if c)
+            if items:
+                if items[0][1] < 0:
+                    items = [(k, -c) for k, c in items]
+                relations[tuple(items)] = None
+    return [dict(items) for items in relations]
+
+
+def test_four_term_relations_start_at_point_zero(monkeypatch):
+    # marking (0, p2, p3) ranks the rows of every ordered triple: the same
+    # rows, word indices and order
+    captured = []
+    monkeypatch.setattr(scalars, "matrix_rank", lambda rows: captured.append(list(rows)) or 0)
+    for m in range(6):
+        dim_A_by_four_term(m)
+        assert captured.pop() == _four_term_rows_of_every_triple(m)
+
+
+def test_four_term_dimension_at_degree_6():
+    assert dim_A_by_four_term(6) == 19
 
 
 def test_oracles_reject_a_negative_degree():

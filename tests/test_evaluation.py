@@ -260,6 +260,19 @@ def test_schur_check_guards_the_state_sum(L):
         eval_state_sum(chord_diagram_from_word([(0, 1)], 2), broken)
 
 
+def test_verma_carrier_rejects_an_odd_square():
+    # twice an odd root of D(2,1,alpha) is not a root, so every odd lowering
+    # operator squares to zero; a corrupted [v, v] = h is refused up front
+    D = d21(Fraction(2))
+    h = D.rootdata.cartan[0]
+    odd = [v for v in D.rootdata.negative_order if D.parity[v]]
+    assert odd
+    VermaCarrier(D, (3, 1, 1))
+    for v in odd:
+        with pytest.raises(ValueError, match="nonzero square"):
+            VermaCarrier(corrupt(D, v, v, h, 1), (3, 1, 1))
+
+
 def test_each_corruption_gets_its_own_carrier():
     # evaluation keeps one carrier per algebra name, so two corruptions of
     # one algebra must not share a name: [e, f] = 2h, then [e, f] = 3h
