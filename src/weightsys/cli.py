@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from . import asymptotics, characters, evaluation
 from .diagrams import Diagram, DiagramError
-from .evaluation import EVAL_SWEEP_LIMIT  # the bound behind eval's exit 3, enforced by eval_*
 from .scalars import CostBoundError
 from .superalgebras import d21, sl2, validate, cartan_form_block
 

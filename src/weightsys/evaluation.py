@@ -60,7 +60,6 @@ from fractions import Fraction
 from .diagrams import DiagramError, LinComb, chord_endpoints, chord_reduce, chi_bar, insert_at_vertex
 from .scalars import CostBoundError, MultiPoly, RationalFunction
 
-STATE_SUM_VERTEX_LIMIT = 12  # cost guard for dim-17 contractions
 # the planned cost of one sweep (see sweep_cost): 3,017,194 on D(2,1,alpha)
 # takes about 10 s, and the all-crossing degree-6 chord diagram plans 51,292,332
 EVAL_SWEEP_LIMIT = 4_000_000
@@ -689,10 +688,6 @@ def eval_state_sum(d, L):
     The full endomorphism is computed and Schur-checked to be an exact
     scalar multiple of the identity; the scalar is returned.
     """
-    diagrams = [diag for diag, _ in d] if isinstance(d, LinComb) else [d]
-    if L.dim > 8 and any(x.n_vertices > STATE_SUM_VERTEX_LIMIT for x in diagrams):
-        raise CostBoundError(
-            f"state sum over dim {L.dim} limited to {STATE_SUM_VERTEX_LIMIT} vertices")
     key = (L.name, "adjoint")
     if key not in _CARRIERS:
         _CARRIERS[key] = EndoCarrier(L)

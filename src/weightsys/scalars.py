@@ -18,9 +18,9 @@ row of its lowest column, and :func:`reduce_by` gives a vector's normal
 form modulo those rows, zero at every pivot column.  Back-substitution
 runs only in :func:`sparse_rref`, whose reduced rows the inverse and the
 solver read.  Pivot columns, normal forms and reduced rows depend on the
-row space alone, not on the order of the rows.  A rank reads only the
-number of pivots; when every entry is an int it is found fraction-free, on
-Python ints with each kept row primitive, and otherwise by :func:`echelon`.
+row space alone, not on the order of the rows.  :func:`matrix_rank` takes
+int rows only (the diagram relations) and counts their pivots
+fraction-free, on Python ints with each kept row primitive.
 """
 
 from __future__ import annotations
@@ -545,11 +545,11 @@ def _isolate(sq):
 class RationalFunction:
     """Fraction of two MultiPolys.
 
-    Reduction: content is always pulled out; when numerator and denominator
-    are univariate in one common variable the gcd is divided out as well
-    (that covers every rational function this package ever builds -- they
-    are all univariate in alpha).  The denominator is normalized to have
-    leading coefficient 1 in the canonical term order.
+    Reduction: when numerator and denominator are univariate in one common
+    variable their gcd is divided out (that covers every rational function
+    this package ever builds -- they are all univariate in alpha); no other
+    common factor is removed.  Both are then divided by the denominator's
+    leading coefficient in the canonical term order, so that it is 1.
     """
 
     __slots__ = ("num", "den")
@@ -808,17 +808,8 @@ def _nullspace(pivots, rref, ncols, rhs_col):
 
 
 def matrix_rank(rows):
-    """Rank of sparse rows (dicts col -> value) over Q, or over the field
-    of their entries: :func:`_int_rank` when every entry is an int, else
-    the number of :func:`echelon` pivots."""
-    rows = list(rows)
-    if all(isinstance(v, int) for r in rows for v in r.values()):
-        return _int_rank(rows)
-    return len(echelon(rows))
-
-
-def _int_rank(rows):
-    """Rank of sparse int rows by fraction-free elimination.
+    """Rank over Q of sparse int rows (dicts col -> int) by fraction-free
+    elimination.  Rows over another field have the rank ``len(echelon(rows))``.
 
     Each kept row is primitive (its content divided out) and keyed by its
     lowest column.  A new row is reduced at its own columns only, taken in

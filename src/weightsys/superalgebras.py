@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalars import MultiPoly, matrix_inverse, matrix_rank
+from .scalars import MultiPoly, matrix_inverse
 
 EVEN, ODD = 0, 1
 
@@ -57,14 +57,13 @@ class RootData:
 class SuperAlgebra:
     """A Lie superalgebra given by its structure constants.  Its name
     identifies them: evaluation keeps one carrier per name, so two algebras
-    with one name must share bracket table, Casimir and alpha."""
+    with one name must share bracket table and Casimir."""
 
     name: str
     basis_names: list
     parity: tuple
     bracket_table: dict                # (i, j) -> {k: coeff}
     casimir: list                      # [(i, j, coeff)]
-    alpha: object = None               # None for symbolic, Fraction otherwise
     symbolic: bool = False             # True iff scalars carry the alpha variable
     rootdata: RootData | None = None
     _form: list | None = field(default=None, repr=False)
@@ -138,8 +137,7 @@ def sl2():
         highest_root=(2,),
     )
     return SuperAlgebra("sl2", ["e", "h", "f"], (EVEN, EVEN, EVEN),
-                        table, casimir, alpha=None, symbolic=False,
-                        rootdata=rootdata)
+                        table, casimir, rootdata=rootdata)
 
 
 # ------------------------------------------------------- D(2,1,alpha) --------
@@ -291,7 +289,7 @@ def d21(alpha=None):
     )
     label = "d21_symbolic" if alpha is None else f"d21_alpha_{alpha}"
     return SuperAlgebra(label, names, parity, table, casimir,
-                        alpha=alpha, symbolic=alpha is None, rootdata=rootdata)
+                        symbolic=alpha is None, rootdata=rootdata)
 
 
 # ------------------------------------------------------------ validation -----
@@ -306,7 +304,10 @@ def validate(L):
 
     Returns a report dict with one entry per check: {"ok": bool,
     "failures": [witness, ...]}.  All checks are polynomial identities in
-    alpha for the symbolic instance.
+    alpha for the symbolic instance.  Regularity is read from inverting the
+    Casimir matrix into the form: on a singular matrix ``casimir_regular``
+    and the three checks of the form that does not exist (the inverse
+    tensor, supersymmetry, invariance) report failure, and nothing is raised.
     """
     n = L.dim
     par = L.parity
@@ -369,11 +370,18 @@ def validate(L):
             failures.append(L.basis_names[x])
     report["casimir_ad_invariance"] = {"ok": not failures, "failures": failures[:5]}
 
-    mat = L.casimir_matrix()
-    full_rank = matrix_rank([dict(enumerate(row)) for row in mat]) == n
-    report["casimir_regular"] = {"ok": full_rank, "failures": []}
+    try:
+        g = L.form()
+    except ValueError:  # the Casimir matrix is singular: no form to check
+        g = None
+    report["casimir_regular"] = {"ok": g is not None, "failures": []}
+    if g is None:
+        for name in ("casimir_inverse_tensor", "form_supersymmetric", "form_invariant"):
+            report[name] = {"ok": False, "failures": []}
+        report["ok"] = False
+        return report
 
-    g = L.form()
+    mat = L.casimir_matrix()
     # inverse-tensor identity (g is built as the inverse; recheck the
     # contraction explicitly as a guard against cache corruption)
     failures = []
@@ -426,5 +434,5 @@ def corrupt(L, i, j, k, delta):
         del row[k]
     name = f"{L.name}_corrupt({i},{j},{k},{delta})"
     return SuperAlgebra(name, list(L.basis_names), L.parity,
-                        table, list(L.casimir), alpha=L.alpha,
-                        symbolic=L.symbolic, rootdata=L.rootdata)
+                        table, list(L.casimir), symbolic=L.symbolic,
+                        rootdata=L.rootdata)

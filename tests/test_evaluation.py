@@ -10,6 +10,7 @@ from weightsys.diagrams import (
     all_chord_diagrams,
     chi_bar,
     chord_diagram_from_word,
+    chord_endpoints,
     chord_reduce,
     empty_circle,
     enumerate_connected,
@@ -331,9 +332,12 @@ def test_adjoint_carrier_works_on_integers(L, D2, D_sym):
     assert EndoCarrier(L).degree_scale == 2  # sl2: integer ad maps, a weight 1/2
 
 
-def test_statesum_cost_guard(D2):
-    with pytest.raises(evaluation.CostBoundError):
-        eval_state_sum(wheel_on_circle(8), D2)
+def test_state_sum_is_bounded_by_its_plan_not_its_vertex_count(D2):
+    # seven chords in a chain on 14 points plan 3,502 on D(2,1,2), far
+    # below the eval bound, however many vertices they have
+    chain = chord_diagram_from_word([(0, 2), (1, 4), (3, 6), (5, 8), (7, 10), (9, 12), (11, 13)], 14)
+    assert chain.n_vertices == 14 and evaluation.sweep_cost(chain, D2) == 3502
+    assert eval_state_sum(chain, D2) == sweep_chords(EndoCarrier(D2), chord_endpoints(chain))
 
 
 def two_method_corpus():
@@ -428,17 +432,17 @@ def test_the_library_bounds_the_sweep_before_sweeping(monkeypatch):
     monkeypatch.setattr(evaluation, "leg_tensor", refuse)
     D = d21()
     cross6 = chord_diagram_from_word([(i, i + 6) for i in range(6)], 12)
+    (big, c), = list(insert_at_vertex(wheel(6), 0, triangle()))
+    big = Diagram(big.nt, big.nu, big.pairing, skel=range(big.nt, big.nt + big.nu))
+    assert big.nt > big.nu == 6
     for evaluate in (lambda d: eval_verma(d, D, (3, 1, 1)), lambda d: eval_state_sum(d, D)):
         with pytest.raises(evaluation.CostBoundError, match="plans cost 51292332"):
             evaluate(cross6)
         with pytest.raises(evaluation.CostBoundError, match="plans cost 51292332"):
             evaluate(LinComb.of(chord_diagram_from_word([(2 * i, 2 * i + 1) for i in range(6)], 12))
                      + LinComb.of(cross6))
-    (big, c), = list(insert_at_vertex(wheel(6), 0, triangle()))
-    big = Diagram(big.nt, big.nu, big.pairing, skel=range(big.nt, big.nt + big.nu))
-    assert big.nt > big.nu == 6
-    with pytest.raises(evaluation.CostBoundError, match=f"plans cost {sum(17 ** k for k in range(1, 7))}"):
-        eval_verma(big, D, (3, 1, 1))
+        with pytest.raises(evaluation.CostBoundError, match=f"plans cost {sum(17 ** k for k in range(1, 7))}"):
+            evaluate(big)
     carrier = evaluation._CARRIERS[(D.name, (3, 1, 1))]
     carrier.values[cross6.canonical_key()] = carrier.zero
     assert eval_verma(cross6, D, (3, 1, 1)).is_zero()

@@ -1,8 +1,9 @@
 """Report bytes are pinned: the twelve well-formed commands of the benchmark's
 cli-certify workload, and certify for a product, a mixed sum and a large
 literal Q, print exactly the stdout stored under tests/golden/ and exit with
-the stored code.  So does one eval above the sweep cost bound, which prints
-nothing and exits 3 with one error line.
+the stored code.  So do one eval above the sweep cost bound, which prints
+nothing and exits 3 with one error line, and one state sum of a 14-vertex
+chord diagram that plans far below that bound.
 
 A change that is meant to alter a report regenerates the files with
 
@@ -46,6 +47,11 @@ skeleton 4 5 6 7
 CROSS6_TEXT = "vertices 0 12\n" + "".join(f"edge {i} {i + 6}\n" for i in range(6)) \
     + "skeleton " + " ".join(map(str, range(12))) + "\n"
 
+# seven chords in a chain on 14 points
+CHAIN7_TEXT = "vertices 0 14\n" + "".join(
+    f"edge {i} {j}\n" for i, j in ((0, 2), (1, 4), (3, 6), (5, 8), (7, 10), (9, 12), (11, 13))) \
+    + "skeleton " + " ".join(map(str, range(14))) + "\n"
+
 JSON = ["--format", "json"]
 COMMANDS = {
     "validate": ["--command", "validate"] + JSON,
@@ -65,14 +71,17 @@ COMMANDS = {
     "eval_d21_alpha2": ["--command", "eval", "--diagram", "WHEEL4", "--algebra", "d21",
                         "--alpha", "2", "--weight", "3,1,1"] + JSON,
     "eval_d21_cross6": ["--command", "eval", "--diagram", "CROSS6", "--algebra", "d21"] + JSON,
+    "eval_d21_statesum_chain7": ["--command", "eval", "--diagram", "CHAIN7", "--algebra", "d21",
+                                 "--alpha", "2", "--mode", "statesum", "--max-degree", "7"] + JSON,
 }
 
 
 def run(name, workdir):
     """(exit code, stdout, stderr) of one command, run in this process."""
-    files = {"WHEEL4": Path(workdir) / "wheel4.txt", "CROSS6": Path(workdir) / "cross6.txt"}
-    files["WHEEL4"].write_text(WHEEL4_TEXT)
-    files["CROSS6"].write_text(CROSS6_TEXT)
+    files = {}
+    for key, text in (("WHEEL4", WHEEL4_TEXT), ("CROSS6", CROSS6_TEXT), ("CHAIN7", CHAIN7_TEXT)):
+        files[key] = Path(workdir) / f"{key.lower()}.txt"
+        files[key].write_text(text)
     argv = [str(files.get(a, a)) for a in COMMANDS[name]]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -7,6 +7,7 @@ import pytest
 
 from weightsys.scalars import MultiPoly, RationalFunction
 from weightsys.superalgebras import (
+    SuperAlgebra,
     cartan_form_block,
     corrupt,
     d21,
@@ -81,6 +82,20 @@ def test_corrupted_constant_reports_witness(D_sym):
     rep = validate(bad)
     assert not rep["super_jacobi"]["ok"]
     assert rep["super_jacobi"]["failures"]
+
+
+def test_singular_casimir_is_reported_not_raised():
+    # sl2 without its (h, h) Casimir term: the Casimir matrix has a zero row
+    # and column, so there is no form to check
+    L = sl2()
+    h = L.index("h")
+    bad = SuperAlgebra("sl2_without_hh", L.basis_names, L.parity, L.bracket_table,
+                       [t for t in L.casimir if t[:2] != (h, h)], rootdata=L.rootdata)
+    rep = validate(bad)
+    assert rep["super_jacobi"]["ok"]
+    assert not rep["casimir_regular"]["ok"]
+    assert not rep["casimir_inverse_tensor"]["ok"]
+    assert rep["ok"] is False
 
 
 def test_cartan_form_block_matches_stated_matrix(D_sym):
