@@ -14,10 +14,10 @@ gives the nonvanishing search implemented in :func:`find_n0`.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 
 from .scalars import MultiPoly, rational_roots, squarefree_part
+from .superalgebras import d21, d21_rootdata
 
 DEFAULT_LAMBDA0 = (3, 1, 1)
 
@@ -31,20 +31,13 @@ def top_coefficient(k, lambda0=DEFAULT_LAMBDA0, alpha=None):
     """
     if k % 2 or k < 2:
         raise ValueError("k must be even and >= 2")
-    rootdata = _d21_rootdata(alpha)
+    rootdata = d21_rootdata(alpha)
     total = 0
-    for coords, parity, _ in rootdata.positive_roots:
+    for coords, parity in rootdata.positive_roots:
         ip = rootdata.inner(lambda0, coords)
         term = ip ** k
         total = (-term if parity else term) + total
     return 2 * total
-
-
-@functools.cache
-def _d21_rootdata(alpha):
-    from .superalgebras import d21
-
-    return d21(alpha).rootdata
 
 
 def closed_form_value(k):
@@ -75,7 +68,6 @@ def sun_verma_polynomial(k):
     symbolic carrier keeps every chord value, so a repeat is cheap."""
     from .diagrams import chi_bar, wheel
     from .evaluation import eval_verma
-    from .superalgebras import d21
 
     return eval_verma(chi_bar(wheel(k)), d21(), DEFAULT_LAMBDA0)
 
@@ -118,7 +110,7 @@ def find_n0(k):
             n0 = cand
             break
     assert n0 is not None  # nonzero polynomial has at most deg_n roots
-    at = p.substitute({"n": Fraction(n0)}).restrict_vars()
+    at = at.restrict_vars()
     roots = rational_roots(at, "alpha") if not at.is_constant() else []
     sq = squarefree_part(at, "alpha") if not at.is_constant() else None
     report.update({

@@ -43,18 +43,6 @@ def sym_vars():
     return tuple(MultiPoly.variable(v).with_vars(LMN) for v in LMN)
 
 
-def is_symmetric(p):
-    p = p.with_vars(LMN)
-    for perm in itertools.permutations(range(3)):
-        permuted = {}
-        for e, c in p.terms.items():
-            key = tuple(e[perm[i]] for i in range(3))
-            permuted[key] = permuted.get(key, Fraction(0)) + c
-        if {k: v for k, v in permuted.items() if v} != p.terms:
-            return False
-    return True
-
-
 def elementary():
     lam, mu, nu = sym_vars()
     return lam + mu + nu, lam * mu + lam * nu + mu * nu, lam * mu * nu
@@ -62,16 +50,21 @@ def elementary():
 
 def to_elementary(p):
     """Rewrite a symmetric polynomial in e1, e2, e3 (exact, by repeatedly
-    stripping the lex-leading term against the matching e-monomial)."""
-    p = p.with_vars(LMN)
-    if not is_symmetric(p):
-        raise ValueError("polynomial is not S3-symmetric")
+    stripping the lex-leading term against the matching e-monomial).
+
+    Raises ValueError if p is not S3-symmetric.  Each step subtracts a
+    symmetric polynomial, so a non-symmetric remainder never reaches 0 and
+    meets a lex-leading exponent that is not non-increasing, which a
+    symmetric one never has.
+    """
     e1, e2, e3 = elementary()
     out = MultiPoly.zero(E)
-    work = p
+    work = p.with_vars(LMN)
     while not work.is_zero():
         expo, c = max(work.terms.items())
-        a, b, cc = sorted(expo, reverse=True)
+        if list(expo) != sorted(expo, reverse=True):
+            raise ValueError("polynomial is not S3-symmetric")
+        a, b, cc = expo
         mono_e = (a - b, b - cc, cc)
         out = out + MultiPoly(E, {mono_e: c})
         sub = MultiPoly.const(c, LMN)

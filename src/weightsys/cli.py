@@ -24,7 +24,8 @@ from .superalgebras import d21, sl2, validate, cartan_form_block
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_COST = 0, 1, 2, 3
 MODES = {"validate": (), "leading": ("alpha1", "symbolic"),
          "certify": ("auto", "full"), "eval": ("verma", "statesum")}
-SYMBOLIC_K_LIMIT = 100  # leading --mode symbolic: k = 100 takes about 1 s, cost grows as k^3
+ALPHA1_K_LIMIT = 2000  # leading at alpha = 1: k = 2000 takes about 0.8 s, k = 3000 1.1 s
+SYMBOLIC_K_LIMIT = 100  # leading --mode symbolic: k = 100 takes about 0.3 s, cost grows as k^3
 FULL_K_LIMIT = 6  # certify --mode full: k = 6 takes about 100 s, k = 8 has never finished
 
 
@@ -94,8 +95,8 @@ def _as_text(report, indent=0):
 def cmd_validate(args):
     checks = []
     ok = True
-    for label, algebra in (("sl2", sl2()), ("d21_symbolic", d21()),
-                           ("d21_alpha_2", d21(Fraction(2)))):
+    d21_2 = d21(Fraction(2))
+    for label, algebra in (("sl2", sl2()), ("d21_symbolic", d21()), ("d21_alpha_2", d21_2)):
         rep = validate(algebra)
         for name, entry in rep.items():
             if not isinstance(entry, dict):
@@ -104,7 +105,7 @@ def cmd_validate(args):
                            "witness": [list(w) for w in entry["failures"][:1]]})
             ok = ok and entry["ok"]
     # Cartan block of the derived form must match diag(2/(1+a), -2, -2/a)
-    block = cartan_form_block(d21(Fraction(2)))
+    block = cartan_form_block(d21_2)
     cartan_ok = (str(block[0][0]) == "2/3" and str(block[1][1]) == "-2"
                  and str(block[2][2]) == "-1")
     checks.append({"algebra": "d21_alpha_2", "check": "cartan_form_block",
@@ -134,13 +135,14 @@ def cmd_leading(args):
     if kmax % 2 or kmax < 2:
         sys.stderr.write(f"error: --k must be even and >= 2, got {kmax}\n")
         return EXIT_USAGE
-    if args.mode == "symbolic" and kmax > SYMBOLIC_K_LIMIT:
-        sys.stderr.write(f"error: --k {kmax} exceeds the symbolic bound {SYMBOLIC_K_LIMIT}\n")
+    mode = args.mode or "alpha1"
+    limit = SYMBOLIC_K_LIMIT if mode == "symbolic" else ALPHA1_K_LIMIT
+    if kmax > limit:
+        sys.stderr.write(f"error: --k {kmax} exceeds the {mode} bound {limit}\n")
         return EXIT_COST
     ks = list(range(2, kmax + 1, 2))
-    if args.mode == "symbolic":
+    if mode == "symbolic":
         rows = []
-        ok = True
         for k in ks:
             top = asymptotics.top_coefficient(k)
             val = str(top) if top else "0 (identically in alpha)"

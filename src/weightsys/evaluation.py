@@ -355,19 +355,18 @@ def _leg_plan(d):
     A state's registers hold the labels of the legs set so far and, for
     each edge from a placed to an unplaced vertex, the label its unplaced
     dart must take.  A step is (lookup, keep, what): the registers it reads,
-    those it keeps, and ("chord",) or ("vertex", root, checked, loop, new,
+    those it keeps, and ("chord",) or ("vertex", root, checked, new,
     closing).  A vertex reads the label its output must take (a root labels
     its leg instead), then those its inputs in ``checked`` must match, x
-    being input 0 and y input 1; ``loop`` says x and y share an edge.
-    ``new`` lists what it appends: ("out",) the root's leg, ("pass", input)
-    an input's label for a later vertex's output, or ("edge", input, first)
-    the other end's label of the input's Casimir edge, first when the
-    input's half comes first in the layout.  ``closing`` lists each edge
-    that gets both ends placed, in order, as (the input whose parity is the
-    edge's, the mask of kept registers and the counts of x and y parities
-    that its sign reads).  Returns (steps, the register of each leg in
-    circle order, the pairs of circle positions that the reference order
-    has the other way round).
+    being input 0 and y input 1.  ``new`` lists what it appends: ("out",)
+    the root's leg, ("pass", input) an input's label for a later vertex's
+    output, or ("edge", input, first) the other end's label of the input's
+    Casimir edge, first when the input's half comes first in the layout.
+    ``closing`` lists each edge that gets both ends placed, in order, as
+    (the input whose parity is the edge's, the mask of kept registers and
+    the counts of x and y parities that its sign reads).  Returns (steps,
+    the register of each leg in circle order, the pairs of circle positions
+    that the reference order has the other way round).
     """
     nt, nt3, pairing = d.nt, 3 * d.nt, d.pairing
     circle = [nt3 + u - nt for u in d.skel]   # leg darts
@@ -434,7 +433,7 @@ def _leg_plan(d):
         checked = [w for w, t in enumerate(ins) if t in darts]
         keep = [j for j, t in enumerate(darts) if t not in (o, *ins)]
         spans, darts = [spans[j] for j in keep], [darts[j] for j in keep]
-        root, loop = pairing[o] >= nt3, pairing[ins[0]] == ins[1]
+        root = pairing[o] >= nt3
         new, ends, fresh = [], [], []   # ends: (input, the edge's positions) of closing edges
         if root:
             new.append(("out",))
@@ -442,10 +441,8 @@ def _leg_plan(d):
             darts.append(pairing[o])
         for w, t in enumerate(ins):
             q = pairing[t]
-            if w in checked or q == ins[0]:   # to a placed vertex, or y's self-loop
+            if w in checked:   # to a placed vertex
                 ends.append((w, sorted((pos[t], pos[q]))))
-            elif q == ins[1]:
-                continue
             elif q < nt3 and out[q // 3] == q:
                 block = [pos[x] for x in halves(t)]
                 new.append(("pass", w))
@@ -470,7 +467,7 @@ def _leg_plan(d):
             for w2, (a2, b2) in ends[i + 1:]:
                 counts[w2] ^= (a < a2 < b) != (a < b2 < b)
             closing.append((w, mask, *counts))
-        steps.append((lookup, keep, ("vertex", root, checked, loop, new, closing)))
+        steps.append((lookup, keep, ("vertex", root, checked, new, closing)))
     for g in circle:
         if across(g) is None and pos[g] < pos[pairing[g]]:
             steps.append(([], list(range(len(darts))), ("chord",)))
@@ -488,15 +485,11 @@ def _step_table(what, carrier, parity, first, second):
         # a chord's ends sit side by side in the layout: no sign
         return {(): [((x, y), w, 0) for x, y, w, _ in carrier.terms]}
     table = {}
-    _, root, checked, loop, new, closing = what
+    _, root, checked, new, closing = what
     for (y, x), row in carrier.bracket.items():
         lab = (x, y)
         par = (parity[x], parity[y])
-        if loop and first[y][0] != x:
-            continue
         for c, val in row.items():
-            if loop:
-                val = val * first[y][1]   # y's half comes first
             regs = []
             for spec in new:
                 if spec[0] == "out":
@@ -520,7 +513,12 @@ def _step_table(what, carrier, parity, first, second):
 def leg_tensor(carrier, d):
     """The internal graph of skeleton diagram d contracted into a sparse
     tensor on its legs: {labels of the legs in circle order: coefficient},
-    the coefficients in the carrier's ring and at its scale."""
+    the coefficients in the carrier's ring and at its scale.
+
+    d has no self-loop.  A diagram with one is zero by AS (reversing the
+    looped vertex and swapping its two loop darts is an odd automorphism),
+    and ``_parts`` drops zero diagrams before any contraction.
+    """
     steps, circle, swapped = _leg_plan(d)
     parity = {x: par for x, _, _, par in carrier.terms}
     # the Casimir relabels: a label at an edge's first (second) half gives

@@ -2,6 +2,8 @@
 
 Two exact instances are provided: sl2 over Q and the 17-dimensional family
 D(2,1,alpha) over Q(alpha) (or over Q at a fixed rational alpha != 0, -1).
+:func:`d21_rootdata` builds the family's Cartan data alone, for the
+root-system formulas that read nothing else.
 Structure constants are stored explicitly; :func:`validate` checks, exactly
 and symbolically where applicable, every property the rest of the package
 relies on: super-antisymmetry, the super Jacobi identity, supersymmetry /
@@ -28,7 +30,8 @@ EVEN, ODD = 0, 1
 
 @dataclass
 class RootData:
-    """Cartan data: dual-basis form, positive roots with parities, generators.
+    """Cartan data: the Cartan basis, the form on its dual, and the positive
+    roots with their parities.
 
     Roots are integer coordinate vectors in the basis dual to the chosen
     Cartan basis.  ``negative_order`` fixes the PBW order of the lowering
@@ -37,11 +40,9 @@ class RootData:
 
     cartan: tuple                      # indices of the Cartan basis elements
     hstar_form: list                   # matrix of the induced form on H*
-    positive_roots: list               # list of (coords, parity, raising index)
+    positive_roots: list               # list of (coords, parity)
     negative_order: tuple              # basis indices of lowering operators, PBW order
-    root_of_basis: dict                # basis index -> coords (0 for Cartan)
-    simple: tuple = ()                 # ((e, h_description, f), ...) simple generators
-    highest_root: tuple = ()           # coords of the highest root
+    highest_root: tuple                # coords of the highest root
 
     def inner(self, w1, w2):
         """<w1, w2> through the H* form matrix."""
@@ -130,10 +131,8 @@ def sl2():
     rootdata = RootData(
         cartan=(H,),
         hstar_form=[[Fraction(1, 2)]],
-        positive_roots=[((2,), EVEN, E)],
+        positive_roots=[((2,), EVEN)],
         negative_order=(F,),
-        root_of_basis={E: (2,), H: (0,), F: (-2,)},
-        simple=((E, H, F),),
         highest_root=(2,),
     )
     return SuperAlgebra("sl2", ["e", "h", "f"], (EVEN, EVEN, EVEN),
@@ -145,11 +144,42 @@ def sl2():
 # Basis layout: E1 E2 E3 | H1 H2 H3 | F1 F2 F3 | v_eps for eps in {+1,-1}^3,
 # listed with +1 first in each slot (v_{+++}, v_{++-}, ..., v_{---}).
 
+_E, _H, _F = (0, 1, 2), (3, 4, 5), (6, 7, 8)
 _EPS = [(e1, e2, e3) for e1 in (1, -1) for e2 in (1, -1) for e3 in (1, -1)]
 
 
 def _vidx(eps):
     return 9 + _EPS.index(tuple(eps))
+
+
+def _alpha_scalars(alpha):
+    """(alpha, the scalar of a rational) for D(2,1,alpha): alpha=None gives
+    the variable over Q[alpha]; a rational alpha must avoid 0 and -1, where
+    the family degenerates."""
+    if alpha is None:
+        return MultiPoly.variable("alpha"), lambda x: MultiPoly.const(x, ("alpha",))
+    alpha = Fraction(alpha)
+    if alpha in (0, -1):
+        raise ValueError("alpha must avoid 0 and -1")
+    return alpha, Fraction
+
+
+def d21_rootdata(alpha=None):
+    """The Cartan data of D(2,1,alpha), built without the algebra; alpha as
+    in :func:`d21`.  The form on H* is diag((1+alpha)/2, -1/2, -alpha/2)."""
+    A, R = _alpha_scalars(alpha)
+    half = Fraction(1, 2)
+    positive = [((2, 0, 0), EVEN), ((0, 2, 0), EVEN), ((0, 0, 2), EVEN)]
+    positive += [((1, e2, e3), ODD) for e2 in (1, -1) for e3 in (1, -1)]
+    return RootData(
+        cartan=_H,
+        hstar_form=[[half * (A + 1), R(0), R(0)],
+                    [R(0), R(-1) * half, R(0)],
+                    [R(0), R(0), -half * A]],
+        positive_roots=positive,
+        negative_order=_F + tuple(_vidx(eps) for eps in _EPS if eps[0] < 0),
+        highest_root=(2, 0, 0),
+    )
 
 
 def d21(alpha=None):
@@ -159,27 +189,14 @@ def d21(alpha=None):
     builds the numeric instance (alpha in {0, -1} is rejected: the family
     degenerates there).
     """
-    if alpha is None:
-        A = MultiPoly.variable("alpha")
-
-        def R(x):
-            return MultiPoly.const(x, ("alpha",))
-    else:
-        alpha = Fraction(alpha)
-        if alpha in (Fraction(0), Fraction(-1)):
-            raise ValueError("alpha must avoid 0 and -1")
-        A = alpha
-
-        def R(x):
-            return Fraction(x)
+    if alpha is not None:
+        alpha = Fraction(alpha)   # the label prints it as a Fraction
+    A, R = _alpha_scalars(alpha)
 
     names = ([f"E{i}" for i in (1, 2, 3)] + [f"H{i}" for i in (1, 2, 3)]
              + [f"F{i}" for i in (1, 2, 3)]
              + ["v" + "".join("p" if e > 0 else "m" for e in eps) for eps in _EPS])
     parity = tuple([EVEN] * 9 + [ODD] * 8)
-    E = [0, 1, 2]
-    H = [3, 4, 5]
-    F = [6, 7, 8]
 
     table = {}
 
@@ -196,39 +213,39 @@ def d21(alpha=None):
     one = R(1)
     # three commuting sl2 triples
     for i in range(3):
-        add(H[i], E[i], E[i], 2 * one)
-        add(E[i], H[i], E[i], -2 * one)
-        add(H[i], F[i], F[i], -2 * one)
-        add(F[i], H[i], F[i], 2 * one)
-        add(E[i], F[i], H[i], one)
-        add(F[i], E[i], H[i], -one)
+        add(_H[i], _E[i], _E[i], 2 * one)
+        add(_E[i], _H[i], _E[i], -2 * one)
+        add(_H[i], _F[i], _F[i], -2 * one)
+        add(_F[i], _H[i], _F[i], 2 * one)
+        add(_E[i], _F[i], _H[i], one)
+        add(_F[i], _E[i], _H[i], -one)
 
     # even action on the odd part
     for eps in _EPS:
         v = _vidx(eps)
         for i in range(3):
-            add(H[i], v, v, eps[i] * one)
-            add(v, H[i], v, -eps[i] * one)
+            add(_H[i], v, v, eps[i] * one)
+            add(v, _H[i], v, -eps[i] * one)
             if eps[i] == -1:
                 w = list(eps)
                 w[i] = 1
-                add(E[i], v, _vidx(w), one)
-                add(v, E[i], _vidx(w), -one)
+                add(_E[i], v, _vidx(w), one)
+                add(v, _E[i], _vidx(w), -one)
             if eps[i] == 1:
                 w = list(eps)
                 w[i] = -1
-                add(F[i], v, _vidx(w), one)
-                add(v, F[i], _vidx(w), -one)
+                add(_F[i], v, _vidx(w), one)
+                add(v, _F[i], _vidx(w), -one)
 
     # odd-odd bracket: the G_i two-argument table contracted with the
     # beta_i = eps_i * [gamma_i == -eps_i] prefactors, weighted by
     # (alpha+1), -1, -alpha for i = 1, 2, 3.
     def G(i, a, b):
         if a == 1 and b == 1:
-            return {E[i]: -one}
+            return {_E[i]: -one}
         if a == -1 and b == -1:
-            return {F[i]: one}
-        return {H[i]: Fraction(1, 2) * one}
+            return {_F[i]: one}
+        return {_H[i]: Fraction(1, 2) * one}
 
     weights = [A + 1, R(-1), -A]
     for eps in _EPS:
@@ -250,46 +267,16 @@ def d21(alpha=None):
     casimir = []
     coefs = [A + 1, R(-1), -A]
     for i in range(3):
-        casimir.append((E[i], F[i], coefs[i]))
-        casimir.append((F[i], E[i], coefs[i]))
-        casimir.append((H[i], H[i], Fraction(1, 2) * coefs[i]))
+        casimir.append((_E[i], _F[i], coefs[i]))
+        casimir.append((_F[i], _E[i], coefs[i]))
+        casimir.append((_H[i], _H[i], Fraction(1, 2) * coefs[i]))
     for eps in _EPS:
         sgn = -eps[0] * eps[1] * eps[2]
         casimir.append((_vidx(eps), _vidx(tuple(-e for e in eps)), sgn * one))
 
-    half = Fraction(1, 2)
-    hstar = [[half * (A + 1), R(0), R(0)],
-             [R(0), R(-1) * half, R(0)],
-             [R(0), R(0), -half * A]]
-
-    positive = [((2, 0, 0), EVEN, E[0]), ((0, 2, 0), EVEN, E[1]), ((0, 0, 2), EVEN, E[2])]
-    for e2 in (1, -1):
-        for e3 in (1, -1):
-            positive.append(((1, e2, e3), ODD, _vidx((1, e2, e3))))
-    negative_order = (F[0], F[1], F[2],
-                      _vidx((-1, 1, 1)), _vidx((-1, 1, -1)),
-                      _vidx((-1, -1, 1)), _vidx((-1, -1, -1)))
-    root_of = {}
-    for i in range(3):
-        root_of[E[i]] = tuple(2 if j == i else 0 for j in range(3))
-        root_of[F[i]] = tuple(-2 if j == i else 0 for j in range(3))
-        root_of[H[i]] = (0, 0, 0)
-    for eps in _EPS:
-        root_of[_vidx(eps)] = eps
-
-    rootdata = RootData(
-        cartan=tuple(H),
-        hstar_form=hstar,
-        positive_roots=positive,
-        negative_order=negative_order,
-        root_of_basis=root_of,
-        simple=((_vidx((1, -1, -1)), "((alpha+1)H1+H2+alpha*H3)/2", _vidx((-1, 1, 1))),
-                (E[1], H[1], F[1]), (E[2], H[2], F[2])),
-        highest_root=(2, 0, 0),
-    )
     label = "d21_symbolic" if alpha is None else f"d21_alpha_{alpha}"
     return SuperAlgebra(label, names, parity, table, casimir,
-                        symbolic=alpha is None, rootdata=rootdata)
+                        symbolic=alpha is None, rootdata=d21_rootdata(alpha))
 
 
 # ------------------------------------------------------------ validation -----

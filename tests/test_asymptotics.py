@@ -17,7 +17,7 @@ from weightsys.superalgebras import d21
 def test_seven_inner_products_at_alpha_one():
     rd = d21(Fraction(1)).rootdata
     lam0 = (3, 1, 1)
-    values = sorted(rd.inner(lam0, coords) for coords, _, _ in rd.positive_roots)
+    values = sorted(rd.inner(lam0, coords) for coords, _ in rd.positive_roots)
     assert values == [-1, -1, 2, 3, 3, 4, 6]
 
 

@@ -16,7 +16,6 @@ from weightsys.characters import (
     chi0_image_test,
     chi_prime_D,
     from_elementary,
-    is_symmetric,
     load_family_table,
     parse_Q,
     p_factors,
@@ -50,7 +49,7 @@ def test_P_degree_and_symmetry(P):
     assert P.vars == E and weighted_degrees(P) == {15}
     expanded = from_elementary(P)
     assert expanded.degree() == 15
-    assert is_symmetric(expanded)
+    assert to_elementary(expanded) == P
     assert len(p_factors()) == len(FACTOR_LABELS) == 15
 
 
@@ -64,6 +63,13 @@ def test_P_equals_the_converted_product_of_its_factors(P):
     for f in p_factors():
         product = product * f
     assert P == to_elementary(product)
+
+
+def test_to_elementary_rejects_a_non_symmetric_polynomial():
+    lam, mu, nu = sym_vars()
+    for p in (lam * mu ** 2, lam - mu, lam * mu * nu + lam ** 2):
+        with pytest.raises(ValueError, match="not S3-symmetric"):
+            to_elementary(p)
 
 
 def test_elementary_conversion_roundtrip():

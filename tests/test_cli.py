@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weightsys import asymptotics, characters, evaluation
-from weightsys.cli import main
+from weightsys.cli import ALPHA1_K_LIMIT, SYMBOLIC_K_LIMIT, main
 from weightsys.diagrams import (chi_bar, chord_diagram_from_word, empty_circle, insert_at_vertex,
                                 triangle, wheel, wheel_on_circle)
 from weightsys.superalgebras import d21
@@ -93,6 +93,20 @@ def test_leading_table(capsys):
     assert all(r["match"] for r in rows)
     assert rows[0]["computed"] == "0"
     assert rows[1]["computed"] == "1728"
+
+
+@pytest.mark.parametrize("mode, limit", [(None, ALPHA1_K_LIMIT), ("symbolic", SYMBOLIC_K_LIMIT)])
+def test_leading_refuses_k_above_its_bound_before_any_work(capsys, monkeypatch, mode, limit):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("leading ran past its bound")
+
+    monkeypatch.setattr(asymptotics, "top_coefficient", must_not_run)
+    argv = ["--command", "leading", "--k", str(limit + 2)] + (["--mode", mode] if mode else [])
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"error: --k {limit + 2} exceeds the {mode or 'alpha1'} bound {limit}\n"
 
 
 def test_leading_symbolic_mode(capsys):

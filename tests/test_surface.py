@@ -4,7 +4,9 @@ Every top-level function and class of the package must be reachable from
 the program's own module-level code (the CLI entry point among it), from
 what the benchmark child (perfbench/child.py) imports or its tracer
 (perfbench/tracing.py) wraps, or from a name in KEEP, which gives the
-reason the tests need that name as it is.
+reason the tests need that name as it is.  Every field of a dataclass there
+must likewise be read as an attribute by the program or the benchmark child,
+unless its class is in UNREAD_FIELDS.
 """
 
 import ast
@@ -28,6 +30,11 @@ KEEP = {
     "corrupt": "the negative control of validate",
     "from_elementary": "the inverse map in the symmetric-function round trips",
     "sweep_cost": "the eval cost-bound tests, which read a plan without running it",
+}
+
+UNREAD_FIELDS = {
+    "LinearSolution": "solve_linear_system's result: only tests read it, and "
+                      "the tracer's scalars.solve_linear_system span keeps it alive",
 }
 
 
@@ -76,3 +83,24 @@ def test_every_name_is_reachable_without_the_tests():
     orphans = sorted(f"{module}.{name}" for name, defs in defined.items()
                      if name not in live for module, _ in defs)
     assert not orphans, f"called only by tests, so delete them: {', '.join(orphans)}"
+
+
+def _attribute_reads(path):
+    return {node.attr for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_dataclass_field_is_read_without_the_tests():
+    read = _attribute_reads(PERFBENCH / "child.py")
+    classes, fields = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        read |= _attribute_reads(path)
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, ast.ClassDef) and any(
+                    getattr(dec, "id", None) == "dataclass" for dec in stmt.decorator_list):
+                classes.add(stmt.name)
+                fields += [(path.stem, stmt.name, field.target.id) for field in stmt.body
+                           if isinstance(field, ast.AnnAssign)]
+    assert set(UNREAD_FIELDS) <= classes
+    unread = [".".join(f) for f in fields if f[1] not in UNREAD_FIELDS and f[2] not in read]
+    assert not unread, f"read only by tests, so delete them: {', '.join(unread)}"
