@@ -64,8 +64,9 @@ def closed_form_check(ks=range(2, 41, 2)):
 
 def sun_verma_polynomial(k):
     """eval of the symmetrized k-wheel on the symbolic D(2,1,alpha) Verma
-    module of weight n*DEFAULT_LAMBDA0: the expensive computation.  The
-    symbolic carrier keeps every chord value, so a repeat is cheap."""
+    module of weight n*DEFAULT_LAMBDA0: the expensive computation.  Each
+    call builds d21() afresh, so a repeat in one process computes the value
+    again."""
     from .diagrams import chi_bar, wheel
     from .evaluation import eval_verma
 

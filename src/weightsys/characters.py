@@ -235,25 +235,37 @@ def _read_poly(text, lookup):
 DEFAULT_TABLE = Path(__file__).parent / "data" / "lie_families.txt"
 
 
+def _read_family_row(line):
+    """One table row: name; lam; mu; nu; factor index."""
+    fields = [x.strip() for x in line.split(";")]
+    if len(fields) != 5 or not re.fullmatch(r"[+-]?[0-9]+", fields[4]):
+        raise ValueError(f"{line!r} is not 5 ';'-separated fields "
+                         "name; lam; mu; nu; integer factor index")
+    name, lam, mu, nu, factor = fields
+    triple = tuple(_read_poly(x, lambda v: (MultiPoly.variable(v), 1))
+                   for x in (lam, mu, nu))
+    if len({v for p in triple for v in p.vars if p.degree_in(v) > 0}) > 1:
+        raise ValueError(f"family {name} uses more than one parameter")
+    index = int(factor)
+    if index not in range(len(FACTOR_LABELS)):
+        raise ValueError(f"family {name}: factor index {index} is not in "
+                         f"0..{len(FACTOR_LABELS) - 1}")
+    return LieParamFamily(name, triple, index)
+
+
 def load_family_table(path=None):
     if path == "":
         raise ValueError("the family table path is empty")
     path = DEFAULT_TABLE if path is None else Path(path)
     families = []
-    for raw in path.read_text().splitlines():
+    for number, raw in enumerate(path.read_text().splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        name, lam, mu, nu, factor = [x.strip() for x in line.split(";")]
-        triple = tuple(_read_poly(x, lambda v: (MultiPoly.variable(v), 1))
-                       for x in (lam, mu, nu))
-        if len({v for p in triple for v in p.vars if p.degree_in(v) > 0}) > 1:
-            raise ValueError(f"family {name} uses more than one parameter")
-        index = int(factor)
-        if index not in range(len(FACTOR_LABELS)):
-            raise ValueError(f"family {name}: factor index {index} is not in "
-                             f"0..{len(FACTOR_LABELS) - 1}")
-        families.append(LieParamFamily(name, triple, index))
+        try:
+            families.append(_read_family_row(line))
+        except (ValueError, CostBoundError) as exc:
+            raise type(exc)(f"{path}:{number}: {exc}") from None
     if not families:
         raise ValueError(f"{path}: the table has no family rows")
     return families

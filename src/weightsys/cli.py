@@ -183,6 +183,12 @@ def cmd_certify(args):
 
 
 def cmd_eval(args):
+    if args.alpha is not None and args.algebra == "sl2":
+        sys.stderr.write("error: --alpha applies to --algebra d21 only\n")
+        return EXIT_USAGE
+    if args.weight is not None and args.mode == "statesum":
+        sys.stderr.write("error: --weight applies to --mode verma only\n")
+        return EXIT_USAGE
     if not args.diagram:
         sys.stderr.write("error: --diagram FILE is required for eval\n")
         return EXIT_USAGE

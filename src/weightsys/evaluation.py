@@ -38,8 +38,10 @@ Casimir ``terms`` and the ``bracket`` table in it, and implements
 state of a diagram of that degree into its scalar.  ``_evaluate`` plans
 every sweep against ``EVAL_SWEEP_LIMIT`` before it runs any, and each
 carrier memoizes the values in ``carrier.values``, keyed by canonical chord
-diagram or canonical contracted diagram; one carrier per (algebra, weight)
-or algebra is kept for the process.  The two carriers are independent:
+diagram or canonical contracted diagram.  An algebra holds its own
+carriers in ``L.carriers``, one per Verma weight and one for the adjoint,
+built on first use and kept while the algebra lives; an algebra built
+again starts with none.  The two carriers are independent:
 
 - the Verma module of highest weight n*lambda0: PBW monomial states with
   MultiPoly coefficients in Q[n] or Q[n, alpha], whose packed int storage
@@ -542,16 +544,7 @@ def leg_tensor(carrier, d):
                 val = coeff * val   # nonzero: the rings have no zero divisors
                 if odd & mask and (odd & mask).bit_count() & 1:
                     val = -val
-                k = base + regs
-                s = nxt.get(k)
-                if s is None:
-                    nxt[k] = val
-                else:
-                    s = s + val
-                    if s:
-                        nxt[k] = s
-                    else:
-                        del nxt[k]
+                _accum(nxt, base + regs, val)
         state = nxt
     tensor = {}
     for key, coeff in state.items():
@@ -587,9 +580,6 @@ def sweep_legs(carrier, tensor, degree):
 
 
 # ------------------------------------------------------------ public surface
-
-
-_CARRIERS = {}  # (L.name, lambda0) or (L.name, "adjoint") -> carrier
 
 
 def _parts(d):
@@ -668,10 +658,10 @@ def eval_verma(d, L, lambda0):
     The degree bound deg_n <= (number of skeleton vertices) is asserted on
     every diagram evaluated.
     """
-    key = (L.name, tuple(lambda0))
-    if key not in _CARRIERS:
-        _CARRIERS[key] = VermaCarrier(L, lambda0)
-    return _evaluate(d, L, _CARRIERS[key], check=_assert_degree_bound)
+    key = tuple(lambda0)
+    if key not in L.carriers:
+        L.carriers[key] = VermaCarrier(L, lambda0)
+    return _evaluate(d, L, L.carriers[key], check=_assert_degree_bound)
 
 
 def _assert_degree_bound(d, value):
@@ -686,10 +676,9 @@ def eval_state_sum(d, L):
     The full endomorphism is computed and Schur-checked to be an exact
     scalar multiple of the identity; the scalar is returned.
     """
-    key = (L.name, "adjoint")
-    if key not in _CARRIERS:
-        _CARRIERS[key] = EndoCarrier(L)
-    return _evaluate(d, L, _CARRIERS[key])
+    if "adjoint" not in L.carriers:
+        L.carriers["adjoint"] = EndoCarrier(L)
+    return _evaluate(d, L, L.carriers["adjoint"])
 
 
 def adjoint_weight(L):
@@ -755,8 +744,6 @@ def ratio_character(piece, probes):
         ratios.append(r)
         report.append({"base_degree": str(base.degree), "algebra": L.name,
                        "mode": mode, "ratio": str(r)})
-    first = ratios[0]
-    consistent = all(r == first for r in ratios[1:])
-    if not consistent:
+    if any(r != ratios[0] for r in ratios):
         raise ValueError(f"inconsistent insertion ratios: {[str(r) for r in ratios]}")
-    return first, report
+    return ratios[0], report

@@ -56,9 +56,10 @@ class RootData:
 
 @dataclass
 class SuperAlgebra:
-    """A Lie superalgebra given by its structure constants.  Its name
-    identifies them: evaluation keeps one carrier per name, so two algebras
-    with one name must share bracket table and Casimir."""
+    """A Lie superalgebra given by its structure constants.  Its name is a
+    label for reports; ``carriers`` holds the evaluation carriers built on
+    it (see :mod:`weightsys.evaluation`), so each algebra object keeps its
+    own values."""
 
     name: str
     basis_names: list
@@ -68,6 +69,7 @@ class SuperAlgebra:
     symbolic: bool = False             # True iff scalars carry the alpha variable
     rootdata: RootData | None = None
     _form: list | None = field(default=None, repr=False)
+    carriers: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def dim(self):
@@ -303,12 +305,10 @@ def validate(L):
     failures = []
     for i in range(n):
         for j in range(n):
-            lhs = L.bracket(i, j)
-            rhs = L.bracket(j, i)
             sgn = -1 if (par[i] and par[j]) else 1
             # [x,y] + (-1)^{|x||y|} [y,x] = 0
-            diff = dict(lhs)
-            for k, c in rhs.items():
+            diff = dict(L.bracket(i, j))
+            for k, c in L.bracket(j, i).items():
                 diff[k] = diff.get(k, 0) + sgn * c
             if not _is_zero_lc(diff):
                 failures.append((L.basis_names[i], L.basis_names[j]))
@@ -338,22 +338,12 @@ def validate(L):
     for x in range(n):
         acc = {}
         for i, j, c in L.casimir:
-            for k, v in L.bracket(x, i).items():
-                key = (k, j)
-                s = acc.get(key, 0) + c * v
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
             sgn = -1 if (par[x] and par[i]) else 1
+            for k, v in L.bracket(x, i).items():
+                acc[k, j] = acc.get((k, j), 0) + c * v
             for k, v in L.bracket(x, j).items():
-                key = (i, k)
-                s = acc.get(key, 0) + sgn * c * v
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        if acc:
+                acc[i, k] = acc.get((i, k), 0) + sgn * c * v
+        if not _is_zero_lc(acc):
             failures.append(L.basis_names[x])
     report["casimir_ad_invariance"] = {"ok": not failures, "failures": failures[:5]}
 
@@ -413,7 +403,8 @@ def cartan_form_block(L):
 
 
 def corrupt(L, i, j, k, delta):
-    """Copy of L with one structure constant shifted, named after the shift (negative control)."""
+    """Copy of L with one structure constant shifted (negative control),
+    labelled after the shift; it starts with no carriers of its own."""
     table = {key: dict(val) for key, val in L.bracket_table.items()}
     row = table.setdefault((i, j), {})
     row[k] = row.get(k, 0) + delta

@@ -74,6 +74,8 @@ def test_validate_with_corrupted_table(tmp_path, capsys):
     "# no family rows",
     "sl; -2; 2; N^99; 5",
     "sl; -2; 2; 7^100000; 5",
+    "sl; -2; 2; N",
+    "sl; -2; 2; N; x",
 ])
 def test_validate_reports_an_unreadable_table(tmp_path, capsys, row):
     bad = tmp_path / "bad.txt"
@@ -83,6 +85,8 @@ def test_validate_reports_an_unreadable_table(tmp_path, capsys, row):
     assert code == 1
     report = json.loads(out)
     assert report["status"] == "fail" and report["table_error"]
+    # a row's error names the file and the line
+    assert ("bad.txt:1: " in report["table_error"]) == (not row.startswith("#"))
 
 
 def test_leading_table(capsys):
@@ -275,6 +279,9 @@ def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys, text, args)
     (["--command", "certify", "--k", "4", "--q", "7^300"], 0),
     # a 54-bit coefficient: its alpha polynomial has large end coefficients
     (["--command", "certify", "--k", "4", "--q", "10000000000000061*e2^3+e3^2"], 0),
+    # an option the command would ignore is refused
+    (["--command", "eval", "--algebra", "sl2", "--alpha", "2"], 2),
+    (["--command", "eval", "--mode", "statesum", "--weight", "3,1,1"], 2),
 ])
 def test_zero_and_empty_values_are_not_replaced_by_defaults(tmp_path, capsys, argv, want):
     f = tmp_path / "diagram.txt"

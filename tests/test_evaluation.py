@@ -37,7 +37,7 @@ from weightsys.evaluation import (
     sweep_legs,
 )
 from weightsys.scalars import MultiPoly
-from weightsys.superalgebras import corrupt, d21, sl2, validate
+from weightsys.superalgebras import SuperAlgebra, corrupt, d21, sl2, validate
 import weightsys.evaluation as evaluation
 
 
@@ -150,26 +150,26 @@ def test_cut_rotation_invariance(D_sym, monkeypatch):
         assert sweep_chords(carrier, chords) == want
 
 
-def test_degree_bound_is_asserted(D2, monkeypatch):
+def test_degree_bound_is_asserted(monkeypatch):
     # a sweep returning n^9 for a one-chord diagram (two skeleton vertices)
-    # must trip the bound; fresh carriers keep the fake value out of the memos
-    monkeypatch.setattr(evaluation, "_CARRIERS", {})
+    # must trip the bound; a fresh algebra keeps the fake value out of the
+    # shared fixtures' carriers
     monkeypatch.setattr(evaluation, "sweep_chords",
                         lambda *args, **kwargs: MultiPoly.variable("n") ** 9)
     one = chord_diagram_from_word([(0, 1)], 2)
     with pytest.raises(AssertionError, match="degree bound violated"):
-        eval_verma(one, D2, (3, 1, 1))
+        eval_verma(one, d21(Fraction(2)), (3, 1, 1))
 
 
-def test_state_sum_reuses_the_adjoint_carrier(L, monkeypatch):
+def test_state_sum_reuses_the_adjoint_carrier(monkeypatch):
     built = []
 
     def counting_adjoint_rep(alg):
         built.append(alg.name)
         return adjoint_rep(alg)
 
-    monkeypatch.setattr(evaluation, "_CARRIERS", {})
     monkeypatch.setattr(evaluation, "adjoint_rep", counting_adjoint_rep)
+    L = sl2()
     one = chord_diagram_from_word([(0, 1)], 2)
     two = chord_diagram_from_word([(0, 2), (1, 3)], 4)
     assert [eval_state_sum(x, L) for x in (one, two, one)] == [4, 8, 4]
@@ -275,11 +275,26 @@ def test_verma_carrier_rejects_an_odd_square():
 
 
 def test_each_corruption_gets_its_own_carrier():
-    # evaluation keeps one carrier per algebra name, so two corruptions of
-    # one algebra must not share a name: [e, f] = 2h, then [e, f] = 3h
+    # each corrupted copy is a new algebra with no carriers of its own, so
+    # the values follow its structure constants: [e, f] = 2h, then [e, f] = 3h
     two = chord_diagram_from_word([(0, 2), (1, 3)], 4)
     assert str(eval_verma(two, corrupt(sl2(), 0, 2, 1, 1), (2,))) == "4*n^4 + 16*n^3 + 16*n^2 - 16*n"
     assert str(eval_verma(two, corrupt(sl2(), 0, 2, 1, 2), (2,))) == "4*n^4 + 24*n^3 + 48*n^2 - 36*n"
+
+
+def test_two_algebras_with_one_name_keep_their_own_values():
+    # the same label with the Casimir doubled: the second algebra's carriers
+    # are its own, so both values double rather than repeat the first's
+    one = chord_diagram_from_word([(0, 1)], 2)
+    L = sl2()
+    assert str(eval_verma(one, L, (2,))) == "2*n^2 + 2*n"
+    assert eval_state_sum(one, L) == 4
+    doubled = SuperAlgebra("sl2", list(L.basis_names), L.parity, L.bracket_table,
+                           [(i, j, 2 * c) for i, j, c in L.casimir], rootdata=L.rootdata)
+    assert doubled.name == L.name and doubled != L
+    assert str(eval_verma(one, doubled, (2,))) == "4*n^2 + 4*n"
+    assert eval_state_sum(one, doubled) == 8
+    assert str(eval_verma(one, L, (2,))) == "2*n^2 + 2*n"
 
 
 def test_values_stay_in_the_carrier_ring(L, D2, D_sym):
@@ -399,13 +414,14 @@ def test_contraction_agrees_with_stu(alpha):
     assert nonzero >= (60 if alpha is None else 1)
 
 
-def test_more_vertices_than_legs_is_contracted_the_rest_reduced(L, monkeypatch):
+def test_more_vertices_than_legs_is_contracted_the_rest_reduced(monkeypatch):
     # the only dispatch: a skeleton diagram with more trivalent vertices than
-    # legs is contracted, any other one goes through STU and the chord sweep
+    # legs is contracted, any other one goes through STU and the chord sweep;
+    # a fresh algebra has no value of either diagram yet
     (tri, c), = list(insert_at_vertex(wheel(2), 0, triangle()))
     glued = next(iter(chi_bar(tri, c)))[0]
     assert glued.nt > glued.nu
-    monkeypatch.setattr(evaluation, "_CARRIERS", {})
+    L = sl2()
 
     def refuse(*args):
         raise AssertionError("the other path ran")
@@ -423,8 +439,6 @@ def test_the_library_bounds_the_sweep_before_sweeping(monkeypatch):
     # six pairwise crossing chords plan 51,292,332 on D(2,1,alpha), and a
     # leg trie over six legs 17 + 17^2 + ... + 17^6: both evaluations refuse
     # them before any sweep, unless the value is already known
-    monkeypatch.setattr(evaluation, "_CARRIERS", {})
-
     def refuse(*args):
         raise AssertionError("swept")
 
@@ -443,6 +457,6 @@ def test_the_library_bounds_the_sweep_before_sweeping(monkeypatch):
                      + LinComb.of(cross6))
         with pytest.raises(evaluation.CostBoundError, match=f"plans cost {sum(17 ** k for k in range(1, 7))}"):
             evaluate(big)
-    carrier = evaluation._CARRIERS[(D.name, (3, 1, 1))]
+    carrier = D.carriers[(3, 1, 1)]
     carrier.values[cross6.canonical_key()] = carrier.zero
     assert eval_verma(cross6, D, (3, 1, 1)).is_zero()

@@ -6,7 +6,9 @@ what the benchmark child (perfbench/child.py) imports or its tracer
 (perfbench/tracing.py) wraps, or from a name in KEEP, which gives the
 reason the tests need that name as it is.  Every field of a dataclass there
 must likewise be read as an attribute by the program or the benchmark child,
-unless its class is in UNREAD_FIELDS.
+unless its class is in UNREAD_FIELDS.  No module holds state of its own: none
+assigns an empty container at top level, and a function memoized with
+functools.cache or lru_cache is named in MODULE_CACHES with the reason.
 """
 
 import ast
@@ -35,6 +37,11 @@ KEEP = {
 UNREAD_FIELDS = {
     "LinearSolution": "solve_linear_system's result: only tests read it, and "
                       "the tracer's scalars.solve_linear_system span keeps it alive",
+}
+
+MODULE_CACHES = {
+    "_reduce_canonical": "value-keyed and shared by every algebra; the wheel-6 "
+                         "operation hits it across its three reductions",
 }
 
 
@@ -104,3 +111,37 @@ def test_every_dataclass_field_is_read_without_the_tests():
     assert set(UNREAD_FIELDS) <= classes
     unread = [".".join(f) for f in fields if f[1] not in UNREAD_FIELDS and f[2] not in read]
     assert not unread, f"read only by tests, so delete them: {', '.join(unread)}"
+
+
+def _is_empty_container(node):
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, ast.List):
+        return not node.elts
+    return (isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("set", "dict", "list")
+            and not node.args and not node.keywords)
+
+
+def _is_memo(decorator):
+    """Whether a decorator is functools' cache or lru_cache, called or not."""
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return (getattr(target, "attr", None) or getattr(target, "id", None)) in ("cache", "lru_cache")
+
+
+def test_no_module_keeps_state_of_its_own():
+    containers, caches = [], {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and stmt.value is not None \
+                    and _is_empty_container(stmt.value):
+                containers.append(f"{path.stem}:{stmt.lineno}")
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    _is_memo(dec) for dec in node.decorator_list):
+                caches[node.name] = path.stem
+    assert not containers, f"module-level state, keep it on an object: {', '.join(containers)}"
+    unlisted = sorted(f"{module}.{name}" for name, module in caches.items()
+                      if name not in MODULE_CACHES)
+    assert not unlisted, f"module caches without a reason in MODULE_CACHES: {', '.join(unlisted)}"
+    assert set(MODULE_CACHES) <= set(caches), "MODULE_CACHES names a function with no cache"
