@@ -29,12 +29,23 @@ def top_coefficient(k, lambda0=DEFAULT_LAMBDA0, alpha=None):
     With ``alpha`` None the result is a polynomial in alpha; at a rational
     alpha it is a Fraction.  Raises ValueError unless k is even and >= 2.
     """
+    return _root_sum(_root_pairings(lambda0, alpha), k)
+
+
+def _root_pairings(lambda0, alpha):
+    """[(<lambda0, beta>, parity of beta)] over the positive roots beta of
+    D(2,1,alpha): the part of the root sum that does not depend on k."""
+    rootdata = d21_rootdata(alpha)
+    return [(rootdata.inner(lambda0, coords), parity)
+            for coords, parity in rootdata.positive_roots]
+
+
+def _root_sum(pairings, k):
+    """top_coefficient's sum from the pairings of ``_root_pairings``."""
     if k % 2 or k < 2:
         raise ValueError("k must be even and >= 2")
-    rootdata = d21_rootdata(alpha)
     total = 0
-    for coords, parity in rootdata.positive_roots:
-        ip = rootdata.inner(lambda0, coords)
+    for ip, parity in pairings:
         term = ip ** k
         total = (-term if parity else term) + total
     return 2 * total
@@ -48,10 +59,11 @@ def closed_form_value(k):
 def closed_form_check(ks=range(2, 41, 2)):
     """At alpha = 1 the root-system sum equals the closed form for every even
     k; the value is 0 at k = 2 and positive for k >= 4."""
+    pairings = _root_pairings(DEFAULT_LAMBDA0, Fraction(1))
     rows = []
     ok = True
     for k in ks:
-        computed = top_coefficient(k, alpha=Fraction(1))
+        computed = _root_sum(pairings, k)
         closed = closed_form_value(k)
         match = computed == closed
         positive = closed > 0

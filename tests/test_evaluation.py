@@ -460,3 +460,99 @@ def test_the_library_bounds_the_sweep_before_sweeping(monkeypatch):
     carrier = D.carriers[(3, 1, 1)]
     carrier.values[cross6.canonical_key()] = carrier.zero
     assert eval_verma(cross6, D, (3, 1, 1)).is_zero()
+
+
+def breadth_first_sweep(carrier, chords):
+    """The chord sweep breadth first, the reference for ``sweep_chords``:
+    every layer, that of openings too, is stored as a map from pendings to
+    states."""
+    terms = carrier.terms
+    n_positions = 2 * len(chords)
+    chords, _ = evaluation._plan_rotation(chords, n_positions, len(terms))
+    open_at = {q: ci for ci, (p, q) in enumerate(chords)}
+    close_at = {p: ci for ci, (p, q) in enumerate(chords)}
+    states = {(): carrier.start()}
+    for pos in range(n_positions - 1, -1, -1):
+        nxt = {}
+        if pos in open_at:
+            ci = open_at[pos]
+            p_c = chords[ci][0]
+            for pend, vec in states.items():
+                odd_crossers = sum(1 for c2, t2 in pend if terms[t2][3] and chords[c2][0] > p_c)
+                for ti, (_, y, w, par) in enumerate(terms):
+                    vec2 = carrier.apply(y, vec, scale=-w if par and odd_crossers & 1 else w)
+                    if vec2:
+                        nxt[pend + ((ci, ti),)] = vec2
+        else:
+            ci = close_at[pos]
+            for pend, vec in states.items():
+                ti = next(t for c, t in pend if c == ci)
+                vec2 = carrier.apply(terms[ti][0], vec)
+                if vec2:
+                    evaluation._merge(nxt, tuple((c, t) for c, t in pend if c != ci), vec2)
+        states = nxt
+        if not states:
+            break
+    return carrier.extract(states.get((), {}), len(chords))
+
+
+class RawState:
+    """A carrier whose ``extract`` hands out the final state itself, and
+    whose Casimir weights are scaled by 1, 2, 3, ... term by term.  The
+    terms then form no invariant tensor, so the final state is no scalar
+    multiple of the identity; with the true Casimir every adjoint state on
+    D(2,1,alpha) ends empty, and comparing states would check little."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.terms = [(x, y, w * (i + 1), par) for i, (x, y, w, par) in enumerate(self.terms)]
+
+    def extract(self, state, degree):
+        return state
+
+
+class RawVerma(RawState, VermaCarrier):
+    pass
+
+
+class RawEndo(RawState, EndoCarrier):
+    def start(self):
+        # two columns of the identity, an even basis element's and (on
+        # D(2,1,alpha)) an odd one's: the sweep runs the columns alike, and
+        # all 17 would take eight times as long
+        return {(j, j): self.one for j in (0, self.dim - 1)}
+
+
+@pytest.mark.parametrize("alpha, top", [(None, 4), (Fraction(2), 4), ("symbolic", 3)])
+def test_the_sweep_agrees_with_its_breadth_first_reference(alpha, top):
+    # one chord diagram per class up to the degree, on both carriers: equal
+    # final states, entry by entry and in insertion order
+    L = sl2() if alpha is None else d21(None if alpha == "symbolic" else alpha)
+    carriers = (RawVerma(L, (2,) if alpha is None else (3, 1, 1)), RawEndo(L))
+    nonzero = 0
+    for carrier in carriers:
+        for m in range(top + 1):
+            for d in all_chord_diagrams(m):
+                chords = chord_endpoints(d)
+                want = breadth_first_sweep(carrier, chords)
+                got = sweep_chords(carrier, chords)
+                assert list(got.items()) == list(want.items()), (type(carrier).__name__, chords)
+                nonzero += bool(got)
+    assert nonzero == 2 * sum(len(all_chord_diagrams(m)) for m in range(top + 1))
+
+
+def test_the_sweep_stores_states_only_after_a_closing(D2, monkeypatch):
+    # three pairwise crossing chords are all open at once after the third
+    # opening: stored, that layer would hold 4,097 states on D(2,1,2).  Only
+    # closings store, and the widest closing keeps at most one state per
+    # pair of Casimir terms on the two chords still open.
+    stored = []
+    merge = evaluation._merge
+
+    def counting_merge(states, pend, vec):
+        merge(states, pend, vec)
+        stored.append(len(states))
+
+    monkeypatch.setattr(evaluation, "_merge", counting_merge)
+    assert sweep_chords(EndoCarrier(D2), [(0, 3), (1, 4), (2, 5)]) == 0
+    assert 17 < max(stored) <= 17 ** 2
