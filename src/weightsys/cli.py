@@ -24,6 +24,11 @@ from .superalgebras import d21, sl2, validate, cartan_form_block
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_COST = 0, 1, 2, 3
 MODES = {"validate": (), "leading": ("alpha1", "symbolic"),
          "certify": ("auto", "full"), "eval": ("verma", "statesum")}
+# the options each command reads besides --command, --format and --out; any
+# other option given is a usage error
+OPTIONS = {"validate": ("table",), "leading": ("k", "mode"),
+           "certify": ("k", "q", "mode", "table"),
+           "eval": ("alpha", "mode", "diagram", "algebra", "weight", "max_degree")}
 ALPHA1_K_LIMIT = 2000  # leading at alpha = 1: k = 2000 takes about 0.8 s, k = 3000 1.1 s
 SYMBOLIC_K_LIMIT = 100  # leading --mode symbolic: k = 100 takes about 0.3 s, cost grows as k^3
 FULL_K_LIMIT = 6  # certify --mode full: k = 6 takes about 100 s, k = 8 has never finished
@@ -183,7 +188,8 @@ def cmd_certify(args):
 
 
 def cmd_eval(args):
-    if args.alpha is not None and args.algebra == "sl2":
+    algebra = args.algebra or "d21"
+    if args.alpha is not None and algebra == "sl2":
         sys.stderr.write("error: --alpha applies to --algebra d21 only\n")
         return EXIT_USAGE
     if args.weight is not None and args.mode == "statesum":
@@ -202,12 +208,7 @@ def cmd_eval(args):
     if diag.degree > max_degree:
         sys.stderr.write(f"error: diagram degree {diag.degree} exceeds --max-degree {max_degree}\n")
         return EXIT_COST
-    if args.algebra == "sl2":
-        L = sl2()
-    elif args.alpha is not None:
-        L = d21(args.alpha)
-    else:
-        L = d21()
+    L = sl2() if algebra == "sl2" else d21(args.alpha)
     try:
         weight = None if args.mode == "statesum" else _parse_weight(args.weight, L)
     except ValueError as exc:
@@ -245,8 +246,8 @@ def build_parser():
     ap.add_argument("--out", help="output path (default stdout), opened before the run")
     ap.add_argument("--table", help="parameter table path")
     ap.add_argument("--diagram", help="diagram file for eval")
-    ap.add_argument("--algebra", default="d21", choices=["sl2", "d21"],
-                    help="algebra for eval (d21 is symbolic unless --alpha is given)")
+    ap.add_argument("--algebra", choices=["sl2", "d21"],
+                    help="algebra for eval (default d21, symbolic unless --alpha is given)")
     ap.add_argument("--weight", help="eval weight: adjoint or H* coordinates like 3,1,1")
     ap.add_argument("--max-degree", type=int, dest="max_degree",
                     help="cost guard for eval (default 6)")
@@ -261,6 +262,10 @@ def main(argv=None):
         if args.mode is not None and args.mode not in modes:
             ap.error(f"--mode {args.mode!r}: {args.command} takes "
                      + ("no --mode" if not modes else "one of " + ", ".join(modes)))
+        read = ("command", "format", "out") + OPTIONS[args.command]
+        for dest, value in vars(args).items():
+            if value is not None and dest not in read:
+                ap.error(f"{args.command} takes no --{dest.replace('_', '-')}")
         if args.out is not None:
             try:
                 args.out = open(args.out, "w")

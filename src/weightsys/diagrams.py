@@ -75,10 +75,6 @@ class Diagram:
     def degree(self):
         return self.n_vertices // 2
 
-    @property
-    def legs(self):
-        return self.nu
-
     def dart_vertex(self, d):
         return d // 3 if d < 3 * self.nt else self.nt + (d - 3 * self.nt)
 
@@ -116,9 +112,10 @@ class Diagram:
         """Whether edges, and the skeleton if present, join every vertex.
 
         The walk runs over vertices.  The skeleton joins all legs, which
-        ``_validate`` has checked it lists, so every leg starts the walk."""
+        ``_validate`` has checked it lists, so every leg starts the walk; a
+        skeleton with no legs starts none, and joins only the bare circle."""
         nt, nt3, pairing = self.nt, 3 * self.nt, self.pairing
-        stack = list(self.skel) if self.skel else [0]
+        stack = [0] if self.skel is None else list(self.skel)
         seen = bytearray(self.n_vertices)
         for v in stack:
             seen[v] = 1
@@ -477,13 +474,6 @@ class LinComb:
         out.add_comb(other, -1)
         return out
 
-    def coeff(self, diagram):
-        canon, sign, zero = diagram.canonical()
-        if zero:
-            return 0
-        got = self.terms.get(canon._encoding())
-        return sign * got[1] if got else 0
-
     def __repr__(self):
         return "LinComb(" + " + ".join(f"({c})*{d!r}" for d, c in self) + ")"
 
@@ -663,9 +653,9 @@ def skeleton_swap(d, i):
     return swapped, _from_edges(new_nt, d.nu - 1, edges, skel)
 
 
-def sort_skeleton_to(d, target_order, coeff=1):
-    """Express d as coeff * (d with skeleton sorted to target cyclic order)
-    plus lower-filtration terms, by repeated STU swaps.
+def sort_skeleton_to(d, target_order):
+    """Express d as (d with skeleton sorted to target cyclic order) plus
+    lower-filtration terms, by repeated STU swaps.
 
     ``target_order`` is a tuple of d's univalent vertex labels.  Returns
     (sorted LinComb contribution, LinComb of emitted lower terms)."""
@@ -685,10 +675,10 @@ def sort_skeleton_to(d, target_order, coeff=1):
         for i in range(1, n - 1):
             if rank[cur.skel[i]] > rank[cur.skel[i + 1]]:
                 swapped, y_term = skeleton_swap(cur, i)
-                lower.add(y_term, -coeff)
+                lower.add(y_term, -1)
                 cur = swapped
                 changed = True
-    return LinComb.of(cur, coeff), lower
+    return LinComb.of(cur), lower
 
 
 # -- insertion ------------------------------------------------------------------------
@@ -704,7 +694,7 @@ class InsertionPiece:
     canonicalization would kill the triangle by the odd-wheel symmetry).
     """
 
-    def __init__(self, diagram, legs_cyclic, name=""):
+    def __init__(self, diagram, legs_cyclic):
         if diagram.skel is not None:
             raise DiagramError("insertion pieces are built from skeleton-free diagrams")
         if diagram.nu != 3:
@@ -713,7 +703,6 @@ class InsertionPiece:
         canon, sign, zero = marked.canonical()
         if zero:
             raise DiagramError("piece is zero by symmetry")
-        self.name = name
         self.diagram = canon
         self.sign = sign
         self.legs = canon.skel
@@ -743,18 +732,16 @@ def ladder(r):
               (3 * (nt - 1) + 2, 3 * nt + 1),  # rail B start (path end)
               (3 * r + 1, 3 * nt + 2)]        # fold leg
     diag = _from_edges(nt, 3, edges)
-    return InsertionPiece(diag, (nt, nt + 1, nt + 2), name=f"ladder({r})")
+    return InsertionPiece(diag, (nt, nt + 1, nt + 2))
 
 
 def triangle():
-    p = ladder(1)
-    p.name = "triangle"
-    return p
+    return ladder(1)
 
 
-def insert_at_vertex(d, v, piece, rotation=0):
-    """Replace trivalent vertex v of d by the piece, gluing the three cut
-    edges to the piece's legs through a cyclic matching (rotation 0..2).
+def insert_at_vertex(d, v, piece):
+    """Replace trivalent vertex v of d by the piece, gluing the cut edge at
+    each slot of v to the piece's leg in the same place of its cyclic order.
 
     Degree grows by the piece degree; leg count and skeleton are untouched.
     """
@@ -771,9 +758,9 @@ def insert_at_vertex(d, v, piece, rotation=0):
     for slot in range(3):
         host = d.pairing[3 * v + slot]
         if host in dmap:
-            edges.append((dmap[host], glue[(slot + rotation) % 3]))
+            edges.append((dmap[host], glue[slot]))
         elif host % 3 > slot:  # a self-loop at v joins two glue darts
-            edges.append((glue[(slot + rotation) % 3], glue[(host % 3 + rotation) % 3]))
+            edges.append((glue[slot], glue[host % 3]))
     skel = None if d.skel is None else [vmap[u] for u in d.skel]
     return LinComb.of(_from_edges(nt, d.nu, edges, skel), piece.sign)
 

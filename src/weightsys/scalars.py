@@ -141,11 +141,6 @@ class MultiPoly:
             raise ValueError(f"not a constant: {self}")
         return Fraction(self.nums.get(0, 0), self.den)
 
-    def degree(self):
-        """Total degree; -1 for the zero polynomial."""
-        nv = len(self.vars)
-        return max((sum(_exponents(k, nv)) for k in self.nums), default=-1)
-
     def degree_in(self, name):
         if not self.nums:
             return -1
@@ -345,11 +340,6 @@ class MultiPoly:
                 term = term * pow_cache[key]
             total = total + term
         return total
-
-    def evaluate(self, assignment):
-        """Full evaluation to a Fraction; every live variable must be assigned."""
-        r = self.substitute({v: _as_fraction(assignment[v]) for v in self.vars if v in assignment})
-        return r.constant_value()
 
     # -- univariate helpers ----------------------------------------------------
 

@@ -20,6 +20,7 @@ that induces it; the validator checks all of this rather than assuming it).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -59,21 +60,24 @@ class SuperAlgebra:
     """A Lie superalgebra given by its structure constants.  Its name is a
     label for reports; ``carriers`` holds the evaluation carriers built on
     it (see :mod:`weightsys.evaluation`), so each algebra object keeps its
-    own values."""
+    own values.  Neither it nor the cached ``form`` takes part in ``==``."""
 
     name: str
     basis_names: list
     parity: tuple
     bracket_table: dict                # (i, j) -> {k: coeff}
     casimir: list                      # [(i, j, coeff)]
-    symbolic: bool = False             # True iff scalars carry the alpha variable
-    rootdata: RootData | None = None
-    _form: list | None = field(default=None, repr=False)
-    carriers: dict = field(default_factory=dict, repr=False, compare=False)
+    rootdata: RootData
+    carriers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self):
         return len(self.basis_names)
+
+    @property
+    def symbolic(self):
+        """True iff the scalars are polynomials in alpha, as the Casimir's are."""
+        return any(isinstance(c, MultiPoly) for _, _, c in self.casimir)
 
     def bracket(self, i, j):
         return self.bracket_table.get((i, j), {})
@@ -98,14 +102,10 @@ class SuperAlgebra:
             mat[i][j] = mat[i][j] + c
         return mat
 
+    @functools.cached_property
     def form(self):
-        """Invariant bilinear form g = (casimir matrix)^-1, cached."""
-        if self._form is None:
-            self._form = matrix_inverse(self.casimir_matrix())
-        return self._form
-
-    def index(self, name):
-        return self.basis_names.index(name)
+        """Invariant bilinear form g = (casimir matrix)^-1."""
+        return matrix_inverse(self.casimir_matrix())
 
 
 # ---------------------------------------------------------------- sl2 --------
@@ -138,7 +138,7 @@ def sl2():
         highest_root=(2,),
     )
     return SuperAlgebra("sl2", ["e", "h", "f"], (EVEN, EVEN, EVEN),
-                        table, casimir, rootdata=rootdata)
+                        table, casimir, rootdata)
 
 
 # ------------------------------------------------------- D(2,1,alpha) --------
@@ -277,8 +277,7 @@ def d21(alpha=None):
         casimir.append((_vidx(eps), _vidx(tuple(-e for e in eps)), sgn * one))
 
     label = "d21_symbolic" if alpha is None else f"d21_alpha_{alpha}"
-    return SuperAlgebra(label, names, parity, table, casimir,
-                        symbolic=alpha is None, rootdata=d21_rootdata(alpha))
+    return SuperAlgebra(label, names, parity, table, casimir, d21_rootdata(alpha))
 
 
 # ------------------------------------------------------------ validation -----
@@ -348,7 +347,7 @@ def validate(L):
     report["casimir_ad_invariance"] = {"ok": not failures, "failures": failures[:5]}
 
     try:
-        g = L.form()
+        g = L.form
     except ValueError:  # the Casimir matrix is singular: no form to check
         g = None
     report["casimir_regular"] = {"ok": g is not None, "failures": []}
@@ -397,7 +396,7 @@ def validate(L):
 
 def cartan_form_block(L):
     """Restriction of the invariant form to the Cartan subalgebra."""
-    g = L.form()
+    g = L.form
     idx = L.rootdata.cartan
     return [[g[i][j] for j in idx] for i in idx]
 
@@ -412,5 +411,4 @@ def corrupt(L, i, j, k, delta):
         del row[k]
     name = f"{L.name}_corrupt({i},{j},{k},{delta})"
     return SuperAlgebra(name, list(L.basis_names), L.parity,
-                        table, list(L.casimir), symbolic=L.symbolic,
-                        rootdata=L.rootdata)
+                        table, list(L.casimir), L.rootdata)

@@ -48,14 +48,14 @@ def P():
 def test_P_degree_and_symmetry(P):
     assert P.vars == E and weighted_degrees(P) == {15}
     expanded = from_elementary(P)
-    assert expanded.degree() == 15
+    assert max(map(sum, expanded.terms)) == 15
     assert to_elementary(expanded) == P
     assert len(p_factors()) == len(FACTOR_LABELS) == 15
 
 
 def test_P_at_unit_point(P):
     # lam = mu = nu = 1: t=3; prod(t+a)=64, prod(t-a)=8, prod(a+2b)=729, prod(3a-2t)=-27
-    assert P.evaluate({"e1": 3, "e2": 3, "e3": 1}) == -10077696
+    assert P.substitute({"e1": 3, "e2": 3, "e3": 1}).constant_value() == -10077696
 
 
 def test_P_equals_the_converted_product_of_its_factors(P):
@@ -85,7 +85,7 @@ def test_elementary_conversion_roundtrip():
 def test_image_membership():
     e1, e2, e3 = e_vars()
     member, f, g = chi0_image_test(e1 ** 5)
-    assert member and f.degree() == 5 and g.is_zero()
+    assert member and max(map(sum, f.terms)) == 5 and g.is_zero()
     member, f, g = chi0_image_test(build_P() * e2)
     assert member
     # exhibited decomposition reassembles the input in lam, mu, nu
@@ -139,8 +139,8 @@ def test_alpha_specialization(P):
     # 4*sigma2^3 + 27*sigma3^2 at (-3, -2) is -108 + 108 = 0
     assert [(str(r), m) for r, m in roots] == [
         ("-2", 2), ("-1", 3), ("-1/2", 2), ("0", 3), ("1", 2)]
-    assert poly.evaluate({"alpha": Fraction(2)}) == -2332800
-    assert poly.evaluate({"alpha": Fraction(1)}) == 0
+    assert poly.substitute({"alpha": Fraction(2)}).constant_value() == -2332800
+    assert poly.substitute({"alpha": Fraction(1)}).is_zero()
     assert sq.degree_in("alpha") == 5
     # sigma3 image alone vanishes exactly at the excluded parameters 0, -1
     s3 = MultiPoly.variable("sigma3")

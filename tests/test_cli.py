@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weightsys import asymptotics, characters, evaluation
-from weightsys.cli import ALPHA1_K_LIMIT, SYMBOLIC_K_LIMIT, main
+from weightsys.cli import ALPHA1_K_LIMIT, OPTIONS, SYMBOLIC_K_LIMIT, main
 from weightsys.diagrams import (chi_bar, chord_diagram_from_word, empty_circle, insert_at_vertex,
                                 triangle, wheel, wheel_on_circle)
 from weightsys.superalgebras import d21
@@ -250,11 +250,13 @@ ONE_CHORD = "vertices 0 2\nedge 0 1\nskeleton 0 1\n"
     (ONE_CHORD, "--command certify --k 4 --table /dev/null"),
     (ONE_CHORD, "--command eval --algebra d21 --alpha 2,3"),
     (ONE_CHORD, "--command certify --k 4 --format csv"),
+    ("vertices 2 0\nedge 0 3\nedge 1 4\nedge 2 5\nskeleton empty\n", "--command eval --algebra sl2"),
 ])
 def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys, text, args):
     f = tmp_path / "diagram.txt"
     f.write_text(text)
-    code = main(args.split() + ["--diagram", str(f)])
+    argv = args.split()
+    code = main(argv + (["--diagram", str(f)] if argv[1] == "eval" else []))
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -282,11 +284,14 @@ def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys, text, args)
     # an option the command would ignore is refused
     (["--command", "eval", "--algebra", "sl2", "--alpha", "2"], 2),
     (["--command", "eval", "--mode", "statesum", "--weight", "3,1,1"], 2),
+    (["--command", "leading", "--k", "4", "--alpha", "2"], 2),
+    (["--command", "certify", "--k", "4", "--diagram", "/nonexistent", "--weight", "9,9,9"], 2),
+    (["--command", "validate", "--k", "99", "--q", "e2"], 2),
 ])
 def test_zero_and_empty_values_are_not_replaced_by_defaults(tmp_path, capsys, argv, want):
     f = tmp_path / "diagram.txt"
     f.write_text(ONE_CHORD)
-    code = main(argv + ["--diagram", str(f)])
+    code = main(argv + (["--diagram", str(f)] if argv[1] == "eval" else []))
     captured = capsys.readouterr()
     assert code == want
     if want == 0:
@@ -385,14 +390,18 @@ def one_chord_file(tmp_path_factory):
        max_degree=_option(st.integers(-3, 8).map(str)),
        k=_option(st.integers(-20, 60).map(str)))
 def test_options_fuzz(one_chord_file, command, weight, alpha, max_degree, k):
-    argv = ["--command", *command, "--diagram", one_chord_file]
-    for flag, value in (("--weight", weight), ("--alpha", alpha),
-                        ("--max-degree", max_degree), ("--k", k)):
+    argv = ["--command", *command] + (["--diagram", one_chord_file] if command[0] == "eval" else [])
+    unread = False
+    for dest, value in (("weight", weight), ("alpha", alpha),
+                        ("max_degree", max_degree), ("k", k)):
         if value is not None:
-            argv.append(f"{flag}={value}")
+            argv.append(f"--{dest.replace('_', '-')}={value}")
+            unread = unread or dest not in OPTIONS[command[0]]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
+    if unread:
+        assert code == 2
     if code == 0:
         assert out.getvalue() and not err.getvalue()
     else:

@@ -73,7 +73,7 @@ def flipped_at(d, v):
 
 def test_wheel_counts():
     w = wheel(2)
-    assert w.n_vertices == 4 and w.legs == 2
+    assert w.n_vertices == 4 and w.nu == 2
     t = wheel_on_circle(2)
     assert len(t.skel) == 2
     for k in (2, 4, 6, 8):
@@ -175,14 +175,14 @@ def test_symmetrized_wheel_filtration(k):
     srt, low = _eq7_decomposition(k)
     tk = wheel_on_circle(k)
     assert len(srt) == 1
-    assert srt.coeff(tk) == math.factorial(k)
+    assert (srt - LinComb.of(tk, math.factorial(k))).is_zero()
     assert all(len(d.skel) == k - 1 for d, _ in low)
 
 
 def test_insertion_degree_bookkeeping():
     out = insert_at_vertex(wheel(6), 0, triangle())
     (diag, _), = list(out)
-    assert diag.degree == 7 and diag.legs == 6
+    assert diag.degree == 7 and diag.nu == 6
     assert triangle().degree == 1
     assert ladder(3).degree == 3 and ladder(9).degree == 9
     with pytest.raises(DiagramError):
@@ -195,7 +195,7 @@ def test_caterpillar_realization():
     for piece in (ladder(9), ladder(3), triangle(), triangle(), triangle()):
         (diag, _), = list(insert_at_vertex(diag, 0, piece))
     assert diag.degree == 21
-    assert diag.legs == 6
+    assert diag.nu == 6
 
 
 def test_insertion_well_defined_on_classes():
@@ -302,9 +302,10 @@ def test_tadpole_is_zero_and_stu_cancels():
     assert tadpole.canonical()[2]
     assert LinComb.of(tadpole).is_zero()
     assert stu_expand(tadpole, 1).is_zero()
-    # inserting at the looped vertex joins two glue darts: still zero
+    # inserting at the looped vertex joins two glue darts: still zero, with
+    # the leg at each of the vertex's three slots
     for rotation in range(3):
-        assert insert_at_vertex(tadpole, 0, triangle(), rotation).is_zero()
+        assert insert_at_vertex(relabeled(tadpole, [0], [1], [rotation]), 0, triangle()).is_zero()
     with pytest.raises(DiagramError):
         skeleton_swap(tadpole, 0)  # a one-leg skeleton has nothing to swap
     # every diagram with a self-loop is zero, so leg contraction never
@@ -492,10 +493,19 @@ def test_every_class_has_a_rotation_with_a_shortest_chord_at_zero():
     ((0, 4, (1, 0, 3, 2)), "must be connected"),
     # a chord on the circle and a detached theta (vertices 0 and 1)
     ((2, 2, (3, 4, 5, 0, 1, 2, 7, 6), (2, 3)), "must be connected"),
+    # a circle with no legs and a detached theta
+    ((2, 0, (3, 4, 5, 0, 1, 2), ()), "must be connected"),
 ])
 def test_validate_names_what_is_wrong(args, message):
     with pytest.raises(DiagramError, match=message):
         Diagram(*args)
+
+
+def test_a_skeleton_without_legs_is_only_the_bare_circle():
+    theta_beside_circle = "vertices 2 0\nedge 0 3\nedge 1 4\nedge 2 5\nskeleton empty\n"
+    with pytest.raises(DiagramError, match="must be connected"):
+        Diagram.from_text(theta_beside_circle)
+    assert Diagram.from_text("vertices 0 0\nskeleton empty\n") == empty_circle()
 
 
 def test_a_diagram_may_be_connected_only_through_its_skeleton():

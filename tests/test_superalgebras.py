@@ -28,7 +28,7 @@ def D2():
 
 def test_sl2_defining_relations():
     L = sl2()
-    e, h, f = L.index("e"), L.index("h"), L.index("f")
+    e, h, f = map(L.basis_names.index, "ehf")
     assert L.bracket(h, e) == {e: 2}
     assert L.bracket(e, f) == {h: 1}
     rep = validate(L)
@@ -43,21 +43,22 @@ def test_dimension_counts(D_sym):
 
 def test_defining_bracket_entries(D_sym):
     # [H1, v_{1,-1,-1}] = v_{1,-1,-1}
-    h1, v = D_sym.index("H1"), D_sym.index("vpmm")
+    ix = D_sym.basis_names.index
+    h1, v = ix("H1"), ix("vpmm")
     assert D_sym.bracket(h1, v) == {v: MultiPoly.const(1, ("alpha",))}
     # [E1, F1] = H1, [E1, F2] = 0
-    assert D_sym.bracket(D_sym.index("E1"), D_sym.index("F1")) == {D_sym.index("H1"): MultiPoly.const(1, ("alpha",))}
-    assert D_sym.bracket(D_sym.index("E1"), D_sym.index("F2")) == {}
+    assert D_sym.bracket(ix("E1"), ix("F1")) == {ix("H1"): MultiPoly.const(1, ("alpha",))}
+    assert D_sym.bracket(ix("E1"), ix("F2")) == {}
 
 
 def test_simple_generators_close_onto_h1(D_sym):
     # [e1, f1] = ((alpha+1) H1 + H2 + alpha H3) / 2
     a = MultiPoly.variable("alpha")
-    e1, f1 = D_sym.index("vpmm"), D_sym.index("vmpp")
-    got = D_sym.bracket(e1, f1)
-    assert got[D_sym.index("H1")] == (a + 1) * Fraction(1, 2)
-    assert got[D_sym.index("H2")] == MultiPoly.const(Fraction(1, 2), ("alpha",))
-    assert got[D_sym.index("H3")] == a * Fraction(1, 2)
+    ix = D_sym.basis_names.index
+    got = D_sym.bracket(ix("vpmm"), ix("vmpp"))
+    assert got[ix("H1")] == (a + 1) * Fraction(1, 2)
+    assert got[ix("H2")] == MultiPoly.const(Fraction(1, 2), ("alpha",))
+    assert got[ix("H3")] == a * Fraction(1, 2)
 
 
 def test_degenerate_alpha_rejected():
@@ -77,8 +78,8 @@ def test_full_validation_numeric(D2):
 
 
 def test_corrupted_constant_reports_witness(D_sym):
-    bad = corrupt(D_sym, D_sym.index("E1"), D_sym.index("F1"), D_sym.index("H2"),
-                  MultiPoly.const(1, ("alpha",)))
+    ix = D_sym.basis_names.index
+    bad = corrupt(D_sym, ix("E1"), ix("F1"), ix("H2"), MultiPoly.const(1, ("alpha",)))
     rep = validate(bad)
     assert not rep["super_jacobi"]["ok"]
     assert rep["super_jacobi"]["failures"]
@@ -88,7 +89,7 @@ def test_singular_casimir_is_reported_not_raised():
     # sl2 without its (h, h) Casimir term: the Casimir matrix has a zero row
     # and column, so there is no form to check
     L = sl2()
-    h = L.index("h")
+    h = L.basis_names.index("h")
     bad = SuperAlgebra("sl2_without_hh", L.basis_names, L.parity, L.bracket_table,
                        [t for t in L.casimir if t[:2] != (h, h)], rootdata=L.rootdata)
     rep = validate(bad)
@@ -96,6 +97,29 @@ def test_singular_casimir_is_reported_not_raised():
     assert not rep["casimir_regular"]["ok"]
     assert not rep["casimir_inverse_tensor"]["ok"]
     assert rep["ok"] is False
+
+
+def test_caches_take_no_part_in_equality():
+    # the form and the carriers filled on one side only
+    for build in (sl2, lambda: d21(Fraction(2))):
+        a, b = build(), build()
+        assert a.form and a.form is a.form
+        a.carriers["probe"] = object()
+        assert a == b and b == a and "form" not in vars(b)
+
+
+@pytest.mark.parametrize("cache", [{"symbolic": True}, {"carriers": {}}])
+def test_constructor_takes_no_cache_or_ring_flag(cache):
+    L = sl2()
+    with pytest.raises(TypeError):
+        SuperAlgebra(L.name, L.basis_names, L.parity, L.bracket_table, L.casimir,
+                     rootdata=L.rootdata, **cache)
+
+
+def test_ring_is_read_from_the_casimir():
+    assert d21().symbolic is True
+    assert d21(Fraction(2)).symbolic is False
+    assert sl2().symbolic is False
 
 
 def test_cartan_form_block_matches_stated_matrix(D_sym):

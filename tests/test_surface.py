@@ -6,7 +6,9 @@ what the benchmark child (perfbench/child.py) imports or its tracer
 (perfbench/tracing.py) wraps, or from a name in KEEP, which gives the
 reason the tests need that name as it is.  Every field of a dataclass there
 must likewise be read as an attribute by the program or the benchmark child,
-unless its class is in UNREAD_FIELDS.  No module holds state of its own: none
+unless its class is in UNREAD_FIELDS, and every method and property of a
+class there by the program, the benchmark child or a tracer name, unless
+KEEP_MEMBERS gives the reason.  No module holds state of its own: none
 assigns an empty container at top level, and a function memoized with
 functools.cache or lru_cache is named in MODULE_CACHES with the reason.
 """
@@ -32,6 +34,11 @@ KEEP = {
     "corrupt": "the negative control of validate",
     "from_elementary": "the inverse map in the symmetric-function round trips",
     "sweep_cost": "the eval cost-bound tests, which read a plan without running it",
+}
+
+KEEP_MEMBERS = {
+    "Diagram.to_text": "writes eval's diagram format: the parser's round-trip "
+                       "tests and the CLI tests' diagram files",
 }
 
 UNREAD_FIELDS = {
@@ -66,10 +73,17 @@ def _benchmark_names():
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             attributes.add((node.value.id, node.attr))
     names.update(attr for module, attr in attributes if module in modules)
+    names.update(attr.split(".")[0] for attr in _traced())
+    return names
+
+
+def _traced():
+    """The attributes the tracer wraps: "function" or "Class.method"."""
+    out = []
     for stmt in ast.parse((PERFBENCH / "tracing.py").read_text()).body:
         if isinstance(stmt, ast.Assign) and getattr(stmt.targets[0], "id", None) in ("SPANS", "COUNTS"):
-            names.update(attr.split(".")[0] for _, attr, _ in ast.literal_eval(stmt.value))
-    return names
+            out += [attr for _, attr, _ in ast.literal_eval(stmt.value)]
+    return out
 
 
 def test_every_name_is_reachable_without_the_tests():
@@ -110,6 +124,22 @@ def test_every_dataclass_field_is_read_without_the_tests():
                            if isinstance(field, ast.AnnAssign)]
     assert set(UNREAD_FIELDS) <= classes
     unread = [".".join(f) for f in fields if f[1] not in UNREAD_FIELDS and f[2] not in read]
+    assert not unread, f"read only by tests, so delete them: {', '.join(unread)}"
+
+
+def test_every_method_is_read_without_the_tests():
+    read = _attribute_reads(PERFBENCH / "child.py") | {attr.split(".")[-1] for attr in _traced()}
+    members = []
+    for path in sorted(SRC.glob("*.py")):
+        read |= _attribute_reads(path)
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, ast.ClassDef):
+                members += [(path.stem, stmt.name, node.name) for node in stmt.body
+                            if isinstance(node, ast.FunctionDef)
+                            and not (node.name.startswith("__") and node.name.endswith("__"))]
+    assert set(KEEP_MEMBERS) <= {f"{cls}.{name}" for _, cls, name in members}
+    unread = [".".join(m) for m in members
+              if m[2] not in read and f"{m[1]}.{m[2]}" not in KEEP_MEMBERS]
     assert not unread, f"read only by tests, so delete them: {', '.join(unread)}"
 
 
