@@ -348,6 +348,8 @@ def build_D_element(k, q_spec="1", families=None, full=False):
     if k % 2 or k < 2:
         raise ValueError("k must be even and >= 2")
     Q = parse_Q(q_spec)
+    if Q.is_zero():  # zero would pass the degree check as degree 0
+        raise ValueError("Q must be nonzero")
     deg_q, divisible = q_degree_and_t_check(Q)
     if divisible:
         raise ValueError("Q must not be divisible by t")

@@ -110,9 +110,8 @@ def cmd_validate(args):
                            "witness": [list(w) for w in entry["failures"][:1]]})
             ok = ok and entry["ok"]
     # Cartan block of the derived form must match diag(2/(1+a), -2, -2/a)
-    block = cartan_form_block(d21_2)
-    cartan_ok = (str(block[0][0]) == "2/3" and str(block[1][1]) == "-2"
-                 and str(block[2][2]) == "-1")
+    block, D = cartan_form_block(d21_2)
+    cartan_ok = all(block[i][i] == c * D for i, c in enumerate((Fraction(2, 3), -2, -1)))
     checks.append({"algebra": "d21_alpha_2", "check": "cartan_form_block",
                    "ok": cartan_ok, "witness": []})
     ok = ok and cartan_ok

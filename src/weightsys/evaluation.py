@@ -66,7 +66,7 @@ import math
 from fractions import Fraction
 
 from .diagrams import DiagramError, LinComb, chord_endpoints, chord_reduce, chi_bar, insert_at_vertex
-from .scalars import CostBoundError, MultiPoly, RationalFunction
+from .scalars import CostBoundError, MultiPoly, exact_quotient
 
 # the planned cost of one sweep (see sweep_cost): 3,017,194 on D(2,1,alpha)
 # takes about 10 s, and the all-crossing degree-6 chord diagram plans 51,292,332
@@ -710,8 +710,9 @@ def adjoint_weight(L):
 
 def exact_ratio(num, den):
     """num / den for two polynomials that must be exactly proportional with a
-    ratio free of n; returns the ratio (Fraction or RationalFunction in
-    alpha), or raises ValueError if the proportionality fails."""
+    ratio free of n; returns the ratio (Fraction or MultiPoly in alpha), or
+    raises ValueError if the proportionality fails or the ratio is not a
+    polynomial."""
     num = num if isinstance(num, MultiPoly) else MultiPoly.const(num)
     den = den if isinstance(den, MultiPoly) else MultiPoly.const(den)
     num, den = num._aligned(den)
@@ -726,10 +727,8 @@ def exact_ratio(num, den):
         rhs = num_coeffs[ref] * den_coeffs[i]
         if lhs != rhs:
             raise ValueError("values are not proportional by an n-free ratio")
-    ratio = RationalFunction(num_coeffs[ref], den_coeffs[ref])
-    if ratio.den.is_constant() and ratio.num.is_constant():
-        return ratio.num.constant_value() / ratio.den.constant_value()
-    return ratio
+    ratio = exact_quotient(num_coeffs[ref], den_coeffs[ref])
+    return ratio.constant_value() if ratio.is_constant() else ratio
 
 
 def ratio_character(piece, probes):

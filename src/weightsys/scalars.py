@@ -3,24 +3,24 @@
 Rationals are ``fractions.Fraction`` (arbitrary precision, always reduced,
 positive denominator -- exactly the invariants we need, so we use the
 stdlib type directly).  On top of that sit sparse multivariate polynomials
-(:class:`MultiPoly`) and fractions of those (:class:`RationalFunction`).
+(:class:`MultiPoly`), the one other scalar type.
 A MultiPoly packs each monomial into one int and keeps int numerators over
 one reduced denominator, so its arithmetic runs on Python ints, and the
 evaluation sweep uses it as it is; ``terms`` reads it back as exponent
 tuples and Fractions.  Every operation is exact; floating point never
 appears.
 
-The linear algebra works over any field whose elements support +, -, *, /
-and truthiness (Fraction and RationalFunction both qualify).  One
-elimination serves fields and normal forms: :func:`echelon` reduces each
-row against the pivots found so far and keeps a nonzero remainder as the
-row of its lowest column, and :func:`reduce_by` gives a vector's normal
-form modulo those rows, zero at every pivot column.  Back-substitution
-runs only in :func:`sparse_rref`, whose reduced rows the inverse and the
-solver read.  Pivot columns, normal forms and reduced rows depend on the
-row space alone, not on the order of the rows.  :func:`matrix_rank` takes
-int rows only (the diagram relations) and counts their pivots
-fraction-free, on Python ints with each kept row primitive.
+The linear algebra over Q works on Fractions.  One elimination serves the
+solver and normal forms: :func:`echelon` reduces each row against the
+pivots found so far and keeps a nonzero remainder as the row of its lowest
+column, and :func:`reduce_by` gives a vector's normal form modulo those
+rows, zero at every pivot column.  Back-substitution runs only in
+:func:`sparse_rref`, whose reduced rows the solver reads.  Pivot columns,
+normal forms and reduced rows depend on the row space alone, not on the
+order of the rows.  :func:`matrix_rank` takes int rows only (the diagram
+relations) and counts their pivots fraction-free, on Python ints with each
+kept row primitive.  :func:`matrix_inverse` divides nowhere, so it inverts
+a matrix over Q[alpha] as a pair (N, D) in that ring.
 """
 
 from __future__ import annotations
@@ -281,16 +281,17 @@ class MultiPoly:
         return a.nums == b.nums and a.den == b.den
 
     def __hash__(self):
-        return _value_hash(self, MultiPoly.const(1))
-
-    def _leading_term(self):
-        """(coefficient, {variable: exponent}) of the leading term under the
-        graded order on name-sorted variables; the same order for every
-        variable set, since a missing variable has exponent 0."""
-        names = sorted(range(len(self.vars)), key=self.vars.__getitem__)
-        expo, c = max(((_exponents(k, len(self.vars)), c) for k, c in self.nums.items()),
+        """A constant hashes as its Fraction, any other value as its leading
+        term under the graded order on name-sorted variables: the same term
+        in every variable tuple, since a missing variable has exponent 0."""
+        if self.is_constant():
+            return hash(self.constant_value())
+        nv = len(self.vars)
+        names = sorted(range(nv), key=self.vars.__getitem__)
+        expo, c = max(((_exponents(k, nv), c) for k, c in self.nums.items()),
                       key=lambda t: (sum(t[0]), [t[0][i] for i in names]))
-        return Fraction(c, self.den), {v: e for v, e in zip(self.vars, expo) if e}
+        return hash((Fraction(c, self.den),
+                     tuple(sorted((v, e) for v, e in zip(self.vars, expo) if e))))
 
     # -- substitution -----------------------------------------------------------
 
@@ -399,9 +400,16 @@ class MultiPoly:
 # -- univariate polynomial utilities ---------------------------------------------
 
 
-def univar_gcd(p, q, name):
-    """Monic gcd of two polynomials univariate in ``name``."""
-    return MultiPoly.from_univariate(name, _gcd(p.as_univariate(name), q.as_univariate(name)))
+def exact_quotient(p, q):
+    """p / q for a nonzero q dividing p, both univariate in one variable;
+    ValueError when the quotient is not a polynomial."""
+    if q.is_constant():
+        return p * (1 / q.constant_value())
+    name = next(v for v in q.vars if q.degree_in(v) > 0)
+    quotient, rest = _poly_divmod(p.as_univariate(name), q.as_univariate(name))
+    if any(rest):
+        raise ValueError(f"{q} does not divide {p}")
+    return MultiPoly.from_univariate(name, quotient)
 
 
 def squarefree_part(p, name):
@@ -529,154 +537,6 @@ def _isolate(sq):
     return out
 
 
-# -- rational functions -----------------------------------------------------------
-
-
-class RationalFunction:
-    """Fraction of two MultiPolys.
-
-    Reduction: when numerator and denominator are univariate in one common
-    variable their gcd is divided out (that covers every rational function
-    this package ever builds -- they are all univariate in alpha); no other
-    common factor is removed.  Both are then divided by the denominator's
-    leading coefficient in the canonical term order, so that it is 1.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den):
-        if isinstance(num, (int, Fraction)):
-            num = MultiPoly.const(num)
-        if isinstance(den, (int, Fraction)):
-            den = MultiPoly.const(den)
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        num, den = num._aligned(den)
-        if num.is_zero():
-            den = MultiPoly.const(1, num.vars)
-        else:
-            live_n = {v for v in num.vars if num.degree_in(v) > 0}
-            live_d = {v for v in den.vars if den.degree_in(v) > 0}
-            live = live_n | live_d
-            if len(live) == 1 and not den.is_constant():
-                (v,) = live
-                g = univar_gcd(num, den, v)
-                if g.degree_in(v) > 0:
-                    num = _exact_univar_div(num, g, v)
-                    den = _exact_univar_div(den, g, v)
-        lead = den._sorted_terms()[0][1]
-        num = num * (Fraction(1) / lead)
-        den = den * (Fraction(1) / lead)
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def from_scalar(cls, x):
-        if isinstance(x, RationalFunction):
-            return x
-        if isinstance(x, MultiPoly):
-            return cls(x, MultiPoly.const(1, x.vars))
-        return cls(MultiPoly.const(x), MultiPoly.const(1))
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __bool__(self):
-        return not self.num.is_zero()
-
-    def _coerce(self, other):
-        if isinstance(other, (int, Fraction, MultiPoly)):
-            return RationalFunction.from_scalar(other)
-        if isinstance(other, RationalFunction):
-            return other
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalFunction(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        return RationalFunction.from_scalar(other) / self
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self.num * o.den - o.num * self.den).is_zero()
-
-    def __hash__(self):
-        return _value_hash(self.num, self.den)
-
-    def __str__(self):
-        if self.den.is_constant() and self.den.constant_value() == 1:
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-    def __repr__(self):
-        return f"RationalFunction({self})"
-
-
-def _value_hash(num, den):
-    """A hash of num/den that depends only on its value: the hash of the
-    ratio of leading terms.  Leading terms multiply, so equal fractions have
-    equal ratios; a constant hashes as its Fraction."""
-    if num.is_zero():
-        return hash(Fraction(0))
-    (cn, en), (cd, ed) = num._leading_term(), den._leading_term()
-    expo = tuple(sorted((v, en.get(v, 0) - ed.get(v, 0)) for v in en.keys() | ed.keys()
-                        if en.get(v, 0) != ed.get(v, 0)))
-    return hash((cn / cd, expo)) if expo else hash(cn / cd)
-
-
-def _exact_univar_div(p, g, name):
-    q, r = _poly_divmod(p.as_univariate(name), g.as_univariate(name))
-    assert not any(r)
-    return MultiPoly.from_univariate(name, q).with_vars(p.vars)
-
-
-def as_field(x):
-    """Lift ints / Fractions / MultiPolys into a field element."""
-    if isinstance(x, (RationalFunction, Fraction)):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, MultiPoly):
-        return RationalFunction.from_scalar(x)
-    raise TypeError(f"cannot treat {x!r} as a field element")
-
-
 # -- top-level operations -------------------------------------------------------
 
 
@@ -721,14 +581,13 @@ def echelon(rows):
     """Echelon form of sparse rows (dicts col -> value): ``{pivot column:
     row}``, each row 1 at its pivot and 0 at the pivots found before it.
 
-    Each row, its entries taken into a field by :func:`as_field`, is
-    reduced against the pivots so far; a nonzero remainder becomes the row
-    of its lowest column.  The pivot columns are those of the reduced row
-    echelon form.
+    Each row, its entries taken into Q as Fractions, is reduced against the
+    pivots so far; a nonzero remainder becomes the row of its lowest
+    column.  The pivot columns are those of the reduced row echelon form.
     """
     pivots = {}
     for r in rows:
-        vec = reduce_by({c: as_field(v) for c, v in r.items() if v}, pivots)
+        vec = reduce_by({c: Fraction(v) for c, v in r.items() if v}, pivots)
         if vec:
             p = min(vec)
             inv = vec[p]
@@ -786,7 +645,7 @@ def _nullspace(pivots, rref, ncols, rhs_col):
     for free in range(ncols):
         if free in pivset:
             continue
-        vec = {free: as_field(1)}
+        vec = {free: Fraction(1)}
         for p, row in zip(pivots, rref):
             if p == rhs_col:
                 continue
@@ -799,7 +658,8 @@ def _nullspace(pivots, rref, ncols, rhs_col):
 
 def matrix_rank(rows):
     """Rank over Q of sparse int rows (dicts col -> int) by fraction-free
-    elimination.  Rows over another field have the rank ``len(echelon(rows))``.
+    elimination.  Rows with Fraction entries have the rank
+    ``len(echelon(rows))``.
 
     Each kept row is primitive (its content divided out) and keyed by its
     lowest column.  A new row is reduced at its own columns only, taken in
@@ -841,13 +701,33 @@ def matrix_rank(rows):
 
 
 def matrix_inverse(mat):
-    """Exact inverse of a dense square matrix; entries taken into a field."""
+    """The inverse of a dense square matrix over Q or Q[alpha] as a pair
+    ``(N, D)`` with ``mat . N == D . I``: Gauss-Jordan elimination without
+    division, so N and D stay in the ring of the entries.
+
+    At each column c a row with a nonzero entry there becomes the pivot row
+    ``pivot``, with ``p = pivot[c]``, and every other row ``row`` becomes
+    ``p * row - row[c] * pivot``.  Row i ends as ``d_i`` at column i and 0
+    elsewhere on the left, so ``D`` is the product of the ``d_i`` and row i
+    of ``N`` is its right half times the other ``d_j``.  Raises ValueError
+    on a singular matrix.
+    """
     n = len(mat)
-    pivots, rref = sparse_rref({**dict(enumerate(row)), n + i: 1} for i, row in enumerate(mat))
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    inv = [[as_field(0)] * n for _ in range(n)]
-    for p, row in zip(pivots, rref):
-        for j in range(n):
-            inv[p][j] = row.get(n + j, as_field(0))
-    return inv
+    rows = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(mat)]
+    for c in range(n):
+        r = next((k for k in range(c, n) if rows[k][c]), None)
+        if r is None:
+            raise ValueError("matrix is singular")
+        rows[c], rows[r] = rows[r], rows[c]
+        pivot = rows[c]
+        p = pivot[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != c and f:
+                rows[i] = [p * x - f * y for x, y in zip(row, pivot)]
+    d = [rows[i][i] for i in range(n)]
+    N = []
+    for i, row in enumerate(rows):
+        others = math.prod(d[:i] + d[i + 1:])
+        N.append([others * x for x in row[n:]])
+    return N, math.prod(d)

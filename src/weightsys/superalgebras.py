@@ -1,7 +1,7 @@
 """Z/2-graded Lie algebras with invariant form and Casimir tensor.
 
 Two exact instances are provided: sl2 over Q and the 17-dimensional family
-D(2,1,alpha) over Q(alpha) (or over Q at a fixed rational alpha != 0, -1).
+D(2,1,alpha) over Q[alpha] (or over Q at a fixed rational alpha != 0, -1).
 :func:`d21_rootdata` builds the family's Cartan data alone, for the
 root-system formulas that read nothing else.
 Structure constants are stored explicitly; :func:`validate` checks, exactly
@@ -13,9 +13,12 @@ ad-invariance identities for the Casimir.
 Conventions: parity is 0 (even) or 1 (odd); the bracket table stores
 [b_i, b_j] for every ordered pair as a sparse map {k: coefficient}; the
 Casimir is a list of (i, j, coefficient) triples for omega = sum c b_i (x) b_j.
-The bilinear form is the inverse matrix of the Casimir coefficient matrix
+The bilinear form g is the inverse matrix of the Casimir coefficient matrix
 (regularity and ad-invariance of the Casimir make this the invariant form
 that induces it; the validator checks all of this rather than assuming it).
+It is held as g = N / D with N and D over the algebra's ring, Q or
+Q[alpha]: the form of D(2,1,alpha) has entries such as 1/(alpha + 1), and
+every check of it is linear in g, so it reads N and D directly.
 """
 
 from __future__ import annotations
@@ -104,7 +107,8 @@ class SuperAlgebra:
 
     @functools.cached_property
     def form(self):
-        """Invariant bilinear form g = (casimir matrix)^-1."""
+        """The invariant bilinear form g = (casimir matrix)^-1 as the pair
+        (N, D) with g = N / D, see :func:`weightsys.scalars.matrix_inverse`."""
         return matrix_inverse(self.casimir_matrix())
 
 
@@ -293,9 +297,12 @@ def validate(L):
     Returns a report dict with one entry per check: {"ok": bool,
     "failures": [witness, ...]}.  All checks are polynomial identities in
     alpha for the symbolic instance.  Regularity is read from inverting the
-    Casimir matrix into the form: on a singular matrix ``casimir_regular``
-    and the three checks of the form that does not exist (the inverse
-    tensor, supersymmetry, invariance) report failure, and nothing is raised.
+    Casimir matrix C into the form g = N / D: on a singular matrix
+    ``casimir_regular`` and the three checks of the form that does not exist
+    (the inverse tensor, supersymmetry, invariance) report failure, and
+    nothing is raised.  Each check of the form is linear in g, so it runs on
+    N: the inverse tensor is ``C . N == D . I``, supersymmetry and invariance
+    of g are those of N.
     """
     n = L.dim
     par = L.parity
@@ -347,24 +354,24 @@ def validate(L):
     report["casimir_ad_invariance"] = {"ok": not failures, "failures": failures[:5]}
 
     try:
-        g = L.form
+        N, D = L.form
     except ValueError:  # the Casimir matrix is singular: no form to check
-        g = None
-    report["casimir_regular"] = {"ok": g is not None, "failures": []}
-    if g is None:
+        N = None
+    report["casimir_regular"] = {"ok": N is not None, "failures": []}
+    if N is None:
         for name in ("casimir_inverse_tensor", "form_supersymmetric", "form_invariant"):
             report[name] = {"ok": False, "failures": []}
         report["ok"] = False
         return report
 
     mat = L.casimir_matrix()
-    # inverse-tensor identity (g is built as the inverse; recheck the
+    # inverse-tensor identity C . N == D . I (N is built so; recheck the
     # contraction explicitly as a guard against cache corruption)
     failures = []
     for i in range(n):
         for k in range(n):
-            acc = sum(mat[i][j] * g[j][k] for j in range(n) if mat[i][j])
-            if acc != (1 if i == k else 0):
+            acc = sum(mat[i][j] * N[j][k] for j in range(n) if mat[i][j])
+            if acc != (D if i == k else 0):
                 failures.append((i, k))
     report["casimir_inverse_tensor"] = {"ok": not failures, "failures": failures[:5]}
 
@@ -372,9 +379,9 @@ def validate(L):
     for i in range(n):
         for j in range(n):
             sgn = -1 if (par[i] and par[j]) else 1
-            if g[i][j] != (g[j][i] * sgn if sgn == -1 else g[j][i]):
+            if N[i][j] != (N[j][i] * sgn if sgn == -1 else N[j][i]):
                 failures.append((L.basis_names[i], L.basis_names[j]))
-            if par[i] != par[j] and g[i][j]:
+            if par[i] != par[j] and N[i][j]:
                 failures.append((L.basis_names[i], L.basis_names[j], "parity"))
     report["form_supersymmetric"] = {"ok": not failures, "failures": failures[:5]}
 
@@ -384,8 +391,8 @@ def validate(L):
         for y in range(n):
             bxy = L.bracket(x, y)
             for z in range(n):
-                lhs = sum(c * g[k][z] for k, c in bxy.items())
-                rhs = sum(c * g[x][k] for k, c in L.bracket(y, z).items())
+                lhs = sum(c * N[k][z] for k, c in bxy.items())
+                rhs = sum(c * N[x][k] for k, c in L.bracket(y, z).items())
                 if lhs != rhs:
                     failures.append((L.basis_names[x], L.basis_names[y], L.basis_names[z]))
     report["form_invariant"] = {"ok": not failures, "failures": failures[:5]}
@@ -395,10 +402,11 @@ def validate(L):
 
 
 def cartan_form_block(L):
-    """Restriction of the invariant form to the Cartan subalgebra."""
-    g = L.form
+    """Restriction of the invariant form N / D to the Cartan subalgebra, as
+    the pair (Cartan block of N, D)."""
+    N, D = L.form
     idx = L.rootdata.cartan
-    return [[g[i][j] for j in idx] for i in idx]
+    return [[N[i][j] for j in idx] for i in idx], D
 
 
 def corrupt(L, i, j, k, delta):

@@ -148,6 +148,13 @@ def test_certify_rejects_t_divisible_Q(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("q", ["0", "2*e2-2*e2"])
+def test_certify_rejects_a_zero_Q_as_zero(capsys, q):
+    # zero is divisible by t too, but that is not what is wrong with it
+    assert main(["--command", "certify", "--k", "4", "--q", q]) == 2
+    assert capsys.readouterr().err == "error: Q must be nonzero\n"
+
+
 def test_eval_bare_circle(tmp_path, capsys):
     f = tmp_path / "circle.txt"
     f.write_text(empty_circle().to_text())
@@ -246,6 +253,8 @@ ONE_CHORD = "vertices 0 2\nedge 0 1\nskeleton 0 1\n"
     (ONE_CHORD, "--command certify --k 4 --mode character"),
     (ONE_CHORD, "--command validate --mode full"),
     (ONE_CHORD, "--command certify --k 4 --q 1/0"),
+    (ONE_CHORD, "--command certify --k 4 --q 0"),
+    (ONE_CHORD, "--command certify --k 4 --q 2*e2-2*e2"),
     (ONE_CHORD, "--command certify --k 4 --table /nonexistent/table.txt"),
     (ONE_CHORD, "--command certify --k 4 --table /dev/null"),
     (ONE_CHORD, "--command eval --algebra d21 --alpha 2,3"),

@@ -186,6 +186,9 @@ def test_exact_ratio():
     assert exact_ratio(3 * n, 2 * n) == Fraction(3, 2)
     with pytest.raises(ValueError):
         exact_ratio(n ** 2, n + 1)
+    # proportional, but by 1/(alpha + 1), which is not a polynomial
+    with pytest.raises(ValueError):
+        exact_ratio(den, num)
 
 
 def test_triangle_ratio_constant_on_sl2(L):

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from weightsys.scalars import (
     MultiPoly,
-    RationalFunction,
     echelon,
     matrix_inverse,
     matrix_rank,
@@ -265,64 +264,54 @@ def test_integer_rank_matches_the_field_rank(rows, data):
     assert matrix_rank(rows) == len(echelon(rows))
 
 
-def test_elimination_over_rational_functions_does_not_depend_on_row_order():
-    a = P("alpha")
-    rows = [{0: a, 1: 1, 3: a + 1}, {0: a * a, 1: a, 2: 1}, {1: a - 1, 2: a, 3: 1},
-            {0: 2 * a, 1: 2, 3: 2 * a + 2}]
-    rows = [{c: RationalFunction.from_scalar(v) for c, v in r.items()} for r in rows]
-    _check_elimination(rows, [3, 1, 0, 2], [a, 1, a + 1, -2])
-    assert len(echelon(rows)) == 3
-
-
-def test_rational_function_reduction():
-    a = P("alpha")
-    f = RationalFunction(a ** 2 - 1, a - 1)
-    assert f == RationalFunction(a + 1, MultiPoly.const(1))
-    g = RationalFunction(1, a) + RationalFunction(1, a + 1)
-    assert g == RationalFunction(2 * a + 1, a * (a + 1))
-    assert (f - f).is_zero()
-    with pytest.raises(ZeroDivisionError):
-        RationalFunction(a, MultiPoly.zero(("alpha",)))
-    # equal values hash equally, whatever their representation
-    x, y = P("x"), P("y")
-    pairs = [(RationalFunction(x * y, y ** 2), RationalFunction(x, y)),
-             (RationalFunction(MultiPoly.const(6, ("x",)), 4), Fraction(3, 2)),
-             (RationalFunction(x + y, 1), (y + x).with_vars(("y", "x"))),
-             (RationalFunction(-a * 2, -a), 2),
-             (f, a + 1),
-             (f - f, 0)]
+def test_equal_values_hash_equally():
+    # whatever the variable tuple or its order; a constant as its Fraction
+    a, x, y = P("alpha"), P("x"), P("y")
+    pairs = [(x + y, (y + x).with_vars(("y", "x"))),
+             (x * y + 1, (x * y + 1).with_vars(("y", "x", "alpha"))),
+             (MultiPoly.const(6, ("x",)) * Fraction(1, 4), Fraction(3, 2)),
+             ((a + 1) * a - a * a, a.with_vars(("x", "alpha"))),
+             (a - a, 0)]
     for left, right in pairs:
         assert left == right and hash(left) == hash(right)
 
 
-def test_matrix_inverse_over_rational_functions():
+def _check_inverse(mat):
+    """mat . N == D . I, with D nonzero."""
+    N, D = matrix_inverse(mat)
+    assert D
+    n = len(mat)
+    for i in range(n):
+        for j in range(n):
+            acc = sum((mat[i][k] * N[k][j] for k in range(n)), 0)
+            assert acc == (D if i == j else 0)
+    return N, D
+
+
+def test_matrix_inverse_over_q():
+    N, D = _check_inverse([[0, 2, 1], [Fraction(1, 2), 0, 0], [1, 1, 3]])
+    assert [x / D for x in N[0]] == [0, 2, 0]
+    _check_inverse([[Fraction(1, 3)]])
+
+
+def test_matrix_inverse_over_polynomials_divides_nowhere():
     a = P("alpha")
-    mat = [[a, 1], [0, a + 1]]
-    inv = matrix_inverse(mat)
-    # check M * M^-1 = I
-    for i in range(2):
-        for j in range(2):
-            acc = sum((RationalFunction.from_scalar(mat[i][k]) * inv[k][j]
-                       for k in range(2)), RationalFunction.from_scalar(0))
-            assert acc == (1 if i == j else 0)
+    one = MultiPoly.const(1, ("alpha",))
+    N, D = _check_inverse([[a, one], [0, a + 1]])
+    assert all(isinstance(x, MultiPoly) for x in (D, *N[0], *N[1]))
+    # a row swap and fill-in at the first column
+    _check_inverse([[0, a, one], [a + 1, one, 0], [one, 0, a]])
+
+
+@pytest.mark.parametrize("singular", [
+    [[0, 0], [0, 1]],
+    [[1, 2], [2, 4]],
+    [[P("alpha"), 1], [P("alpha") ** 2, P("alpha")]],
+])
+def test_matrix_inverse_rejects_a_singular_matrix(singular):
     # validate's casimir_regular reads regularity from the inverse
-    assert len(echelon([dict(enumerate(row)) for row in mat])) == 2
-    singular = [[a, 1], [a * a, a]]
-    assert len(echelon([dict(enumerate(row)) for row in singular])) == 1
     with pytest.raises(ValueError, match="singular"):
         matrix_inverse(singular)
-
-
-def test_solver_over_rational_function_field():
-    a = P("alpha")
-    # x + alpha*y = alpha^2 ; x - y = 0  ->  x = y = alpha^2/(1+alpha)
-    sol = solve_linear_system([{0: MultiPoly.const(1, ("alpha",)), 1: a},
-                               {0: MultiPoly.const(1, ("alpha",)), 1: MultiPoly.const(-1, ("alpha",))}],
-                              [a ** 2, MultiPoly.zero(("alpha",))], ncols=2)
-    assert sol.consistent
-    want = RationalFunction(a ** 2, a + 1)
-    assert sol.particular[0] == want
-    assert sol.particular[1] == want
 
 
 def test_rational_roots_with_multiplicity():
