@@ -1,11 +1,12 @@
 """Exact diagram algebras, superalgebra weight systems and character calculus.
 
-Everything in this package computes over exact scalar rings (rationals,
-multivariate polynomials, rational functions); no floating point is used
-anywhere.  The main entry points are:
+Everything in this package computes over exact scalar rings (rationals and
+multivariate polynomials); no floating point is used anywhere.  The main
+entry points are:
 
 - :mod:`weightsys.scalars` -- the scalar tower and exact linear algebra,
-- :mod:`weightsys.diagrams` -- unitrivalent diagrams, STU/IHX/AS calculus,
+- :mod:`weightsys.diagrams` -- unitrivalent diagrams, AS-signed canonical
+  forms, STU reduction and symmetrization,
 - :mod:`weightsys.superalgebras` -- sl2 and the family D(2,1,alpha),
 - :mod:`weightsys.evaluation` -- weight-system evaluation (state sums and
   Verma-module highest-weight computations),

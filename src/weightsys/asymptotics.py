@@ -22,14 +22,12 @@ from .superalgebras import d21, d21_rootdata
 DEFAULT_LAMBDA0 = (3, 1, 1)
 
 
-def top_coefficient(k, lambda0=DEFAULT_LAMBDA0, alpha=None):
+def top_coefficient(k):
     """2 * sum_{beta in Delta+} (-1)^{deg beta} <lambda0, beta>^k, exact, over
-    the positive roots of D(2,1,alpha).
-
-    With ``alpha`` None the result is a polynomial in alpha; at a rational
-    alpha it is a Fraction.  Raises ValueError unless k is even and >= 2.
+    the positive roots of D(2,1,alpha), as a polynomial in alpha, for
+    lambda0 = DEFAULT_LAMBDA0.  Raises ValueError unless k is even and >= 2.
     """
-    return _root_sum(_root_pairings(lambda0, alpha), k)
+    return _root_sum(_root_pairings(DEFAULT_LAMBDA0, None), k)
 
 
 def _root_pairings(lambda0, alpha):

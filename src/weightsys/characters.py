@@ -75,11 +75,6 @@ def to_elementary(p):
     return out
 
 
-def from_elementary(q):
-    e1, e2, e3 = elementary()
-    return q.substitute({"e1": e1, "e2": e2, "e3": e3}).with_vars(LMN)
-
-
 def weighted_degrees(p):
     """Degrees in lam, mu, nu of the terms of p, a polynomial in e1, e2, e3
     or in sigma2, sigma3 (e_i and sigma_i count i)."""

@@ -31,7 +31,7 @@ OPTIONS = {"validate": ("table",), "leading": ("k", "mode"),
            "eval": ("alpha", "mode", "diagram", "algebra", "weight", "max_degree")}
 ALPHA1_K_LIMIT = 2000  # leading at alpha = 1: k = 2000 takes about 0.8 s, k = 3000 1.1 s
 SYMBOLIC_K_LIMIT = 100  # leading --mode symbolic: k = 100 takes about 0.3 s, cost grows as k^3
-FULL_K_LIMIT = 6  # certify --mode full: k = 6 takes about 100 s, k = 8 has never finished
+FULL_K_LIMIT = 6  # certify --mode full: k = 6 takes 72-93 s, k = 8 has never finished
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,30 +71,29 @@ def _emit(report, fmt, out):
     if fmt == "json":
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:
-        text = _as_text(report)
+        text = "".join(line + "\n" for line in _as_text(report))
     (out or sys.stdout).write(text)
 
 
-def _as_text(report, indent=0):
-    pad = "  " * indent
-    lines = []
-    if isinstance(report, dict):
-        for key in sorted(report):
-            val = report[key]
-            if isinstance(val, (dict, list)):
-                lines.append(f"{pad}{key}:")
-                lines.append(_as_text(val, indent + 1))
+def _as_text(value):
+    """The lines of a report as indented text: a dict as sorted ``key:``
+    lines, a list as ``- `` items with an item's further lines under its
+    first, and an empty list or dict as ``[]`` or ``{}``."""
+    if isinstance(value, dict) and value:
+        lines = []
+        for key, val in sorted(value.items()):
+            if isinstance(val, (dict, list)) and val:
+                lines += [f"{key}:"] + ["  " + line for line in _as_text(val)]
             else:
-                lines.append(f"{pad}{key}: {val}")
-    elif isinstance(report, list):
-        for val in report:
-            if isinstance(val, (dict, list)):
-                lines.append(_as_text(val, indent + 1))
-            else:
-                lines.append(f"{pad}- {val}")
-    else:
-        lines.append(f"{pad}{report}")
-    return "\n".join(line for line in lines if line) + ("\n" if indent == 0 else "")
+                lines.append(f"{key}: {val}")
+        return lines
+    if isinstance(value, list) and value:
+        lines = []
+        for item in value:
+            first, *rest = _as_text(item)
+            lines += ["- " + first] + ["  " + line for line in rest]
+        return lines
+    return [str(value)]
 
 
 def cmd_validate(args):

@@ -42,7 +42,6 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-from fractions import Fraction
 
 
 class DiagramError(ValueError):
@@ -244,11 +243,6 @@ def _cut(d, drop, new_nt):
     edges = [(dmap[a], dmap[b]) for a, b in enumerate(d.pairing)
              if a < b and a in dmap and b in dmap]
     return vmap, dmap, edges
-
-
-def empty_circle():
-    """The bare skeleton circle (degree 0); evaluates to 1 everywhere."""
-    return Diagram(0, 0, (), skel=())
 
 
 # -- canonical search ------------------------------------------------------------
@@ -459,15 +453,6 @@ class LinComb:
     def __len__(self):
         return len(self.terms)
 
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        out = LinComb()
-        out.add_comb(self)
-        out.add_comb(other)
-        return out
-
     def __sub__(self, other):
         out = LinComb()
         out.add_comb(self)
@@ -620,67 +605,6 @@ def chord_endpoints(d):
     return chords
 
 
-# -- skeleton-order sorting (the filtration decomposition) ---------------------------
-
-
-def skeleton_swap(d, i):
-    """Rewrite D[..., x, y, ...] = D[..., y, x, ...] - Y where x, y are the
-    skeleton vertices at positions i, i+1 and Y fuses them into one leg
-    attached to a new internal vertex (one fewer skeleton vertex).
-
-    Returns (swapped diagram, y_term diagram)."""
-    if d.skel is None or len(d.skel) < 2:
-        raise DiagramError("need at least two skeleton vertices")
-    n = len(d.skel)
-    x, y = d.skel[i], d.skel[(i + 1) % n]
-    skel2 = list(d.skel)
-    skel2[i], skel2[(i + 1) % n] = y, x
-    swapped = Diagram(d.nt, d.nu, d.pairing, skel=tuple(skel2))
-
-    # Y term: fresh trivalent vertex nt with cyclic order (to-skeleton,
-    # x-edge, y-edge); the fused leg takes the last univalent slot
-    new_nt = d.nt + 1
-    vmap, dmap, edges = _cut(d, (x, y), new_nt)
-    t0 = 3 * d.nt
-    leg = new_nt + d.nu - 2
-    edges.append((t0, 3 * new_nt + d.nu - 2))
-    px, py = (d.pairing[d.vertex_darts(v)[0]] for v in (x, y))
-    if px in dmap:
-        edges += [(t0 + 1, dmap[px]), (t0 + 2, dmap[py])]
-    else:  # x and y were chorded together
-        edges.append((t0 + 1, t0 + 2))
-    skel = [leg if v == x else vmap[v] for v in d.skel if v != y]
-    return swapped, _from_edges(new_nt, d.nu - 1, edges, skel)
-
-
-def sort_skeleton_to(d, target_order):
-    """Express d as (d with skeleton sorted to target cyclic order) plus
-    lower-filtration terms, by repeated STU swaps.
-
-    ``target_order`` is a tuple of d's univalent vertex labels.  Returns
-    (sorted LinComb contribution, LinComb of emitted lower terms)."""
-    rank = {}
-    base = d.skel.index(target_order[0])
-    rot = d.skel[base:] + d.skel[:base]
-    for pos, v in enumerate(target_order):
-        rank[v] = pos
-
-    lower = LinComb()
-    cur = Diagram(d.nt, d.nu, d.pairing, skel=rot)
-    # bubble sort positions 1..n-1 by rank
-    n = len(rot)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(1, n - 1):
-            if rank[cur.skel[i]] > rank[cur.skel[i + 1]]:
-                swapped, y_term = skeleton_swap(cur, i)
-                lower.add(y_term, -1)
-                cur = swapped
-                changed = True
-    return LinComb.of(cur), lower
-
-
 # -- insertion ------------------------------------------------------------------------
 
 
@@ -706,12 +630,6 @@ class InsertionPiece:
         self.diagram = canon
         self.sign = sign
         self.legs = canon.skel
-
-    @property
-    def degree(self):
-        """Degree as an insertion operator: trivalent count minus one, halved
-        gives the vertex growth; deg(triangle) = 1."""
-        return (self.diagram.nt - 1) // 2
 
 
 def ladder(r):
@@ -763,143 +681,6 @@ def insert_at_vertex(d, v, piece):
             edges.append((glue[slot], glue[host % 3]))
     skel = None if d.skel is None else [vmap[u] for u in d.skel]
     return LinComb.of(_from_edges(nt, d.nu, edges, skel), piece.sign)
-
-
-# -- IHX saturation and reduction ---------------------------------------------------
-
-
-def internal_edges(d):
-    """Darts h < pairing[h], both ends trivalent, excluding self-loops."""
-    out = []
-    for h in range(3 * d.nt):
-        p = d.pairing[h]
-        if h < p < 3 * d.nt and p // 3 != h // 3:
-            out.append(h)
-    return out
-
-
-def ihx_relation(d, h):
-    """d - d1 - d2 for the internal edge with darts (h, pairing[h]).
-
-    With cyclic orders (e, a, b) and (e', c, d) at the two endpoints,
-    d1 rewires to (a, c, e)(e', b, d) and d2 to (b, c, f)(a, f', d).
-    """
-    p = d.pairing[h]
-    u, w = h // 3, p // 3
-    a, b = d.sigma(h), d.sigma(d.sigma(h))
-    c, dd = d.sigma(p), d.sigma(d.sigma(p))
-    rel = LinComb.of(d)
-    rel.add(_rewire(d, u, w, (a, c, h), (p, b, dd)), -1)
-    rel.add(_rewire(d, u, w, (b, c, h), (a, p, dd)), -1)
-    return rel
-
-
-def _rewire(d, u, w, triple_u, triple_w):
-    """Rebuild d with the half-edge triples at trivalent u, w replaced (the
-    entries name old darts whose partners are preserved)."""
-    slots = (3 * u, 3 * u + 1, 3 * u + 2, 3 * w, 3 * w + 1, 3 * w + 2)
-    move = dict(zip(triple_u + triple_w, slots))
-    pairing = list(d.pairing)
-    for old, new in move.items():
-        partner = move.get(d.pairing[old], d.pairing[old])
-        pairing[new], pairing[partner] = partner, new
-    return Diagram(d.nt, d.nu, pairing, skel=d.skel)
-
-
-def ihx_saturate(seed_diagrams):
-    """Closure of a diagram set under IHX moves, plus the relations; raises
-    DiagramError once the closure would exceed 4000 diagrams."""
-    frontier = _classes(seed_diagrams)
-    seen = {diag._encoding(): diag for diag in frontier}
-    relations = []
-    rel_keys = set()
-    while frontier:
-        diag = frontier.pop()
-        for h in internal_edges(diag):
-            rel = ihx_relation(diag, h)
-            key = tuple(sorted((k, str(c)) for k, (_, c) in rel.terms.items()))
-            if key in rel_keys:
-                continue
-            rel_keys.add(key)
-            if not rel.is_zero():
-                relations.append(rel)
-            for term, _ in rel:
-                k = term._encoding()
-                if k not in seen:
-                    if len(seen) >= 4000:
-                        raise DiagramError("IHX saturation exceeded 4000 diagrams")
-                    seen[k] = term
-                    frontier.append(term)
-    return list(seen.values()), relations
-
-
-def reduce_B(c):
-    """Coordinates of a LinComb of skeleton-free diagrams modulo AS/IHX.
-
-    The relation span is computed on the IHX saturation of the support (the
-    saturated set is relation-closed, so zero/equality tests are exact).
-    Returns {canonical encoding: coefficient} after elimination; the zero
-    map means the class is zero.
-    """
-    from .scalars import echelon, reduce_by
-
-    if isinstance(c, Diagram):
-        c = LinComb.of(c)
-    support = [diag for diag, _ in c]
-    if not support:
-        return {}
-    diagrams, relations = ihx_saturate(support)
-    encodings = sorted(diag._encoding() for diag in diagrams)
-    index = {enc: i for i, enc in enumerate(encodings)}
-    pivots = echelon({index[diag._encoding()]: coeff for diag, coeff in rel}
-                     for rel in relations)
-    vec = reduce_by({index[diag._encoding()]: Fraction(coeff) for diag, coeff in c}, pivots)
-    return {encodings[i]: v for i, v in vec.items()}
-
-
-def enumerate_connected(degree, legs):
-    """All connected skeleton-free diagrams of the given degree and leg
-    count, one canonical representative per nonzero AS-class, sorted by
-    encoding."""
-    nt = 2 * degree - legs
-    if nt < 0 or (nt + legs) % 2:
-        return []
-    nd = 3 * nt + legs
-
-    def backtrack(pairing, used):
-        free = [i for i in range(nd) if pairing[i] < 0]
-        if not free:
-            try:
-                diag = Diagram(nt, legs, pairing)
-            except DiagramError:
-                return
-            yield diag
-            return
-        h = free[0]
-        seen_fresh_triv = False
-        seen_fresh_univ = False
-        for p in free[1:]:
-            v = p // 3 if p < 3 * nt else nt + (p - 3 * nt)
-            if v not in used:
-                # fresh vertices of the same kind are interchangeable
-                if p < 3 * nt:
-                    if seen_fresh_triv:
-                        continue
-                    seen_fresh_triv = True
-                else:
-                    if seen_fresh_univ:
-                        continue
-                    seen_fresh_univ = True
-            pairing[h], pairing[p] = p, h
-            vh = h // 3 if h < 3 * nt else nt + (h - 3 * nt)
-            added = [w for w in (v, vh) if w not in used]
-            used.update(added)
-            yield from backtrack(pairing, used)
-            for w in added:
-                used.discard(w)
-            pairing[h] = pairing[p] = -1
-
-    return _classes(backtrack([-1] * nd, set()))
 
 
 # -- chord-diagram space (skeleton side) ----------------------------------------------

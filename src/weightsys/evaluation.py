@@ -65,8 +65,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .diagrams import DiagramError, LinComb, chord_endpoints, chord_reduce, chi_bar, insert_at_vertex
-from .scalars import CostBoundError, MultiPoly, exact_quotient
+from .diagrams import DiagramError, LinComb, chord_endpoints, chord_reduce
+from .scalars import CostBoundError, MultiPoly
 
 # the planned cost of one sweep (see sweep_cost): 3,017,194 on D(2,1,alpha)
 # takes about 10 s, and the all-crossing degree-6 chord diagram plans 51,292,332
@@ -703,65 +703,3 @@ def eval_state_sum(d, L):
 def adjoint_weight(L):
     """Highest weight of the adjoint representation, in H* coordinates."""
     return L.rootdata.highest_root
-
-
-# ------------------------------------------------------------- insertion ratios
-
-
-def exact_ratio(num, den):
-    """num / den for two polynomials that must be exactly proportional with a
-    ratio free of n; returns the ratio (Fraction or MultiPoly in alpha), or
-    raises ValueError if the proportionality fails or the ratio is not a
-    polynomial."""
-    num = num if isinstance(num, MultiPoly) else MultiPoly.const(num)
-    den = den if isinstance(den, MultiPoly) else MultiPoly.const(den)
-    num, den = num._aligned(den)
-    if den.is_zero():
-        raise ZeroDivisionError("zero denominator value")
-    dn = max(num.degree_in("n"), den.degree_in("n")) if "n" in den.vars else 0
-    num_coeffs = [num.coefficient_in("n", k) for k in range(dn + 1)] if "n" in num.vars else [num]
-    den_coeffs = [den.coefficient_in("n", k) for k in range(dn + 1)] if "n" in den.vars else [den]
-    ref = next(k for k in range(len(den_coeffs)) if den_coeffs[k])
-    for i in range(len(den_coeffs)):
-        lhs = num_coeffs[i] * den_coeffs[ref]
-        rhs = num_coeffs[ref] * den_coeffs[i]
-        if lhs != rhs:
-            raise ValueError("values are not proportional by an n-free ratio")
-    ratio = exact_quotient(num_coeffs[ref], den_coeffs[ref])
-    return ratio.constant_value() if ratio.is_constant() else ratio
-
-
-def ratio_character(piece, probes):
-    """Measure the character value of an insertion piece from probe ratios.
-
-    Each probe is (base_diagram, algebra, mode, weight): the base is
-    a connected skeleton-free diagram of degree >= 2, the weight is None
-    for the state sum; the measured ratio is
-    W(chi_bar(piece . base)) / W(chi_bar(base)).  All ratios for one probe
-    list must agree exactly; the common value and a report are returned.
-    """
-    ratios = []
-    report = []
-    for base, L, mode, weight in probes:
-        if base.nt == 0:
-            raise DiagramError("probe needs a trivalent vertex to insert at")
-        inserted = insert_at_vertex(base, 0, piece)
-        num_src = chi_bar(inserted)
-        den_src = chi_bar(base)
-        if mode == "verma":
-            den = eval_verma(den_src, L, weight)
-            num = eval_verma(num_src, L, weight)
-        elif mode == "statesum":
-            den = eval_state_sum(den_src, L)
-            num = eval_state_sum(num_src, L)
-        else:
-            raise ValueError(f"unknown mode {mode}")
-        if not den:
-            raise ValueError("probe has zero weight-system value")
-        r = exact_ratio(num, den)
-        ratios.append(r)
-        report.append({"base_degree": str(base.degree), "algebra": L.name,
-                       "mode": mode, "ratio": str(r)})
-    if any(r != ratios[0] for r in ratios):
-        raise ValueError(f"inconsistent insertion ratios: {[str(r) for r in ratios]}")
-    return ratios[0], report

@@ -76,9 +76,10 @@ class MultiPoly:
     positive int ``den``, coprime to the numerators and 1 for zero, so each
     value has exactly one representation.  ``terms`` reads the same value
     as a map from exponent tuples to nonzero Fractions.  Instances are
-    treated as immutable; arithmetic aligns variable sets automatically,
-    and values in one variable tuple, as in the evaluation sweep, skip the
-    alignment at the cost of one comparison.
+    treated as immutable and compare by value, but are not hashable;
+    arithmetic aligns variable sets automatically, and values in one
+    variable tuple, as in the evaluation sweep, skip the alignment at the
+    cost of one comparison.
     """
 
     __slots__ = ("vars", "nums", "den")
@@ -280,19 +281,6 @@ class MultiPoly:
         a, b = self._aligned(other)
         return a.nums == b.nums and a.den == b.den
 
-    def __hash__(self):
-        """A constant hashes as its Fraction, any other value as its leading
-        term under the graded order on name-sorted variables: the same term
-        in every variable tuple, since a missing variable has exponent 0."""
-        if self.is_constant():
-            return hash(self.constant_value())
-        nv = len(self.vars)
-        names = sorted(range(nv), key=self.vars.__getitem__)
-        expo, c = max(((_exponents(k, nv), c) for k, c in self.nums.items()),
-                      key=lambda t: (sum(t[0]), [t[0][i] for i in names]))
-        return hash((Fraction(c, self.den),
-                     tuple(sorted((v, e) for v, e in zip(self.vars, expo) if e))))
-
     # -- substitution -----------------------------------------------------------
 
     def substitute(self, assignment):
@@ -398,18 +386,6 @@ class MultiPoly:
 
 
 # -- univariate polynomial utilities ---------------------------------------------
-
-
-def exact_quotient(p, q):
-    """p / q for a nonzero q dividing p, both univariate in one variable;
-    ValueError when the quotient is not a polynomial."""
-    if q.is_constant():
-        return p * (1 / q.constant_value())
-    name = next(v for v in q.vars if q.degree_in(v) > 0)
-    quotient, rest = _poly_divmod(p.as_univariate(name), q.as_univariate(name))
-    if any(rest):
-        raise ValueError(f"{q} does not divide {p}")
-    return MultiPoly.from_univariate(name, quotient)
 
 
 def squarefree_part(p, name):

@@ -1,0 +1,320 @@
+"""Reference computations the tests check the package against.
+
+The program never runs these: no CLI command and no benchmark operation
+reaches them, so they live with the tests rather than in src/weightsys.
+
+- the character space: exhaustive enumeration of connected skeleton-free
+  diagrams (``enumerate_connected``) and reduction modulo AS/IHX over the
+  IHX saturation of a combination's support (``reduce_B``), Vogel's
+  relations checked by brute force;
+- the circle space: sorting a skeleton by STU swaps (``sort_skeleton_to``),
+  which decomposes the symmetrized wheel into k! times the glued wheel plus
+  lower terms;
+- insertion characters measured as exact probe ratios
+  (``ratio_character``);
+- the inverse of ``characters.to_elementary`` (``from_elementary``) and
+  the bare skeleton circle (``empty_circle``).
+
+Import them as ``from oracles import ...``: pytest puts this directory on
+the path, and so does running a test file as a script.
+"""
+
+from fractions import Fraction
+
+from weightsys.characters import LMN, elementary
+from weightsys.diagrams import (
+    Diagram,
+    DiagramError,
+    LinComb,
+    _classes,
+    _cut,
+    _from_edges,
+    chi_bar,
+    insert_at_vertex,
+)
+from weightsys.evaluation import eval_state_sum, eval_verma
+from weightsys.scalars import MultiPoly, _poly_divmod, echelon, reduce_by
+
+
+def empty_circle():
+    """The bare skeleton circle (degree 0); evaluates to 1 everywhere."""
+    return Diagram(0, 0, (), skel=())
+
+
+# -- skeleton-order sorting (the filtration decomposition) ---------------------------
+
+
+def skeleton_swap(d, i):
+    """Rewrite D[..., x, y, ...] = D[..., y, x, ...] - Y where x, y are the
+    skeleton vertices at positions i, i+1 and Y fuses them into one leg
+    attached to a new internal vertex (one fewer skeleton vertex).
+
+    Returns (swapped diagram, y_term diagram)."""
+    if d.skel is None or len(d.skel) < 2:
+        raise DiagramError("need at least two skeleton vertices")
+    n = len(d.skel)
+    x, y = d.skel[i], d.skel[(i + 1) % n]
+    skel2 = list(d.skel)
+    skel2[i], skel2[(i + 1) % n] = y, x
+    swapped = Diagram(d.nt, d.nu, d.pairing, skel=tuple(skel2))
+
+    # Y term: fresh trivalent vertex nt with cyclic order (to-skeleton,
+    # x-edge, y-edge); the fused leg takes the last univalent slot
+    new_nt = d.nt + 1
+    vmap, dmap, edges = _cut(d, (x, y), new_nt)
+    t0 = 3 * d.nt
+    leg = new_nt + d.nu - 2
+    edges.append((t0, 3 * new_nt + d.nu - 2))
+    px, py = (d.pairing[d.vertex_darts(v)[0]] for v in (x, y))
+    if px in dmap:
+        edges += [(t0 + 1, dmap[px]), (t0 + 2, dmap[py])]
+    else:  # x and y were chorded together
+        edges.append((t0 + 1, t0 + 2))
+    skel = [leg if v == x else vmap[v] for v in d.skel if v != y]
+    return swapped, _from_edges(new_nt, d.nu - 1, edges, skel)
+
+
+def sort_skeleton_to(d, target_order):
+    """Express d as (d with skeleton sorted to target cyclic order) plus
+    lower-filtration terms, by repeated STU swaps.
+
+    ``target_order`` is a tuple of d's univalent vertex labels.  Returns
+    (sorted LinComb contribution, LinComb of emitted lower terms)."""
+    rank = {}
+    base = d.skel.index(target_order[0])
+    rot = d.skel[base:] + d.skel[:base]
+    for pos, v in enumerate(target_order):
+        rank[v] = pos
+
+    lower = LinComb()
+    cur = Diagram(d.nt, d.nu, d.pairing, skel=rot)
+    # bubble sort positions 1..n-1 by rank
+    n = len(rot)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(1, n - 1):
+            if rank[cur.skel[i]] > rank[cur.skel[i + 1]]:
+                swapped, y_term = skeleton_swap(cur, i)
+                lower.add(y_term, -1)
+                cur = swapped
+                changed = True
+    return LinComb.of(cur), lower
+
+
+# -- IHX saturation and reduction ---------------------------------------------------
+
+
+def internal_edges(d):
+    """Darts h < pairing[h], both ends trivalent, excluding self-loops."""
+    out = []
+    for h in range(3 * d.nt):
+        p = d.pairing[h]
+        if h < p < 3 * d.nt and p // 3 != h // 3:
+            out.append(h)
+    return out
+
+
+def ihx_relation(d, h):
+    """d - d1 - d2 for the internal edge with darts (h, pairing[h]).
+
+    With cyclic orders (e, a, b) and (e', c, d) at the two endpoints,
+    d1 rewires to (a, c, e)(e', b, d) and d2 to (b, c, f)(a, f', d).
+    """
+    p = d.pairing[h]
+    u, w = h // 3, p // 3
+    a, b = d.sigma(h), d.sigma(d.sigma(h))
+    c, dd = d.sigma(p), d.sigma(d.sigma(p))
+    rel = LinComb.of(d)
+    rel.add(_rewire(d, u, w, (a, c, h), (p, b, dd)), -1)
+    rel.add(_rewire(d, u, w, (b, c, h), (a, p, dd)), -1)
+    return rel
+
+
+def _rewire(d, u, w, triple_u, triple_w):
+    """Rebuild d with the half-edge triples at trivalent u, w replaced (the
+    entries name old darts whose partners are preserved)."""
+    slots = (3 * u, 3 * u + 1, 3 * u + 2, 3 * w, 3 * w + 1, 3 * w + 2)
+    move = dict(zip(triple_u + triple_w, slots))
+    pairing = list(d.pairing)
+    for old, new in move.items():
+        partner = move.get(d.pairing[old], d.pairing[old])
+        pairing[new], pairing[partner] = partner, new
+    return Diagram(d.nt, d.nu, pairing, skel=d.skel)
+
+
+def ihx_saturate(seed_diagrams):
+    """Closure of a diagram set under IHX moves, plus the relations; raises
+    DiagramError once the closure would exceed 4000 diagrams."""
+    frontier = _classes(seed_diagrams)
+    seen = {diag._encoding(): diag for diag in frontier}
+    relations = []
+    rel_keys = set()
+    while frontier:
+        diag = frontier.pop()
+        for h in internal_edges(diag):
+            rel = ihx_relation(diag, h)
+            key = tuple(sorted((k, str(c)) for k, (_, c) in rel.terms.items()))
+            if key in rel_keys:
+                continue
+            rel_keys.add(key)
+            if rel:
+                relations.append(rel)
+            for term, _ in rel:
+                k = term._encoding()
+                if k not in seen:
+                    if len(seen) >= 4000:
+                        raise DiagramError("IHX saturation exceeded 4000 diagrams")
+                    seen[k] = term
+                    frontier.append(term)
+    return list(seen.values()), relations
+
+
+def reduce_B(c):
+    """Coordinates of a LinComb of skeleton-free diagrams modulo AS/IHX.
+
+    The relation span is computed on the IHX saturation of the support (the
+    saturated set is relation-closed, so zero/equality tests are exact).
+    Returns {canonical encoding: coefficient} after elimination; the zero
+    map means the class is zero.
+    """
+    if isinstance(c, Diagram):
+        c = LinComb.of(c)
+    support = [diag for diag, _ in c]
+    if not support:
+        return {}
+    diagrams, relations = ihx_saturate(support)
+    encodings = sorted(diag._encoding() for diag in diagrams)
+    index = {enc: i for i, enc in enumerate(encodings)}
+    pivots = echelon({index[diag._encoding()]: coeff for diag, coeff in rel}
+                     for rel in relations)
+    vec = reduce_by({index[diag._encoding()]: Fraction(coeff) for diag, coeff in c}, pivots)
+    return {encodings[i]: v for i, v in vec.items()}
+
+
+def enumerate_connected(degree, legs):
+    """All connected skeleton-free diagrams of the given degree and leg
+    count, one canonical representative per nonzero AS-class, sorted by
+    encoding."""
+    nt = 2 * degree - legs
+    if nt < 0 or (nt + legs) % 2:
+        return []
+    nd = 3 * nt + legs
+
+    def backtrack(pairing, used):
+        free = [i for i in range(nd) if pairing[i] < 0]
+        if not free:
+            try:
+                diag = Diagram(nt, legs, pairing)
+            except DiagramError:
+                return
+            yield diag
+            return
+        h = free[0]
+        seen_fresh_triv = False
+        seen_fresh_univ = False
+        for p in free[1:]:
+            v = p // 3 if p < 3 * nt else nt + (p - 3 * nt)
+            if v not in used:
+                # fresh vertices of the same kind are interchangeable
+                if p < 3 * nt:
+                    if seen_fresh_triv:
+                        continue
+                    seen_fresh_triv = True
+                else:
+                    if seen_fresh_univ:
+                        continue
+                    seen_fresh_univ = True
+            pairing[h], pairing[p] = p, h
+            vh = h // 3 if h < 3 * nt else nt + (h - 3 * nt)
+            added = [w for w in (v, vh) if w not in used]
+            used.update(added)
+            yield from backtrack(pairing, used)
+            for w in added:
+                used.discard(w)
+            pairing[h] = pairing[p] = -1
+
+    return _classes(backtrack([-1] * nd, set()))
+
+
+# -- insertion ratios ---------------------------------------------------------------
+
+
+def exact_quotient(p, q):
+    """p / q for a nonzero q dividing p, both univariate in one variable;
+    ValueError when the quotient is not a polynomial."""
+    if q.is_constant():
+        return p * (1 / q.constant_value())
+    name = next(v for v in q.vars if q.degree_in(v) > 0)
+    quotient, rest = _poly_divmod(p.as_univariate(name), q.as_univariate(name))
+    if any(rest):
+        raise ValueError(f"{q} does not divide {p}")
+    return MultiPoly.from_univariate(name, quotient)
+
+
+def exact_ratio(num, den):
+    """num / den for two polynomials that must be exactly proportional with a
+    ratio free of n; returns the ratio (Fraction or MultiPoly in alpha), or
+    raises ValueError if the proportionality fails or the ratio is not a
+    polynomial."""
+    num = num if isinstance(num, MultiPoly) else MultiPoly.const(num)
+    den = den if isinstance(den, MultiPoly) else MultiPoly.const(den)
+    num, den = num._aligned(den)
+    if den.is_zero():
+        raise ZeroDivisionError("zero denominator value")
+    dn = max(num.degree_in("n"), den.degree_in("n")) if "n" in den.vars else 0
+    num_coeffs = [num.coefficient_in("n", k) for k in range(dn + 1)] if "n" in num.vars else [num]
+    den_coeffs = [den.coefficient_in("n", k) for k in range(dn + 1)] if "n" in den.vars else [den]
+    ref = next(k for k in range(len(den_coeffs)) if den_coeffs[k])
+    for i in range(len(den_coeffs)):
+        lhs = num_coeffs[i] * den_coeffs[ref]
+        rhs = num_coeffs[ref] * den_coeffs[i]
+        if lhs != rhs:
+            raise ValueError("values are not proportional by an n-free ratio")
+    ratio = exact_quotient(num_coeffs[ref], den_coeffs[ref])
+    return ratio.constant_value() if ratio.is_constant() else ratio
+
+
+def ratio_character(piece, probes):
+    """Measure the character value of an insertion piece from probe ratios.
+
+    Each probe is (base_diagram, algebra, mode, weight): the base is
+    a connected skeleton-free diagram of degree >= 2, the weight is None
+    for the state sum; the measured ratio is
+    W(chi_bar(piece . base)) / W(chi_bar(base)).  All ratios for one probe
+    list must agree exactly; the common value and a report are returned.
+    """
+    ratios = []
+    report = []
+    for base, L, mode, weight in probes:
+        if base.nt == 0:
+            raise DiagramError("probe needs a trivalent vertex to insert at")
+        inserted = insert_at_vertex(base, 0, piece)
+        num_src = chi_bar(inserted)
+        den_src = chi_bar(base)
+        if mode == "verma":
+            den = eval_verma(den_src, L, weight)
+            num = eval_verma(num_src, L, weight)
+        elif mode == "statesum":
+            den = eval_state_sum(den_src, L)
+            num = eval_state_sum(num_src, L)
+        else:
+            raise ValueError(f"unknown mode {mode}")
+        if not den:
+            raise ValueError("probe has zero weight-system value")
+        r = exact_ratio(num, den)
+        ratios.append(r)
+        report.append({"base_degree": str(base.degree), "algebra": L.name,
+                       "mode": mode, "ratio": str(r)})
+    if any(r != ratios[0] for r in ratios):
+        raise ValueError(f"inconsistent insertion ratios: {[str(r) for r in ratios]}")
+    return ratios[0], report
+
+
+# -- symmetric functions ------------------------------------------------------------
+
+
+def from_elementary(q):
+    """q, a polynomial in e1, e2, e3, written out in lam, mu, nu."""
+    e1, e2, e3 = elementary()
+    return q.substitute({"e1": e1, "e2": e2, "e3": e3}).with_vars(LMN)

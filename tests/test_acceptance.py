@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import exact_ratio, ihx_relation, internal_edges, ratio_character, reduce_B
 from weightsys.asymptotics import (
     closed_form_check,
     closed_form_value,
@@ -27,10 +28,7 @@ from weightsys.diagrams import (
     chi_bar,
     dim_A_by_four_term,
     dim_A_by_stu,
-    ihx_relation,
     insert_at_vertex,
-    internal_edges,
-    reduce_B,
     triangle,
     wheel,
     wheel_on_circle,
@@ -39,8 +37,6 @@ from weightsys.evaluation import (
     adjoint_weight,
     eval_state_sum,
     eval_verma,
-    exact_ratio,
-    ratio_character,
 )
 from weightsys.scalars import MultiPoly
 from weightsys.superalgebras import d21, sl2, validate

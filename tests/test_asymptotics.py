@@ -5,6 +5,9 @@ from fractions import Fraction
 import pytest
 
 from weightsys.asymptotics import (
+    DEFAULT_LAMBDA0,
+    _root_pairings,
+    _root_sum,
     closed_form_check,
     closed_form_value,
     find_n0,
@@ -23,14 +26,14 @@ def test_seven_inner_products_at_alpha_one():
 
 @pytest.mark.parametrize("k", [2, 4, 6, 8, 10])
 def test_closed_form_reproduction(k):
-    got = top_coefficient(k, alpha=Fraction(1))
+    got = _root_sum(_root_pairings(DEFAULT_LAMBDA0, Fraction(1)), k)
     assert got == closed_form_value(k)
 
 
 def test_known_values():
     assert closed_form_value(2) == 0
     assert closed_form_value(4) == 1728
-    assert top_coefficient(4, alpha=Fraction(1)) == 1728
+    assert _root_sum(_root_pairings(DEFAULT_LAMBDA0, Fraction(1)), 4) == 1728
 
 
 def test_range_check_to_40():
@@ -53,8 +56,8 @@ def test_odd_k_rejected():
 def test_scaling_linearity():
     # scaling lambda0 by s scales the coefficient by s^k
     k = 4
-    base = top_coefficient(k, lambda0=(3, 1, 1))
-    scaled = top_coefficient(k, lambda0=(6, 2, 2))
+    base = top_coefficient(k)
+    scaled = _root_sum(_root_pairings((6, 2, 2), None), k)
     assert scaled == base * (2 ** k)
 
 
@@ -64,14 +67,14 @@ def test_odd_root_sign_symmetry():
     # coordinates together with the last two form slots (alpha <-> 1)
     k = 6
     a = MultiPoly.variable("alpha")
-    top = top_coefficient(k, lambda0=(3, 1, 1))
+    top = top_coefficient(k)
     # swapping H2* and H3* conjugates alpha -> 1/alpha up to the form scale;
     # instead check the concrete invariance: lambda0 symmetric in slots 2,3
-    same = top_coefficient(k, lambda0=(3, 1, 1))
+    same = _root_sum(_root_pairings((3, 1, 1), None), k)
     assert top == same
     # and an asymmetric weight sees the swap through the form
-    t1 = top_coefficient(k, lambda0=(3, 2, 1), alpha=Fraction(1))
-    t2 = top_coefficient(k, lambda0=(3, 1, 2), alpha=Fraction(1))
+    t1 = _root_sum(_root_pairings((3, 2, 1), Fraction(1)), k)
+    t2 = _root_sum(_root_pairings((3, 1, 2), Fraction(1)), k)
     assert t1 == t2
 
 

@@ -24,6 +24,7 @@ import json
 import random
 from pathlib import Path
 
+from oracles import enumerate_connected
 from test_diagrams import flipped_at, relabeled
 from weightsys.diagrams import (
     Diagram,
@@ -31,7 +32,6 @@ from weightsys.diagrams import (
     all_chord_diagrams,
     chi_bar,
     chord_reduce,
-    enumerate_connected,
     one_vertex_diagrams,
     wheel,
 )

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import from_elementary, ratio_character
 from weightsys.characters import (
     E,
     FACTOR_LABELS,
@@ -15,7 +16,6 @@ from weightsys.characters import (
     build_P,
     chi0_image_test,
     chi_prime_D,
-    from_elementary,
     load_family_table,
     parse_Q,
     p_factors,
@@ -26,8 +26,7 @@ from weightsys.characters import (
     vanishing_table,
     weighted_degrees,
 )
-from weightsys.diagrams import Diagram, InsertionPiece, wheel
-from weightsys.evaluation import ratio_character
+from weightsys.diagrams import Diagram, InsertionPiece, insert_at_vertex, wheel
 from weightsys.scalars import CostBoundError, MultiPoly
 from weightsys.superalgebras import d21, sl2
 
@@ -159,7 +158,8 @@ def test_sigma3_substitution_is_an_evaluated_character():
     # inserted at a vertex of the 4-wheel, the piece multiplies the Verma
     # value on symbolic D(2,1,alpha) by 12 times the image of sigma3
     piece = InsertionPiece(Diagram.from_text(X3_PIECE), (7, 8, 9))
-    assert piece.degree == 3
+    (inserted, _), = list(insert_at_vertex(wheel(4), 0, piece))
+    assert inserted.degree == 4 + 3
     sigma3 = MultiPoly(("sigma2", "sigma3"), {(0, 1): 1})
     image, _, _ = specialize_alpha(sigma3)
     ratio, _ = ratio_character(piece, [(wheel(4), d21(), "verma", (3, 1, 1))])

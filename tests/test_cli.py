@@ -10,10 +10,11 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import empty_circle
 from weightsys import asymptotics, characters, evaluation
 from weightsys.cli import ALPHA1_K_LIMIT, OPTIONS, SYMBOLIC_K_LIMIT, main
-from weightsys.diagrams import (chi_bar, chord_diagram_from_word, empty_circle, insert_at_vertex,
-                                triangle, wheel, wheel_on_circle)
+from weightsys.diagrams import (chi_bar, chord_diagram_from_word, insert_at_vertex, triangle,
+                                wheel, wheel_on_circle)
 from weightsys.superalgebras import d21
 
 
@@ -131,6 +132,14 @@ def test_certify_k4(capsys):
     assert bundle["certified"] is True
     assert "0" in bundle["excluded_alpha_values"]
     assert "-1" in bundle["excluded_alpha_values"]
+
+
+def test_text_format_marks_nested_list_items(capsys):
+    # the default format: a list of [root, multiplicity] pairs in a dict
+    code, out = run(capsys, "--command", "certify", "--k", "4", "--q", "1")
+    assert code == 0
+    assert "\n    rational_roots:\n      - - -2\n        - 2\n      - - -1\n        - 3\n" in out
+    assert out.startswith("certified: True\ncharacter_level:\n  PQ_degree: 15\n")
 
 
 def test_certify_k2_reports_caveat(capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import empty_circle, enumerate_connected, exact_ratio, ratio_character
 from weightsys.diagrams import (
     Diagram,
     LinComb,
@@ -12,8 +13,6 @@ from weightsys.diagrams import (
     chord_diagram_from_word,
     chord_endpoints,
     chord_reduce,
-    empty_circle,
-    enumerate_connected,
     insert_at_vertex,
     ladder,
     stu_eligible_legs,
@@ -30,9 +29,7 @@ from weightsys.evaluation import (
     adjoint_weight,
     eval_state_sum,
     eval_verma,
-    exact_ratio,
     leg_tensor,
-    ratio_character,
     sweep_chords,
     sweep_legs,
 )
@@ -457,7 +454,7 @@ def test_the_library_bounds_the_sweep_before_sweeping(monkeypatch):
             evaluate(cross6)
         with pytest.raises(evaluation.CostBoundError, match="plans cost 51292332"):
             evaluate(LinComb.of(chord_diagram_from_word([(2 * i, 2 * i + 1) for i in range(6)], 12))
-                     + LinComb.of(cross6))
+                     .add(cross6))
         with pytest.raises(evaluation.CostBoundError, match=f"plans cost {sum(17 ** k for k in range(1, 7))}"):
             evaluate(big)
     carrier = D.carriers[(3, 1, 1)]

@@ -2,15 +2,16 @@
 cli-certify workload, and certify for a product, a mixed sum and a large
 literal Q, print exactly the stdout stored under tests/golden/ and exit with
 the stored code.  So do one eval above the sweep cost bound, which prints
-nothing and exits 3 with one error line, and one state sum of a 14-vertex
-chord diagram that plans far below that bound.
+nothing and exits 3 with one error line, one state sum of a 14-vertex
+chord diagram that plans far below that bound, and validate and leading in
+the default text format.
 
 A change that is meant to alter a report regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
 and the diff of tests/golden/ shows what changed.  The k = 6 certificate,
-tests/golden/certify_k6_full.out, takes about 100 s; the CI workflow, not
+tests/golden/certify_k6_full.out, takes 72-93 s; the CI workflow, not
 this module, checks it, and it regenerates with
 
     PYTHONPATH=src python -m weightsys --command certify --k 6 --q 1 --mode full \\
@@ -73,6 +74,9 @@ COMMANDS = {
     "eval_d21_cross6": ["--command", "eval", "--diagram", "CROSS6", "--algebra", "d21"] + JSON,
     "eval_d21_statesum_chain7": ["--command", "eval", "--diagram", "CHAIN7", "--algebra", "d21",
                                  "--alpha", "2", "--mode", "statesum", "--max-degree", "7"] + JSON,
+    # the default --format text
+    "validate_text": ["--command", "validate"],
+    "leading_k6_text": ["--command", "leading", "--k", "6"],
 }
 
 

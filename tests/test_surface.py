@@ -8,12 +8,24 @@ reason the tests need that name as it is.  Every field of a dataclass there
 must likewise be read as an attribute by the program or the benchmark child,
 unless its class is in UNREAD_FIELDS, and every method and property of a
 class there by the program, the benchmark child or a tracer name, unless
-KEEP_MEMBERS gives the reason.  No module holds state of its own: none
-assigns an empty container at top level, and a function memoized with
-functools.cache or lru_cache is named in MODULE_CACHES with the reason.
+KEEP_MEMBERS gives the reason.  A parameter with a default must be passed,
+by keyword, by position or through * or **, by some call in the program or
+the benchmark child to a function the program calls.  No module holds
+state of its own: none assigns an empty container at top level, and a
+function memoized with functools.cache or lru_cache is named in
+MODULE_CACHES with the reason.
+
+The rules match by name alone, so two things stay out of their sight.
+Shared names: a member counts as read when any attribute of its name is
+read, so a method named like one the program reads (``degree``,
+``is_zero``) passes, and a call to any function named f counts as a call
+to each f.  Dunders: the member rule exempts them, so a ``__hash__`` or an
+``__add__`` that no program code reaches passes.  The tests' own oracles
+live in tests/oracles.py.
 """
 
 import ast
+import math
 from collections import defaultdict
 from pathlib import Path
 
@@ -22,17 +34,8 @@ SRC = ROOT / "src" / "weightsys"
 PERFBENCH = ROOT / "perfbench"
 
 KEEP = {
-    "ratio_character": "acceptance criterion 09 (insertion ratio)",
-    "exact_ratio": "acceptance criterion 09 (insertion ratio)",
-    "reduce_B": "acceptance criterion 10 and the exhaustive AS/IHX oracle",
-    "ihx_relation": "acceptance criterion 10 and the exhaustive AS/IHX oracle",
-    "enumerate_connected": "acceptance criterion 10 and the exhaustive AS/IHX oracle",
-    "sort_skeleton_to": "the constructive k! filtration test",
-    "skeleton_swap": "the constructive k! filtration test",
     "wheel_on_circle": "diagram generator",
-    "empty_circle": "diagram generator",
     "corrupt": "the negative control of validate",
-    "from_elementary": "the inverse map in the symmetric-function round trips",
     "sweep_cost": "the eval cost-bound tests, which read a plan without running it",
 }
 
@@ -175,3 +178,43 @@ def test_no_module_keeps_state_of_its_own():
                       if name not in MODULE_CACHES)
     assert not unlisted, f"module caches without a reason in MODULE_CACHES: {', '.join(unlisted)}"
     assert set(MODULE_CACHES) <= set(caches), "MODULE_CACHES names a function with no cache"
+
+
+def _signatures(tree):
+    """(callee name, function, whether its first parameter is bound) of every
+    top-level function and method; a constructor's callee is its class."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef):
+            yield stmt.name, stmt, False
+        elif isinstance(stmt, ast.ClassDef):
+            for node in stmt.body:
+                if isinstance(node, ast.FunctionDef):
+                    static = any(getattr(dec, "id", None) == "staticmethod"
+                                 for dec in node.decorator_list)
+                    yield stmt.name if node.name == "__init__" else node.name, node, not static
+
+
+def test_every_defaulted_parameter_is_passed_without_the_tests():
+    calls = defaultdict(list)       # callee name -> [(positional count, keyword names)]
+    for path in [*sorted(SRC.glob("*.py")), PERFBENCH / "child.py"]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+                calls[name].append((math.inf if starred else len(node.args),
+                                    {kw.arg for kw in node.keywords}))  # None: **kwargs
+    unpassed = []
+    for path in sorted(SRC.glob("*.py")):
+        for callee, fn, bound in _signatures(ast.parse(path.read_text())):
+            if callee not in calls:
+                continue  # no program call: alive by KEEP or the tracer, or an orphan
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            defaulted = [(i - bound, arg.arg) for i, arg in enumerate(positional) if i >= first]
+            defaulted += [(math.inf, arg.arg) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                          if default is not None]
+            unpassed += [f"{path.stem}.{fn.name}({name})" for index, name in defaulted
+                         if not any(index < count or name in keywords or None in keywords
+                                    for count, keywords in calls[callee])]
+    assert not unpassed, f"no call passes them, so make them constants: {', '.join(unpassed)}"
