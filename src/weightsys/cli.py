@@ -31,7 +31,7 @@ OPTIONS = {"validate": ("table",), "leading": ("k", "mode"),
            "eval": ("alpha", "mode", "diagram", "algebra", "weight", "max_degree")}
 ALPHA1_K_LIMIT = 2000  # leading at alpha = 1: k = 2000 takes about 0.8 s, k = 3000 1.1 s
 SYMBOLIC_K_LIMIT = 100  # leading --mode symbolic: k = 100 takes about 0.3 s, cost grows as k^3
-FULL_K_LIMIT = 6  # certify --mode full: k = 6 takes 72-93 s, k = 8 has never finished
+FULL_K_LIMIT = 6  # certify --mode full: k = 6 takes 44-48 s, k = 8 has never finished
 
 
 class _Parser(argparse.ArgumentParser):

@@ -11,25 +11,25 @@ A skeleton diagram is evaluated one of two ways, chosen by its shape alone:
 
 Each STU step doubles the terms at a trivalent vertex, so contraction wins
 where vertices outnumber legs: the symmetrized triangle-inserted 4-wheel on
-symbolic D(2,1,alpha) took 2.4 s through 41 chord diagrams and takes 0.07 s
-as three leg tensors, all zero (2-core host, CPython 3.11).  Where they do
+symbolic D(2,1,alpha) takes 0.6 s through 41 chord diagrams and 0.04 s as
+three leg tensors, all empty (2-core host, CPython 3.11).  Where they do
 not, the leg tensor is large and STU wins on D(2,1,alpha): the symmetrized
-4-wheel on symbolic D(2,1,alpha) takes 0.37 s through STU and 0.44 s by
+4-wheel on symbolic D(2,1,alpha) takes 0.07 s through STU and 0.2 s by
 contraction, and the 6-wheel on D(2,1,2) took 65 s and 121 s in a
 prototype of this contraction, with a 290,159-entry tensor.
 
 The chord sweep goes right to left along the circle.  Each chord carries
 one Casimir term (x, y, w): y acts at the later endpoint, x is held pending
-until the earlier endpoint.  A state is keyed by its pending assignments.
-An opening gives each state one new key per term, so it merges nothing, and
-a run of openings streams its states one at a time into the closing after
-it.  A closing drops the closed chord's pending and merges branches with
-equal pendings -- exact sparse tensor contraction along a path -- and only
-a closing's map of states is stored.  So the widest stored map has one
-open chord fewer than the widest point of the sweep: the four pairwise
-crossing chords on D(2,1,2) store at most 4,097 adjoint states where the
-widest point has 51,677.  The rotation of the cut is chosen to keep the
-number of simultaneously open chords small.
+until the earlier endpoint.  Each branch's state is keyed by its pending
+assignments.  An opening gives each state one new key per term, so it
+merges nothing, and a run of openings streams its states one at a time
+into the closing after it.  A closing drops the closed chord's pending and
+merges branches with equal pendings -- exact sparse tensor contraction
+along a path -- and only a closing's map of states is stored.  So the
+widest stored map has one open chord fewer than the widest point of the
+sweep: the four pairwise crossing chords on D(2,1,2) store at most 4,097
+adjoint states where the widest point has 51,677.  The rotation of the cut
+is chosen to keep the number of simultaneously open chords small.
 
 Koszul signs: permuting the Casimir factors into circle order costs exactly
 one factor of -1 per *crossing* pair of chords whose terms are both odd
@@ -38,26 +38,39 @@ Casimir term always have equal parity).  The sweep applies the sign when a
 chord opens, against the already-open odd chords it crosses; the leg
 contraction applies the same rule to the Casimir edges of its layout.
 
-Both methods share the carriers.  A carrier owns its scalar ring, the
-Casimir ``terms`` and the ``bracket`` table in it, and implements
-``start``, ``apply`` and ``extract(state, degree)``, which turns the final
-state of a diagram of that degree into its scalar.  ``_evaluate`` plans
-every sweep against ``EVAL_SWEEP_LIMIT`` before it runs any, and each
-carrier memoizes the values in ``carrier.values``, keyed by canonical chord
-diagram or canonical contracted diagram.  An algebra holds its own
-carriers in ``L.carriers``, one per Verma weight and one for the adjoint,
-built on first use and kept while the algebra lives; an algebra built
-again starts with none.  The two carriers are independent:
+Both methods share the carriers.  A carrier holds the bracket table and
+the Casimir ``terms`` on integers -- ints, or for symbolic D(2,1,alpha)
+integer polynomials in alpha -- which is what ``leg_tensor`` reads, and
+implements ``start``, ``apply`` and ``extract(state, degree)``, which
+turns the final state of a diagram of that degree into its scalar.
+``_evaluate`` plans every sweep against ``EVAL_SWEEP_LIMIT`` before it
+runs any, and each carrier memoizes the values in ``carrier.values``, keyed
+by canonical chord diagram or canonical contracted diagram.  An algebra
+holds its own carriers in ``L.carriers``, one per Verma weight and one for
+the adjoint, built on first use and kept while the algebra lives; an
+algebra built again starts with none.
 
-- the Verma module of highest weight n*lambda0: PBW monomial states with
-  MultiPoly coefficients in Q[n] or Q[n, alpha], whose packed int storage
-  keeps Fraction arithmetic out of the sweep;
-- the adjoint representation: basis-vector states on ints, or on
-  MultiPolys in Q[alpha] for symbolic D(2,1,alpha).  The ad maps (the
-  bracket table) and the Casimir weights are scaled to integers once, so
-  the sweep accumulates the full endomorphism times a known power of the
-  scale; ``extract`` Schur-checks it to be an exact scalar and divides that
-  power out, handing out a Fraction, or a MultiPoly in alpha.
+Both carriers run on one scaling rule and one int state.  The generators
+(the bracket table, and on a Verma module the Cartan action n*lambda0) are
+scaled by ``da``, the lcm of the bracket's denominators, and the Casimir
+weights by ``dw``.  A diagram of degree m applies 2m generators (its legs
+and trivalent vertices) and m Casimir weights, so its final state is the
+true one times ``(da**2 * dw)**m``, which ``extract`` divides out once.
+A state is one dict from an int key to a nonzero int.  The key packs the
+basis element the operators act on above what they do not act on: the
+exponents of n and alpha, in MultiPoly's own 32-bit fields, so ``extract``
+hands them to MultiPoly as they are, and on the adjoint the input column.
+An operator is a table from acted-on element to its entries ((key offset,
+int), ...), and ``apply`` is the one kernel that runs either carrier's
+tables.  The two carriers:
+
+- the Verma module of highest weight n*lambda0: the acted-on element is a
+  PBW monomial, numbered as the sweep meets it, in the lowering operators
+  scaled by ``da``, so every operator has integer entries; the value lies
+  in Q[n] or Q[n, alpha];
+- the adjoint representation: the acted-on element is a row of the
+  endomorphism; ``extract`` Schur-checks the final endomorphism to be an
+  exact scalar, a Fraction, or a MultiPoly in alpha.
 """
 
 from __future__ import annotations
@@ -66,7 +79,7 @@ import math
 from fractions import Fraction
 
 from .diagrams import DiagramError, LinComb, chord_endpoints, chord_reduce
-from .scalars import CostBoundError, MultiPoly
+from .scalars import _BITS, CostBoundError, MultiPoly, _poly
 
 # the planned cost of one sweep (see sweep_cost): 3,017,194 on D(2,1,alpha)
 # takes about 10 s, and the all-crossing degree-6 chord diagram plans 51,292,332
@@ -86,159 +99,226 @@ def adjoint_rep(L):
     return [[L.bracket(x, j) for j in range(L.dim)] for x in range(L.dim)]
 
 
-class VermaCarrier:
+def _apply(carrier, op, state, out=None):
+    """The operator table ``op`` applied to an int state, accumulated into
+    ``out`` (a new state by default): each key's acted-on element, its bits
+    from ``carrier.shift`` up, reads its entries, and each entry adds its
+    offset to the key and multiplies the coefficient."""
+    if out is None:
+        out = {}
+    shift = carrier.shift
+    get = out.get
+    for key, c in state.items():
+        for off, v in op[key >> shift]:
+            k = key + off
+            s = get(k, 0) + c * v
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
+class _Table(dict):
+    """An operator table filled on first read: ``fill(element)`` gives the
+    entries of an element not read before."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, element):
+        got = self[element] = self.fill(element)
+        return got
+
+
+def _times(entries, scalar):
+    """An element's entries times a scalar's, as entries."""
+    out = {}
+    for off, v in entries:
+        for off2, w in scalar:
+            _accum(out, off + off2, v * w)
+    return tuple(out.items())
+
+
+class _Carrier:
+    """What both carriers share: the bracket table (rows {(x, y): {z: c}})
+    and the Casimir terms scaled to integers, and a state key's layout
+    below the acted-on element, the fields of ``vars``."""
+
+    def __init__(self, L, vars, bracket):
+        if L.symbolic:
+            # adding a scalar to the ring's zero puts it in Q[alpha]
+            zero = MultiPoly.zero(("alpha",))
+            scaled, den = zero.__add__, (lambda v: (zero + v).den)
+        else:
+            scaled, den = int, (lambda v: v.denominator)
+        da = math.lcm(*(den(v) for row in bracket.values() for v in row.values()))
+        dw = math.lcm(*(den(w) for _, _, w in L.casimir))
+        self.bracket = {key: {z: scaled(v * da) for z, v in row.items()}
+                        for key, row in bracket.items() if row}
+        self.terms = [(x, y, scaled(w * dw), L.parity[x]) for x, y, w in L.casimir]
+        self.da = da
+        self.degree_scale = da * da * dw
+        self.vars = vars
+        self.alpha_at = _BITS * vars.index("alpha") if L.symbolic else 0
+        self.values = {}
+
+    def entries(self, c):
+        """A scalar of the carrier's integer ring, an int or a MultiPoly in
+        alpha, as the entries ((key offset, int), ...) that multiply by it."""
+        if isinstance(c, MultiPoly):
+            return tuple((k << self.alpha_at, v) for k, v in c.nums.items())
+        return ((0, c),) if c else ()
+
+    def open_tables(self):
+        """For each Casimir term (x, y, w), the tables of w * y and of
+        -w * y, read by a chord opening with an even and an odd number of
+        odd crossings; an even term's sign is always +."""
+        out = []
+        for _, y, w, par in self.terms:
+            plus, minus = (_Table(lambda e, t=self.tables[y], s=s: _times(t[e], s))
+                           for s in (self.entries(w), self.entries(-w)))
+            out.append((plus, minus if par else plus))
+        return out
+
+
+class VermaCarrier(_Carrier):
     """PBW states of the Verma module of highest weight n * lambda0.
 
-    Monomials are exponent tuples over the lowering operators in PBW order;
-    odd exponents stay in {0, 1}: an odd x squares to [x, x]/2, and the
-    constructor raises ValueError unless that is zero.
-    Coefficients are MultiPolys in the ring Q[n] or Q[n, alpha]: the bracket
-    table, the Casimir terms and lambda are put in the ring's variables
-    once, here, so every product in the sweep takes MultiPoly's path for
-    equal variables.  ``extract`` hands out the final coefficient.
+    Monomials are exponent tuples over the lowering operators in PBW order,
+    numbered in ``monos`` as they first occur; odd exponents stay in
+    {0, 1}: an odd x squares to [x, x]/2, and the constructor raises
+    ValueError unless that is zero.  Every generator acts scaled by ``da``,
+    and a monomial stands for the product of the scaled lowering operators,
+    so normal ordering meets only the scaled bracket and the scaled Cartan
+    action da * n * lambda0, all integral: every table entry is an int.
+    ``tables[x]`` is x's operator, filled by ``act`` monomial by monomial.
+    ``extract`` reads the final coefficient of the highest-weight vector.
     """
+
+    apply = _apply   # one kernel for both carriers; each class holds it by name
 
     def __init__(self, L, lambda0):
         rd = L.rootdata
-        self.parity = L.parity
-        self.neg = rd.negative_order
-        for y in self.neg:
-            if self.parity[y] and any(L.bracket_table.get((y, y), {}).values()):
+        for y in rd.negative_order:
+            if L.parity[y] and any(L.bracket_table.get((y, y), {}).values()):
                 raise ValueError(f"odd lowering operator {L.basis_names[y]} "
                                  f"has a nonzero square in {L.name}")
+        super().__init__(L, ("n", "alpha") if L.symbolic else ("n",), L.bracket_table)
+        self.parity = L.parity
+        self.neg = rd.negative_order
         self.neg_index = {b: i for i, b in enumerate(self.neg)}
-        self.cartan_index = {h: i for i, h in enumerate(rd.cartan)}
-        zero = self.zero = MultiPoly.zero(("n", "alpha") if L.symbolic else ("n",))
-        # adding a scalar to the ring's zero puts it in the ring's variables
-        self.one = zero + 1
-        self.bracket = {key: {k: zero + c for k, c in row.items()}
-                        for key, row in L.bracket_table.items()}
-        self.terms = [(x, y, zero + w, L.parity[x]) for x, y, w in L.casimir]
-        n = MultiPoly.variable("n")
-        self.lam = {h: zero + n * lambda0[i] for h, i in self.cartan_index.items()}
-        self.zero_mono = (0,) * len(self.neg)
-        self._memo = {}
-        self.values = {}
+        # n * lambda0 on each Cartan element, scaled: the entry of n**1
+        self.cartan = {h: self.da * lambda0[i] for i, h in enumerate(rd.cartan)}
+        self.zero = MultiPoly.zero(self.vars)
+        self.shift = _BITS * len(self.vars)
+        self.monos = [(0,) * len(self.neg)]
+        self.ids = {self.monos[0]: 0}
+        self.tables = [_Table(lambda mono, x=x: self.act(x, mono)) for x in range(L.dim)]
+        self.opening = self.open_tables()
 
     def start(self):
-        return {self.zero_mono: self.one}
+        return {0: 1}
 
-    def extract(self, vec, degree):
-        return vec.get(self.zero_mono, self.zero)
+    def extract(self, state, degree):
+        top = 1 << self.shift   # keys of the highest-weight vector, monomial 0
+        return _poly(self.vars, {k: c for k, c in state.items() if k < top},
+                     self.degree_scale ** degree)
+
+    def key(self, expo):
+        """The state key of a monomial's exponent tuple, n and alpha at 0."""
+        mono = self.ids.get(expo)
+        if mono is None:
+            mono = self.ids[expo] = len(self.monos)
+            self.monos.append(expo)
+        return mono << self.shift
 
     def act(self, x, mono):
-        """x . (mono v_lambda) as a normal-ordered state, memoized."""
-        key = (x, mono)
-        got = self._memo.get(key)
-        if got is not None:
-            return got
+        """The entries of x on monomial number ``mono``, normal ordered:
+        ``tables[x]`` calls this once per monomial and keeps the result."""
+        expo = self.monos[mono]
+        base = mono << self.shift
         out = {}
-        first = next((i for i, e in enumerate(mono) if e), None)
-        if first is None:
-            if x in self.neg_index:
-                m = list(mono)
-                m[self.neg_index[x]] = 1
-                out[tuple(m)] = self.one
-            elif x in self.cartan_index:
-                out[mono] = self.lam[x]
-            # positive root vectors annihilate v_lambda
+        first = next((i for i, e in enumerate(expo) if e), len(expo))
+        xi = self.neg_index.get(x)
+        if xi is not None and xi <= first:
+            # an odd x squares to [x, x]/2, which __init__ checks is 0
+            if xi < first or not self.parity[x]:
+                m = list(expo)
+                m[xi] += 1
+                out[self.key(tuple(m))] = 1
+        elif first == len(expo):
+            # on v_lambda (key 0) a Cartan element gives n * its entry, at key
+            # 1, and a positive root vector 0
+            c = self.cartan.get(x)
+            if c:
+                out[1] = c
         else:
-            xi = self.neg_index.get(x)
-            if xi is not None and xi < first:
-                m = list(mono)
-                m[xi] = 1
-                out[tuple(m)] = self.one
-            elif xi == first:
-                # an odd x squares to [x, x]/2, which __init__ checks is 0
-                if not self.parity[x]:
-                    m = list(mono)
-                    m[first] += 1
-                    out[tuple(m)] = self.one
-            else:
-                y = self.neg[first]
-                rest = list(mono)
-                rest[first] -= 1
-                rest = tuple(rest)
-                sgn = -1 if (self.parity[x] and self.parity[y]) else 1
-                for m2, c2 in self.act(x, rest).items():
-                    c2s = c2 if sgn == 1 else -c2
-                    for m3, c3 in self.act(y, m2).items():
-                        _accum(out, m3, c2s * c3)
-                for z, cz in self.bracket.get((x, y), {}).items():
-                    for m2, c2 in self.act(z, rest).items():
-                        _accum(out, m2, cz * c2)
-        self._memo[key] = out
-        return out
-
-    def apply(self, x, vec, scale=None):
-        out = {}
-        for mono, c in vec.items():
-            if scale is not None:
-                c = c * scale
-            for m2, c2 in self.act(x, mono).items():
-                _accum(out, m2, c * c2)
-        return out
+            y = self.neg[first]
+            rest = list(expo)
+            rest[first] -= 1
+            rest = self.key(tuple(rest))
+            sgn = -1 if (self.parity[x] and self.parity[y]) else 1
+            shift, ty = self.shift, self.tables[y]
+            for off, c in self.tables[x][rest >> shift]:
+                k = rest + off
+                c *= sgn
+                for off2, c2 in ty[k >> shift]:
+                    _accum(out, k + off2, c * c2)
+            for z, cz in self.bracket.get((x, y), {}).items():
+                cz = self.entries(cz)
+                for off, c in self.tables[z][rest >> shift]:
+                    for off2, c2 in cz:
+                        _accum(out, rest + off + off2, c * c2)
+        return tuple((k - base, c) for k, c in out.items())
 
 
-class EndoCarrier:
-    """States (input column, basis index) of the adjoint representation, on
-    ints, or on MultiPolys in Q[alpha] for symbolic D(2,1,alpha).
-
-    The ad columns, which are the bracket table, are scaled by ``da``, the
-    lcm of their denominators, and the Casimir weights by ``dw``, so every
-    entry becomes an integer (polynomial) once, here.  A diagram of degree
-    m has 2m trivalent vertices and legs, each applying the bracket or an ad
-    map once, and m Casimir edges, so its final state is the full
-    endomorphism times ``(da**2 * dw)**m``; ``extract`` Schur-checks it and
-    divides once.
+class EndoCarrier(_Carrier):
+    """States of the adjoint representation: a key packs the basis index the
+    ad maps act on above the input column, with alpha's exponent below for
+    symbolic D(2,1,alpha).  Starting from the identity, the final state is
+    the diagram's full endomorphism; ``extract`` Schur-checks it and divides
+    by the scale once.
     """
+
+    apply = _apply
 
     def __init__(self, L):
         columns = adjoint_rep(L)
-        if L.symbolic:
-            # adding a scalar to the ring's zero puts it in Q[alpha]
-            self.zero = MultiPoly.zero(("alpha",))
-            scaled, den = self.zero.__add__, (lambda v: (self.zero + v).den)
-        else:
-            self.zero = Fraction(0)
-            scaled, den = int, (lambda v: v.denominator)
-        da = math.lcm(*(den(v) for row in columns for col in row for v in col.values()))
-        dw = math.lcm(*(den(w) for _, _, w in L.casimir))
-        self.columns = [[{i: scaled(v * da) for i, v in col.items()} for col in row]
-                        for row in columns]
-        self.bracket = {(x, j): col for x, row in enumerate(self.columns)
-                        for j, col in enumerate(row) if col}
-        self.terms = [(x, y, scaled(w * dw), L.parity[x]) for x, y, w in L.casimir]
-        self.degree_scale = da * da * dw
-        self.one = scaled(1)
+        bracket = {(x, j): col for x, row in enumerate(columns) for j, col in enumerate(row)}
+        super().__init__(L, ("alpha",) if L.symbolic else (), bracket)
+        self.zero = MultiPoly.zero(self.vars) if L.symbolic else Fraction(0)
         self.dim = L.dim
-        self.values = {}
+        self.column_at = _BITS * len(self.vars)
+        self.shift = self.column_at + L.dim.bit_length()
+        shift = self.shift
+        self.tables = [tuple(tuple((((i - j) << shift) + off, c)
+                                   for i, v in self.bracket.get((x, j), {}).items()
+                                   for off, c in self.entries(v))
+                             for j in range(L.dim))
+                       for x in range(L.dim)]
+        self.opening = self.open_tables()
 
     def start(self):
-        return {(j, j): self.one for j in range(self.dim)}
+        return {(j << self.shift) + (j << self.column_at): 1 for j in range(self.dim)}
 
-    def extract(self, endo, degree):
+    def extract(self, state, degree):
         """The scalar of the final endomorphism: the Schur check (zero off
         the diagonal, one value on it) runs on the scaled entries, then one
         division by the scale of the diagram's degree."""
-        for col, idx in endo:
+        diagonal = [{} for _ in range(self.dim)]
+        for key, c in state.items():
+            idx, low = divmod(key, 1 << self.shift)
+            col, expo = divmod(low, 1 << self.column_at)
             if col != idx:
                 raise SchurCheckError(f"off-diagonal entry at {(col, idx)}")
-        diagonal = [endo.get((j, j), self.zero) for j in range(self.dim)]
+            diagonal[col][expo] = c
         for j, e in enumerate(diagonal):
             if e != diagonal[0]:
                 raise SchurCheckError(f"diagonal mismatch at column {j}")
-        return diagonal[0] * Fraction(1, self.degree_scale ** degree)
-
-    def apply(self, x, vec, scale=None):
-        out = {}
-        cols = self.columns[x]
-        for (col, idx), c in vec.items():
-            if scale is not None:
-                c = c * scale
-            for i, v in cols[idx].items():
-                _accum(out, (col, i), c * v)
-        return out
+        value = _poly(self.vars, diagonal[0], self.degree_scale ** degree)
+        return value if self.vars else value.constant_value()
 
 
 def _accum(d, k, v):
@@ -284,29 +364,33 @@ def sweep_chords(carrier, chords):
     """Contract a chord diagram, given as endpoint pairs on the positions
     0 .. 2*len(chords) - 1, into the carrier's scalar.
 
-    A run of openings is a chain of ``_open`` generators that the closing
-    after it consumes, one (pendings, state) item at a time; only a closing,
-    the one step that merges keys, stores its states.  Position 0 ends a
-    chord, so the sweep ends on a closing."""
+    A state's pendings are a tuple of Casimir term indices, one per open
+    chord, in the order the chords opened (``slots``).  A run of openings
+    is a chain of ``_open`` generators that the closing after it consumes,
+    one (pendings, state) item at a time; only a closing, the one step that
+    merges keys, stores its states.  Position 0 ends a chord, so the sweep
+    ends on a closing."""
     terms = carrier.terms
     n_positions = 2 * len(chords)
     chords, _ = _plan_rotation(chords, n_positions, len(terms))
     open_at = {q: ci for ci, (p, q) in enumerate(chords)}
     close_at = {p: ci for ci, (p, q) in enumerate(chords)}
+    closing = [carrier.tables[x] for x, _, _, _ in terms]
+    odd = [par for _, _, _, par in terms]
+    slots = []
     states = {(): carrier.start()}
     items = states.items()
     for pos in range(n_positions - 1, -1, -1):
         if pos in open_at:
-            items = _open(carrier, items, open_at[pos], chords)
+            ci = open_at[pos]
+            # an open chord crosses ci when it closes first, at a higher position
+            crossing = [j for j, c in enumerate(slots) if chords[c][0] > chords[ci][0]]
+            items = _open(carrier, items, crossing, odd)
+            slots.append(ci)
         elif pos in close_at:
-            ci = close_at[pos]
-            states = {}
-            for pend, vec in items:
-                ti = next(t for c, t in pend if c == ci)
-                vec2 = carrier.apply(terms[ti][0], vec)
-                pend2 = tuple((c, t) for c, t in pend if c != ci)
-                if vec2:
-                    _merge(states, pend2, vec2)
+            j = slots.index(close_at[pos])
+            del slots[j]
+            states = _close(carrier, items, j, closing)
             if not states:
                 break
             items = states.items()
@@ -315,31 +399,37 @@ def sweep_chords(carrier, chords):
     return carrier.extract(states.get((), {}), len(chords))
 
 
-def _open(carrier, items, ci, chords):
-    """Chord ci opens on each (pendings, state) item: y of each Casimir term
-    acts, with the sign of the open odd chords that ci crosses.  No two
-    outputs share pendings, so nothing merges here."""
-    terms = carrier.terms
-    p_c = chords[ci][0]
+def _open(carrier, items, crossing, odd):
+    """A chord opens on each (pendings, state) item: y of each Casimir term
+    acts times its weight, with the sign of the open odd chords in the
+    slots ``crossing``.  No two outputs share pendings, so nothing merges
+    here."""
+    apply, opening = carrier.apply, carrier.opening
     for pend, vec in items:
-        odd_crossers = sum(1 for (c2, t2) in pend
-                           if terms[t2][3] and chords[c2][0] > p_c)
-        for ti, (xi, yi, w, par) in enumerate(terms):
-            scale = w
-            if par and (odd_crossers & 1):
-                scale = -w
-            vec2 = carrier.apply(yi, vec, scale=scale)
+        sign = sum([odd[pend[j]] for j in crossing]) & 1
+        for ti, tables in enumerate(opening):
+            vec2 = apply(tables[sign], vec)
             if vec2:
-                yield pend + ((ci, ti),), vec2
+                yield pend + (ti,), vec2
 
 
-def _merge(states, pend, vec):
-    cur = states.get(pend)
-    if cur is None:
-        states[pend] = vec
-    else:
-        for k, v in vec.items():
-            _accum(cur, k, v)
+def _close(carrier, items, j, closing):
+    """The chord in slot j closes on each (pendings, state) item: x of its
+    term acts, and the states whose other pendings are equal merge into one
+    stored state."""
+    apply = carrier.apply
+    states = {}
+    for pend, vec in items:
+        op = closing[pend[j]]
+        pend = pend[:j] + pend[j + 1:]
+        cur = states.get(pend)
+        if cur is None:
+            vec = apply(op, vec)
+            if vec:
+                states[pend] = vec
+        else:
+            apply(op, vec, cur)
+    return states
 
 
 # ------------------------------------------------------------ leg contraction
@@ -548,7 +638,7 @@ def leg_tensor(carrier, d):
     second = {y: (x, w) for x, y, w, _ in carrier.terms}
     if not len(first) == len(second) == len(carrier.terms):
         raise ValueError("leg contraction needs one Casimir partner per basis element")
-    state = {(): carrier.one}
+    state = {(): 1}
     for lookup, keep, what in steps:
         table = _step_table(what, carrier, parity, first, second)
         signed = any(mask for entries in table.values() for _, _, mask in entries)
@@ -580,8 +670,10 @@ def sweep_legs(carrier, tensor, degree):
 
     The entries are walked depth-first through the trie of their label
     suffixes, so each trie node is one ``carrier.apply`` and at most one
-    state per leg is alive; an entry's coefficient scales its first leg.
+    state per leg is alive; an entry's coefficient multiplies the state
+    after its first leg into the total.
     """
+    tables = carrier.tables
     total = {}
     stack = [carrier.start()]   # stack[k]: the state after the last k legs
     prev = ()
@@ -591,9 +683,10 @@ def sweep_legs(carrier, tensor, degree):
             shared += 1
         del stack[shared + 1:]
         for x in labels[n - 1 - shared:0:-1]:
-            stack.append(carrier.apply(x, stack[-1]))
-        for k, v in carrier.apply(labels[0], stack[-1], scale=coeff).items():
-            _accum(total, k, v)
+            stack.append(carrier.apply(tables[x], stack[-1]))
+        vec = carrier.apply(tables[labels[0]], stack[-1])
+        # the coefficient as a table giving every element its entries
+        carrier.apply(_Table(lambda element, s=carrier.entries(coeff): s), vec, total)
         prev = labels
     return carrier.extract(total, degree)
 

@@ -13,12 +13,16 @@ reaches them, so they live with the tests rather than in src/weightsys.
 - insertion characters measured as exact probe ratios
   (``ratio_character``);
 - the inverse of ``characters.to_elementary`` (``from_elementary``) and
-  the bare skeleton circle (``empty_circle``).
+  the bare skeleton circle (``empty_circle``);
+- the evaluation sweep on MultiPoly states (``PolyVerma``, ``PolyEndo``,
+  ``poly_sweep_chords``, ``poly_sweep_legs``), the path the int-state
+  sweep of ``weightsys.evaluation`` replaced.
 
 Import them as ``from oracles import ...``: pytest puts this directory on
 the path, and so does running a test file as a script.
 """
 
+import math
 from fractions import Fraction
 
 from weightsys.characters import LMN, elementary
@@ -32,7 +36,13 @@ from weightsys.diagrams import (
     chi_bar,
     insert_at_vertex,
 )
-from weightsys.evaluation import eval_state_sum, eval_verma
+from weightsys.evaluation import (
+    SchurCheckError,
+    _plan_rotation,
+    adjoint_rep,
+    eval_state_sum,
+    eval_verma,
+)
 from weightsys.scalars import MultiPoly, _poly_divmod, echelon, reduce_by
 
 
@@ -318,3 +328,220 @@ def from_elementary(q):
     """q, a polynomial in e1, e2, e3, written out in lam, mu, nu."""
     e1, e2, e3 = elementary()
     return q.substitute({"e1": e1, "e2": e2, "e3": e3}).with_vars(LMN)
+
+
+# -- the sweep on MultiPoly states ------------------------------------------------------
+
+
+class PolyVerma:
+    """PBW states of the Verma module of highest weight n * lambda0, keyed
+    by exponent tuples, with MultiPoly coefficients in Q[n] or Q[n, alpha]:
+    the bracket table, the Casimir terms and lambda are put in the ring's
+    variables once, unscaled.  ``extract`` hands out the final coefficient."""
+
+    def __init__(self, L, lambda0):
+        rd = L.rootdata
+        self.parity = L.parity
+        self.neg = rd.negative_order
+        self.neg_index = {b: i for i, b in enumerate(self.neg)}
+        self.cartan_index = {h: i for i, h in enumerate(rd.cartan)}
+        zero = self.zero = MultiPoly.zero(("n", "alpha") if L.symbolic else ("n",))
+        self.one = zero + 1
+        self.bracket = {key: {k: zero + c for k, c in row.items()}
+                        for key, row in L.bracket_table.items()}
+        self.terms = [(x, y, zero + w, L.parity[x]) for x, y, w in L.casimir]
+        n = MultiPoly.variable("n")
+        self.lam = {h: zero + n * lambda0[i] for h, i in self.cartan_index.items()}
+        self.zero_mono = (0,) * len(self.neg)
+        self._memo = {}
+
+    def start(self):
+        return {self.zero_mono: self.one}
+
+    def extract(self, vec, degree):
+        return vec.get(self.zero_mono, self.zero)
+
+    def act(self, x, mono):
+        """x . (mono v_lambda) as a normal-ordered state, memoized."""
+        key = (x, mono)
+        got = self._memo.get(key)
+        if got is not None:
+            return got
+        out = {}
+        first = next((i for i, e in enumerate(mono) if e), None)
+        if first is None:
+            if x in self.neg_index:
+                m = list(mono)
+                m[self.neg_index[x]] = 1
+                out[tuple(m)] = self.one
+            elif x in self.cartan_index:
+                out[mono] = self.lam[x]
+        else:
+            xi = self.neg_index.get(x)
+            if xi is not None and xi < first:
+                m = list(mono)
+                m[xi] = 1
+                out[tuple(m)] = self.one
+            elif xi == first:
+                if not self.parity[x]:
+                    m = list(mono)
+                    m[first] += 1
+                    out[tuple(m)] = self.one
+            else:
+                y = self.neg[first]
+                rest = list(mono)
+                rest[first] -= 1
+                rest = tuple(rest)
+                sgn = -1 if (self.parity[x] and self.parity[y]) else 1
+                for m2, c2 in self.act(x, rest).items():
+                    c2s = c2 if sgn == 1 else -c2
+                    for m3, c3 in self.act(y, m2).items():
+                        _accum(out, m3, c2s * c3)
+                for z, cz in self.bracket.get((x, y), {}).items():
+                    for m2, c2 in self.act(z, rest).items():
+                        _accum(out, m2, cz * c2)
+        self._memo[key] = out
+        return out
+
+    def apply(self, x, vec, scale=None):
+        out = {}
+        for mono, c in vec.items():
+            if scale is not None:
+                c = c * scale
+            for m2, c2 in self.act(x, mono).items():
+                _accum(out, m2, c * c2)
+        return out
+
+
+class PolyEndo:
+    """States {(input column, basis index): coefficient} of the adjoint
+    representation, on ints, or on MultiPolys in Q[alpha] for symbolic
+    D(2,1,alpha).  The ad columns are scaled by ``da``, the lcm of their
+    denominators, and the Casimir weights by ``dw``; ``extract``
+    Schur-checks the final endomorphism and divides by
+    ``(da**2 * dw)**degree``."""
+
+    def __init__(self, L):
+        columns = adjoint_rep(L)
+        if L.symbolic:
+            self.zero = MultiPoly.zero(("alpha",))
+            scaled, den = self.zero.__add__, (lambda v: (self.zero + v).den)
+        else:
+            self.zero = Fraction(0)
+            scaled, den = int, (lambda v: v.denominator)
+        da = math.lcm(*(den(v) for row in columns for col in row for v in col.values()))
+        dw = math.lcm(*(den(w) for _, _, w in L.casimir))
+        self.columns = [[{i: scaled(v * da) for i, v in col.items()} for col in row]
+                        for row in columns]
+        self.bracket = {(x, j): col for x, row in enumerate(self.columns)
+                        for j, col in enumerate(row) if col}
+        self.terms = [(x, y, scaled(w * dw), L.parity[x]) for x, y, w in L.casimir]
+        self.degree_scale = da * da * dw
+        self.one = scaled(1)
+        self.dim = L.dim
+
+    def start(self):
+        return {(j, j): self.one for j in range(self.dim)}
+
+    def extract(self, endo, degree):
+        for col, idx in endo:
+            if col != idx:
+                raise SchurCheckError(f"off-diagonal entry at {(col, idx)}")
+        diagonal = [endo.get((j, j), self.zero) for j in range(self.dim)]
+        for j, e in enumerate(diagonal):
+            if e != diagonal[0]:
+                raise SchurCheckError(f"diagonal mismatch at column {j}")
+        return diagonal[0] * Fraction(1, self.degree_scale ** degree)
+
+    def apply(self, x, vec, scale=None):
+        out = {}
+        cols = self.columns[x]
+        for (col, idx), c in vec.items():
+            if scale is not None:
+                c = c * scale
+            for i, v in cols[idx].items():
+                _accum(out, (col, i), c * v)
+        return out
+
+
+def _accum(d, k, v):
+    s = d.get(k)
+    if s is None:
+        if v:
+            d[k] = v
+    else:
+        s = s + v
+        if s:
+            d[k] = s
+        else:
+            del d[k]
+
+
+def poly_sweep_chords(carrier, chords):
+    """The chord sweep on MultiPoly states, pendings as (chord, term) pairs."""
+    terms = carrier.terms
+    n_positions = 2 * len(chords)
+    chords, _ = _plan_rotation(chords, n_positions, len(terms))
+    open_at = {q: ci for ci, (p, q) in enumerate(chords)}
+    close_at = {p: ci for ci, (p, q) in enumerate(chords)}
+    states = {(): carrier.start()}
+    items = states.items()
+    for pos in range(n_positions - 1, -1, -1):
+        if pos in open_at:
+            items = _poly_open(carrier, items, open_at[pos], chords)
+        else:
+            ci = close_at[pos]
+            states = {}
+            for pend, vec in items:
+                ti = next(t for c, t in pend if c == ci)
+                vec2 = carrier.apply(terms[ti][0], vec)
+                pend2 = tuple((c, t) for c, t in pend if c != ci)
+                if vec2:
+                    _poly_merge(states, pend2, vec2)
+            if not states:
+                break
+            items = states.items()
+    return carrier.extract(states.get((), {}), len(chords))
+
+
+def _poly_open(carrier, items, ci, chords):
+    terms = carrier.terms
+    p_c = chords[ci][0]
+    for pend, vec in items:
+        odd_crossers = sum(1 for (c2, t2) in pend
+                           if terms[t2][3] and chords[c2][0] > p_c)
+        for ti, (xi, yi, w, par) in enumerate(terms):
+            scale = w
+            if par and (odd_crossers & 1):
+                scale = -w
+            vec2 = carrier.apply(yi, vec, scale=scale)
+            if vec2:
+                yield pend + ((ci, ti),), vec2
+
+
+def _poly_merge(states, pend, vec):
+    cur = states.get(pend)
+    if cur is None:
+        states[pend] = vec
+    else:
+        for k, v in vec.items():
+            _accum(cur, k, v)
+
+
+def poly_sweep_legs(carrier, tensor, degree):
+    """A leg tensor acted along the circle on MultiPoly states, depth first
+    through the trie of label suffixes."""
+    total = {}
+    stack = [carrier.start()]
+    prev = ()
+    for labels, coeff in sorted(tensor.items(), key=lambda item: item[0][::-1]):
+        n, shared = len(labels), 0
+        while prev and shared < n - 1 and labels[n - 1 - shared] == prev[n - 1 - shared]:
+            shared += 1
+        del stack[shared + 1:]
+        for x in labels[n - 1 - shared:0:-1]:
+            stack.append(carrier.apply(x, stack[-1]))
+        for k, v in carrier.apply(labels[0], stack[-1], scale=coeff).items():
+            _accum(total, k, v)
+        prev = labels
+    return carrier.extract(total, degree)

@@ -62,19 +62,18 @@ def test_scaling_linearity():
 
 
 def test_odd_root_sign_symmetry():
-    # permuting the (eps2, eps3) sign choices permutes the four odd roots and
-    # leaves the sum unchanged: realized by swapping the last two weight
-    # coordinates together with the last two form slots (alpha <-> 1)
-    k = 6
-    a = MultiPoly.variable("alpha")
-    top = top_coefficient(k)
-    # swapping H2* and H3* conjugates alpha -> 1/alpha up to the form scale;
-    # instead check the concrete invariance: lambda0 symmetric in slots 2,3
-    same = _root_sum(_root_pairings((3, 1, 1), None), k)
-    assert top == same
-    # and an asymmetric weight sees the swap through the form
-    t1 = _root_sum(_root_pairings((3, 2, 1), Fraction(1)), k)
-    t2 = _root_sum(_root_pairings((3, 1, 2), Fraction(1)), k)
+    # swapping the last two H* coordinates turns D(2,1,alpha) into
+    # D(2,1,1/alpha) with its form scaled and fixes lambda0 = (3, 1, 1), so
+    # top(k)(alpha) = alpha^k top(k)(1/alpha): its k + 1 coefficients in
+    # alpha read the same backwards
+    for k in range(2, 13, 2):
+        coeffs = top_coefficient(k).as_univariate("alpha")
+        coeffs += [0] * (k + 1 - len(coeffs))
+        assert coeffs == coeffs[::-1], k
+        assert (k == 2) == (not any(coeffs))
+    # at alpha = 1 the swap also exchanges an asymmetric weight's last two slots
+    t1 = _root_sum(_root_pairings((3, 2, 1), Fraction(1)), 6)
+    t2 = _root_sum(_root_pairings((3, 1, 2), Fraction(1)), 6)
     assert t1 == t2
 
 

@@ -4,7 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import empty_circle, enumerate_connected, exact_ratio, ratio_character
+from oracles import (
+    PolyEndo,
+    PolyVerma,
+    empty_circle,
+    enumerate_connected,
+    exact_ratio,
+    poly_sweep_chords,
+    poly_sweep_legs,
+    ratio_character,
+)
 from weightsys.diagrams import (
     Diagram,
     LinComb,
@@ -316,35 +325,46 @@ def test_values_stay_in_the_carrier_ring(L, D2, D_sym):
             assert isinstance(value, MultiPoly) and value.vars == ring
 
 
-def test_adjoint_carrier_works_on_integers(L, D2, D_sym):
-    # each ad entry is scaled by one common factor and each Casimir weight by
-    # another, to an int or a den-1 MultiPoly; a chord costs the square of
+def test_both_carriers_work_on_integers(L, D2, D_sym):
+    # each bracket entry is scaled by one common factor and each Casimir
+    # weight by another, to an int or a den-1 MultiPoly, and the Verma
+    # Cartan action n * lambda0 by the first; a chord costs the square of
     # the first times the second.  Every D(2,1,alpha) chord value in the
     # adjoint is 0, so the value goldens alone cannot see these scales.
     for A in (L, D2, d21(Fraction(1, 3)), D_sym):
-        carrier = EndoCarrier(A)
+        weight = (2,) if A is L else (3, 1, 1)
+        for carrier in (VermaCarrier(A, weight), EndoCarrier(A)):
 
-        def ratios(pairs):
-            out = set()
-            for scaled, true in pairs:
-                if A.symbolic:
-                    assert scaled.den == 1 and scaled.vars == ("alpha",)
-                    true = carrier.zero + true
-                    expo, c = next(iter(true.terms.items()))
-                    scale = scaled.terms[expo] / c
-                    assert scaled == true * scale
-                else:
-                    assert type(scaled) is int
-                    scale = scaled / true
-                out.add(scale)
-            return out
+            def ratios(pairs):
+                out = set()
+                for scaled, true in pairs:
+                    if A.symbolic:
+                        assert scaled.den == 1 and scaled.vars == ("alpha",)
+                        true = MultiPoly.zero(("alpha",)) + true
+                        expo, c = next(iter(true.terms.items()))
+                        scale = scaled.terms[expo] / c
+                        assert scaled == true * scale
+                    else:
+                        assert type(scaled) is int
+                        scale = scaled / true
+                    out.add(scale)
+                return out
 
-        da, = ratios((col[i], v) for x in range(A.dim) for j, col in enumerate(carrier.columns[x])
-                     for i, v in A.bracket(x, j).items())
-        dw, = ratios((lw, w) for (_, _, lw, _), (_, _, w) in zip(carrier.terms, A.casimir))
-        assert da.denominator == dw.denominator == 1 and da > 0 and dw > 0
-        assert carrier.degree_scale == da * da * dw
-    assert EndoCarrier(L).degree_scale == 2  # sl2: integer ad maps, a weight 1/2
+            da, = ratios((carrier.bracket[key][i], v) for key, row in A.bracket_table.items()
+                         for i, v in row.items())
+            dw, = ratios((lw, w) for (_, _, lw, _), (_, _, w) in zip(carrier.terms, A.casimir))
+            assert da.denominator == dw.denominator == 1 and da > 0 and dw > 0
+            assert carrier.degree_scale == da * da * dw
+            if isinstance(carrier, VermaCarrier):
+                assert carrier.cartan == {h: da * w for h, w in zip(A.rootdata.cartan, weight)}
+            # every operator entry the sweep reads is a pair of ints
+            sweep_chords(carrier, [(0, 2), (1, 3)])
+            tables = [*carrier.tables, *(t for pair in carrier.opening for t in pair)]
+            rows = [row for t in tables for row in (t.values() if isinstance(t, dict) else t)]
+            assert rows and all(type(off) is int and type(c) is int and c
+                                for row in rows for off, c in row)
+    # sl2: integer brackets, a weight 1/2
+    assert EndoCarrier(L).degree_scale == VermaCarrier(L, (2,)).degree_scale == 2
 
 
 def test_state_sum_is_bounded_by_its_plan_not_its_vertex_count(D2):
@@ -465,7 +485,8 @@ def test_the_library_bounds_the_sweep_before_sweeping(monkeypatch):
 def breadth_first_sweep(carrier, chords):
     """The chord sweep breadth first, the reference for ``sweep_chords``:
     every layer, that of openings too, is stored as a map from pendings to
-    states."""
+    states, the pendings as (chord, term) pairs, each sign counted from
+    them."""
     terms = carrier.terms
     n_positions = 2 * len(chords)
     chords, _ = evaluation._plan_rotation(chords, n_positions, len(terms))
@@ -479,33 +500,44 @@ def breadth_first_sweep(carrier, chords):
             p_c = chords[ci][0]
             for pend, vec in states.items():
                 odd_crossers = sum(1 for c2, t2 in pend if terms[t2][3] and chords[c2][0] > p_c)
-                for ti, (_, y, w, par) in enumerate(terms):
-                    vec2 = carrier.apply(y, vec, scale=-w if par and odd_crossers & 1 else w)
+                for ti, tables in enumerate(carrier.opening):
+                    vec2 = carrier.apply(tables[odd_crossers & 1], vec)
                     if vec2:
                         nxt[pend + ((ci, ti),)] = vec2
         else:
             ci = close_at[pos]
             for pend, vec in states.items():
                 ti = next(t for c, t in pend if c == ci)
-                vec2 = carrier.apply(terms[ti][0], vec)
-                if vec2:
-                    evaluation._merge(nxt, tuple((c, t) for c, t in pend if c != ci), vec2)
+                rest = tuple((c, t) for c, t in pend if c != ci)
+                if rest in nxt:
+                    carrier.apply(carrier.tables[terms[ti][0]], vec, nxt[rest])
+                else:
+                    vec2 = carrier.apply(carrier.tables[terms[ti][0]], vec)
+                    if vec2:
+                        nxt[rest] = vec2
         states = nxt
         if not states:
             break
     return carrier.extract(states.get((), {}), len(chords))
 
 
+def raw_casimir(L):
+    """A copy of L whose Casimir weights are scaled by 1, 2, 3, ... term by
+    term.  The terms then form no invariant tensor, so a final state is no
+    scalar multiple of the identity, and values that vanish on D(2,1,alpha)
+    by invariance do not vanish."""
+    return SuperAlgebra(L.name, list(L.basis_names), L.parity, L.bracket_table,
+                        [(x, y, w * (i + 1)) for i, (x, y, w) in enumerate(L.casimir)],
+                        rootdata=L.rootdata)
+
+
 class RawState:
-    """A carrier whose ``extract`` hands out the final state itself, and
-    whose Casimir weights are scaled by 1, 2, 3, ... term by term.  The
-    terms then form no invariant tensor, so the final state is no scalar
-    multiple of the identity; with the true Casimir every adjoint state on
+    """A carrier on ``raw_casimir(L)`` whose ``extract`` hands out the final
+    state itself.  With the true Casimir every adjoint state on
     D(2,1,alpha) ends empty, and comparing states would check little."""
 
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.terms = [(x, y, w * (i + 1), par) for i, (x, y, w, par) in enumerate(self.terms)]
+    def __init__(self, L, *args):
+        super().__init__(raw_casimir(L), *args)
 
     def extract(self, state, degree):
         return state
@@ -520,7 +552,7 @@ class RawEndo(RawState, EndoCarrier):
         # two columns of the identity, an even basis element's and (on
         # D(2,1,alpha)) an odd one's: the sweep runs the columns alike, and
         # all 17 would take eight times as long
-        return {(j, j): self.one for j in (0, self.dim - 1)}
+        return {k: c for k, c in super().start().items() if k >> self.shift in (0, self.dim - 1)}
 
 
 @pytest.mark.parametrize("alpha, top", [(None, 4), (Fraction(2), 4), ("symbolic", 3)])
@@ -547,12 +579,52 @@ def test_the_sweep_stores_states_only_after_a_closing(D2, monkeypatch):
     # closings store, and the widest closing keeps at most one state per
     # pair of Casimir terms on the two chords still open.
     stored = []
-    merge = evaluation._merge
+    close = evaluation._close
 
-    def counting_merge(states, pend, vec):
-        merge(states, pend, vec)
+    def counting_close(*args):
+        states = close(*args)
         stored.append(len(states))
+        return states
 
-    monkeypatch.setattr(evaluation, "_merge", counting_merge)
+    monkeypatch.setattr(evaluation, "_close", counting_close)
     assert sweep_chords(EndoCarrier(D2), [(0, 3), (1, 4), (2, 5)]) == 0
     assert 17 < max(stored) <= 17 ** 2
+
+
+@pytest.mark.parametrize("alpha, top", [(None, 4), (Fraction(2), 4), ("symbolic", 3)])
+def test_the_int_sweep_agrees_with_the_multipoly_sweep(alpha, top):
+    # the sweep on int states against the MultiPoly-state sweep it replaced,
+    # on a fresh carrier of each kind: equal values on every chord diagram
+    # class up to the degree.  Every Verma value is nonzero, so those are
+    # not comparisons of zeros; the adjoint ones are on sl2 alone.
+    L = sl2() if alpha is None else d21(None if alpha == "symbolic" else alpha)
+    weight = (2,) if alpha is None else (3, 1, 1)
+    diagrams = [chord_endpoints(d) for m in range(top + 1) for d in all_chord_diagrams(m)]
+    for new, old in ((VermaCarrier(L, weight), PolyVerma(L, weight)),
+                     (EndoCarrier(L), PolyEndo(L))):
+        values = [sweep_chords(new, chords) for chords in diagrams]
+        assert values == [poly_sweep_chords(old, chords) for chords in diagrams], type(new).__name__
+        if isinstance(new, VermaCarrier):
+            assert all(values)
+
+
+@pytest.mark.parametrize("alpha", [None, Fraction(3, 2), "symbolic"])
+def test_the_int_leg_sweep_agrees_with_the_multipoly_sweep(alpha):
+    # the triangle-inserted 4-wheel, symmetrized, is three diagrams with more
+    # trivalent vertices than legs: each one's leg tensor swept on int states
+    # and on MultiPoly states.  On D(2,1,alpha) its leg tensors are empty, so
+    # the Verma comparison runs on the raw Casimir too, where no value is 0
+    # (the adjoint's would fail the Schur check there).
+    L = sl2() if alpha is None else d21(None if alpha == "symbolic" else alpha)
+    weight = (2,) if alpha is None else (3, 1, 1)
+    (ins, c), = list(insert_at_vertex(wheel(4), 0, triangle()))
+    diagrams = [x for x, _ in chi_bar(ins, c)]
+    assert len(diagrams) == 3 and all(x.nt > x.nu for x in diagrams)
+    raw = raw_casimir(L)
+    for A, new, old in ((L, VermaCarrier(L, weight), PolyVerma(L, weight)),
+                        (L, EndoCarrier(L), PolyEndo(L)),
+                        (raw, VermaCarrier(raw, weight), PolyVerma(raw, weight))):
+        values = [sweep_legs(new, leg_tensor(new, x), x.degree) for x in diagrams]
+        assert values == [poly_sweep_legs(old, leg_tensor(old, x), x.degree) for x in diagrams]
+        assert all(values) == (alpha is None or A is raw)
+        assert any(values) == all(values)

@@ -11,7 +11,7 @@ A change that is meant to alter a report regenerates the files with
     PYTHONPATH=src python tests/test_golden.py
 
 and the diff of tests/golden/ shows what changed.  The k = 6 certificate,
-tests/golden/certify_k6_full.out, takes 72-93 s; the CI workflow, not
+tests/golden/certify_k6_full.out, takes 44-48 s; the CI workflow, not
 this module, checks it, and it regenerates with
 
     PYTHONPATH=src python -m weightsys --command certify --k 6 --q 1 --mode full \\
