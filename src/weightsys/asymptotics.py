@@ -30,6 +30,12 @@ def top_coefficient(k):
     return _root_sum(_root_pairings(DEFAULT_LAMBDA0, None), k)
 
 
+def top_coefficients(ks):
+    """[top_coefficient(k) for k in ks], the root pairings computed once."""
+    pairings = _root_pairings(DEFAULT_LAMBDA0, None)
+    return [_root_sum(pairings, k) for k in ks]
+
+
 def _root_pairings(lambda0, alpha):
     """[(<lambda0, beta>, parity of beta)] over the positive roots beta of
     D(2,1,alpha): the part of the root sum that does not depend on k."""

@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -173,11 +172,11 @@ def specialize_alpha(s):
 # ------------------------------------------------------------- parameter table
 
 
-@dataclass
 class LieParamFamily:
-    name: str
-    triple: tuple          # three MultiPolys in the family parameter (or constants)
-    vanishing_factor: int  # index into FACTOR_LABELS
+    def __init__(self, name, triple, vanishing_factor):
+        self.name = name
+        self.triple = triple    # three MultiPolys in the family parameter (or constants)
+        self.vanishing_factor = vanishing_factor    # index into FACTOR_LABELS
 
 
 _FACTOR = re.compile(r"(?:([0-9]+)(?:/([0-9]+))?|([A-Za-z_][A-Za-z0-9_]*))(?:\^([0-9]+))?")

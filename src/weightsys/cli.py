@@ -145,11 +145,8 @@ def cmd_leading(args):
         return EXIT_COST
     ks = list(range(2, kmax + 1, 2))
     if mode == "symbolic":
-        rows = []
-        for k in ks:
-            top = asymptotics.top_coefficient(k)
-            val = str(top) if top else "0 (identically in alpha)"
-            rows.append({"k": k, "computed": val})
+        rows = [{"k": k, "computed": str(top) if top else "0 (identically in alpha)"}
+                for k, top in zip(ks, asymptotics.top_coefficients(ks))]
         report = {"command": "leading", "mode": "symbolic", "rows": rows,
                   "status": "pass"}
         _emit(report, args.format, args.out)
@@ -196,13 +193,16 @@ def cmd_eval(args):
     if not args.diagram:
         sys.stderr.write("error: --diagram FILE is required for eval\n")
         return EXIT_USAGE
+    max_degree = 6 if args.max_degree is None else args.max_degree
+    if max_degree < 0:
+        sys.stderr.write(f"error: --max-degree must be >= 0, got {max_degree}\n")
+        return EXIT_USAGE
     try:
         with open(args.diagram) as fh:
             diag = Diagram.from_text(fh.read())
     except (OSError, UnicodeDecodeError, DiagramError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    max_degree = 6 if args.max_degree is None else args.max_degree
     if diag.degree > max_degree:
         sys.stderr.write(f"error: diagram degree {diag.degree} exceeds --max-degree {max_degree}\n")
         return EXIT_COST

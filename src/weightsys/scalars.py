@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -516,7 +515,6 @@ def _isolate(sq):
 # -- top-level operations -------------------------------------------------------
 
 
-@dataclass
 class LinearSolution:
     """Result of an exact linear solve: particular solution + nullspace.
 
@@ -525,11 +523,12 @@ class LinearSolution:
     vector has 1 in its own free column and zeros in the other free columns.
     """
 
-    consistent: bool
-    particular: list | None
-    nullspace: list
-    rank: int
-    pivots: list
+    def __init__(self, consistent, particular, nullspace, rank, pivots):
+        self.consistent = consistent
+        self.particular = particular    # list, or None when inconsistent
+        self.nullspace = nullspace
+        self.rank = rank
+        self.pivots = pivots
 
 
 def reduce_by(vec, pivots):

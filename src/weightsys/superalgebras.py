@@ -8,7 +8,9 @@ Structure constants are stored explicitly; :func:`validate` checks, exactly
 and symbolically where applicable, every property the rest of the package
 relies on: super-antisymmetry, the super Jacobi identity, supersymmetry /
 invariance / regularity of the bilinear form, and the inverse-tensor and
-ad-invariance identities for the Casimir.
+ad-invariance identities for the Casimir.  The Jacobi and invariance
+checks sum products of nonzero structure constants (and nonzero form
+entries) rather than looping over every basis triple.
 
 Conventions: parity is 0 (even) or 1 (odd); the bracket table stores
 [b_i, b_j] for every ordered pair as a sparse map {k: coefficient}; the
@@ -24,7 +26,6 @@ every check of it is linear in g, so it reads N and D directly.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .scalars import MultiPoly, matrix_inverse
@@ -32,21 +33,27 @@ from .scalars import MultiPoly, matrix_inverse
 EVEN, ODD = 0, 1
 
 
-@dataclass
 class RootData:
     """Cartan data: the Cartan basis, the form on its dual, and the positive
     roots with their parities.
 
     Roots are integer coordinate vectors in the basis dual to the chosen
     Cartan basis.  ``negative_order`` fixes the PBW order of the lowering
-    operators (basis indices into the algebra).
+    operators (basis indices into the algebra).  Two root data are equal
+    when their fields are.
     """
 
-    cartan: tuple                      # indices of the Cartan basis elements
-    hstar_form: list                   # matrix of the induced form on H*
-    positive_roots: list               # list of (coords, parity)
-    negative_order: tuple              # basis indices of lowering operators, PBW order
-    highest_root: tuple                # coords of the highest root
+    def __init__(self, cartan, hstar_form, positive_roots, negative_order, highest_root):
+        self.cartan = cartan                  # indices of the Cartan basis elements
+        self.hstar_form = hstar_form          # matrix of the induced form on H*
+        self.positive_roots = positive_roots  # list of (coords, parity)
+        self.negative_order = negative_order  # basis indices of lowering operators, PBW order
+        self.highest_root = highest_root      # coords of the highest root
+
+    def __eq__(self, other):
+        if other.__class__ is not RootData:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def inner(self, w1, w2):
         """<w1, w2> through the H* form matrix."""
@@ -58,20 +65,30 @@ class RootData:
         return acc
 
 
-@dataclass
 class SuperAlgebra:
     """A Lie superalgebra given by its structure constants.  Its name is a
     label for reports; ``carriers`` holds the evaluation carriers built on
     it (see :mod:`weightsys.evaluation`), so each algebra object keeps its
-    own values.  Neither it nor the cached ``form`` takes part in ``==``."""
+    own values.  Two algebras are equal when their six constructor fields
+    are: neither ``carriers`` nor the cached ``form`` takes part in ``==``,
+    and an algebra is not hashable."""
 
-    name: str
-    basis_names: list
-    parity: tuple
-    bracket_table: dict                # (i, j) -> {k: coeff}
-    casimir: list                      # [(i, j, coeff)]
-    rootdata: RootData
-    carriers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, name, basis_names, parity, bracket_table, casimir, rootdata):
+        self.name = name
+        self.basis_names = basis_names
+        self.parity = parity
+        self.bracket_table = bracket_table    # (i, j) -> {k: coeff}
+        self.casimir = casimir                # [(i, j, coeff)]
+        self.rootdata = rootdata
+        self.carriers = {}
+
+    def __eq__(self, other):
+        if other.__class__ is not SuperAlgebra:
+            return NotImplemented
+        return ((self.name, self.basis_names, self.parity, self.bracket_table,
+                 self.casimir, self.rootdata)
+                == (other.name, other.basis_names, other.parity, other.bracket_table,
+                    other.casimir, other.rootdata))
 
     @property
     def dim(self):
@@ -84,20 +101,6 @@ class SuperAlgebra:
 
     def bracket(self, i, j):
         return self.bracket_table.get((i, j), {})
-
-    def bracket_lc(self, lc1, lc2):
-        """Bracket of two linear combinations {index: coeff}."""
-        out = {}
-        for i, a in lc1.items():
-            for j, b in lc2.items():
-                ab = a * b
-                for k, c in self.bracket(i, j).items():
-                    s = out.get(k, 0) + ab * c
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
-        return out
 
     def casimir_matrix(self):
         mat = [[0] * self.dim for _ in range(self.dim)]
@@ -306,6 +309,7 @@ def validate(L):
     """
     n = L.dim
     par = L.parity
+    names = L.basis_names
     report = {}
 
     failures = []
@@ -317,25 +321,41 @@ def validate(L):
             for k, c in L.bracket(j, i).items():
                 diff[k] = diff.get(k, 0) + sgn * c
             if not _is_zero_lc(diff):
-                failures.append((L.basis_names[i], L.basis_names[j]))
+                failures.append((names[i], names[j]))
     report["super_antisymmetry"] = {"ok": not failures, "failures": failures[:5]}
 
+    # the nonzero rows [b_j, b_k] of each k: left[k] holds (j, row), right[j]
+    # holds (k, row).  A sum below runs over nonzero structure constants only,
+    # so a triple that no product reaches is exactly zero.
+    table = L.bracket_table
+    left, right = [[] for _ in range(n)], [[] for _ in range(n)]
+    for (j, k), row in table.items():
+        if row:
+            left[k].append((j, row))
+            right[j].append((k, row))
+
+    # [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|} [y,[x,z]] = 0, accumulated one x
+    # at a time over (y, z, component)
     failures = []
     for x in range(n):
-        for y in range(n):
-            bxy = L.bracket(x, y)
-            for z in range(n):
-                # [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|} [y,[x,z]]
-                lhs = L.bracket_lc({x: 1}, L.bracket(y, z))
-                rhs = L.bracket_lc(bxy, {z: 1})
-                sgn = -1 if (par[x] and par[y]) else 1
-                for k, c in L.bracket_lc({y: 1}, L.bracket(x, z)).items():
-                    rhs[k] = rhs.get(k, 0) + sgn * c
-                diff = dict(lhs)
-                for k, c in rhs.items():
-                    diff[k] = diff.get(k, 0) - c
-                if not _is_zero_lc(diff):
-                    failures.append((L.basis_names[x], L.basis_names[y], L.basis_names[z]))
+        acc = {}
+        for (y, z), yz in table.items():        # [x,[y,z]]
+            for k, c in yz.items():
+                for m, v in L.bracket(x, k).items():
+                    acc[y, z, m] = acc.get((y, z, m), 0) + c * v
+        for y, xy in right[x]:                  # [[x,y],z]
+            for k, c in xy.items():
+                for z, kz in right[k]:
+                    for m, v in kz.items():
+                        acc[y, z, m] = acc.get((y, z, m), 0) - c * v
+        for z, xz in right[x]:                  # [y,[x,z]]
+            for k, c in xz.items():
+                for y, yk in left[k]:
+                    sc = c if par[x] and par[y] else -c
+                    for m, v in yk.items():
+                        acc[y, z, m] = acc.get((y, z, m), 0) + sc * v
+        failures += [(names[x], names[y], names[z])
+                     for y, z in sorted({(y, z) for (y, z, _), v in acc.items() if v})]
     report["super_jacobi"] = {"ok": not failures, "failures": failures[:5]}
 
     # Casimir ad-invariance: [x (x) 1 + 1 (x) x, omega] = 0 with Koszul sign
@@ -350,7 +370,7 @@ def validate(L):
             for k, v in L.bracket(x, j).items():
                 acc[i, k] = acc.get((i, k), 0) + sgn * c * v
         if not _is_zero_lc(acc):
-            failures.append(L.basis_names[x])
+            failures.append(names[x])
     report["casimir_ad_invariance"] = {"ok": not failures, "failures": failures[:5]}
 
     try:
@@ -380,21 +400,26 @@ def validate(L):
         for j in range(n):
             sgn = -1 if (par[i] and par[j]) else 1
             if N[i][j] != (N[j][i] * sgn if sgn == -1 else N[j][i]):
-                failures.append((L.basis_names[i], L.basis_names[j]))
+                failures.append((names[i], names[j]))
             if par[i] != par[j] and N[i][j]:
-                failures.append((L.basis_names[i], L.basis_names[j], "parity"))
+                failures.append((names[i], names[j], "parity"))
     report["form_supersymmetric"] = {"ok": not failures, "failures": failures[:5]}
 
-    # invariance <[x,y],z> = <x,[y,z]>
+    # invariance <[x,y],z> = <x,[y,z]>, accumulated one x at a time over (y, z)
+    nonzero = [[(z, v) for z, v in enumerate(row) if v] for row in N]
     failures = []
     for x in range(n):
-        for y in range(n):
-            bxy = L.bracket(x, y)
-            for z in range(n):
-                lhs = sum(c * N[k][z] for k, c in bxy.items())
-                rhs = sum(c * N[x][k] for k, c in L.bracket(y, z).items())
-                if lhs != rhs:
-                    failures.append((L.basis_names[x], L.basis_names[y], L.basis_names[z]))
+        acc = {}
+        for y, xy in right[x]:                  # <[x,y],z>
+            for k, c in xy.items():
+                for z, v in nonzero[k]:
+                    acc[y, z] = acc.get((y, z), 0) + c * v
+        for (y, z), yz in table.items():        # <x,[y,z]>
+            for k, c in yz.items():
+                if N[x][k]:
+                    acc[y, z] = acc.get((y, z), 0) - c * N[x][k]
+        failures += [(names[x], names[y], names[z])
+                     for y, z in sorted(yz for yz, v in acc.items() if v)]
     report["form_invariant"] = {"ok": not failures, "failures": failures[:5]}
 
     report["ok"] = all(v["ok"] for k, v in report.items() if isinstance(v, dict))

@@ -16,7 +16,10 @@ reaches them, so they live with the tests rather than in src/weightsys.
   the bare skeleton circle (``empty_circle``);
 - the evaluation sweep on MultiPoly states (``PolyVerma``, ``PolyEndo``,
   ``poly_sweep_chords``, ``poly_sweep_legs``), the path the int-state
-  sweep of ``weightsys.evaluation`` replaced.
+  sweep of ``weightsys.evaluation`` replaced;
+- ``validate`` by dense loops over every basis triple (``dense_validate``,
+  ``dense_jacobi_failures``), the path that the sums over nonzero
+  structure constants of ``weightsys.superalgebras.validate`` replaced.
 
 Import them as ``from oracles import ...``: pytest puts this directory on
 the path, and so does running a test file as a script.
@@ -545,3 +548,133 @@ def poly_sweep_legs(carrier, tensor, degree):
             _accum(total, k, v)
         prev = labels
     return carrier.extract(total, degree)
+
+
+# -- validate by dense loops ------------------------------------------------------------
+
+
+def _bracket_lc(L, lc1, lc2):
+    """Bracket of two linear combinations {index: coeff}."""
+    out = {}
+    for i, a in lc1.items():
+        for j, b in lc2.items():
+            ab = a * b
+            for k, c in L.bracket(i, j).items():
+                s = out.get(k, 0) + ab * c
+                if s:
+                    out[k] = s
+                else:
+                    out.pop(k, None)
+    return out
+
+
+def _is_zero_lc(lc):
+    return all(not v for v in lc.values())
+
+
+def dense_jacobi_failures(L):
+    """Every basis triple, in lexicographic order, whose super-Jacobiator
+    [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|} [y,[x,z]] is not zero."""
+    n = L.dim
+    par = L.parity
+    failures = []
+    for x in range(n):
+        for y in range(n):
+            bxy = L.bracket(x, y)
+            for z in range(n):
+                lhs = _bracket_lc(L, {x: 1}, L.bracket(y, z))
+                rhs = _bracket_lc(L, bxy, {z: 1})
+                sgn = -1 if (par[x] and par[y]) else 1
+                for k, c in _bracket_lc(L, {y: 1}, L.bracket(x, z)).items():
+                    rhs[k] = rhs.get(k, 0) + sgn * c
+                diff = dict(lhs)
+                for k, c in rhs.items():
+                    diff[k] = diff.get(k, 0) - c
+                if not _is_zero_lc(diff):
+                    failures.append((L.basis_names[x], L.basis_names[y], L.basis_names[z]))
+    return failures
+
+
+def dense_validate(L):
+    """``weightsys.superalgebras.validate`` with every check a loop over all
+    basis pairs or triples: the super-Jacobiator as brackets of linear
+    combinations (:func:`dense_jacobi_failures`), the form's invariance as
+    two sums per triple."""
+    n = L.dim
+    par = L.parity
+    report = {}
+
+    failures = []
+    for i in range(n):
+        for j in range(n):
+            sgn = -1 if (par[i] and par[j]) else 1
+            # [x,y] + (-1)^{|x||y|} [y,x] = 0
+            diff = dict(L.bracket(i, j))
+            for k, c in L.bracket(j, i).items():
+                diff[k] = diff.get(k, 0) + sgn * c
+            if not _is_zero_lc(diff):
+                failures.append((L.basis_names[i], L.basis_names[j]))
+    report["super_antisymmetry"] = {"ok": not failures, "failures": failures[:5]}
+
+    failures = dense_jacobi_failures(L)
+    report["super_jacobi"] = {"ok": not failures, "failures": failures[:5]}
+
+    # Casimir ad-invariance: [x (x) 1 + 1 (x) x, omega] = 0 with Koszul sign
+    # (-1)^{|x||first leg|} on the second summand.
+    failures = []
+    for x in range(n):
+        acc = {}
+        for i, j, c in L.casimir:
+            sgn = -1 if (par[x] and par[i]) else 1
+            for k, v in L.bracket(x, i).items():
+                acc[k, j] = acc.get((k, j), 0) + c * v
+            for k, v in L.bracket(x, j).items():
+                acc[i, k] = acc.get((i, k), 0) + sgn * c * v
+        if not _is_zero_lc(acc):
+            failures.append(L.basis_names[x])
+    report["casimir_ad_invariance"] = {"ok": not failures, "failures": failures[:5]}
+
+    try:
+        N, D = L.form
+    except ValueError:  # the Casimir matrix is singular: no form to check
+        N = None
+    report["casimir_regular"] = {"ok": N is not None, "failures": []}
+    if N is None:
+        for name in ("casimir_inverse_tensor", "form_supersymmetric", "form_invariant"):
+            report[name] = {"ok": False, "failures": []}
+        report["ok"] = False
+        return report
+
+    mat = L.casimir_matrix()
+    failures = []
+    for i in range(n):
+        for k in range(n):
+            acc = sum(mat[i][j] * N[j][k] for j in range(n) if mat[i][j])
+            if acc != (D if i == k else 0):
+                failures.append((i, k))
+    report["casimir_inverse_tensor"] = {"ok": not failures, "failures": failures[:5]}
+
+    failures = []
+    for i in range(n):
+        for j in range(n):
+            sgn = -1 if (par[i] and par[j]) else 1
+            if N[i][j] != (N[j][i] * sgn if sgn == -1 else N[j][i]):
+                failures.append((L.basis_names[i], L.basis_names[j]))
+            if par[i] != par[j] and N[i][j]:
+                failures.append((L.basis_names[i], L.basis_names[j], "parity"))
+    report["form_supersymmetric"] = {"ok": not failures, "failures": failures[:5]}
+
+    # invariance <[x,y],z> = <x,[y,z]>
+    failures = []
+    for x in range(n):
+        for y in range(n):
+            bxy = L.bracket(x, y)
+            for z in range(n):
+                lhs = sum(c * N[k][z] for k, c in bxy.items())
+                rhs = sum(c * N[x][k] for k, c in L.bracket(y, z).items())
+                if lhs != rhs:
+                    failures.append((L.basis_names[x], L.basis_names[y], L.basis_names[z]))
+    report["form_invariant"] = {"ok": not failures, "failures": failures[:5]}
+
+    report["ok"] = all(v["ok"] for k, v in report.items() if isinstance(v, dict))
+    return report

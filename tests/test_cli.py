@@ -105,7 +105,7 @@ def test_leading_refuses_k_above_its_bound_before_any_work(capsys, monkeypatch, 
     def must_not_run(*args, **kwargs):
         raise AssertionError("leading ran past its bound")
 
-    monkeypatch.setattr(asymptotics, "top_coefficient", must_not_run)
+    monkeypatch.setattr(asymptotics, "_root_pairings", must_not_run)
     argv = ["--command", "leading", "--k", str(limit + 2)] + (["--mode", mode] if mode else [])
     code = main(argv)
     captured = capsys.readouterr()
@@ -256,6 +256,7 @@ ONE_CHORD = "vertices 0 2\nedge 0 1\nskeleton 0 1\n"
     (ONE_CHORD, "--command eval --algebra sl2 --weight 3,1"),
     (ONE_CHORD, "--command eval --algebra d21 --alpha x"),
     (ONE_CHORD, "--command leading --k 7"),
+    (ONE_CHORD, "--command eval --algebra sl2 --max-degree -1"),
     (ONE_CHORD, "--command eval --algebra sl2 --mode foo"),
     (ONE_CHORD, "--command leading --k 2 --mode foo"),
     (ONE_CHORD, "--command certify --k 2 --mode foo"),

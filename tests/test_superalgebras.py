@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import dense_jacobi_failures, dense_validate
 from weightsys.scalars import MultiPoly
 from weightsys.superalgebras import (
     SuperAlgebra,
@@ -85,18 +86,56 @@ def test_corrupted_constant_reports_witness(D_sym):
     assert rep["super_jacobi"]["failures"]
 
 
-def test_singular_casimir_is_reported_not_raised():
-    # sl2 without its (h, h) Casimir term: the Casimir matrix has a zero row
-    # and column, so there is no form to check
+def _singular_casimir_sl2():
+    """sl2 without its (h, h) Casimir term: the Casimir matrix has a zero row
+    and column, so there is no form to check."""
     L = sl2()
     h = L.basis_names.index("h")
-    bad = SuperAlgebra("sl2_without_hh", L.basis_names, L.parity, L.bracket_table,
-                       [t for t in L.casimir if t[:2] != (h, h)], rootdata=L.rootdata)
-    rep = validate(bad)
+    return SuperAlgebra("sl2_without_hh", L.basis_names, L.parity, L.bracket_table,
+                        [t for t in L.casimir if t[:2] != (h, h)], rootdata=L.rootdata)
+
+
+def test_singular_casimir_is_reported_not_raised():
+    rep = validate(_singular_casimir_sl2())
     assert rep["super_jacobi"]["ok"]
     assert not rep["casimir_regular"]["ok"]
     assert not rep["casimir_inverse_tensor"]["ok"]
     assert rep["ok"] is False
+
+
+def _mutant(alpha, i, j, k, delta):
+    """d21(alpha) with the structure constant [i, j]_k shifted by delta."""
+    L = d21(alpha)
+    ix = L.basis_names.index
+    if alpha is None:
+        delta = MultiPoly.const(delta, ("alpha",))
+    return corrupt(L, ix(i), ix(j), ix(k), delta)
+
+
+# (builder, whether the dense Jacobi check finds more than five failing triples)
+VALIDATE_CASES = {
+    "sl2": (sl2, False),
+    "d21_symbolic": (d21, False),
+    "d21_alpha_2": (lambda: d21(Fraction(2)), False),
+    "d21_alpha_1/3": (lambda: d21(Fraction(1, 3)), False),
+    "sl2_singular_casimir": (_singular_casimir_sl2, False),
+    "even_even_symbolic": (lambda: _mutant(None, "E1", "F1", "H2", 1), True),
+    "even_odd_symbolic": (lambda: _mutant(None, "E1", "vmpp", "vppp", 1), True),
+    "odd_odd_symbolic": (lambda: _mutant(None, "vpmm", "vmpp", "H1", 1), True),
+    "even_even_numeric": (lambda: _mutant(2, "H1", "E1", "E1", 1), True),
+    "even_odd_numeric": (lambda: _mutant(2, "vmpp", "F2", "vmmp", Fraction(1, 2)), True),
+    "odd_odd_numeric": (lambda: _mutant(Fraction(1, 3), "vppp", "vmmm", "H2", -3), True),
+}
+
+
+@pytest.mark.parametrize("case", list(VALIDATE_CASES))
+def test_validate_agrees_with_its_dense_reference(case):
+    build, many = VALIDATE_CASES[case]
+    L = build()
+    # every check in order, with its ok and its witnesses in order
+    assert list(validate(L).items()) == list(dense_validate(L).items())
+    if many:  # more failing triples than a report keeps: the first five, in order
+        assert len(dense_jacobi_failures(L)) > 5
 
 
 def test_caches_take_no_part_in_equality():
@@ -106,6 +145,8 @@ def test_caches_take_no_part_in_equality():
         assert a.form and a.form is a.form
         a.carriers["probe"] = object()
         assert a == b and b == a and "form" not in vars(b)
+        with pytest.raises(TypeError):
+            hash(a)
 
 
 @pytest.mark.parametrize("cache", [{"symbolic": True}, {"carriers": {}}])

@@ -4,24 +4,26 @@ Every top-level function and class of the package must be reachable from
 the program's own module-level code (the CLI entry point among it), from
 what the benchmark child (perfbench/child.py) imports or its tracer
 (perfbench/tracing.py) wraps, or from a name in KEEP, which gives the
-reason the tests need that name as it is.  Every field of a dataclass there
-must likewise be read as an attribute by the program or the benchmark child,
-unless its class is in UNREAD_FIELDS, and every method and property of a
-class there by the program, the benchmark child or a tracer name, unless
-KEEP_MEMBERS gives the reason.  A parameter with a default must be passed,
-by keyword, by position or through * or **, by some call in the program or
-the benchmark child to a function the program calls.  No module holds
-state of its own: none assigns an empty container at top level, and a
-function memoized with functools.cache or lru_cache is named in
-MODULE_CACHES with the reason.
+reason the tests need that name as it is.  Every attribute that the
+``__init__`` of a class there assigns on its instance (``self.x = ...``)
+must likewise be read as an attribute by the program or the benchmark
+child, unless its class is in UNREAD_FIELDS, and every method and property
+of a class there by the program, the benchmark child or a tracer name,
+unless KEEP_MEMBERS gives the reason.  A parameter with a default must be
+passed, by keyword, by position or through * or **, by some call in the
+program or the benchmark child to a function the program calls.  No
+module holds state of its own: none assigns an empty container at top
+level, and a function memoized with functools.cache or lru_cache is named
+in MODULE_CACHES with the reason.
 
 The rules match by name alone, so two things stay out of their sight.
 Shared names: a member counts as read when any attribute of its name is
 read, so a method named like one the program reads (``degree``,
 ``is_zero``) passes, and a call to any function named f counts as a call
 to each f.  Dunders: the member rule exempts them, so a ``__hash__`` or an
-``__add__`` that no program code reaches passes.  The tests' own oracles
-live in tests/oracles.py.
+``__add__`` that no program code reaches passes.  The attribute rule sees
+only what ``__init__`` assigns: an attribute first set in another method
+passes unchecked.  The tests' own oracles live in tests/oracles.py.
 """
 
 import ast
@@ -114,17 +116,30 @@ def _attribute_reads(path):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
 
 
-def test_every_dataclass_field_is_read_without_the_tests():
+def _init_attributes(cls):
+    """The attributes a class's ``__init__`` assigns on its first parameter."""
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+            this = node.args.args[0].arg
+            return [target.attr for stmt in ast.walk(node)
+                    if isinstance(stmt, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+                    for part in (stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target])
+                    for target in ast.walk(part)
+                    if isinstance(target, ast.Attribute) and getattr(target.value, "id", None) == this]
+    return []
+
+
+def test_every_init_attribute_is_read_without_the_tests():
     read = _attribute_reads(PERFBENCH / "child.py")
     classes, fields = set(), []
     for path in sorted(SRC.glob("*.py")):
         read |= _attribute_reads(path)
         for stmt in ast.parse(path.read_text()).body:
-            if isinstance(stmt, ast.ClassDef) and any(
-                    getattr(dec, "id", None) == "dataclass" for dec in stmt.decorator_list):
-                classes.add(stmt.name)
-                fields += [(path.stem, stmt.name, field.target.id) for field in stmt.body
-                           if isinstance(field, ast.AnnAssign)]
+            if isinstance(stmt, ast.ClassDef):
+                attributes = _init_attributes(stmt)
+                if attributes:
+                    classes.add(stmt.name)
+                fields += [(path.stem, stmt.name, attr) for attr in attributes]
     assert set(UNREAD_FIELDS) <= classes
     unread = [".".join(f) for f in fields if f[1] not in UNREAD_FIELDS and f[2] not in read]
     assert not unread, f"read only by tests, so delete them: {', '.join(unread)}"
