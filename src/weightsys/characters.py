@@ -347,8 +347,6 @@ def build_D_element(k, q_spec="1", families=None, full=False):
     deg_q, divisible = q_degree_and_t_check(Q)
     if divisible:
         raise ValueError("Q must not be divisible by t")
-    if deg_q == 1:
-        raise ValueError("deg Q = 1 is excluded (deg Q = 0 or >= 2)")
     d = 15 + deg_q
     sun_report = asymptotics.find_n0(k) if full else None
 

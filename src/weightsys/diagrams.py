@@ -102,8 +102,6 @@ class Diagram:
         if self.skel is not None:
             if sorted(self.skel) != list(range(self.nt, self.nt + self.nu)):
                 raise DiagramError("skeleton must list every univalent vertex exactly once")
-        if self.n_vertices % 2 != 0:
-            raise DiagramError("vertex count must be even")
         if self.n_vertices and not self._connected():
             raise DiagramError("diagram must be connected (through the skeleton if present)")
 

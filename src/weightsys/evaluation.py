@@ -11,10 +11,10 @@ A skeleton diagram is evaluated one of two ways, chosen by its shape alone:
 
 Each STU step doubles the terms at a trivalent vertex, so contraction wins
 where vertices outnumber legs: the symmetrized triangle-inserted 4-wheel on
-symbolic D(2,1,alpha) takes 0.6 s through 41 chord diagrams and 0.04 s as
-three leg tensors, all empty (2-core host, CPython 3.11).  Where they do
+symbolic D(2,1,alpha) takes 0.56 s through 41 chord diagrams and 0.017 s
+as three leg tensors, all empty (2-core host, CPython 3.11).  Where they do
 not, the leg tensor is large and STU wins on D(2,1,alpha): the symmetrized
-4-wheel on symbolic D(2,1,alpha) takes 0.07 s through STU and 0.2 s by
+4-wheel on symbolic D(2,1,alpha) takes 0.05 s through STU and 0.13 s by
 contraction, and the 6-wheel on D(2,1,2) took 65 s and 121 s in a
 prototype of this contraction, with a 290,159-entry tensor.
 
@@ -39,10 +39,9 @@ chord opens, against the already-open odd chords it crosses; the leg
 contraction applies the same rule to the Casimir edges of its layout.
 
 Both methods share the carriers.  A carrier holds the bracket table and
-the Casimir ``terms`` on integers -- ints, or for symbolic D(2,1,alpha)
-integer polynomials in alpha -- which is what ``leg_tensor`` reads, and
-implements ``start``, ``apply`` and ``extract(state, degree)``, which
-turns the final state of a diagram of that degree into its scalar.
+the Casimir ``terms`` as int entries (below), which is what ``leg_tensor``
+reads, and implements ``start``, ``apply`` and ``extract(state, degree)``,
+which turns the final state of a diagram of that degree into its scalar.
 ``_evaluate`` plans every sweep against ``EVAL_SWEEP_LIMIT`` before it
 runs any, and each carrier memoizes the values in ``carrier.values``, keyed
 by canonical chord diagram or canonical contracted diagram.  An algebra
@@ -62,7 +61,10 @@ exponents of n and alpha, in MultiPoly's own 32-bit fields, so ``extract``
 hands them to MultiPoly as they are, and on the adjoint the input column.
 An operator is a table from acted-on element to its entries ((key offset,
 int), ...), and ``apply`` is the one kernel that runs either carrier's
-tables.  The two carriers:
+tables.  Each scaled bracket entry and Casimir weight is held as such
+entries, alpha's exponent as an offset, so leg contraction runs on the
+same ints: its states map (registers, alpha offset) to an int.  The two
+carriers:
 
 - the Verma module of highest weight n*lambda0: the acted-on element is a
   PBW monomial, numbered as the sweep meets it, in the lowering operators
@@ -143,33 +145,30 @@ def _times(entries, scalar):
 
 class _Carrier:
     """What both carriers share: the bracket table (rows {(x, y): {z: c}})
-    and the Casimir terms scaled to integers, and a state key's layout
+    and the Casimir terms (x, y, w, parity of x), each c and w scaled and
+    held as the int entries that multiply by it, and a state key's layout
     below the acted-on element, the fields of ``vars``."""
 
     def __init__(self, L, vars, bracket):
-        if L.symbolic:
-            # adding a scalar to the ring's zero puts it in Q[alpha]
-            zero = MultiPoly.zero(("alpha",))
-            scaled, den = zero.__add__, (lambda v: (zero + v).den)
-        else:
-            scaled, den = int, (lambda v: v.denominator)
-        da = math.lcm(*(den(v) for row in bracket.values() for v in row.values()))
-        dw = math.lcm(*(den(w) for _, _, w in L.casimir))
-        self.bracket = {key: {z: scaled(v * da) for z, v in row.items()}
-                        for key, row in bracket.items() if row}
-        self.terms = [(x, y, scaled(w * dw), L.parity[x]) for x, y, w in L.casimir]
+        # one form for either ring: a rational or a polynomial in alpha
+        zero = MultiPoly.zero(("alpha",))
+        rows = {key: {z: zero + v for z, v in row.items()} for key, row in bracket.items() if row}
+        weights = [zero + w for _, _, w in L.casimir]
+        da = math.lcm(*(p.den for row in rows.values() for p in row.values()))
+        dw = math.lcm(*(p.den for p in weights))
+        at = _BITS * vars.index("alpha") if "alpha" in vars else 0
+
+        def entries(p, scale):
+            return tuple((k << at, c * (scale // p.den)) for k, c in p.nums.items())
+
+        self.bracket = {key: {z: entries(p, da) for z, p in row.items()}
+                        for key, row in rows.items()}
+        self.terms = [(x, y, entries(p, dw), L.parity[x])
+                      for (x, y, _), p in zip(L.casimir, weights)]
         self.da = da
         self.degree_scale = da * da * dw
         self.vars = vars
-        self.alpha_at = _BITS * vars.index("alpha") if L.symbolic else 0
         self.values = {}
-
-    def entries(self, c):
-        """A scalar of the carrier's integer ring, an int or a MultiPoly in
-        alpha, as the entries ((key offset, int), ...) that multiply by it."""
-        if isinstance(c, MultiPoly):
-            return tuple((k << self.alpha_at, v) for k, v in c.nums.items())
-        return ((0, c),) if c else ()
 
     def open_tables(self):
         """For each Casimir term (x, y, w), the tables of w * y and of
@@ -178,7 +177,7 @@ class _Carrier:
         out = []
         for _, y, w, par in self.terms:
             plus, minus = (_Table(lambda e, t=self.tables[y], s=s: _times(t[e], s))
-                           for s in (self.entries(w), self.entries(-w)))
+                           for s in (w, tuple((off, -v) for off, v in w)))
             out.append((plus, minus if par else plus))
         return out
 
@@ -267,7 +266,6 @@ class VermaCarrier(_Carrier):
                 for off2, c2 in ty[k >> shift]:
                     _accum(out, k + off2, c * c2)
             for z, cz in self.bracket.get((x, y), {}).items():
-                cz = self.entries(cz)
                 for off, c in self.tables[z][rest >> shift]:
                     for off2, c2 in cz:
                         _accum(out, rest + off + off2, c * c2)
@@ -295,7 +293,7 @@ class EndoCarrier(_Carrier):
         shift = self.shift
         self.tables = [tuple(tuple((((i - j) << shift) + off, c)
                                    for i, v in self.bracket.get((x, j), {}).items()
-                                   for off, c in self.entries(v))
+                                   for off, c in v)
                              for j in range(L.dim))
                        for x in range(L.dim)]
         self.opening = self.open_tables()
@@ -589,17 +587,22 @@ def _leg_plan(d):
 
 
 def _step_table(what, carrier, parity, first, second):
-    """One step's entries by the labels it reads: (appended registers,
-    coefficient with the sign its own labels give, mask of the kept
-    registers whose odd parities each flip that sign)."""
+    """One step's rows by the labels it reads: (appended registers, alpha
+    offset, int coefficient with the sign its own labels give, mask of the
+    kept registers whose odd parities each flip that sign)."""
     if what[0] == "chord":
         # a chord's ends sit side by side in the layout: no sign
-        return {(): [((x, y), w, 0) for x, y, w, _ in carrier.terms]}
+        return {(): [((x, y), off, v, 0) for x, y, w, _ in carrier.terms for off, v in w]}
     table = {}
     _, root, checked, new, closing = what
     for (y, x), row in carrier.bracket.items():
         lab = (x, y)
         par = (parity[x], parity[y])
+        mask = sign = 0
+        for w, kept, nx, ny in closing:
+            if par[w]:
+                mask ^= kept
+                sign ^= (nx & par[0]) ^ (ny & par[1])
         for c, val in row.items():
             regs = []
             for spec in new:
@@ -610,21 +613,18 @@ def _step_table(what, carrier, parity, first, second):
                 else:
                     partner, weight = (first if spec[2] else second)[lab[spec[1]]]
                     regs.append(partner)
-                    val = val * weight
-            mask = sign = 0
-            for w, kept, nx, ny in closing:
-                if par[w]:
-                    mask ^= kept
-                    sign ^= (nx & par[0]) ^ (ny & par[1])
+                    val = _times(val, weight)
             index = ((c,) if not root else ()) + tuple(lab[w] for w in checked)
-            table.setdefault(index, []).append((tuple(regs), -val if sign else val, mask))
+            regs = tuple(regs)
+            table.setdefault(index, []).extend([(regs, off, -v if sign else v, mask)
+                                                for off, v in val])
     return table
 
 
 def leg_tensor(carrier, d):
     """The internal graph of skeleton diagram d contracted into a sparse
-    tensor on its legs: {labels of the legs in circle order: coefficient},
-    the coefficients in the carrier's ring and at its scale.
+    tensor on its legs: {labels of the legs in circle order: entries of
+    the coefficient}, at the carrier's scale.
 
     d has no self-loop.  A diagram with one is zero by AS (reversing the
     looped vertex and swapping its two loop darts is an odd automorphism),
@@ -638,29 +638,29 @@ def leg_tensor(carrier, d):
     second = {y: (x, w) for x, y, w, _ in carrier.terms}
     if not len(first) == len(second) == len(carrier.terms):
         raise ValueError("leg contraction needs one Casimir partner per basis element")
-    state = {(): 1}
+    state = {((), 0): 1}
     for lookup, keep, what in steps:
         table = _step_table(what, carrier, parity, first, second)
-        signed = any(mask for entries in table.values() for _, _, mask in entries)
+        signed = any(row[3] for rows in table.values() for row in rows)
         nxt = {}
-        for key, coeff in state.items():
-            entries = table.get(tuple([key[r] for r in lookup]))
-            if not entries:
+        for (key, at), coeff in state.items():
+            rows = table.get(tuple([key[r] for r in lookup]))
+            if not rows:
                 continue
             base = tuple([key[j] for j in keep])
             odd = sum([parity[label] << j for j, label in enumerate(key)]) if signed else 0
-            for regs, val, mask in entries:
-                val = coeff * val   # nonzero: the rings have no zero divisors
+            for regs, off, val, mask in rows:
+                val *= coeff
                 if odd & mask and (odd & mask).bit_count() & 1:
                     val = -val
-                _accum(nxt, base + regs, val)
+                _accum(nxt, (base + regs, at + off), val)
         state = nxt
     tensor = {}
-    for key, coeff in state.items():
+    for (key, at), coeff in state.items():
         labels = tuple(key[j] for j in circle)
         if sum(parity[labels[i]] & parity[labels[j]] for i, j in swapped) & 1:
             coeff = -coeff
-        tensor[labels] = coeff
+        tensor.setdefault(labels, []).append((at, coeff))
     return tensor
 
 
@@ -686,7 +686,7 @@ def sweep_legs(carrier, tensor, degree):
             stack.append(carrier.apply(tables[x], stack[-1]))
         vec = carrier.apply(tables[labels[0]], stack[-1])
         # the coefficient as a table giving every element its entries
-        carrier.apply(_Table(lambda element, s=carrier.entries(coeff): s), vec, total)
+        carrier.apply(_Table(lambda element, s=coeff: s), vec, total)
         prev = labels
     return carrier.extract(total, degree)
 

@@ -16,7 +16,9 @@ reaches them, so they live with the tests rather than in src/weightsys.
   the bare skeleton circle (``empty_circle``);
 - the evaluation sweep on MultiPoly states (``PolyVerma``, ``PolyEndo``,
   ``poly_sweep_chords``, ``poly_sweep_legs``), the path the int-state
-  sweep of ``weightsys.evaluation`` replaced;
+  sweep of ``weightsys.evaluation`` replaced, and leg contraction on
+  MultiPoly coefficients (``poly_leg_tensor``), the path its int leg
+  contraction replaced;
 - ``validate`` by dense loops over every basis triple (``dense_validate``,
   ``dense_jacobi_failures``), the path that the sums over nonzero
   structure constants of ``weightsys.superalgebras.validate`` replaced.
@@ -40,6 +42,7 @@ from weightsys.diagrams import (
     insert_at_vertex,
 )
 from weightsys.evaluation import (
+    _leg_plan,
     SchurCheckError,
     _plan_rotation,
     adjoint_rep,
@@ -548,6 +551,77 @@ def poly_sweep_legs(carrier, tensor, degree):
             _accum(total, k, v)
         prev = labels
     return carrier.extract(total, degree)
+
+
+def _poly_step_table(what, carrier, parity, first, second):
+    """One step's entries by the labels it reads: (appended registers,
+    coefficient with the sign its own labels give, mask of the kept
+    registers whose odd parities each flip that sign)."""
+    if what[0] == "chord":
+        # a chord's ends sit side by side in the layout: no sign
+        return {(): [((x, y), w, 0) for x, y, w, _ in carrier.terms]}
+    table = {}
+    _, root, checked, new, closing = what
+    for (y, x), row in carrier.bracket.items():
+        lab = (x, y)
+        par = (parity[x], parity[y])
+        for c, val in row.items():
+            regs = []
+            for spec in new:
+                if spec[0] == "out":
+                    regs.append(c)
+                elif spec[0] == "pass":
+                    regs.append(lab[spec[1]])
+                else:
+                    partner, weight = (first if spec[2] else second)[lab[spec[1]]]
+                    regs.append(partner)
+                    val = val * weight
+            mask = sign = 0
+            for w, kept, nx, ny in closing:
+                if par[w]:
+                    mask ^= kept
+                    sign ^= (nx & par[0]) ^ (ny & par[1])
+            index = ((c,) if not root else ()) + tuple(lab[w] for w in checked)
+            table.setdefault(index, []).append((tuple(regs), -val if sign else val, mask))
+    return table
+
+
+def poly_leg_tensor(carrier, d):
+    """Leg contraction on a ``PolyVerma`` or ``PolyEndo``: the tensor
+    {labels of the legs in circle order: coefficient in the carrier's
+    ring}, each state's coefficient a scalar of that ring."""
+    steps, circle, swapped = _leg_plan(d)
+    parity = {x: par for x, _, _, par in carrier.terms}
+    # the Casimir relabels: a label at an edge's first (second) half gives
+    # the other half's label and the weight
+    first = {x: (y, w) for x, y, w, _ in carrier.terms}
+    second = {y: (x, w) for x, y, w, _ in carrier.terms}
+    if not len(first) == len(second) == len(carrier.terms):
+        raise ValueError("leg contraction needs one Casimir partner per basis element")
+    state = {(): 1}
+    for lookup, keep, what in steps:
+        table = _poly_step_table(what, carrier, parity, first, second)
+        signed = any(mask for entries in table.values() for _, _, mask in entries)
+        nxt = {}
+        for key, coeff in state.items():
+            entries = table.get(tuple([key[r] for r in lookup]))
+            if not entries:
+                continue
+            base = tuple([key[j] for j in keep])
+            odd = sum([parity[label] << j for j, label in enumerate(key)]) if signed else 0
+            for regs, val, mask in entries:
+                val = coeff * val   # nonzero: the rings have no zero divisors
+                if odd & mask and (odd & mask).bit_count() & 1:
+                    val = -val
+                _accum(nxt, base + regs, val)
+        state = nxt
+    tensor = {}
+    for key, coeff in state.items():
+        labels = tuple(key[j] for j in circle)
+        if sum(parity[labels[i]] & parity[labels[j]] for i, j in swapped) & 1:
+            coeff = -coeff
+        tensor[labels] = coeff
+    return tensor
 
 
 # -- validate by dense loops ------------------------------------------------------------

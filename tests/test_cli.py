@@ -153,8 +153,10 @@ def test_certify_k2_reports_caveat(capsys):
 
 
 def test_certify_rejects_t_divisible_Q(capsys):
-    code, _ = run(capsys, "--command", "certify", "--k", "4", "--q", "t*e2")
-    assert code == 2
+    # a homogeneous Q of degree 1 is c * e1, which is divisible by t
+    for q in ("t*e2", "e1", "3*e1"):
+        assert main(["--command", "certify", "--k", "4", "--q", q]) == 2
+        assert capsys.readouterr().err == "error: Q must not be divisible by t\n"
 
 
 @pytest.mark.parametrize("q", ["0", "2*e2-2*e2"])
@@ -269,13 +271,18 @@ ONE_CHORD = "vertices 0 2\nedge 0 1\nskeleton 0 1\n"
     (ONE_CHORD, "--command certify --k 4 --table /dev/null"),
     (ONE_CHORD, "--command eval --algebra d21 --alpha 2,3"),
     (ONE_CHORD, "--command certify --k 4 --format csv"),
+    (ONE_CHORD, "--command certify --k 4 --q e2+e3"),
     ("vertices 2 0\nedge 0 3\nedge 1 4\nedge 2 5\nskeleton empty\n", "--command eval --algebra sl2"),
+    # no diagram file: eval without --diagram
+    (None, "--command eval --algebra sl2"),
 ])
 def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys, text, args):
-    f = tmp_path / "diagram.txt"
-    f.write_text(text)
     argv = args.split()
-    code = main(argv + (["--diagram", str(f)] if argv[1] == "eval" else []))
+    if text is not None and argv[1] == "eval":
+        f = tmp_path / "diagram.txt"
+        f.write_text(text)
+        argv += ["--diagram", str(f)]
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""

@@ -10,6 +10,7 @@ from oracles import (
     empty_circle,
     enumerate_connected,
     exact_ratio,
+    poly_leg_tensor,
     poly_sweep_chords,
     poly_sweep_legs,
     ratio_character,
@@ -42,7 +43,7 @@ from weightsys.evaluation import (
     sweep_chords,
     sweep_legs,
 )
-from weightsys.scalars import MultiPoly
+from weightsys.scalars import MultiPoly, _poly
 from weightsys.superalgebras import SuperAlgebra, corrupt, d21, sl2, validate
 import weightsys.evaluation as evaluation
 
@@ -327,9 +328,10 @@ def test_values_stay_in_the_carrier_ring(L, D2, D_sym):
 
 def test_both_carriers_work_on_integers(L, D2, D_sym):
     # each bracket entry is scaled by one common factor and each Casimir
-    # weight by another, to an int or a den-1 MultiPoly, and the Verma
-    # Cartan action n * lambda0 by the first; a chord costs the square of
-    # the first times the second.  Every D(2,1,alpha) chord value in the
+    # weight by another, and held as int entries ((key offset, int), ...),
+    # alpha's exponent in its field of the key; the Verma Cartan action
+    # n * lambda0 is scaled by the first.  A chord costs the square of the
+    # first times the second.  Every D(2,1,alpha) chord value in the
     # adjoint is 0, so the value goldens alone cannot see these scales.
     for A in (L, D2, d21(Fraction(1, 3)), D_sym):
         weight = (2,) if A is L else (3, 1, 1)
@@ -337,16 +339,17 @@ def test_both_carriers_work_on_integers(L, D2, D_sym):
 
             def ratios(pairs):
                 out = set()
-                for scaled, true in pairs:
-                    if A.symbolic:
-                        assert scaled.den == 1 and scaled.vars == ("alpha",)
-                        true = MultiPoly.zero(("alpha",)) + true
-                        expo, c = next(iter(true.terms.items()))
-                        scale = scaled.terms[expo] / c
-                        assert scaled == true * scale
-                    else:
-                        assert type(scaled) is int
-                        scale = scaled / true
+                for entries, true in pairs:
+                    assert entries and all(type(off) is int and type(c) is int and c
+                                           for off, c in entries)
+                    if not A.symbolic:
+                        assert [off for off, _ in entries] == [0]
+                    scaled = _poly(carrier.vars, dict(entries), 1)
+                    assert scaled.degree_in("n") <= 0
+                    true = MultiPoly.zero(carrier.vars) + true
+                    expo, c = next(iter(true.terms.items()))
+                    scale = scaled.terms[expo] / c
+                    assert scaled == true * scale
                     out.add(scale)
                 return out
 
@@ -611,10 +614,11 @@ def test_the_int_sweep_agrees_with_the_multipoly_sweep(alpha, top):
 @pytest.mark.parametrize("alpha", [None, Fraction(3, 2), "symbolic"])
 def test_the_int_leg_sweep_agrees_with_the_multipoly_sweep(alpha):
     # the triangle-inserted 4-wheel, symmetrized, is three diagrams with more
-    # trivalent vertices than legs: each one's leg tensor swept on int states
-    # and on MultiPoly states.  On D(2,1,alpha) its leg tensors are empty, so
-    # the Verma comparison runs on the raw Casimir too, where no value is 0
-    # (the adjoint's would fail the Schur check there).
+    # trivalent vertices than legs: each one's leg tensor contracted and
+    # swept on ints, and contracted and swept on MultiPoly coefficients.  On
+    # D(2,1,alpha) its leg tensors are empty, so the Verma comparison runs
+    # on the raw Casimir too, where no value is 0 (the adjoint's would fail
+    # the Schur check there).
     L = sl2() if alpha is None else d21(None if alpha == "symbolic" else alpha)
     weight = (2,) if alpha is None else (3, 1, 1)
     (ins, c), = list(insert_at_vertex(wheel(4), 0, triangle()))
@@ -625,6 +629,29 @@ def test_the_int_leg_sweep_agrees_with_the_multipoly_sweep(alpha):
                         (L, EndoCarrier(L), PolyEndo(L)),
                         (raw, VermaCarrier(raw, weight), PolyVerma(raw, weight))):
         values = [sweep_legs(new, leg_tensor(new, x), x.degree) for x in diagrams]
-        assert values == [poly_sweep_legs(old, leg_tensor(old, x), x.degree) for x in diagrams]
+        assert values == [poly_sweep_legs(old, poly_leg_tensor(old, x), x.degree)
+                          for x in diagrams]
         assert all(values) == (alpha is None or A is raw)
         assert any(values) == all(values)
+
+
+def test_leg_contraction_builds_no_multipoly(monkeypatch):
+    # on symbolic D(2,1,alpha) with the raw Casimir the triangle-inserted
+    # 4-wheel's leg tensors are not empty, and contracting and sweeping them
+    # adds and multiplies no MultiPoly: alpha's exponent rides in the keys,
+    # and only extract builds the value
+    raw = raw_casimir(d21())
+    carrier = VermaCarrier(raw, (3, 1, 1))
+    (ins, c), = list(insert_at_vertex(wheel(4), 0, triangle()))
+    diagrams = [x for x, _ in chi_bar(ins, c)]
+    calls = []
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        def counted(*args, fn=getattr(MultiPoly, name), name=name):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(MultiPoly, name, counted)
+    tensors = [leg_tensor(carrier, x) for x in diagrams]
+    values = [sweep_legs(carrier, t, x.degree) for t, x in zip(tensors, diagrams)]
+    monkeypatch.undo()
+    assert all(tensors) and all(values)
+    assert calls == []

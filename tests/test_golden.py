@@ -3,8 +3,9 @@ cli-certify workload, and certify for a product, a mixed sum and a large
 literal Q, print exactly the stdout stored under tests/golden/ and exit with
 the stored code.  So do one eval above the sweep cost bound, which prints
 nothing and exits 3 with one error line, one state sum of a 14-vertex
-chord diagram that plans far below that bound, and validate and leading in
-the default text format.
+chord diagram that plans far below that bound, one state sum of a diagram
+file with comment lines and blank lines, and validate and leading in the
+default text format.
 
 A change that is meant to alter a report regenerates the files with
 
@@ -44,6 +45,10 @@ edge 9 15
 skeleton 4 5 6 7
 """
 
+# the same diagram, with comment lines and blank lines, which the parser skips
+WHEEL4_NOTES_TEXT = "# wheel_on_circle(4)\n\n" + WHEEL4_TEXT.replace(
+    "skeleton", "\n# the legs in circle order\nskeleton")
+
 # the degree-6 chord diagram whose six chords cross pairwise
 CROSS6_TEXT = "vertices 0 12\n" + "".join(f"edge {i} {i + 6}\n" for i in range(6)) \
     + "skeleton " + " ".join(map(str, range(12))) + "\n"
@@ -67,6 +72,8 @@ COMMANDS = {
     "certify_k2_full": ["--command", "certify", "--k", "2", "--q", "1", "--mode", "full"] + JSON,
     "eval_sl2_statesum": ["--command", "eval", "--diagram", "WHEEL4", "--algebra", "sl2",
                           "--mode", "statesum"] + JSON,
+    "eval_sl2_statesum_notes": ["--command", "eval", "--diagram", "WHEEL4_NOTES", "--algebra", "sl2",
+                                "--mode", "statesum"] + JSON,
     "eval_sl2_verma": ["--command", "eval", "--diagram", "WHEEL4", "--algebra", "sl2",
                        "--weight", "2"] + JSON,
     "eval_d21_alpha2": ["--command", "eval", "--diagram", "WHEEL4", "--algebra", "d21",
@@ -83,7 +90,8 @@ COMMANDS = {
 def run(name, workdir):
     """(exit code, stdout, stderr) of one command, run in this process."""
     files = {}
-    for key, text in (("WHEEL4", WHEEL4_TEXT), ("CROSS6", CROSS6_TEXT), ("CHAIN7", CHAIN7_TEXT)):
+    for key, text in (("WHEEL4", WHEEL4_TEXT), ("WHEEL4_NOTES", WHEEL4_NOTES_TEXT),
+                      ("CROSS6", CROSS6_TEXT), ("CHAIN7", CHAIN7_TEXT)):
         files[key] = Path(workdir) / f"{key.lower()}.txt"
         files[key].write_text(text)
     argv = [str(files.get(a, a)) for a in COMMANDS[name]]

@@ -103,6 +103,35 @@ def test_singular_casimir_is_reported_not_raised():
     assert rep["ok"] is False
 
 
+def _fe_doubled_sl2():
+    """sl2 with its f (x) e Casimir weight doubled: the Casimir matrix is
+    not symmetric, and neither is the form."""
+    L = sl2()
+    e, f = L.basis_names.index("e"), L.basis_names.index("f")
+    return SuperAlgebra("sl2_fe_doubled", L.basis_names, L.parity, L.bracket_table,
+                        [(i, j, 2 * c if (i, j) == (f, e) else c) for i, j, c in L.casimir],
+                        rootdata=L.rootdata)
+
+
+def _odd_partnered_d21():
+    """D(2,1,2) with an extra Casimir term E1 (x) vppp: the form pairs an
+    even element with an odd one."""
+    L = d21(Fraction(2))
+    ix = L.basis_names.index
+    return SuperAlgebra("d21_odd_partnered", L.basis_names, L.parity, L.bracket_table,
+                        L.casimir + [(ix("E1"), ix("vppp"), Fraction(1))], rootdata=L.rootdata)
+
+
+def _wrong_form_sl2():
+    """sl2 whose cached form holds a wrong N: one more at (e, f)."""
+    L = sl2()
+    N, D = L.form
+    N = [list(row) for row in N]
+    N[L.basis_names.index("e")][L.basis_names.index("f")] += 1
+    L.form = (N, D)
+    return L
+
+
 def _mutant(alpha, i, j, k, delta):
     """d21(alpha) with the structure constant [i, j]_k shifted by delta."""
     L = d21(alpha)
@@ -119,6 +148,10 @@ VALIDATE_CASES = {
     "d21_alpha_2": (lambda: d21(Fraction(2)), False),
     "d21_alpha_1/3": (lambda: d21(Fraction(1, 3)), False),
     "sl2_singular_casimir": (_singular_casimir_sl2, False),
+    # negative controls of the form's checks (FORM_CONTROLS)
+    "sl2_fe_doubled": (_fe_doubled_sl2, False),
+    "d21_odd_partnered": (_odd_partnered_d21, False),
+    "sl2_wrong_form": (_wrong_form_sl2, False),
     "even_even_symbolic": (lambda: _mutant(None, "E1", "F1", "H2", 1), True),
     "even_odd_symbolic": (lambda: _mutant(None, "E1", "vmpp", "vppp", 1), True),
     "odd_odd_symbolic": (lambda: _mutant(None, "vpmm", "vmpp", "H1", 1), True),
@@ -128,12 +161,23 @@ VALIDATE_CASES = {
 }
 
 
+VALID = {"sl2", "d21_symbolic", "d21_alpha_2", "d21_alpha_1/3"}
+# the check each negative control of the form fails with witnesses
+FORM_CONTROLS = {"sl2_fe_doubled": "form_supersymmetric",
+                 "d21_odd_partnered": "form_supersymmetric",
+                 "sl2_wrong_form": "casimir_inverse_tensor"}
+
+
 @pytest.mark.parametrize("case", list(VALIDATE_CASES))
 def test_validate_agrees_with_its_dense_reference(case):
     build, many = VALIDATE_CASES[case]
     L = build()
     # every check in order, with its ok and its witnesses in order
-    assert list(validate(L).items()) == list(dense_validate(L).items())
+    report = validate(L)
+    assert list(report.items()) == list(dense_validate(L).items())
+    assert report["ok"] is (case in VALID)
+    if case in FORM_CONTROLS:
+        assert report[FORM_CONTROLS[case]]["failures"]
     if many:  # more failing triples than a report keeps: the first five, in order
         assert len(dense_jacobi_failures(L)) > 5
 
