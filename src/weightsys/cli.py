@@ -31,7 +31,7 @@ OPTIONS = {"validate": ("table",), "leading": ("k", "mode"),
            "eval": ("alpha", "mode", "diagram", "algebra", "weight", "max_degree")}
 ALPHA1_K_LIMIT = 2000  # leading at alpha = 1: k = 2000 takes about 0.8 s, k = 3000 1.1 s
 SYMBOLIC_K_LIMIT = 100  # leading --mode symbolic: k = 100 takes about 0.3 s, cost grows as k^3
-FULL_K_LIMIT = 6  # certify --mode full: k = 6 takes 44-48 s, k = 8 has never finished
+FULL_K_LIMIT = 6  # certify --mode full: k = 6 takes about 46 s, k = 8 has never finished
 
 
 class _Parser(argparse.ArgumentParser):
@@ -262,6 +262,8 @@ def main(argv=None):
                      + ("no --mode" if not modes else "one of " + ", ".join(modes)))
         read = ("command", "format", "out") + OPTIONS[args.command]
         for dest, value in vars(args).items():
+            if value == []:   # argparse reads "--k=--" as no argument at all
+                ap.error(f"argument --{dest.replace('_', '-')}: expected one argument")
             if value is not None and dest not in read:
                 ap.error(f"{args.command} takes no --{dest.replace('_', '-')}")
         if args.out is not None:

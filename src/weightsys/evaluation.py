@@ -28,8 +28,8 @@ merges branches with equal pendings -- exact sparse tensor contraction
 along a path -- and only a closing's map of states is stored.  So the
 widest stored map has one open chord fewer than the widest point of the
 sweep: the four pairwise crossing chords on D(2,1,2) store at most 4,097
-adjoint states where the widest point has 51,677.  The rotation of the cut
-is chosen to keep the number of simultaneously open chords small.
+adjoint states where the widest point has 51,677.  ``_plan_rotation``
+picks the cut that keeps few chords open at once, and the sweep runs it.
 
 Koszul signs: permuting the Casimir factors into circle order costs exactly
 one factor of -1 per *crossing* pair of chords whose terms are both odd
@@ -42,12 +42,13 @@ Both methods share the carriers.  A carrier holds the bracket table and
 the Casimir ``terms`` as int entries (below), which is what ``leg_tensor``
 reads, and implements ``start``, ``apply`` and ``extract(state, degree)``,
 which turns the final state of a diagram of that degree into its scalar.
-``_evaluate`` plans every sweep against ``EVAL_SWEEP_LIMIT`` before it
-runs any, and each carrier memoizes the values in ``carrier.values``, keyed
-by canonical chord diagram or canonical contracted diagram.  An algebra
-holds its own carriers in ``L.carriers``, one per Verma weight and one for
-the adjoint, built on first use and kept while the algebra lives; an
-algebra built again starts with none.
+``_evaluate`` plans each distinct part once (``_plan``: how it runs and
+its cost), checks every plan against ``EVAL_SWEEP_LIMIT`` before it runs
+any, and each carrier memoizes the values in ``carrier.values``, keyed by
+canonical chord or contracted diagram.  An algebra holds its own carriers
+in ``L.carriers``, one per Verma weight and one for the adjoint, built on
+first use and kept while the algebra lives; an algebra built again starts
+with none.
 
 Both carriers run on one scaling rule and one int state.  The generators
 (the bracket table, and on a Verma module the Cartan action n*lambda0) are
@@ -367,10 +368,9 @@ def sweep_chords(carrier, chords):
     is a chain of ``_open`` generators that the closing after it consumes,
     one (pendings, state) item at a time; only a closing, the one step that
     merges keys, stores its states.  Position 0 ends a chord, so the sweep
-    ends on a closing."""
+    ends on a closing.  The chords come in the rotation ``_plan`` chose."""
     terms = carrier.terms
     n_positions = 2 * len(chords)
-    chords, _ = _plan_rotation(chords, n_positions, len(terms))
     open_at = {q: ci for ci, (p, q) in enumerate(chords)}
     close_at = {p: ci for ci, (p, q) in enumerate(chords)}
     closing = [carrier.tables[x] for x, _, _, _ in terms]
@@ -707,51 +707,50 @@ def _parts(d):
     return list(chord_reduce(d))
 
 
-def _cost(x, L):
-    """The planned cost of evaluating one part: a chord diagram's sweep plan
-    (``_plan_rotation``), or for a contracted diagram the size of the
+def _plan(x, L):
+    """(cost, run) of one part, where ``run(carrier)`` evaluates it: a chord
+    diagram sweeps the rotation that ``_plan_rotation`` priced; a contracted
+    diagram builds its leg tensor and sweeps it, priced by the sweep's
     largest leg trie, a branch per basis element at each leg."""
     if x.is_chord_diagram():
         ends = chord_endpoints(x)
-        return _plan_rotation(ends, 2 * len(ends), len(L.casimir))[1]
-    return sum(L.dim ** k for k in range(1, x.nu + 1))
+        chords, cost = _plan_rotation(ends, 2 * len(ends), len(L.casimir))
+        return cost, lambda carrier: sweep_chords(carrier, chords)
+    trie = sum(L.dim ** k for k in range(1, x.nu + 1))
+    return trie, lambda carrier: sweep_legs(carrier, leg_tensor(carrier, x), x.degree)
 
 
 def sweep_cost(d, L):
     """The largest planned cost of the sweeps that evaluating a skeleton
     diagram on L runs; nothing is swept or contracted."""
-    return max((_cost(x, L) for x, _ in _parts(d)), default=0)
+    return max((_plan(x, L)[0] for x, _ in _parts(d)), default=0)
 
 
 def _evaluate(d, L, carrier, check=None):
     """Value of a skeleton diagram, or a LinComb of them, on L's carrier.
 
-    Part values come from ``carrier.values`` or are computed fresh, after
-    every part still to compute is planned within ``EVAL_SWEEP_LIMIT``;
-    ``check(diagram, value)`` runs on the value of every diagram.
+    Part values come from ``carrier.values`` or from one plan per distinct
+    part (``_plan``), each checked against ``EVAL_SWEEP_LIMIT`` before any
+    runs; ``check(diagram, value)`` runs on the value of every diagram.
     """
     terms = d if isinstance(d, LinComb) else [(d, 1)]
     parts = [(diag, c, [(x.canonical_key(), x, cx) for x, cx in _parts(diag)])
              for diag, c in terms]
+    plans = {}
     for _, _, ps in parts:
         for key, x, _ in ps:
-            if key not in carrier.values:
-                cost = _cost(x, L)
+            if key not in carrier.values and key not in plans:
+                cost, _ = plans[key] = _plan(x, L)
                 if cost > EVAL_SWEEP_LIMIT:
                     raise CostBoundError(f"a sweep of this diagram on {L.name} plans cost {cost}, "
                                          f"above the eval bound {EVAL_SWEEP_LIMIT}")
+    for key, (_, run) in plans.items():
+        carrier.values[key] = run(carrier)
     values = []
     for diag, _, ps in parts:
         value = carrier.zero
-        for key, x, cx in ps:
-            part = carrier.values.get(key)
-            if part is None:
-                if x.is_chord_diagram():
-                    part = sweep_chords(carrier, chord_endpoints(x))
-                else:
-                    part = sweep_legs(carrier, leg_tensor(carrier, x), x.degree)
-                carrier.values[key] = part
-            value = value + part * Fraction(cx)
+        for key, _, cx in ps:
+            value = value + carrier.values[key] * Fraction(cx)
         if check is not None:
             check(diag, value)
         values.append(value)

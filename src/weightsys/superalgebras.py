@@ -39,8 +39,7 @@ class RootData:
 
     Roots are integer coordinate vectors in the basis dual to the chosen
     Cartan basis.  ``negative_order`` fixes the PBW order of the lowering
-    operators (basis indices into the algebra).  Two root data are equal
-    when their fields are.
+    operators (basis indices into the algebra).
     """
 
     def __init__(self, cartan, hstar_form, positive_roots, negative_order, highest_root):
@@ -49,11 +48,6 @@ class RootData:
         self.positive_roots = positive_roots  # list of (coords, parity)
         self.negative_order = negative_order  # basis indices of lowering operators, PBW order
         self.highest_root = highest_root      # coords of the highest root
-
-    def __eq__(self, other):
-        if other.__class__ is not RootData:
-            return NotImplemented
-        return vars(self) == vars(other)
 
     def inner(self, w1, w2):
         """<w1, w2> through the H* form matrix."""
@@ -69,9 +63,8 @@ class SuperAlgebra:
     """A Lie superalgebra given by its structure constants.  Its name is a
     label for reports; ``carriers`` holds the evaluation carriers built on
     it (see :mod:`weightsys.evaluation`), so each algebra object keeps its
-    own values.  Two algebras are equal when their six constructor fields
-    are: neither ``carriers`` nor the cached ``form`` takes part in ``==``,
-    and an algebra is not hashable."""
+    own values.  Equality is identity, as is the hash: an algebra built
+    again is another object, with carriers of its own."""
 
     def __init__(self, name, basis_names, parity, bracket_table, casimir, rootdata):
         self.name = name
@@ -81,14 +74,6 @@ class SuperAlgebra:
         self.casimir = casimir                # [(i, j, coeff)]
         self.rootdata = rootdata
         self.carriers = {}
-
-    def __eq__(self, other):
-        if other.__class__ is not SuperAlgebra:
-            return NotImplemented
-        return ((self.name, self.basis_names, self.parity, self.bracket_table,
-                 self.casimir, self.rootdata)
-                == (other.name, other.basis_names, other.parity, other.bracket_table,
-                    other.casimir, other.rootdata))
 
     @property
     def dim(self):

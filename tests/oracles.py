@@ -21,7 +21,9 @@ reaches them, so they live with the tests rather than in src/weightsys.
   contraction replaced;
 - ``validate`` by dense loops over every basis triple (``dense_validate``,
   ``dense_jacobi_failures``), the path that the sums over nonzero
-  structure constants of ``weightsys.superalgebras.validate`` replaced.
+  structure constants of ``weightsys.superalgebras.validate`` replaced;
+- an algebra's constructor fields (``algebra_fields``), which two builds
+  of one algebra share: an algebra's own ``==`` is identity.
 
 Import them as ``from oracles import ...``: pytest puts this directory on
 the path, and so does running a test file as a script.
@@ -752,3 +754,10 @@ def dense_validate(L):
 
     report["ok"] = all(v["ok"] for k, v in report.items() if isinstance(v, dict))
     return report
+
+
+def algebra_fields(L):
+    """The six constructor fields of algebra L, its root data's by value:
+    equal for two builds of one algebra.  Neither the cached ``form`` nor
+    the ``carriers`` is among them."""
+    return (L.name, L.basis_names, L.parity, L.bracket_table, L.casimir, vars(L.rootdata))

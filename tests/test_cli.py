@@ -395,6 +395,18 @@ def test_values_longer_than_the_int_string_limit_print(tmp_path, capsys):
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
+@pytest.mark.parametrize("argv", [["leading", "--k=--"],
+                                  ["eval", "--algebra", "sl2", "--max-degree=--"]])
+def test_a_double_dash_value_is_a_usage_error(argv, tmp_path, capsys):
+    # argparse hands "--opt=--" over as an empty list, not as a value
+    f = tmp_path / "chord.txt"
+    f.write_text(ONE_CHORD)
+    extra = ["--diagram", str(f)] if argv[0] == "eval" else []
+    assert main(["--command", *argv, *extra]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.endswith("expected one argument\n")
+
+
 def _option(values):
     junk = st.text(alphabet="0123456789,/-+ .xadjoint", max_size=10)
     return st.one_of(st.none(), values, junk)

@@ -142,19 +142,20 @@ def test_stu_invariance_of_evaluation(D2):
         assert total == base
 
 
-def test_cut_rotation_invariance(D_sym, monkeypatch):
+def test_cut_rotation_invariance(D_sym):
     # moving the cut reorders the processing of the (odd) Casimir legs; the
-    # three distinct cuts of this asymmetric diagram all give the planned value
+    # three distinct cuts of this asymmetric diagram, each swept as given,
+    # all give the value of the cut the plan picks
     carrier = VermaCarrier(D_sym, (3, 1, 1))
     chords, n = [(0, 2), (1, 4), (3, 5)], 6
-    want = sweep_chords(carrier, chords)
+    planned, _ = evaluation._plan_rotation(chords, n, len(carrier.terms))
+    want = sweep_chords(carrier, planned)
     assert want
     cuts = {tuple(sorted(tuple(sorted(((p - r) % n, (q - r) % n))) for p, q in chords))
             for r in range(n)}
     assert len(cuts) == 3
     for cut in cuts:
-        monkeypatch.setattr(evaluation, "_plan_rotation", lambda *args, cut=cut: (list(cut), 0))
-        assert sweep_chords(carrier, chords) == want
+        assert sweep_chords(carrier, list(cut)) == want
 
 
 def test_degree_bound_is_asserted(monkeypatch):
@@ -458,6 +459,26 @@ def test_more_vertices_than_legs_is_contracted_the_rest_reduced(monkeypatch):
         assert eval_verma(wheel_on_circle(4), L, (2,))
 
 
+def test_each_part_is_planned_once(monkeypatch):
+    # the symmetrized 4-wheel's two classes reduce to 18 chord diagrams, 12
+    # of them distinct: one rotation search per distinct part, and none
+    # once every part's value is memoized
+    searches = []
+    plan_rotation = evaluation._plan_rotation
+
+    def counting(*args):
+        searches.append(args)
+        return plan_rotation(*args)
+
+    monkeypatch.setattr(evaluation, "_plan_rotation", counting)
+    L, sym = sl2(), chi_bar(wheel(4))
+    first = eval_verma(sym, L, (2,))
+    assert len(searches) == len(L.carriers[(2,)].values) == 12
+    searches.clear()
+    assert eval_verma(sym, L, (2,)) == first
+    assert searches == []
+
+
 def test_the_library_bounds_the_sweep_before_sweeping(monkeypatch):
     # six pairwise crossing chords plan 51,292,332 on D(2,1,alpha), and a
     # leg trie over six legs 17 + 17^2 + ... + 17^6: both evaluations refuse
@@ -489,10 +510,9 @@ def breadth_first_sweep(carrier, chords):
     """The chord sweep breadth first, the reference for ``sweep_chords``:
     every layer, that of openings too, is stored as a map from pendings to
     states, the pendings as (chord, term) pairs, each sign counted from
-    them."""
+    them.  The chords are swept in the cut they are given in."""
     terms = carrier.terms
     n_positions = 2 * len(chords)
-    chords, _ = evaluation._plan_rotation(chords, n_positions, len(terms))
     open_at = {q: ci for ci, (p, q) in enumerate(chords)}
     close_at = {p: ci for ci, (p, q) in enumerate(chords)}
     states = {(): carrier.start()}
@@ -560,15 +580,17 @@ class RawEndo(RawState, EndoCarrier):
 
 @pytest.mark.parametrize("alpha, top", [(None, 4), (Fraction(2), 4), ("symbolic", 3)])
 def test_the_sweep_agrees_with_its_breadth_first_reference(alpha, top):
-    # one chord diagram per class up to the degree, on both carriers: equal
-    # final states, entry by entry and in insertion order
+    # one chord diagram per class up to the degree, on both carriers, each
+    # in the cut the plan picks: equal final states, entry by entry and in
+    # insertion order
     L = sl2() if alpha is None else d21(None if alpha == "symbolic" else alpha)
     carriers = (RawVerma(L, (2,) if alpha is None else (3, 1, 1)), RawEndo(L))
     nonzero = 0
     for carrier in carriers:
         for m in range(top + 1):
             for d in all_chord_diagrams(m):
-                chords = chord_endpoints(d)
+                ends = chord_endpoints(d)
+                chords, _ = evaluation._plan_rotation(ends, len(ends) * 2, len(carrier.terms))
                 want = breadth_first_sweep(carrier, chords)
                 got = sweep_chords(carrier, chords)
                 assert list(got.items()) == list(want.items()), (type(carrier).__name__, chords)

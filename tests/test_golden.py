@@ -4,15 +4,17 @@ literal Q, print exactly the stdout stored under tests/golden/ and exit with
 the stored code.  So do one eval above the sweep cost bound, which prints
 nothing and exits 3 with one error line, one state sum of a 14-vertex
 chord diagram that plans far below that bound, one state sum of a diagram
-file with comment lines and blank lines, and validate and leading in the
-default text format.
+file with comment lines and blank lines, a Verma value and a state sum of
+the triangle-inserted 4-wheel, whose six trivalent vertices outnumber its
+four legs, so both go through a nonempty leg tensor, and validate and
+leading in the default text format.
 
 A change that is meant to alter a report regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
 and the diff of tests/golden/ shows what changed.  The k = 6 certificate,
-tests/golden/certify_k6_full.out, takes 44-48 s; the CI workflow, not
+tests/golden/certify_k6_full.out, takes about 46 s; the CI workflow, not
 this module, checks it, and it regenerates with
 
     PYTHONPATH=src python -m weightsys --command certify --k 6 --q 1 --mode full \\
@@ -53,6 +55,23 @@ WHEEL4_NOTES_TEXT = "# wheel_on_circle(4)\n\n" + WHEEL4_TEXT.replace(
 CROSS6_TEXT = "vertices 0 12\n" + "".join(f"edge {i} {i + 6}\n" for i in range(6)) \
     + "skeleton " + " ".join(map(str, range(12))) + "\n"
 
+# insert_at_vertex(wheel_on_circle(4), 0, triangle()): six internal
+# vertices, four legs on the circle
+TRI4_TEXT = """vertices 6 4
+edge 0 3
+edge 1 6
+edge 2 9
+edge 4 7
+edge 5 12
+edge 8 18
+edge 10 19
+edge 11 16
+edge 13 15
+edge 14 21
+edge 17 20
+skeleton 6 7 8 9
+"""
+
 # seven chords in a chain on 14 points
 CHAIN7_TEXT = "vertices 0 14\n" + "".join(
     f"edge {i} {j}\n" for i, j in ((0, 2), (1, 4), (3, 6), (5, 8), (7, 10), (9, 12), (11, 13))) \
@@ -79,6 +98,10 @@ COMMANDS = {
     "eval_d21_alpha2": ["--command", "eval", "--diagram", "WHEEL4", "--algebra", "d21",
                         "--alpha", "2", "--weight", "3,1,1"] + JSON,
     "eval_d21_cross6": ["--command", "eval", "--diagram", "CROSS6", "--algebra", "d21"] + JSON,
+    "eval_sl2_verma_tri4": ["--command", "eval", "--diagram", "TRI4", "--algebra", "sl2",
+                            "--weight", "2"] + JSON,
+    "eval_sl2_statesum_tri4": ["--command", "eval", "--diagram", "TRI4", "--algebra", "sl2",
+                               "--mode", "statesum"] + JSON,
     "eval_d21_statesum_chain7": ["--command", "eval", "--diagram", "CHAIN7", "--algebra", "d21",
                                  "--alpha", "2", "--mode", "statesum", "--max-degree", "7"] + JSON,
     # the default --format text
@@ -91,7 +114,7 @@ def run(name, workdir):
     """(exit code, stdout, stderr) of one command, run in this process."""
     files = {}
     for key, text in (("WHEEL4", WHEEL4_TEXT), ("WHEEL4_NOTES", WHEEL4_NOTES_TEXT),
-                      ("CROSS6", CROSS6_TEXT), ("CHAIN7", CHAIN7_TEXT)):
+                      ("CROSS6", CROSS6_TEXT), ("TRI4", TRI4_TEXT), ("CHAIN7", CHAIN7_TEXT)):
         files[key] = Path(workdir) / f"{key.lower()}.txt"
         files[key].write_text(text)
     argv = [str(files.get(a, a)) for a in COMMANDS[name]]
