@@ -128,14 +128,13 @@ def find_n0(k):
             break
     assert n0 is not None  # nonzero polynomial has at most deg_n roots
     at = at.restrict_vars()
-    roots = rational_roots(at, "alpha") if not at.is_constant() else []
-    sq = squarefree_part(at, "alpha") if not at.is_constant() else None
+    roots = rational_roots(at, "alpha")
     report.update({
         "n0": n0,
         "certified": True,
         "value_at_n0": str(at),
         "excluded_rational_alpha": [[str(r), m] for r, m in roots],
-        "squarefree_part": str(sq) if sq is not None else "1",
+        "squarefree_part": str(squarefree_part(at, "alpha")),
         "note": "value at n0 is nonzero for every alpha outside the root set "
                 "of the squarefree part",
     })

@@ -162,11 +162,7 @@ def specialize_alpha(s):
     poly = s.substitute({"sigma2": s2, "sigma3": s3}).restrict_vars()
     if poly.is_zero():
         return poly, [], None
-    if poly.is_constant():
-        return poly, [], MultiPoly.const(1, ("alpha",))
-    roots = rational_roots(poly, "alpha")
-    sq = squarefree_part(poly, "alpha")
-    return poly, roots, sq
+    return poly, rational_roots(poly, "alpha"), squarefree_part(poly, "alpha")
 
 
 # ------------------------------------------------------------- parameter table

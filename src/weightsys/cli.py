@@ -5,19 +5,24 @@ deterministic: identical configuration and table give byte-identical
 reports.  All values are printed exactly (integers, fractions, polynomial
 strings in canonical monomial order); no floating point appears anywhere.
 
-Exit codes: 0 success, 1 assertion failure, 2 usage/configuration error,
-3 cost bound exceeded.
+Exit codes: 0 success, 1 a failed check, 2 usage error, 3 cost bound
+exceeded.  Handlers raise where they refuse, and ``main`` alone writes the
+one ``error:`` line: ``CostBoundError`` exits 3, ``ValueError`` and
+``OSError`` exit 2.  An ``AssertionError`` is a fault in the program, not
+bad input: it stays a traceback (exit 1).  ``--out`` naming the file of
+``--diagram`` or ``--table`` is refused with exit 2 before it is opened.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
 from . import asymptotics, characters, evaluation
-from .diagrams import Diagram, DiagramError
+from .diagrams import Diagram
 from .scalars import CostBoundError
 from .superalgebras import d21, sl2, validate, cartan_form_block
 
@@ -136,13 +141,11 @@ def cmd_validate(args):
 def cmd_leading(args):
     kmax = 10 if args.k is None else args.k
     if kmax % 2 or kmax < 2:
-        sys.stderr.write(f"error: --k must be even and >= 2, got {kmax}\n")
-        return EXIT_USAGE
+        raise ValueError(f"--k must be even and >= 2, got {kmax}")
     mode = args.mode or "alpha1"
     limit = SYMBOLIC_K_LIMIT if mode == "symbolic" else ALPHA1_K_LIMIT
     if kmax > limit:
-        sys.stderr.write(f"error: --k {kmax} exceeds the {mode} bound {limit}\n")
-        return EXIT_COST
+        raise CostBoundError(f"--k {kmax} exceeds the {mode} bound {limit}")
     ks = list(range(2, kmax + 1, 2))
     if mode == "symbolic":
         rows = [{"k": k, "computed": str(top) if top else "0 (identically in alpha)"}
@@ -163,18 +166,10 @@ def cmd_certify(args):
     q_spec = "1" if args.q is None else args.q
     # an odd --k stays a usage error, reported by build_D_element
     if args.mode == "full" and k > FULL_K_LIMIT and k % 2 == 0:
-        sys.stderr.write(f"error: --k {k} exceeds the full-mode bound {FULL_K_LIMIT}\n")
-        return EXIT_COST
-    try:
-        bundle = characters.build_D_element(
-            k, q_spec=q_spec, families=characters.load_family_table(args.table),
-            full=args.mode == "full" or k <= 2)
-    except (ValueError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except CostBoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_COST
+        raise CostBoundError(f"--k {k} exceeds the full-mode bound {FULL_K_LIMIT}")
+    bundle = characters.build_D_element(
+        k, q_spec=q_spec, families=characters.load_family_table(args.table),
+        full=args.mode == "full" or k <= 2)
     _emit(bundle, args.format, args.out)
     if k == 2:
         # honest caveat case: the bundle is emitted but not certified
@@ -185,44 +180,23 @@ def cmd_certify(args):
 def cmd_eval(args):
     algebra = args.algebra or "d21"
     if args.alpha is not None and algebra == "sl2":
-        sys.stderr.write("error: --alpha applies to --algebra d21 only\n")
-        return EXIT_USAGE
+        raise ValueError("--alpha applies to --algebra d21 only")
     if args.weight is not None and args.mode == "statesum":
-        sys.stderr.write("error: --weight applies to --mode verma only\n")
-        return EXIT_USAGE
+        raise ValueError("--weight applies to --mode verma only")
     if not args.diagram:
-        sys.stderr.write("error: --diagram FILE is required for eval\n")
-        return EXIT_USAGE
+        raise ValueError("--diagram FILE is required for eval")
     max_degree = 6 if args.max_degree is None else args.max_degree
     if max_degree < 0:
-        sys.stderr.write(f"error: --max-degree must be >= 0, got {max_degree}\n")
-        return EXIT_USAGE
-    try:
-        with open(args.diagram) as fh:
-            diag = Diagram.from_text(fh.read())
-    except (OSError, UnicodeDecodeError, DiagramError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+        raise ValueError(f"--max-degree must be >= 0, got {max_degree}")
+    with open(args.diagram) as fh:
+        diag = Diagram.from_text(fh.read())
     if diag.degree > max_degree:
-        sys.stderr.write(f"error: diagram degree {diag.degree} exceeds --max-degree {max_degree}\n")
-        return EXIT_COST
+        raise CostBoundError(f"diagram degree {diag.degree} exceeds --max-degree {max_degree}")
     L = sl2() if algebra == "sl2" else d21(args.alpha)
-    try:
-        weight = None if args.mode == "statesum" else _parse_weight(args.weight, L)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    try:
-        if weight is None:
-            value = evaluation.eval_state_sum(diag, L)
-        else:
-            value = evaluation.eval_verma(diag, L, weight)
-    except CostBoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_COST
-    except DiagramError as exc:  # e.g. a diagram without skeleton
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+    if args.mode == "statesum":
+        value = evaluation.eval_state_sum(diag, L)
+    else:
+        value = evaluation.eval_verma(diag, L, _parse_weight(args.weight, L))
     report = {"command": "eval", "algebra": L.name,
               "mode": args.mode or "verma", "value": str(value)}
     _emit(report, args.format, args.out)
@@ -267,6 +241,10 @@ def main(argv=None):
             if value is not None and dest not in read:
                 ap.error(f"{args.command} takes no --{dest.replace('_', '-')}")
         if args.out is not None:
+            src = args.diagram or args.table   # a command reads at most one
+            if src and os.path.exists(src) and os.path.exists(args.out) \
+                    and os.path.samefile(src, args.out):
+                ap.error(f"--out {args.out} is the input file {src}")
             try:
                 args.out = open(args.out, "w")
             except OSError as exc:
@@ -282,6 +260,9 @@ def main(argv=None):
         set_digits(0)
     try:
         return handler(args)
+    except (CostBoundError, ValueError, OSError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_COST if isinstance(exc, CostBoundError) else EXIT_USAGE
     finally:
         if set_digits:
             set_digits(limit)

@@ -24,6 +24,10 @@ reaches them, so they live with the tests rather than in src/weightsys.
   structure constants of ``weightsys.superalgebras.validate`` replaced;
 - an algebra's constructor fields (``algebra_fields``), which two builds
   of one algebra share: an algebra's own ``==`` is identity.
+- the dual Coxeter number and dimension of a simple Lie algebra from its
+  root system (``root_system_invariants``), and the same two read off a
+  Vogel parameter triple (``vogel_invariants``), which check the rows of
+  the shipped Lie-family table.
 
 Import them as ``from oracles import ...``: pytest puts this directory on
 the path, and so does running a test file as a script.
@@ -761,3 +765,84 @@ def algebra_fields(L):
     equal for two builds of one algebra.  Neither the cached ``form`` nor
     the ``carriers`` is among them."""
     return (L.name, L.basis_names, L.parity, L.bracket_table, L.casimir, vars(L.rootdata))
+
+
+def cartan_matrix(kind, rank):
+    """The Cartan matrix ``A[i][j] = 2 (a_i, a_j) / (a_i, a_i)`` of the simple
+    Lie algebra of type ``kind`` (one of "ABCDEFG") and ``rank``, its simple
+    roots numbered as in Bourbaki."""
+    if kind == "G":
+        return [[2, -1], [-3, 2]]
+    if kind == "F":
+        return [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -2, 2, -1], [0, 0, -1, 2]]
+    A = [[2 * (i == j) for j in range(rank)] for i in range(rank)]
+    edges = [(i, i + 1) for i in range(rank - 1)]
+    if kind == "D":
+        edges[-1] = (rank - 3, rank - 1)
+    elif kind == "E":
+        edges = [(0, 2), (2, 3), (1, 3)] + edges[3:]
+    for i, j in edges:
+        A[i][j] = A[j][i] = -1
+    if kind == "B":
+        A[rank - 1][rank - 2] = -2   # a_rank is short
+    elif kind == "C":
+        A[rank - 2][rank - 1] = -2   # a_rank is long
+    return A
+
+
+def positive_roots(A):
+    """The positive roots, as coordinate tuples over the simple roots, found
+    by root strings height by height: r + a_i is a root iff p - <r, a_i^vee>
+    > 0, where p counts the roots r - a_i, r - 2 a_i, ... and <r, a_i^vee>
+    is the sum over j of r_j A[i][j]."""
+    n = len(A)
+    layer = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    roots = set(layer)
+    while layer:
+        higher = []
+        for r in layer:
+            for i in range(n):
+                p = 0
+                while r[i] > p and r[:i] + (r[i] - p - 1,) + r[i + 1:] in roots:
+                    p += 1
+                up = r[:i] + (r[i] + 1,) + r[i + 1:]
+                if p - sum(r[j] * A[i][j] for j in range(n)) > 0 and up not in roots:
+                    roots.add(up)
+                    higher.append(up)
+        layer = higher
+    return roots
+
+
+def root_system_invariants(kind, rank):
+    """(h^vee, dim g) of the simple Lie algebra of type ``kind`` and
+    ``rank``: the form is ``(a_i, a_j) = d_i A[i][j]`` with
+    ``d_j = d_i A[i][j] / A[j][i]`` scaled so that long roots have squared
+    length 2, ``h^vee = (theta, 2 rho) / 2 + 1`` with theta the highest
+    root, and ``dim g = rank + 2 |Delta+|``."""
+    A = cartan_matrix(kind, rank)
+    d = [None] * rank
+    d[0] = Fraction(1)
+    pending = [0]
+    while pending:
+        i = pending.pop()
+        for j in range(rank):
+            if A[i][j] and d[j] is None:
+                d[j] = d[i] * A[i][j] / A[j][i]
+                pending.append(j)
+    d = [x / max(d) for x in d]
+    roots = positive_roots(A)
+    theta = max(roots, key=sum)
+    two_rho = [sum(r[j] for r in roots) for j in range(rank)]
+    theta_two_rho = sum(theta[i] * two_rho[j] * d[i] * A[i][j]
+                        for i in range(rank) for j in range(rank))
+    return theta_two_rho / 2 + 1, rank + 2 * len(roots)
+
+
+def vogel_invariants(triple):
+    """(t, dim) of a Vogel parameter triple (lam, mu, nu) with lam = -2:
+    ``t = lam + mu + nu`` and ``dim = (lam-2t)(mu-2t)(nu-2t) / (lam mu
+    nu)``, which are h^vee and dim g when the triple is a simple Lie
+    algebra's (Vogel, "The universal Lie algebra", 1999)."""
+    lam, mu, nu = map(Fraction, triple)
+    t = lam + mu + nu
+    return t, (lam - 2 * t) * (mu - 2 * t) * (nu - 2 * t) / (lam * mu * nu)

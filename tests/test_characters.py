@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import from_elementary, ratio_character
+from oracles import from_elementary, ratio_character, root_system_invariants, vogel_invariants
 from weightsys.characters import (
     E,
     FACTOR_LABELS,
@@ -267,3 +267,41 @@ def test_every_shipped_family_parses():
     fams = load_family_table()
     assert [f.name for f in fams] == ["sl", "so", "sp", "exc", "g2", "f4", "e6", "e7", "e8"]
     assert all(len(f.triple) == 3 for f in fams)
+
+
+# the simple Lie algebras each family's row names, at sampled values of its
+# parameter: sl(N) is A_{N-1}, so(N) is B_{(N-1)/2} or D_{N/2}, sp(2N) is
+# C_N, and the exceptional line (-2, M, 2M-4) passes through g2, f4, e6, e7
+# and e8 at M = 10/3, 5, 6, 8 and 12 (Landsberg and Manivel, Adv. Math.
+# 171, 2002)
+ROOT_SYSTEMS = {
+    "sl": [(N, "A", N - 1) for N in range(2, 9)],
+    "so": [(N, "DB"[N % 2], N // 2) for N in range(7, 15)],
+    "sp": [(N, "C", N) for N in range(2, 8)],
+    "exc": [(Fraction(10, 3), "G", 2), (5, "F", 4), (6, "E", 6), (8, "E", 7), (12, "E", 8)],
+    "g2": [(None, "G", 2)], "f4": [(None, "F", 4)], "e6": [(None, "E", 6)],
+    "e7": [(None, "E", 7)], "e8": [(None, "E", 8)],
+}
+
+
+def _matches_its_root_systems(family):
+    for value, kind, rank in ROOT_SYSTEMS[family.name]:
+        triple = [p.substitute({v: Fraction(value) for v in p.vars}).constant_value()
+                  for p in family.triple]
+        if vogel_invariants(triple) != root_system_invariants(kind, rank):
+            return False
+    return True
+
+
+def test_the_family_table_matches_root_systems(tmp_path):
+    # t = lam + mu + nu is h^vee and (lam-2t)(mu-2t)(nu-2t)/(lam mu nu) is
+    # dim g on every sampled algebra of every shipped row
+    assert all(_matches_its_root_systems(f) for f in load_family_table())
+    # two wrong rows still vanish on their factors, since t - nu = lam + mu
+    # is 0 whatever nu is and 3*nu - 2*t = 42 - 42, so the vanishing table
+    # passes them; the root systems reject both
+    wrong = tmp_path / "wrong.txt"
+    wrong.write_text("sl; -2; 2; N+1; 5\ne7; -2; 9; 14; 14\n")
+    families = load_family_table(wrong)
+    assert vanishing_table(build_P(), families)["ok"]
+    assert not any(map(_matches_its_root_systems, families))

@@ -15,6 +15,8 @@ from weightsys import asymptotics, characters, evaluation
 from weightsys.cli import ALPHA1_K_LIMIT, OPTIONS, SYMBOLIC_K_LIMIT, main
 from weightsys.diagrams import (chi_bar, chord_diagram_from_word, insert_at_vertex, triangle,
                                 wheel, wheel_on_circle)
+from weightsys.evaluation import SchurCheckError
+from weightsys.scalars import CostBoundError
 from weightsys.superalgebras import d21
 
 
@@ -371,6 +373,50 @@ def test_certify_full_checks_q_and_table_before_the_wheel_side(capsys, monkeypat
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--command", "eval", "--algebra", "sl2", "--diagram"],
+    ["--command", "validate", "--table"],
+    ["--command", "certify", "--k", "4", "--table"],
+])
+def test_out_naming_the_input_file_is_refused(tmp_path, capsys, argv):
+    given = (ONE_CHORD if argv[1] == "eval" else characters.DEFAULT_TABLE.read_text()).encode()
+    f = tmp_path / "input.txt"
+    f.write_bytes(given)
+    # the same file under another spelling
+    code = main(argv + [str(f), "--out", f"{tmp_path}/./input.txt"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    assert f.read_bytes() == given
+
+
+@pytest.mark.parametrize("raised, want", [
+    (ValueError("an odd square"), 2),
+    (CostBoundError("a plan above the bound"), 3),
+    # an AssertionError marks a fault in the program, not bad input
+    (SchurCheckError("not a scalar"), None),
+])
+def test_main_maps_an_error_inside_the_evaluation_to_its_exit_code(tmp_path, capsys, monkeypatch,
+                                                                   raised, want):
+    def fail(*args):
+        raise raised
+
+    monkeypatch.setattr(evaluation, "eval_verma", fail)
+    f = tmp_path / "chord.txt"
+    f.write_text(ONE_CHORD)
+    argv = ["--command", "eval", "--algebra", "sl2", "--diagram", str(f)]
+    if want is None:
+        with pytest.raises(SchurCheckError):
+            main(argv)
+        return
+    assert main(argv) == want
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {raised}\n"
 
 
 def test_out_writes_the_stdout_bytes(tmp_path, capsys):
