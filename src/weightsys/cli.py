@@ -9,8 +9,11 @@ Exit codes: 0 success, 1 a failed check, 2 usage error, 3 cost bound
 exceeded.  Handlers raise where they refuse, and ``main`` alone writes the
 one ``error:`` line: ``CostBoundError`` exits 3, ``ValueError`` and
 ``OSError`` exit 2.  An ``AssertionError`` is a fault in the program, not
-bad input: it stays a traceback (exit 1).  ``--out`` naming the file of
-``--diagram`` or ``--table`` is refused with exit 2 before it is opened.
+bad input: it stays a traceback (exit 1).  Handlers return their report,
+and ``main`` alone renders and writes it.  ``--out`` is checked before the
+run (exit 2 if it cannot be opened or names the ``--diagram`` or
+``--table`` file), written only once the report exists, and left
+untouched by a refused run.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ MODES = {"validate": (), "leading": ("alpha1", "symbolic"),
 OPTIONS = {"validate": ("table",), "leading": ("k", "mode"),
            "certify": ("k", "q", "mode", "table"),
            "eval": ("alpha", "mode", "diagram", "algebra", "weight", "max_degree")}
-ALPHA1_K_LIMIT = 2000  # leading at alpha = 1: k = 2000 takes about 0.8 s, k = 3000 1.1 s
+# leading at alpha = 1, 2-core host: k = 2000 takes about 0.07 s in process and 0.21 s
+ALPHA1_K_LIMIT = 2000  # as a whole process; k = 3000 takes 0.19 s in process
 SYMBOLIC_K_LIMIT = 100  # leading --mode symbolic: k = 100 takes about 0.3 s, cost grows as k^3
 FULL_K_LIMIT = 6  # certify --mode full: k = 6 takes about 46 s, k = 8 has never finished
 
@@ -47,12 +51,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_alpha(spec):
     try:
-        alpha = Fraction(spec)
+        return Fraction(spec)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational: {spec!r}")
-    if alpha in (0, -1):
-        raise argparse.ArgumentTypeError("alpha must avoid 0 and -1")
-    return alpha
 
 
 def _parse_weight(spec, L):
@@ -70,14 +71,6 @@ def _parse_weight(spec, L):
     if len(weight) != rank:
         raise ValueError(f"--weight on {L.name} takes {rank} comma-separated integers, got {spec!r}")
     return weight
-
-
-def _emit(report, fmt, out):
-    if fmt == "json":
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    else:
-        text = "".join(line + "\n" for line in _as_text(report))
-    (out or sys.stdout).write(text)
 
 
 def _as_text(value):
@@ -134,8 +127,7 @@ def cmd_validate(args):
               "rows": checks}
     if "error" in vt:
         report["table_error"] = vt["error"]
-    _emit(report, args.format, args.out)
-    return EXIT_OK if ok else EXIT_FAIL
+    return report, ok
 
 
 def cmd_leading(args):
@@ -150,15 +142,11 @@ def cmd_leading(args):
     if mode == "symbolic":
         rows = [{"k": k, "computed": str(top) if top else "0 (identically in alpha)"}
                 for k, top in zip(ks, asymptotics.top_coefficients(ks))]
-        report = {"command": "leading", "mode": "symbolic", "rows": rows,
-                  "status": "pass"}
-        _emit(report, args.format, args.out)
-        return EXIT_OK
+        return {"command": "leading", "mode": "symbolic", "rows": rows,
+                "status": "pass"}, True
     rep = asymptotics.closed_form_check(ks)
-    report = {"command": "leading", "mode": "alpha=1", "rows": rep["rows"],
-              "status": "pass" if rep["ok"] else "fail"}
-    _emit(report, args.format, args.out)
-    return EXIT_OK if rep["ok"] else EXIT_FAIL
+    return {"command": "leading", "mode": "alpha=1", "rows": rep["rows"],
+            "status": "pass" if rep["ok"] else "fail"}, rep["ok"]
 
 
 def cmd_certify(args):
@@ -170,11 +158,8 @@ def cmd_certify(args):
     bundle = characters.build_D_element(
         k, q_spec=q_spec, families=characters.load_family_table(args.table),
         full=args.mode == "full" or k <= 2)
-    _emit(bundle, args.format, args.out)
-    if k == 2:
-        # honest caveat case: the bundle is emitted but not certified
-        return EXIT_OK if bundle["character_level"]["ok"] else EXIT_FAIL
-    return EXIT_OK if bundle["certified"] else EXIT_FAIL
+    # honest caveat case: at k = 2 the bundle is reported but not certified
+    return bundle, bundle["character_level"]["ok"] if k == 2 else bundle["certified"]
 
 
 def cmd_eval(args):
@@ -197,10 +182,8 @@ def cmd_eval(args):
         value = evaluation.eval_state_sum(diag, L)
     else:
         value = evaluation.eval_verma(diag, L, _parse_weight(args.weight, L))
-    report = {"command": "eval", "algebra": L.name,
-              "mode": args.mode or "verma", "value": str(value)}
-    _emit(report, args.format, args.out)
-    return EXIT_OK
+    return {"command": "eval", "algebra": L.name,
+            "mode": args.mode or "verma", "value": str(value)}, True
 
 
 def build_parser():
@@ -215,7 +198,8 @@ def build_parser():
     ap.add_argument("--mode", help="command-specific mode (" + "; ".join(
         f"{cmd}: {'|'.join(modes)}" for cmd, modes in MODES.items() if modes) + ")")
     ap.add_argument("--format", default="text", choices=["text", "json"])
-    ap.add_argument("--out", help="output path (default stdout), opened before the run")
+    ap.add_argument("--out", help="output path (default stdout): checked before the run, "
+                    "written once the report exists, untouched by a refused run")
     ap.add_argument("--table", help="parameter table path")
     ap.add_argument("--diagram", help="diagram file for eval")
     ap.add_argument("--algebra", choices=["sl2", "d21"],
@@ -245,8 +229,8 @@ def main(argv=None):
             if src and os.path.exists(src) and os.path.exists(args.out) \
                     and os.path.samefile(src, args.out):
                 ap.error(f"--out {args.out} is the input file {src}")
-            try:
-                args.out = open(args.out, "w")
+            try:   # mode "a" leaves an existing file as it is
+                open(args.out, "a").close()
             except OSError as exc:
                 ap.error(f"--out: {exc}")
     except SystemExit as exc:
@@ -259,15 +243,21 @@ def main(argv=None):
         limit = sys.get_int_max_str_digits()
         set_digits(0)
     try:
-        return handler(args)
+        report, ok = handler(args)
+        text = (json.dumps(report, indent=2, sort_keys=True) + "\n" if args.format == "json"
+                else "".join(line + "\n" for line in _as_text(report)))
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w") as fh:
+                fh.write(text)
     except (CostBoundError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_COST if isinstance(exc, CostBoundError) else EXIT_USAGE
     finally:
         if set_digits:
             set_digits(limit)
-        if args.out is not None:
-            args.out.close()
+    return EXIT_OK if ok else EXIT_FAIL
 
 
 if __name__ == "__main__":

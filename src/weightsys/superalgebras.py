@@ -259,11 +259,10 @@ def d21(alpha=None):
     # the bracket conventions above that forces the pairing sign
     # -eps1*eps2*eps3, which the validator certifies.
     casimir = []
-    coefs = [A + 1, R(-1), -A]
     for i in range(3):
-        casimir.append((_E[i], _F[i], coefs[i]))
-        casimir.append((_F[i], _E[i], coefs[i]))
-        casimir.append((_H[i], _H[i], Fraction(1, 2) * coefs[i]))
+        casimir.append((_E[i], _F[i], weights[i]))
+        casimir.append((_F[i], _E[i], weights[i]))
+        casimir.append((_H[i], _H[i], Fraction(1, 2) * weights[i]))
     for eps in _EPS:
         sgn = -eps[0] * eps[1] * eps[2]
         casimir.append((_vidx(eps), _vidx(tuple(-e for e in eps)), sgn * one))

@@ -259,6 +259,9 @@ ONE_CHORD = "vertices 0 2\nedge 0 1\nskeleton 0 1\n"
     (ONE_CHORD, "--command eval --algebra d21 --weight 3,1"),
     (ONE_CHORD, "--command eval --algebra sl2 --weight 3,1"),
     (ONE_CHORD, "--command eval --algebra d21 --alpha x"),
+    # D(2,1,alpha) degenerates there: d21 refuses, and main maps its ValueError
+    (ONE_CHORD, "--command eval --algebra d21 --alpha 0"),
+    (ONE_CHORD, "--command eval --algebra d21 --alpha=-1"),
     (ONE_CHORD, "--command leading --k 7"),
     (ONE_CHORD, "--command eval --algebra sl2 --max-degree -1"),
     (ONE_CHORD, "--command eval --algebra sl2 --mode foo"),
@@ -419,11 +422,18 @@ def test_main_maps_an_error_inside_the_evaluation_to_its_exit_code(tmp_path, cap
     assert captured.err == f"error: {raised}\n"
 
 
-def test_out_writes_the_stdout_bytes(tmp_path, capsys):
-    argv = ["--command", "leading", "--k", "6", "--format", "json"]
+@pytest.mark.parametrize("argv, want", [
+    (["--command", "leading", "--k", "6", "--format", "json"], 0),
+    # a failed check writes its report too: the table row names the wrong factor
+    (["--command", "validate", "--table", "BAD_TABLE"], 1),
+], ids=["leading", "failing_validate"])
+def test_out_writes_the_stdout_bytes(tmp_path, capsys, argv, want):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("sl; -2; 2; N; 4\n")
+    argv = [str(bad) if a == "BAD_TABLE" else a for a in argv]
     code, out = run(capsys, *argv)
     dest = tmp_path / "report.json"
-    assert main(argv + ["--out", str(dest)]) == code == 0
+    assert main(argv + ["--out", str(dest)]) == code == want
     assert capsys.readouterr().out == ""
     assert dest.read_text() == out
 

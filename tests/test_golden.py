@@ -7,7 +7,10 @@ chord diagram that plans far below that bound, one state sum of a diagram
 file with comment lines and blank lines, a Verma value and a state sum of
 the triangle-inserted 4-wheel, whose six trivalent vertices outnumber its
 four legs, so both go through a nonempty leg tensor, and validate and
-leading in the default text format.
+leading in the default text format.  Each command run again with --out
+naming a file that holds other bytes prints nothing: the file then holds
+the golden bytes if the command exits 0 or 1, and is left as it was if the
+command is refused.
 
 A change that is meant to alter a report regenerates the files with
 
@@ -134,6 +137,21 @@ def test_report_bytes_match_the_golden_file(name, tmp_path):
         assert err == ""
     else:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_out_holds_the_report_or_is_left_alone(name, tmp_path, monkeypatch):
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    dest = tmp_path / "report.out"
+    earlier = b"an earlier report\n"
+    dest.write_bytes(earlier)
+    monkeypatch.setitem(COMMANDS, name, COMMANDS[name] + ["--out", str(dest)])
+    code, out, _ = run(name, tmp_path)
+    assert code == codes[name]
+    assert out == ""
+    # a report, passing or failing, replaces the file; a refused run leaves it
+    want = (GOLDEN / f"{name}.out").read_bytes() if code in (0, 1) else earlier
+    assert dest.read_bytes() == want
 
 
 if __name__ == "__main__":
