@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import MultiPoly, rational_roots, squarefree_part
+from .scalars import rational_roots, squarefree_part
 from .superalgebras import d21, d21_rootdata
 
 DEFAULT_LAMBDA0 = (3, 1, 1)
@@ -105,7 +105,7 @@ def find_n0(k):
 
     top = top_coefficient(k)
     p = sun_verma_polynomial(k)
-    lead = p.coefficient_in("n", k) if not p.is_zero() else MultiPoly.zero(("alpha",))
+    lead = p.coefficient_in("n", k)
     want = math.factorial(k) * top
     if lead != want:
         raise AssertionError("n^k coefficient disagrees with the root-system formula")

@@ -243,7 +243,7 @@ def _read_family_row(line):
     return LieParamFamily(name, triple, index)
 
 
-def load_family_table(path=None):
+def load_family_table(path):
     if path == "":
         raise ValueError("the family table path is empty")
     path = DEFAULT_TABLE if path is None else Path(path)
@@ -261,7 +261,7 @@ def load_family_table(path=None):
     return families
 
 
-def vanishing_table(p, families=None):
+def vanishing_table(p, families):
     """Substitute every family's parameter triple into a polynomial in e1,
     e2, e3 carrying the factor structure of P and report the factor of P
     that kills it.
@@ -270,8 +270,6 @@ def vanishing_table(p, families=None):
     otherwise); the recorded factor of P must be identically zero and every
     other factor must be nonzero (nondegeneracy of the table).
     """
-    if families is None:
-        families = load_family_table()
     factors = p_factors()
     report = []
     ok = True
@@ -323,7 +321,7 @@ def q_degree_and_t_check(Q):
 # ---------------------------------------------------------------- certificate
 
 
-def build_D_element(k, q_spec="1", families=None, full=False):
+def build_D_element(k, q_spec, families, full):
     """Certificate bundle for the degree-(k+d) element built from Q and the
     k-wheel, d = 15 + deg Q.
 

@@ -13,7 +13,7 @@ bad input: it stays a traceback (exit 1).  Handlers return their report,
 and ``main`` alone renders and writes it.  ``--out`` is checked before the
 run (exit 2 if it cannot be opened or names the ``--diagram`` or
 ``--table`` file), written only once the report exists, and left
-untouched by a refused run.
+untouched, or not created, by a refused run.
 """
 
 from __future__ import annotations
@@ -229,10 +229,13 @@ def main(argv=None):
             if src and os.path.exists(src) and os.path.exists(args.out) \
                     and os.path.samefile(src, args.out):
                 ap.error(f"--out {args.out} is the input file {src}")
+            existed = os.path.exists(args.out)   # follows a link, as open does
             try:   # mode "a" leaves an existing file as it is
                 open(args.out, "a").close()
             except OSError as exc:
                 ap.error(f"--out: {exc}")
+            if not existed:   # the check creates nothing: the report does
+                os.remove(os.path.realpath(args.out))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     handler = {"validate": cmd_validate, "leading": cmd_leading,

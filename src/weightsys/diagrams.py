@@ -153,26 +153,10 @@ class Diagram:
 
     # -- serialization -----------------------------------------------------------
 
-    def to_text(self):
-        lines = [f"vertices {self.nt} {self.nu}"]
-        seen = set()
-        for d in range(self.n_darts):
-            p = self.pairing[d]
-            if (p, d) in seen:
-                continue
-            seen.add((d, p))
-            lines.append(f"edge {d} {p}")
-        if self.skel is None:
-            lines.append("skeleton none")
-        elif not self.skel:
-            lines.append("skeleton empty")
-        else:
-            lines.append("skeleton " + " ".join(str(u) for u in self.skel))
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_text(cls, text):
-        """Parse the format of ``to_text``; malformed text raises DiagramError."""
+        """Parse ``vertices nt nu``, ``edge a b`` per joined dart pair and ``skeleton`` with its
+        vertices, ``none`` or ``empty``, skipping ``#`` lines; bad text raises DiagramError."""
         nt = nu = None
         pairs = []
         skel = None
@@ -473,13 +457,6 @@ def wheel(k):
     edges = [(3 * i, 3 * k + i) for i in range(k)]
     edges += [(3 * i + 1, 3 * ((i + 1) % k) + 2) for i in range(k)]
     return _from_edges(k, k, edges)
-
-
-def wheel_on_circle(k):
-    """The k-wheel with its legs glued to an oriented skeleton circle in the
-    matching cyclic order."""
-    w = wheel(k)
-    return Diagram(w.nt, w.nu, w.pairing, skel=tuple(range(k, 2 * k)))
 
 
 def chi_bar(b, coeff=1):

@@ -84,7 +84,7 @@ from fractions import Fraction
 from .diagrams import DiagramError, LinComb, chord_endpoints, chord_reduce
 from .scalars import _BITS, CostBoundError, MultiPoly, _poly
 
-# the planned cost of one sweep (see sweep_cost): 3,017,194 on D(2,1,alpha)
+# the planned cost of one sweep (see _plan): 3,017,194 on D(2,1,alpha)
 # takes about 10 s, and the all-crossing degree-6 chord diagram plans 51,292,332
 EVAL_SWEEP_LIMIT = 4_000_000
 
@@ -718,12 +718,6 @@ def _plan(x, L):
         return cost, lambda carrier: sweep_chords(carrier, chords)
     trie = sum(L.dim ** k for k in range(1, x.nu + 1))
     return trie, lambda carrier: sweep_legs(carrier, leg_tensor(carrier, x), x.degree)
-
-
-def sweep_cost(d, L):
-    """The largest planned cost of the sweeps that evaluating a skeleton
-    diagram on L runs; nothing is swept or contracted."""
-    return max((_plan(x, L)[0] for x, _ in _parts(d)), default=0)
 
 
 def _evaluate(d, L, carrier, check=None):

@@ -417,15 +417,3 @@ def cartan_form_block(L):
     idx = L.rootdata.cartan
     return [[N[i][j] for j in idx] for i in idx], D
 
-
-def corrupt(L, i, j, k, delta):
-    """Copy of L with one structure constant shifted (negative control),
-    labelled after the shift; it starts with no carriers of its own."""
-    table = {key: dict(val) for key, val in L.bracket_table.items()}
-    row = table.setdefault((i, j), {})
-    row[k] = row.get(k, 0) + delta
-    if not row[k]:
-        del row[k]
-    name = f"{L.name}_corrupt({i},{j},{k},{delta})"
-    return SuperAlgebra(name, list(L.basis_names), L.parity,
-                        table, list(L.casimir), L.rootdata)

@@ -14,6 +14,12 @@ reaches them, so they live with the tests rather than in src/weightsys.
   (``ratio_character``);
 - the inverse of ``characters.to_elementary`` (``from_elementary``) and
   the bare skeleton circle (``empty_circle``);
+- the k-wheel glued to the circle (``wheel_on_circle``), and a diagram
+  written in the text format that ``Diagram.from_text`` and eval's
+  ``--diagram`` file read (``diagram_text``);
+- the largest planned cost of the sweeps that evaluating a diagram runs
+  (``sweep_cost``), read without sweeping, against which the eval cost
+  bound is checked;
 - the evaluation sweep on MultiPoly states (``PolyVerma``, ``PolyEndo``,
   ``poly_sweep_chords``, ``poly_sweep_legs``), the path the int-state
   sweep of ``weightsys.evaluation`` replaced, and leg contraction on
@@ -23,7 +29,9 @@ reaches them, so they live with the tests rather than in src/weightsys.
   ``dense_jacobi_failures``), the path that the sums over nonzero
   structure constants of ``weightsys.superalgebras.validate`` replaced;
 - an algebra's constructor fields (``algebra_fields``), which two builds
-  of one algebra share: an algebra's own ``==`` is identity.
+  of one algebra share: an algebra's own ``==`` is identity; and a copy of
+  an algebra with one structure constant shifted (``corrupt``), the
+  negative control of ``validate``.
 - the dual Coxeter number and dimension of a simple Lie algebra from its
   root system (``root_system_invariants``), and the same two read off a
   Vogel parameter triple (``vogel_invariants``), which check the rows of
@@ -46,21 +54,57 @@ from weightsys.diagrams import (
     _from_edges,
     chi_bar,
     insert_at_vertex,
+    wheel,
 )
 from weightsys.evaluation import (
     _leg_plan,
     SchurCheckError,
+    _parts,
+    _plan,
     _plan_rotation,
     adjoint_rep,
     eval_state_sum,
     eval_verma,
 )
 from weightsys.scalars import MultiPoly, _poly_divmod, echelon, reduce_by
+from weightsys.superalgebras import SuperAlgebra
 
 
 def empty_circle():
     """The bare skeleton circle (degree 0); evaluates to 1 everywhere."""
     return Diagram(0, 0, (), skel=())
+
+
+def wheel_on_circle(k):
+    """The k-wheel with its legs glued to an oriented skeleton circle in the
+    matching cyclic order."""
+    w = wheel(k)
+    return Diagram(w.nt, w.nu, w.pairing, skel=tuple(range(k, 2 * k)))
+
+
+def diagram_text(d):
+    """d in the text format that ``Diagram.from_text`` parses."""
+    lines = [f"vertices {d.nt} {d.nu}"]
+    seen = set()
+    for a in range(d.n_darts):
+        b = d.pairing[a]
+        if (b, a) in seen:
+            continue
+        seen.add((a, b))
+        lines.append(f"edge {a} {b}")
+    if d.skel is None:
+        lines.append("skeleton none")
+    elif not d.skel:
+        lines.append("skeleton empty")
+    else:
+        lines.append("skeleton " + " ".join(str(u) for u in d.skel))
+    return "\n".join(lines) + "\n"
+
+
+def sweep_cost(d, L):
+    """The largest planned cost of the sweeps that evaluating a skeleton
+    diagram on L runs; nothing is swept or contracted."""
+    return max((_plan(x, L)[0] for x, _ in _parts(d)), default=0)
 
 
 # -- skeleton-order sorting (the filtration decomposition) ---------------------------
@@ -765,6 +809,19 @@ def algebra_fields(L):
     equal for two builds of one algebra.  Neither the cached ``form`` nor
     the ``carriers`` is among them."""
     return (L.name, L.basis_names, L.parity, L.bracket_table, L.casimir, vars(L.rootdata))
+
+
+def corrupt(L, i, j, k, delta):
+    """Copy of L with one structure constant shifted (negative control),
+    labelled after the shift; it starts with no carriers of its own."""
+    table = {key: dict(val) for key, val in L.bracket_table.items()}
+    row = table.setdefault((i, j), {})
+    row[k] = row.get(k, 0) + delta
+    if not row[k]:
+        del row[k]
+    name = f"{L.name}_corrupt({i},{j},{k},{delta})"
+    return SuperAlgebra(name, list(L.basis_names), L.parity,
+                        table, list(L.casimir), L.rootdata)
 
 
 def cartan_matrix(kind, rank):

@@ -9,7 +9,14 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import exact_ratio, ihx_relation, internal_edges, ratio_character, reduce_B
+from oracles import (
+    exact_ratio,
+    ihx_relation,
+    internal_edges,
+    ratio_character,
+    reduce_B,
+    wheel_on_circle,
+)
 from weightsys.asymptotics import (
     closed_form_check,
     closed_form_value,
@@ -21,6 +28,7 @@ from weightsys.characters import (
     build_D_element,
     build_P,
     chi_prime_D,
+    load_family_table,
     vanishing_table,
 )
 from weightsys.diagrams import (
@@ -31,7 +39,6 @@ from weightsys.diagrams import (
     insert_at_vertex,
     triangle,
     wheel,
-    wheel_on_circle,
 )
 from weightsys.evaluation import (
     adjoint_weight,
@@ -135,7 +142,7 @@ def test_criterion_07_character_certificate():
     s2 = MultiPoly.variable("sigma2").with_vars(("sigma2", "sigma3"))
     s3 = MultiPoly.variable("sigma3").with_vars(("sigma2", "sigma3"))
     assert s == -27 * s3 ** 3 * (4 * s2 ** 3 + 27 * s3 ** 2)
-    table = vanishing_table(P)
+    table = vanishing_table(P, load_family_table(None))
     assert table["ok"]
     _report(7, "deg P = 15; P*Q in the image for Q in {1, e2, e3, e2^2}; "
                "chi'_D(P) = -27 sigma3^3 (4 sigma2^3 + 27 sigma3^2) against "
@@ -147,7 +154,7 @@ def test_criterion_08_nonvanishing_certificate():
     assert sun["certified"]
     ds = []
     for q_spec in ("1", "e2"):
-        bundle = build_D_element(4, q_spec=q_spec, full=True)
+        bundle = build_D_element(4, q_spec, load_family_table(None), True)
         assert bundle["wheel_side"] == sun
         spec = bundle["character_level"]["alpha_specialization"]
         assert spec["degree"] > 0

@@ -169,18 +169,19 @@ def test_sigma3_substitution_is_an_evaluated_character():
 
 
 def test_vanishing_table_and_nondegeneracy(P):
-    rep = vanishing_table(P)
+    families = load_family_table(None)
+    rep = vanishing_table(P, families)
     assert rep["ok"]
-    families = {row["family"]: row for row in rep["rows"]}
-    assert families["sl"]["vanishing_factors"] == ["t-nu"]
-    assert families["so"]["vanishing_factors"] == ["mu+2*lam"]
-    assert families["sp"]["vanishing_factors"] == ["lam+2*mu"]
+    rows = {row["family"]: row for row in rep["rows"]}
+    assert rows["sl"]["vanishing_factors"] == ["t-nu"]
+    assert rows["so"]["vanishing_factors"] == ["mu+2*lam"]
+    assert rows["sp"]["vanishing_factors"] == ["lam+2*mu"]
     for name in ("exc", "g2", "f4", "e6", "e7", "e8"):
-        assert families[name]["vanishing_factors"] == ["3*nu-2*t"]
+        assert rows[name]["vanishing_factors"] == ["3*nu-2*t"]
     # multiplicativity: P*Q vanishes too
     e1, e2, e3 = e_vars()
-    assert vanishing_table(P * e2)["ok"]
-    assert vanishing_table(P * (e3 + e2 * e1))["ok"]
+    assert vanishing_table(P * e2, families)["ok"]
+    assert vanishing_table(P * (e3 + e2 * e1), families)["ok"]
 
 
 def _rows_in_lam_mu_nu(p, families):
@@ -205,7 +206,7 @@ def _rows_in_lam_mu_nu(p, families):
 
 @pytest.mark.parametrize("spec", ["1", "e2", "e3", "e2^2-3*e1*e3", "e1*e2-e3"])
 def test_vanishing_table_matches_the_lam_mu_nu_substitution(P, spec):
-    families = load_family_table()
+    families = load_family_table(None)
     Q = parse_Q(spec)
     for p in (P * Q, Q):  # Q alone does not vanish on every family
         assert vanishing_table(p, families)["rows"] == _rows_in_lam_mu_nu(p, families)
@@ -250,21 +251,22 @@ def test_typed_sums_read_as_built(terms):
 
 
 def test_certificates():
-    b15 = build_D_element(4, q_spec="1")
+    families = load_family_table(None)
+    b15 = build_D_element(4, "1", families, False)
     assert b15["d"] == 15 and b15["character_level"]["ok"]
-    b17 = build_D_element(4, q_spec="e2")
+    b17 = build_D_element(4, "e2", families, False)
     assert b17["d"] == 17
     assert b17["character_level"]["alpha_specialization"]["degree"] == 12 + 2
     with pytest.raises(ValueError):
-        build_D_element(4, q_spec="t*e2")
+        build_D_element(4, "t*e2", families, False)
     # realizable insertion degrees skip 16
-    degrees = {build_D_element(4, q_spec=q)["d"]
+    degrees = {build_D_element(4, q, families, False)["d"]
                for q in ("1", "e2", "e3", "e2^2", "e2*e3", "e3^2")}
     assert sorted(degrees) == [15, 17, 18, 19, 20, 21]
 
 
 def test_every_shipped_family_parses():
-    fams = load_family_table()
+    fams = load_family_table(None)
     assert [f.name for f in fams] == ["sl", "so", "sp", "exc", "g2", "f4", "e6", "e7", "e8"]
     assert all(len(f.triple) == 3 for f in fams)
 
@@ -296,7 +298,7 @@ def _matches_its_root_systems(family):
 def test_the_family_table_matches_root_systems(tmp_path):
     # t = lam + mu + nu is h^vee and (lam-2t)(mu-2t)(nu-2t)/(lam mu nu) is
     # dim g on every sampled algebra of every shipped row
-    assert all(_matches_its_root_systems(f) for f in load_family_table())
+    assert all(_matches_its_root_systems(f) for f in load_family_table(None))
     # two wrong rows still vanish on their factors, since t - nu = lam + mu
     # is 0 whatever nu is and 3*nu - 2*t = 42 - 42, so the vanishing table
     # passes them; the root systems reject both

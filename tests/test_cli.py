@@ -10,11 +10,10 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import empty_circle
+from oracles import diagram_text, empty_circle, sweep_cost, wheel_on_circle
 from weightsys import asymptotics, characters, evaluation
 from weightsys.cli import ALPHA1_K_LIMIT, OPTIONS, SYMBOLIC_K_LIMIT, main
-from weightsys.diagrams import (chi_bar, chord_diagram_from_word, insert_at_vertex, triangle,
-                                wheel, wheel_on_circle)
+from weightsys.diagrams import chi_bar, chord_diagram_from_word, insert_at_vertex, triangle, wheel
 from weightsys.evaluation import SchurCheckError
 from weightsys.scalars import CostBoundError
 from weightsys.superalgebras import d21
@@ -170,7 +169,7 @@ def test_certify_rejects_a_zero_Q_as_zero(capsys, q):
 
 def test_eval_bare_circle(tmp_path, capsys):
     f = tmp_path / "circle.txt"
-    f.write_text(empty_circle().to_text())
+    f.write_text(diagram_text(empty_circle()))
     code, out = run(capsys, "--command", "eval", "--diagram", str(f),
                     "--algebra", "sl2", "--weight", "adjoint", "--format", "json")
     assert code == 0
@@ -179,7 +178,7 @@ def test_eval_bare_circle(tmp_path, capsys):
 
 def test_eval_single_chord_matches_validation_constant(tmp_path, capsys):
     f = tmp_path / "chord.txt"
-    f.write_text(chord_diagram_from_word([(0, 1)], 2).to_text())
+    f.write_text(diagram_text(chord_diagram_from_word([(0, 1)], 2)))
     code, out = run(capsys, "--command", "eval", "--diagram", str(f),
                     "--algebra", "sl2", "--mode", "statesum", "--format", "json")
     assert code == 0
@@ -188,14 +187,14 @@ def test_eval_single_chord_matches_validation_constant(tmp_path, capsys):
 
 def test_eval_symbolic_polynomial_output(tmp_path, capsys):
     f = tmp_path / "chord.txt"
-    f.write_text(chord_diagram_from_word([(0, 1)], 2).to_text())
+    f.write_text(diagram_text(chord_diagram_from_word([(0, 1)], 2)))
     code, out = run(capsys, "--command", "eval", "--diagram", str(f),
                     "--algebra", "d21", "--weight", "3,1,1", "--format", "json")
     assert code == 0
     assert json.loads(out)["value"] == "4*n^2*alpha + 4*n^2 - 4*n*alpha - 4*n"
     # the glued 2-wheel evaluates to the zero polynomial on this family
     g = tmp_path / "t2.txt"
-    g.write_text(wheel_on_circle(2).to_text())
+    g.write_text(diagram_text(wheel_on_circle(2)))
     code, out = run(capsys, "--command", "eval", "--diagram", str(g),
                     "--algebra", "d21", "--weight", "3,1,1", "--format", "json")
     assert code == 0
@@ -204,7 +203,7 @@ def test_eval_symbolic_polynomial_output(tmp_path, capsys):
 
 def test_eval_cost_guard(tmp_path, capsys):
     f = tmp_path / "big.txt"
-    f.write_text(wheel_on_circle(8).to_text())
+    f.write_text(diagram_text(wheel_on_circle(8)))
     code, _ = run(capsys, "--command", "eval", "--diagram", str(f),
                   "--algebra", "d21", "--max-degree", "6")
     assert code == 3
@@ -214,9 +213,9 @@ def test_eval_sweep_cost_bound(tmp_path, capsys):
     # six pairwise crossing chords plan 51,292,332 on d21's 17 Casimir terms
     # and 2,184 on sl2's 3; the bound applies before any sweep
     cross6 = chord_diagram_from_word([(i, i + 6) for i in range(6)], 12)
-    assert evaluation.sweep_cost(cross6, d21()) == 51292332
+    assert sweep_cost(cross6, d21()) == 51292332
     f = tmp_path / "cross6.txt"
-    f.write_text(cross6.to_text())
+    f.write_text(diagram_text(cross6))
     code = main(["--command", "eval", "--diagram", str(f), "--algebra", "d21"])
     captured = capsys.readouterr()
     assert code == 3
@@ -227,7 +226,7 @@ def test_eval_sweep_cost_bound(tmp_path, capsys):
                     "--algebra", "sl2", "--mode", "statesum", "--format", "json")
     assert code == 0 and json.loads(out)["value"]
     # the glued 4-wheel peaks at 20,264 over its chord diagrams
-    assert evaluation.sweep_cost(wheel_on_circle(4), d21()) == 20264 < evaluation.EVAL_SWEEP_LIMIT
+    assert sweep_cost(wheel_on_circle(4), d21()) == 20264 < evaluation.EVAL_SWEEP_LIMIT
 
 
 def test_sweep_cost_plans_a_contraction_by_its_leg_trie(monkeypatch):
@@ -241,7 +240,7 @@ def test_sweep_cost_plans_a_contraction_by_its_leg_trie(monkeypatch):
         raise AssertionError("STU ran")
 
     monkeypatch.setattr(evaluation, "chord_reduce", refuse)
-    assert evaluation.sweep_cost(glued, d21()) == 17 + 17 ** 2 + 17 ** 3 + 17 ** 4 == 88740
+    assert sweep_cost(glued, d21()) == 17 + 17 ** 2 + 17 ** 3 + 17 ** 4 == 88740
 
 
 def test_alpha_guard(capsys):
@@ -436,6 +435,17 @@ def test_out_writes_the_stdout_bytes(tmp_path, capsys, argv, want):
     assert main(argv + ["--out", str(dest)]) == code == want
     assert capsys.readouterr().out == ""
     assert dest.read_text() == out
+
+
+def test_a_refused_run_creates_no_file_behind_a_dangling_link(tmp_path, capsys):
+    # the --out check opens the link's target: a refused run removes the
+    # target it created and keeps the link, and a report is written through it
+    link, target = tmp_path / "link.txt", tmp_path / "target.txt"
+    link.symlink_to(target)
+    assert main(["--command", "leading", "--k", "7", "--out", str(link)]) == 2
+    assert link.is_symlink() and not target.exists()
+    assert main(["--command", "leading", "--k", "6", "--out", str(link)]) == 0
+    assert target.read_text() == run(capsys, "--command", "leading", "--k", "6")[1]
 
 
 def test_values_longer_than_the_int_string_limit_print(tmp_path, capsys):

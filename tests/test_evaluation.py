@@ -7,6 +7,8 @@ import pytest
 from oracles import (
     PolyEndo,
     PolyVerma,
+    corrupt,
+    diagram_text,
     empty_circle,
     enumerate_connected,
     exact_ratio,
@@ -14,9 +16,14 @@ from oracles import (
     poly_sweep_chords,
     poly_sweep_legs,
     ratio_character,
+    sweep_cost,
+    wheel_on_circle,
 )
+from test_characters import X3_PIECE
+from test_golden import X3W4_TEXT
 from weightsys.diagrams import (
     Diagram,
+    InsertionPiece,
     LinComb,
     all_chord_diagrams,
     chi_bar,
@@ -29,7 +36,6 @@ from weightsys.diagrams import (
     stu_expand,
     triangle,
     wheel,
-    wheel_on_circle,
 )
 from weightsys.evaluation import (
     EndoCarrier,
@@ -44,7 +50,7 @@ from weightsys.evaluation import (
     sweep_legs,
 )
 from weightsys.scalars import MultiPoly, _poly
-from weightsys.superalgebras import SuperAlgebra, corrupt, d21, sl2, validate
+from weightsys.superalgebras import SuperAlgebra, d21, sl2, validate
 import weightsys.evaluation as evaluation
 
 
@@ -375,7 +381,7 @@ def test_state_sum_is_bounded_by_its_plan_not_its_vertex_count(D2):
     # seven chords in a chain on 14 points plan 3,502 on D(2,1,2), far
     # below the eval bound, however many vertices they have
     chain = chord_diagram_from_word([(0, 2), (1, 4), (3, 6), (5, 8), (7, 10), (9, 12), (11, 13)], 14)
-    assert chain.n_vertices == 14 and evaluation.sweep_cost(chain, D2) == 3502
+    assert chain.n_vertices == 14 and sweep_cost(chain, D2) == 3502
     assert eval_state_sum(chain, D2) == sweep_chords(EndoCarrier(D2), chord_endpoints(chain))
 
 
@@ -391,7 +397,7 @@ def two_method_corpus():
                 first, *rest = range(b.nt, b.nt + b.nu)
                 for order in (rest, rest[::-1]):
                     glued = Diagram(b.nt, b.nu, b.pairing, skel=(first, *order))
-                    out.append((f"connected {glued.to_text()}", LinComb.of(glued)))
+                    out.append((f"connected {diagram_text(glued)}", LinComb.of(glued)))
     out += [("wheel_on_circle(4)", LinComb.of(wheel_on_circle(4))),
             ("chi_bar(wheel(4))", chi_bar(wheel(4)))]
     for name, piece in (("triangle", triangle()), ("ladder(2)", ladder(2))):
@@ -457,6 +463,21 @@ def test_more_vertices_than_legs_is_contracted_the_rest_reduced(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(evaluation, "leg_tensor", refuse)
         assert eval_verma(wheel_on_circle(4), L, (2,))
+
+
+def test_x3_insertion_scales_the_glued_4_wheel(D2):
+    # the golden eval_d21_alpha2_x3w4: the X3 piece at vertex 0 of the glued
+    # 4-wheel outnumbers its four legs with ten trivalent vertices, so its
+    # value comes from a nonempty leg tensor; the glued 4-wheel's comes from
+    # STU.  The piece multiplies the value by 12 * sigma3 = -12*alpha^2 -
+    # 12*alpha, which is -72 at alpha = 2
+    piece = InsertionPiece(Diagram.from_text(X3_PIECE), (7, 8, 9))
+    (inserted, sign), = list(insert_at_vertex(wheel_on_circle(4), 0, piece))
+    assert sign == 1 and diagram_text(inserted) == X3W4_TEXT
+    value = eval_verma(inserted, D2, (3, 1, 1))
+    assert str(value) == "-622080*n^4 + 1057536*n^3 - 497664*n^2 + 62208*n"
+    assert len(leg_tensor(D2.carriers[(3, 1, 1)], inserted)) == 1947
+    assert value == -72 * eval_verma(wheel_on_circle(4), D2, (3, 1, 1))
 
 
 def test_each_part_is_planned_once(monkeypatch):

@@ -6,11 +6,12 @@ nothing and exits 3 with one error line, one state sum of a 14-vertex
 chord diagram that plans far below that bound, one state sum of a diagram
 file with comment lines and blank lines, a Verma value and a state sum of
 the triangle-inserted 4-wheel, whose six trivalent vertices outnumber its
-four legs, so both go through a nonempty leg tensor, and validate and
-leading in the default text format.  Each command run again with --out
-naming a file that holds other bytes prints nothing: the file then holds
-the golden bytes if the command exits 0 or 1, and is left as it was if the
-command is refused.
+four legs, so both go through a nonempty leg tensor, as does a Verma value
+of the X3-inserted 4-wheel on D(2,1,2), and validate, leading and certify
+in the default text format.  Each command run again with --out
+naming a file that holds other bytes, or a path where there is no file,
+prints nothing: the file then holds the golden bytes if the command exits
+0 or 1, and is left as it was, or absent, if the command is refused.
 
 A change that is meant to alter a report regenerates the files with
 
@@ -75,6 +76,30 @@ edge 17 20
 skeleton 6 7 8 9
 """
 
+# the X3 piece of tests/test_characters.py inserted at vertex 0 of
+# wheel_on_circle(4), written by oracles.diagram_text: ten internal
+# vertices, four legs on the circle
+X3W4_TEXT = """vertices 10 4
+edge 0 3
+edge 1 6
+edge 2 12
+edge 4 9
+edge 5 15
+edge 7 10
+edge 8 18
+edge 11 21
+edge 13 16
+edge 14 22
+edge 17 30
+edge 19 31
+edge 20 24
+edge 23 27
+edge 25 32
+edge 26 29
+edge 28 33
+skeleton 10 11 12 13
+"""
+
 # seven chords in a chain on 14 points
 CHAIN7_TEXT = "vertices 0 14\n" + "".join(
     f"edge {i} {j}\n" for i, j in ((0, 2), (1, 4), (3, 6), (5, 8), (7, 10), (9, 12), (11, 13))) \
@@ -107,9 +132,12 @@ COMMANDS = {
                                "--mode", "statesum"] + JSON,
     "eval_d21_statesum_chain7": ["--command", "eval", "--diagram", "CHAIN7", "--algebra", "d21",
                                  "--alpha", "2", "--mode", "statesum", "--max-degree", "7"] + JSON,
+    "eval_d21_alpha2_x3w4": ["--command", "eval", "--diagram", "X3W4", "--algebra", "d21",
+                             "--alpha", "2", "--weight", "3,1,1", "--max-degree", "7"] + JSON,
     # the default --format text
     "validate_text": ["--command", "validate"],
     "leading_k6_text": ["--command", "leading", "--k", "6"],
+    "certify_k4_text": ["--command", "certify", "--k", "4"],
 }
 
 
@@ -117,7 +145,8 @@ def run(name, workdir):
     """(exit code, stdout, stderr) of one command, run in this process."""
     files = {}
     for key, text in (("WHEEL4", WHEEL4_TEXT), ("WHEEL4_NOTES", WHEEL4_NOTES_TEXT),
-                      ("CROSS6", CROSS6_TEXT), ("TRI4", TRI4_TEXT), ("CHAIN7", CHAIN7_TEXT)):
+                      ("CROSS6", CROSS6_TEXT), ("TRI4", TRI4_TEXT), ("CHAIN7", CHAIN7_TEXT),
+                      ("X3W4", X3W4_TEXT)):
         files[key] = Path(workdir) / f"{key.lower()}.txt"
         files[key].write_text(text)
     argv = [str(files.get(a, a)) for a in COMMANDS[name]]
@@ -139,19 +168,25 @@ def test_report_bytes_match_the_golden_file(name, tmp_path):
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("earlier", [b"an earlier report\n", None], ids=["file", "missing"])
 @pytest.mark.parametrize("name", list(COMMANDS))
-def test_out_holds_the_report_or_is_left_alone(name, tmp_path, monkeypatch):
+def test_out_holds_the_report_or_is_left_alone(name, earlier, tmp_path, monkeypatch):
     codes = json.loads((GOLDEN / "exit_codes.json").read_text())
     dest = tmp_path / "report.out"
-    earlier = b"an earlier report\n"
-    dest.write_bytes(earlier)
+    if earlier is not None:
+        dest.write_bytes(earlier)
     monkeypatch.setitem(COMMANDS, name, COMMANDS[name] + ["--out", str(dest)])
     code, out, _ = run(name, tmp_path)
     assert code == codes[name]
     assert out == ""
-    # a report, passing or failing, replaces the file; a refused run leaves it
-    want = (GOLDEN / f"{name}.out").read_bytes() if code in (0, 1) else earlier
-    assert dest.read_bytes() == want
+    # a report, passing or failing, replaces the file; a refused run leaves
+    # it as it was, and creates none where there was none
+    if code in (0, 1):
+        assert dest.read_bytes() == (GOLDEN / f"{name}.out").read_bytes()
+    elif earlier is None:
+        assert not dest.exists()
+    else:
+        assert dest.read_bytes() == earlier
 
 
 if __name__ == "__main__":

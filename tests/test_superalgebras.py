@@ -5,12 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import algebra_fields, dense_jacobi_failures, dense_validate
+from oracles import algebra_fields, corrupt, dense_jacobi_failures, dense_validate
 from weightsys.scalars import MultiPoly
 from weightsys.superalgebras import (
     SuperAlgebra,
     cartan_form_block,
-    corrupt,
     d21,
     sl2,
     validate,

@@ -1,20 +1,20 @@
 """Nothing in src/weightsys exists only for a test.
 
 Every top-level function and class of the package must be reachable from
-the program's own module-level code (the CLI entry point among it), from
+the program's own module-level code (the CLI entry point among it), or from
 what the benchmark child (perfbench/child.py) imports or its tracer
-(perfbench/tracing.py) wraps, or from a name in KEEP, which gives the
-reason the tests need that name as it is.  Every attribute that the
-``__init__`` of a class there assigns on its instance (``self.x = ...``)
-must likewise be read as an attribute by the program or the benchmark
-child, unless its class is in UNREAD_FIELDS, and every method and property
-of a class there by the program, the benchmark child or a tracer name,
-unless KEEP_MEMBERS gives the reason.  A parameter with a default must be
-passed, by keyword, by position or through * or **, by some call in the
-program or the benchmark child to a function the program calls.  No
-module holds state of its own: none assigns an empty container at top
-level, and a function memoized with functools.cache or lru_cache is named
-in MODULE_CACHES with the reason.
+(perfbench/tracing.py) wraps.  Every attribute that the ``__init__`` of a
+class there assigns on its instance (``self.x = ...``) must likewise be
+read as an attribute by the program or the benchmark child, unless its
+class is in UNREAD_FIELDS, and every method and property of a class there
+by the program, the benchmark child or a tracer name.  No list exempts a
+function, a class or a member: what only the tests call lives in
+tests/oracles.py.  A parameter with a default must be passed, by keyword,
+by position or through * or **, by some call in the program or the
+benchmark child to a function the program calls.  No module holds state
+of its own: none assigns an empty container at top level, and a function
+memoized with functools.cache or lru_cache is named in MODULE_CACHES with
+the reason.
 
 The rules match by name alone, so two things stay out of their sight.
 Shared names: a member counts as read when any attribute of its name is
@@ -34,17 +34,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "weightsys"
 PERFBENCH = ROOT / "perfbench"
-
-KEEP = {
-    "wheel_on_circle": "diagram generator",
-    "corrupt": "the negative control of validate",
-    "sweep_cost": "the eval cost-bound tests, which read a plan without running it",
-}
-
-KEEP_MEMBERS = {
-    "Diagram.to_text": "writes eval's diagram format: the parser's round-trip "
-                       "tests and the CLI tests' diagram files",
-}
 
 UNREAD_FIELDS = {
     "LinearSolution": "solve_linear_system's result: only tests read it, and "
@@ -93,14 +82,13 @@ def _traced():
 
 def test_every_name_is_reachable_without_the_tests():
     defined = defaultdict(list)     # name -> [(module, names its body uses)]
-    live = _benchmark_names() | set(KEEP)
+    live = _benchmark_names()
     for path in sorted(SRC.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 defined[stmt.name].append((path.stem, _references(stmt, set())))
             else:
                 _references(stmt, live)
-    assert set(KEEP) <= set(defined)
     frontier = list(live)
     while frontier:
         for _, uses in defined.get(frontier.pop(), ()):
@@ -155,9 +143,7 @@ def test_every_method_is_read_without_the_tests():
                 members += [(path.stem, stmt.name, node.name) for node in stmt.body
                             if isinstance(node, ast.FunctionDef)
                             and not (node.name.startswith("__") and node.name.endswith("__"))]
-    assert set(KEEP_MEMBERS) <= {f"{cls}.{name}" for _, cls, name in members}
-    unread = [".".join(m) for m in members
-              if m[2] not in read and f"{m[1]}.{m[2]}" not in KEEP_MEMBERS]
+    unread = [".".join(m) for m in members if m[2] not in read]
     assert not unread, f"read only by tests, so delete them: {', '.join(unread)}"
 
 
@@ -222,7 +208,7 @@ def test_every_defaulted_parameter_is_passed_without_the_tests():
     for path in sorted(SRC.glob("*.py")):
         for callee, fn, bound in _signatures(ast.parse(path.read_text())):
             if callee not in calls:
-                continue  # no program call: alive by KEEP or the tracer, or an orphan
+                continue  # no program call: alive by the tracer, or an orphan
             args = fn.args
             positional = args.posonlyargs + args.args
             first = len(positional) - len(args.defaults)
