@@ -4,8 +4,8 @@ A skeleton diagram is evaluated one of two ways, chosen by its shape alone:
 
 - with more trivalent vertices than legs (``d.nt > d.nu``, as an insertion
   into a wheel), its internal graph is contracted into one sparse tensor on
-  its legs (``leg_tensor``), which ``sweep_legs`` then applies along the
-  circle;
+  its legs (``leg_tensor``), which ``sweep_legs`` closes along the circle
+  by the chord sweep's closing step;
 - otherwise (chord diagrams, wheels) it is STU-reduced to chord diagrams,
   each contracted by ``sweep_chords``.
 
@@ -19,17 +19,18 @@ contraction, and the 6-wheel on D(2,1,2) took 65 s and 121 s in a
 prototype of this contraction, with a 290,159-entry tensor.
 
 The chord sweep goes right to left along the circle.  Each chord carries
-one Casimir term (x, y, w): y acts at the later endpoint, x is held pending
-until the earlier endpoint.  Each branch's state is keyed by its pending
-assignments.  An opening gives each state one new key per term, so it
-merges nothing, and a run of openings streams its states one at a time
-into the closing after it.  A closing drops the closed chord's pending and
-merges branches with equal pendings -- exact sparse tensor contraction
-along a path -- and only a closing's map of states is stored.  So the
-widest stored map has one open chord fewer than the widest point of the
-sweep: the four pairwise crossing chords on D(2,1,2) store at most 4,097
-adjoint states where the widest point has 51,677.  ``_plan_rotation``
+one Casimir term (x, y, w): y acts at the later endpoint, and the label x
+is held pending until the earlier endpoint.  Each branch's state is keyed
+by its pending labels.  An opening gives each state one new key per term,
+so it merges nothing, and a run of openings streams its states one at a
+time into the closing after it.  A closing acts with the closed chord's
+label and merges branches with equal pendings -- exact sparse tensor
+contraction along a path -- and only a closing's map of states is stored.
+So the widest stored map has one open chord fewer than the widest point of
+the sweep: the four pairwise crossing chords on D(2,1,2) store at most
+4,097 adjoint states where the widest point has 51,677.  ``_plan_rotation``
 picks the cut that keeps few chords open at once, and the sweep runs it.
+A leg tensor's entry is a branch pending on all its labels.
 
 Koszul signs: permuting the Casimir factors into circle order costs exactly
 one factor of -1 per *crossing* pair of chords whose terms are both odd
@@ -147,8 +148,8 @@ def _times(entries, scalar):
 class _Carrier:
     """What both carriers share: the bracket table (rows {(x, y): {z: c}})
     and the Casimir terms (x, y, w, parity of x), each c and w scaled and
-    held as the int entries that multiply by it, and a state key's layout
-    below the acted-on element, the fields of ``vars``."""
+    held as the int entries that multiply by it, each element's parity, and
+    a state key's layout below the acted-on element, the fields of ``vars``."""
 
     def __init__(self, L, vars, bracket):
         # one form for either ring: a rational or a polynomial in alpha
@@ -166,21 +167,17 @@ class _Carrier:
                         for key, row in rows.items()}
         self.terms = [(x, y, entries(p, dw), L.parity[x])
                       for (x, y, _), p in zip(L.casimir, weights)]
+        self.parity = L.parity
         self.da = da
         self.degree_scale = da * da * dw
         self.vars = vars
         self.values = {}
 
     def open_tables(self):
-        """For each Casimir term (x, y, w), the tables of w * y and of
-        -w * y, read by a chord opening with an even and an odd number of
-        odd crossings; an even term's sign is always +."""
-        out = []
-        for _, y, w, par in self.terms:
-            plus, minus = (_Table(lambda e, t=self.tables[y], s=s: _times(t[e], s))
-                           for s in (w, tuple((off, -v) for off, v in w)))
-            out.append((plus, minus if par else plus))
-        return out
+        """For each Casimir term (x, y, w), x and the table of w * y, which
+        a chord opening reads."""
+        return [(x, _Table(lambda e, t=self.tables[y], w=w: _times(t[e], w)))
+                for x, y, w, _ in self.terms]
 
 
 class VermaCarrier(_Carrier):
@@ -206,7 +203,6 @@ class VermaCarrier(_Carrier):
                 raise ValueError(f"odd lowering operator {L.basis_names[y]} "
                                  f"has a nonzero square in {L.name}")
         super().__init__(L, ("n", "alpha") if L.symbolic else ("n",), L.bracket_table)
-        self.parity = L.parity
         self.neg = rd.negative_order
         self.neg_index = {b: i for i, b in enumerate(self.neg)}
         # n * lambda0 on each Cartan element, scaled: the entry of n**1
@@ -363,18 +359,15 @@ def sweep_chords(carrier, chords):
     """Contract a chord diagram, given as endpoint pairs on the positions
     0 .. 2*len(chords) - 1, into the carrier's scalar.
 
-    A state's pendings are a tuple of Casimir term indices, one per open
-    chord, in the order the chords opened (``slots``).  A run of openings
-    is a chain of ``_open`` generators that the closing after it consumes,
-    one (pendings, state) item at a time; only a closing, the one step that
+    A state's pendings are the labels still to act, one per open chord, in
+    the order the chords opened (``slots``).  A run of openings is a chain
+    of ``_open`` generators that the closing after it consumes, one
+    (pendings, state) item at a time; only a closing, the one step that
     merges keys, stores its states.  Position 0 ends a chord, so the sweep
     ends on a closing.  The chords come in the rotation ``_plan`` chose."""
-    terms = carrier.terms
     n_positions = 2 * len(chords)
     open_at = {q: ci for ci, (p, q) in enumerate(chords)}
     close_at = {p: ci for ci, (p, q) in enumerate(chords)}
-    closing = [carrier.tables[x] for x, _, _, _ in terms]
-    odd = [par for _, _, _, par in terms]
     slots = []
     states = {(): carrier.start()}
     items = states.items()
@@ -383,12 +376,12 @@ def sweep_chords(carrier, chords):
             ci = open_at[pos]
             # an open chord crosses ci when it closes first, at a higher position
             crossing = [j for j, c in enumerate(slots) if chords[c][0] > chords[ci][0]]
-            items = _open(carrier, items, crossing, odd)
+            items = _open(carrier, items, crossing)
             slots.append(ci)
         elif pos in close_at:
             j = slots.index(close_at[pos])
             del slots[j]
-            states = _close(carrier, items, j, closing)
+            states = _close(carrier, items, j)
             if not states:
                 break
             items = states.items()
@@ -397,28 +390,28 @@ def sweep_chords(carrier, chords):
     return carrier.extract(states.get((), {}), len(chords))
 
 
-def _open(carrier, items, crossing, odd):
+def _open(carrier, items, crossing):
     """A chord opens on each (pendings, state) item: y of each Casimir term
-    acts times its weight, with the sign of the open odd chords in the
-    slots ``crossing``.  No two outputs share pendings, so nothing merges
-    here."""
-    apply, opening = carrier.apply, carrier.opening
+    (x, y, w) acts times its weight, and x joins the pendings.  Across an
+    odd number of open odd chords, those in the slots ``crossing``, an odd
+    term acts on the state negated.  Nothing merges here."""
+    apply, parity = carrier.apply, carrier.parity
     for pend, vec in items:
-        sign = sum([odd[pend[j]] for j in crossing]) & 1
-        for ti, tables in enumerate(opening):
-            vec2 = apply(tables[sign], vec)
+        odd = sum([parity[pend[j]] for j in crossing]) & 1
+        signed = {k: -c for k, c in vec.items()} if odd else vec
+        for x, table in carrier.opening:
+            vec2 = apply(table, signed if parity[x] else vec)
             if vec2:
-                yield pend + (ti,), vec2
+                yield pend + (x,), vec2
 
 
-def _close(carrier, items, j, closing):
-    """The chord in slot j closes on each (pendings, state) item: x of its
-    term acts, and the states whose other pendings are equal merge into one
-    stored state."""
-    apply = carrier.apply
+def _close(carrier, items, j):
+    """The label pending in slot j acts on each (pendings, state) item, and
+    states with equal other pendings merge into one stored state."""
+    apply, tables = carrier.apply, carrier.tables
     states = {}
     for pend, vec in items:
-        op = closing[pend[j]]
+        op = tables[pend[j]]
         pend = pend[:j] + pend[j + 1:]
         cur = states.get(pend)
         if cur is None:
@@ -586,7 +579,7 @@ def _leg_plan(d):
     return steps, [darts.index(g) for g in circle], swapped
 
 
-def _step_table(what, carrier, parity, first, second):
+def _step_table(what, carrier, first, second):
     """One step's rows by the labels it reads: (appended registers, alpha
     offset, int coefficient with the sign its own labels give, mask of the
     kept registers whose odd parities each flip that sign)."""
@@ -597,7 +590,7 @@ def _step_table(what, carrier, parity, first, second):
     _, root, checked, new, closing = what
     for (y, x), row in carrier.bracket.items():
         lab = (x, y)
-        par = (parity[x], parity[y])
+        par = (carrier.parity[x], carrier.parity[y])
         mask = sign = 0
         for w, kept, nx, ny in closing:
             if par[w]:
@@ -631,7 +624,7 @@ def leg_tensor(carrier, d):
     and ``_parts`` drops zero diagrams before any contraction.
     """
     steps, circle, swapped = _leg_plan(d)
-    parity = {x: par for x, _, _, par in carrier.terms}
+    parity = carrier.parity
     # the Casimir relabels: a label at an edge's first (second) half gives
     # the other half's label and the weight
     first = {x: (y, w) for x, y, w, _ in carrier.terms}
@@ -640,7 +633,7 @@ def leg_tensor(carrier, d):
         raise ValueError("leg contraction needs one Casimir partner per basis element")
     state = {((), 0): 1}
     for lookup, keep, what in steps:
-        table = _step_table(what, carrier, parity, first, second)
+        table = _step_table(what, carrier, first, second)
         signed = any(row[3] for rows in table.values() for row in rows)
         nxt = {}
         for (key, at), coeff in state.items():
@@ -666,29 +659,20 @@ def leg_tensor(carrier, d):
 
 def sweep_legs(carrier, tensor, degree):
     """Act with a leg tensor along the circle into the carrier's scalar of a
-    diagram of the given degree.
+    diagram of the given degree: the closing half of the chord sweep.
 
-    The entries are walked depth-first through the trie of their label
-    suffixes, so each trie node is one ``carrier.apply`` and at most one
-    state per leg is alive; an entry's coefficient multiplies the state
-    after its first leg into the total.
+    Each entry starts as its coefficient times ``carrier.start()``, pending
+    on its labels, and ``_close`` acts with the label at each leg position,
+    last to first, merging the states of equal label prefixes.
     """
-    tables = carrier.tables
-    total = {}
-    stack = [carrier.start()]   # stack[k]: the state after the last k legs
-    prev = ()
-    for labels, coeff in sorted(tensor.items(), key=lambda item: item[0][::-1]):
-        n, shared = len(labels), 0
-        while prev and shared < n - 1 and labels[n - 1 - shared] == prev[n - 1 - shared]:
-            shared += 1
-        del stack[shared + 1:]
-        for x in labels[n - 1 - shared:0:-1]:
-            stack.append(carrier.apply(tables[x], stack[-1]))
-        vec = carrier.apply(tables[labels[0]], stack[-1])
-        # the coefficient as a table giving every element its entries
-        carrier.apply(_Table(lambda element, s=coeff: s), vec, total)
-        prev = labels
-    return carrier.extract(total, degree)
+    start = carrier.start()
+    items = ((labels, {k + off: c * v for k, c in start.items() for off, v in coeff})
+             for labels, coeff in tensor.items())
+    states = {}
+    for j in range(len(next(iter(tensor), ())) - 1, -1, -1):
+        states = _close(carrier, items, j)
+        items = states.items()
+    return carrier.extract(states.get((), {}), degree)
 
 
 # ------------------------------------------------------------ public surface
@@ -710,8 +694,9 @@ def _parts(d):
 def _plan(x, L):
     """(cost, run) of one part, where ``run(carrier)`` evaluates it: a chord
     diagram sweeps the rotation that ``_plan_rotation`` priced; a contracted
-    diagram builds its leg tensor and sweeps it, priced by the sweep's
-    largest leg trie, a branch per basis element at each leg."""
+    diagram builds its leg tensor and sweeps it, priced dim + dim**2 + ...
+    + dim**legs, which bounds the label prefixes its closings store: at
+    most dim**j after the closing at leg j."""
     if x.is_chord_diagram():
         ends = chord_endpoints(x)
         chords, cost = _plan_rotation(ends, 2 * len(ends), len(L.casimir))

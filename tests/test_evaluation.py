@@ -369,7 +369,7 @@ def test_both_carriers_work_on_integers(L, D2, D_sym):
                 assert carrier.cartan == {h: da * w for h, w in zip(A.rootdata.cartan, weight)}
             # every operator entry the sweep reads is a pair of ints
             sweep_chords(carrier, [(0, 2), (1, 3)])
-            tables = [*carrier.tables, *(t for pair in carrier.opening for t in pair)]
+            tables = [*carrier.tables, *(t for _, t in carrier.opening)]
             rows = [row for t in tables for row in (t.values() if isinstance(t, dict) else t)]
             assert rows and all(type(off) is int and type(c) is int and c
                                 for row in rows for off, c in row)
@@ -544,8 +544,9 @@ def breadth_first_sweep(carrier, chords):
             p_c = chords[ci][0]
             for pend, vec in states.items():
                 odd_crossers = sum(1 for c2, t2 in pend if terms[t2][3] and chords[c2][0] > p_c)
-                for ti, tables in enumerate(carrier.opening):
-                    vec2 = carrier.apply(tables[odd_crossers & 1], vec)
+                signed = {k: -c for k, c in vec.items()} if odd_crossers & 1 else vec
+                for ti, (_, table) in enumerate(carrier.opening):
+                    vec2 = carrier.apply(table, signed if terms[ti][3] else vec)
                     if vec2:
                         nxt[pend + ((ci, ti),)] = vec2
         else:
@@ -676,6 +677,44 @@ def test_the_int_leg_sweep_agrees_with_the_multipoly_sweep(alpha):
                           for x in diagrams]
         assert all(values) == (alpha is None or A is raw)
         assert any(values) == all(values)
+
+
+def test_the_plan_bounds_the_leg_sweep(L, D2, monkeypatch):
+    # a leg sweep stores only what its closings merge: after the closing at
+    # leg j, at most dim**j label prefixes.  So the states it stores, summed
+    # over its closings, stay within the plan's charge dim + ... + dim**nu,
+    # on the X3-inserted 4-wheel (1,947 entries on D(2,1,2)) and on the
+    # triangle-inserted 4-wheel's three diagrams on sl2
+    stored = []
+    close = evaluation._close
+
+    def counting_close(*args):
+        states = close(*args)
+        stored.append(len(states))
+        return states
+
+    monkeypatch.setattr(evaluation, "_close", counting_close)
+    (ins, c), = list(insert_at_vertex(wheel(4), 0, triangle()))
+    for A, weight, diagrams in ((D2, (3, 1, 1), [Diagram.from_text(X3W4_TEXT)]),
+                                (L, (2,), [x for x, _ in chi_bar(ins, c)])):
+        for carrier in (VermaCarrier(A, weight), EndoCarrier(A)):
+            for x in diagrams:
+                stored.clear()
+                sweep_legs(carrier, leg_tensor(carrier, x), x.degree)
+                assert 0 < sum(stored) <= sweep_cost(x, A), (A.name, type(carrier).__name__)
+
+
+def test_a_nonempty_adjoint_leg_sweep_on_d21(D2):
+    # the X3-inserted 4-wheel's adjoint leg tensor on D(2,1,2) has 1,947
+    # entries, where the triangle-inserted ones are empty: swept, they end
+    # on the zero endomorphism, which passes the Schur check, as the
+    # MultiPoly-state sweep of the same tensor does
+    x = Diagram.from_text(X3W4_TEXT)
+    tensor = leg_tensor(EndoCarrier(D2), x)
+    assert len(tensor) == 1947
+    old = PolyEndo(D2)
+    want = poly_sweep_legs(old, poly_leg_tensor(old, x), x.degree)
+    assert sweep_legs(EndoCarrier(D2), tensor, x.degree) == want == 0
 
 
 def test_leg_contraction_builds_no_multipoly(monkeypatch):
