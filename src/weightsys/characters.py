@@ -24,7 +24,6 @@ kill it.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from fractions import Fraction
@@ -93,14 +92,12 @@ FACTOR_LABELS = (
 
 
 def p_factors():
+    """The fifteen linear factors of P in lam, mu, nu, read from
+    FACTOR_LABELS with t = lam + mu + nu."""
     lam, mu, nu = sym_vars()
-    t = lam + mu + nu
-    fs = [t + lam, t + mu, t + nu, t - lam, t - mu, t - nu]
-    for a, b in itertools.permutations((lam, mu, nu), 2):
-        fs.append(a + 2 * b)
-    for a in (lam, mu, nu):
-        fs.append(3 * a - 2 * t)
-    return fs
+    names = {"lam": lam, "mu": mu, "nu": nu, "t": lam + mu + nu}
+    return [_read_poly(label, lambda v: (names[v], 1)).with_vars(LMN)
+            for label in FACTOR_LABELS]
 
 
 def build_P():
@@ -121,12 +118,12 @@ def chi0_image_test(p):
     with the decomposition when it exists.
 
     In elementary coordinates the second summand is M * Q[e1, e2, e3] with
-    M = 2 e1^3 + e1 e2 + e3, monic and linear in e3; dividing out M leaves a
-    remainder in Q[e1, e2], and membership holds iff that remainder is free
-    of e2.  Returns (member, f, g) with p = f(t) + M*g when member.
+    M the product of P's first three factors, 2 e1^3 + e1 e2 + e3, monic
+    and linear in e3; dividing out M leaves a remainder in Q[e1, e2], and
+    membership holds iff that remainder is free of e2.  Returns (member, f,
+    g) with p = f(t) + M*g when member.
     """
-    # divide by M = e3 + e1*e2 + 2*e1^3, monic linear in e3
-    m = MultiPoly(E, {(0, 0, 1): 1, (1, 1, 0): 1, (3, 0, 0): 2})
+    m = to_elementary(math.prod(p_factors()[:3]))
     quotient = MultiPoly.zero(E)
     work = p
     for power in range(p.degree_in("e3"), 0, -1):
@@ -153,12 +150,11 @@ SIGMA3_ALPHA = "-alpha-alpha^2"
 
 
 def specialize_alpha(s):
-    """sigma2 -> -1-alpha-alpha^2, sigma3 -> -alpha-alpha^2; returns the
+    """sigma2 -> SIGMA2_ALPHA, sigma3 -> SIGMA3_ALPHA; returns the
     polynomial, its rational roots with multiplicity, and the squarefree
     part (the explicit finite exclusion set)."""
-    alpha = MultiPoly.variable("alpha")
-    s2 = -1 - alpha - alpha ** 2
-    s3 = -alpha - alpha ** 2
+    s2, s3 = (_read_poly(text, lambda v: (MultiPoly.variable(v), 1))
+              for text in (SIGMA2_ALPHA, SIGMA3_ALPHA))
     poly = s.substitute({"sigma2": s2, "sigma3": s3}).restrict_vars()
     if poly.is_zero():
         return poly, [], None

@@ -98,18 +98,19 @@ def cmd_validate(args):
     checks = []
     ok = True
     d21_2 = d21(Fraction(2))
-    for label, algebra in (("sl2", sl2()), ("d21_symbolic", d21()), ("d21_alpha_2", d21_2)):
+    for algebra in (sl2(), d21(), d21_2):
         rep = validate(algebra)
         for name, entry in rep.items():
             if not isinstance(entry, dict):
                 continue
-            checks.append({"algebra": label, "check": name, "ok": entry["ok"],
+            checks.append({"algebra": algebra.name, "check": name, "ok": entry["ok"],
                            "witness": [list(w) for w in entry["failures"][:1]]})
             ok = ok and entry["ok"]
-    # Cartan block of the derived form must match diag(2/(1+a), -2, -2/a)
+    # Cartan block of the derived form must match diag(2/(1+a), -2, -2/a),
+    # written out here so that it checks the triples' weights, not repeats them
     block, D = cartan_form_block(d21_2)
     cartan_ok = all(block[i][i] == c * D for i, c in enumerate((Fraction(2, 3), -2, -1)))
-    checks.append({"algebra": "d21_alpha_2", "check": "cartan_form_block",
+    checks.append({"algebra": d21_2.name, "check": "cartan_form_block",
                    "ok": cartan_ok, "witness": []})
     ok = ok and cartan_ok
 
@@ -192,9 +193,11 @@ def build_parser():
         description="Exact diagram-algebra and weight-system calculations")
     ap.add_argument("--command", required=True, choices=list(MODES))
     ap.add_argument("--k", type=int, help="leg count / range end (even)")
-    ap.add_argument("--q", help="symmetric cofactor Q, e.g. 1, e2, e3, e2^2")
+    ap.add_argument("--q", help="symmetric cofactor Q, e.g. 1, e2, e3, e2^2; "
+                    "one that starts with '-' is given as --q=-e2")
     ap.add_argument("--alpha", type=_parse_alpha,
-                    help="rational alpha for eval on d21, e.g. 2 or 1/2")
+                    help="rational alpha for eval on d21, e.g. 2 or 1/2; "
+                    "a negative one is given as --alpha=-1/2")
     ap.add_argument("--mode", help="command-specific mode (" + "; ".join(
         f"{cmd}: {'|'.join(modes)}" for cmd, modes in MODES.items() if modes) + ")")
     ap.add_argument("--format", default="text", choices=["text", "json"])

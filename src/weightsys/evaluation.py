@@ -147,9 +147,9 @@ def _times(entries, scalar):
 
 class _Carrier:
     """What both carriers share: the bracket table (rows {(x, y): {z: c}})
-    and the Casimir terms (x, y, w, parity of x), each c and w scaled and
-    held as the int entries that multiply by it, each element's parity, and
-    a state key's layout below the acted-on element, the fields of ``vars``."""
+    and the Casimir terms (x, y, w), each c and w scaled and held as the int
+    entries that multiply by it, each element's parity, and a state key's
+    layout below the acted-on element, the fields of ``vars``."""
 
     def __init__(self, L, vars, bracket):
         # one form for either ring: a rational or a polynomial in alpha
@@ -165,8 +165,7 @@ class _Carrier:
 
         self.bracket = {key: {z: entries(p, da) for z, p in row.items()}
                         for key, row in rows.items()}
-        self.terms = [(x, y, entries(p, dw), L.parity[x])
-                      for (x, y, _), p in zip(L.casimir, weights)]
+        self.terms = [(x, y, entries(p, dw)) for (x, y, _), p in zip(L.casimir, weights)]
         self.parity = L.parity
         self.da = da
         self.degree_scale = da * da * dw
@@ -177,7 +176,7 @@ class _Carrier:
         """For each Casimir term (x, y, w), x and the table of w * y, which
         a chord opening reads."""
         return [(x, _Table(lambda e, t=self.tables[y], w=w: _times(t[e], w)))
-                for x, y, w, _ in self.terms]
+                for x, y, w in self.terms]
 
 
 class VermaCarrier(_Carrier):
@@ -585,7 +584,7 @@ def _step_table(what, carrier, first, second):
     kept registers whose odd parities each flip that sign)."""
     if what[0] == "chord":
         # a chord's ends sit side by side in the layout: no sign
-        return {(): [((x, y), off, v, 0) for x, y, w, _ in carrier.terms for off, v in w]}
+        return {(): [((x, y), off, v, 0) for x, y, w in carrier.terms for off, v in w]}
     table = {}
     _, root, checked, new, closing = what
     for (y, x), row in carrier.bracket.items():
@@ -627,8 +626,8 @@ def leg_tensor(carrier, d):
     parity = carrier.parity
     # the Casimir relabels: a label at an edge's first (second) half gives
     # the other half's label and the weight
-    first = {x: (y, w) for x, y, w, _ in carrier.terms}
-    second = {y: (x, w) for x, y, w, _ in carrier.terms}
+    first = {x: (y, w) for x, y, w in carrier.terms}
+    second = {y: (x, w) for x, y, w in carrier.terms}
     if not len(first) == len(second) == len(carrier.terms):
         raise ValueError("leg contraction needs one Casimir partner per basis element")
     state = {((), 0): 1}

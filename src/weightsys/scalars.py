@@ -5,10 +5,9 @@ positive denominator -- exactly the invariants we need, so we use the
 stdlib type directly).  On top of that sit sparse multivariate polynomials
 (:class:`MultiPoly`), the one other scalar type.
 A MultiPoly packs each monomial into one int and keeps int numerators over
-one reduced denominator, so its arithmetic runs on Python ints, and the
-evaluation sweep uses it as it is; ``terms`` reads it back as exponent
-tuples and Fractions.  Every operation is exact; floating point never
-appears.
+one reduced denominator, so its arithmetic runs on Python ints; ``terms``
+reads it back as exponent tuples and Fractions.  Every operation is exact;
+floating point never appears.
 
 The linear algebra over Q works on Fractions.  One elimination serves the
 solver and normal forms: :func:`echelon` reduces each row against the
@@ -77,8 +76,7 @@ class MultiPoly:
     as a map from exponent tuples to nonzero Fractions.  Instances are
     treated as immutable and compare by value, but are not hashable;
     arithmetic aligns variable sets automatically, and values in one
-    variable tuple, as in the evaluation sweep, skip the alignment at the
-    cost of one comparison.
+    variable tuple skip the alignment at the cost of one comparison.
     """
 
     __slots__ = ("vars", "nums", "den")
@@ -199,21 +197,14 @@ class MultiPoly:
             a, other = a._aligned(other)
             if a is NotImplemented:
                 return NotImplemented
-        da, db = a.den, other.den
-        if da == db:
-            out = dict(a.nums)
-            for k, c in other.nums.items():
-                out[k] = out.get(k, 0) + c
-        else:
-            g = math.gcd(da, db)
-            fa, fb = db // g, da // g
-            out = {k: c * fa for k, c in a.nums.items()}
-            for k, c in other.nums.items():
-                out[k] = out.get(k, 0) + c * fb
-            da *= fa
-        if not all(out.values()):
-            out = {k: c for k, c in out.items() if c}
-        return _poly(a.vars, out, da)
+        g = math.gcd(a.den, other.den)
+        fa, fb = other.den // g, a.den // g
+        out = {k: c * fa for k, c in a.nums.items()}
+        for k, c in other.nums.items():
+            c = out.pop(k, 0) + c * fb
+            if c:
+                out[k] = c
+        return _poly(a.vars, out, a.den * fa)
 
     __radd__ = __add__
 
@@ -240,22 +231,14 @@ class MultiPoly:
             a, other = a._aligned(other)
             if a is NotImplemented:
                 return NotImplemented
-        x, y = a.nums, other.nums
-        if len(y) > len(x):
-            x, y = y, x
-        if len(y) == 1:
-            # no two products share a monomial, and ints have no zero divisors
-            (ky, cy), = y.items()
-            out = {k + ky: c * cy for k, c in x.items()}
-        else:
-            out = {}
-            get = out.get
-            for ky, cy in y.items():
-                for kx, cx in x.items():
-                    k = kx + ky
-                    out[k] = get(k, 0) + cx * cy
-            if not all(out.values()):
-                out = {k: c for k, c in out.items() if c}
+        out = {}
+        pop = out.pop
+        for ky, cy in other.nums.items():
+            for kx, cx in a.nums.items():
+                k = kx + ky
+                c = pop(k, 0) + cx * cy
+                if c:
+                    out[k] = c
         return _poly(a.vars, out, a.den * other.den)
 
     __rmul__ = __mul__

@@ -2,8 +2,11 @@
 
 Two exact instances are provided: sl2 over Q and the 17-dimensional family
 D(2,1,alpha) over Q[alpha] (or over Q at a fixed rational alpha != 0, -1).
-:func:`d21_rootdata` builds the family's Cartan data alone, for the
-root-system formulas that read nothing else.
+Both are built from sl2 triples: sl2 is one triple of weight 1, and
+D(2,1,alpha) is three commuting triples of weights alpha+1, -1 and -alpha
+plus an odd part; a triple's weight scales its Casimir terms and its entry
+of the form on H*.  :func:`d21_rootdata` builds the family's Cartan data
+alone, for the root-system formulas that read nothing else.
 Structure constants are stored explicitly; :func:`validate` checks, exactly
 and symbolically where applicable, every property the rest of the package
 relies on: super-antisymmetry, the super Jacobi identity, supersymmetry /
@@ -100,37 +103,59 @@ class SuperAlgebra:
         return matrix_inverse(self.casimir_matrix())
 
 
-# ---------------------------------------------------------------- sl2 --------
+# ------------------------------------------------------------ sl2 triples ---
+
+
+def _add(table, i, j, k, c):
+    """Add c to the coefficient of b_k in [b_i, b_j], keeping rows sparse."""
+    row = table.setdefault((i, j), {})
+    row[k] = row.get(k, 0) + c
+    if not row[k]:
+        del row[k]
+
+
+def _triples(table, weights, one):
+    """Write the brackets of r commuting sl2 triples, E_i, H_i, F_i at basis
+    indices i, r+i, 2r+i, into ``table``, and return their Casimir terms
+    w_i * (E_i (x) F_i + F_i (x) E_i + H_i (x) H_i / 2) for the weights w_i."""
+    r = len(weights)
+    casimir = []
+    for i, w in enumerate(weights):
+        e, h, f = i, r + i, 2 * r + i
+        _add(table, h, e, e, 2 * one)
+        _add(table, e, h, e, -2 * one)
+        _add(table, h, f, f, -2 * one)
+        _add(table, f, h, f, 2 * one)
+        _add(table, e, f, h, one)
+        _add(table, f, e, h, -one)
+        casimir += [(e, f, w), (f, e, w), (h, h, Fraction(1, 2) * w)]
+    return casimir
+
+
+def _rootdata(weights, zero, odd_roots, odd_lowering):
+    """The Cartan data of the triples of :func:`_triples` plus an odd part:
+    the H_i span the Cartan, the form on H* is diag(w_i / 2), the even
+    positive roots are the 2 e_i (the first is the highest root), and the
+    lowering operators are the F_i, then ``odd_lowering``."""
+    r = len(weights)
+    even = [tuple(2 if j == i else 0 for j in range(r)) for i in range(r)]
+    return RootData(
+        cartan=tuple(range(r, 2 * r)),
+        hstar_form=[[Fraction(1, 2) * w if j == i else zero for j in range(r)]
+                    for i, w in enumerate(weights)],
+        positive_roots=[(root, EVEN) for root in even] + odd_roots,
+        negative_order=tuple(range(2 * r, 3 * r)) + odd_lowering,
+        highest_root=even[0],
+    )
 
 
 def sl2():
-    """sl2 with basis (e, h, f), <h,h> = 2, <e,f> = 1."""
-    E, H, F = 0, 1, 2
+    """sl2 with basis (e, h, f), <h,h> = 2, <e,f> = 1: one triple of weight 1."""
     one = Fraction(1)
     table = {}
-
-    def put(i, j, lc):
-        lc = {k: v for k, v in lc.items() if v}
-        if lc:
-            table[(i, j)] = lc
-
-    put(H, E, {E: 2 * one})
-    put(E, H, {E: -2 * one})
-    put(H, F, {F: -2 * one})
-    put(F, H, {F: 2 * one})
-    put(E, F, {H: one})
-    put(F, E, {H: -one})
-
-    casimir = [(E, F, one), (F, E, one), (H, H, Fraction(1, 2))]
-    rootdata = RootData(
-        cartan=(H,),
-        hstar_form=[[Fraction(1, 2)]],
-        positive_roots=[((2,), EVEN)],
-        negative_order=(F,),
-        highest_root=(2,),
-    )
+    casimir = _triples(table, [one], one)
     return SuperAlgebra("sl2", ["e", "h", "f"], (EVEN, EVEN, EVEN),
-                        table, casimir, rootdata)
+                        table, casimir, _rootdata([one], Fraction(0), [], ()))
 
 
 # ------------------------------------------------------- D(2,1,alpha) --------
@@ -146,38 +171,31 @@ def _vidx(eps):
     return 9 + _EPS.index(tuple(eps))
 
 
-def _alpha_scalars(alpha):
-    """(alpha, the scalar of a rational) for D(2,1,alpha): alpha=None gives
-    the variable over Q[alpha]; a rational alpha must avoid 0 and -1, where
-    the family degenerates."""
+def _d21_weights(alpha):
+    """(the weights alpha+1, -1, -alpha of D(2,1,alpha)'s three sl2 triples,
+    the scalar of a rational): alpha=None gives polynomials over Q[alpha];
+    a rational alpha must avoid 0 and -1, where the family degenerates."""
     if alpha is None:
-        return MultiPoly.variable("alpha"), lambda x: MultiPoly.const(x, ("alpha",))
-    alpha = Fraction(alpha)
-    if alpha in (0, -1):
-        raise ValueError("alpha must avoid 0 and -1")
-    return alpha, Fraction
+        A, R = MultiPoly.variable("alpha"), lambda x: MultiPoly.const(x, ("alpha",))
+    else:
+        A, R = Fraction(alpha), Fraction
+        if A in (0, -1):
+            raise ValueError("alpha must avoid 0 and -1")
+    return [A + 1, R(-1), -A], R
 
 
 def d21_rootdata(alpha=None):
     """The Cartan data of D(2,1,alpha), built without the algebra; alpha as
     in :func:`d21`.  The form on H* is diag((1+alpha)/2, -1/2, -alpha/2)."""
-    A, R = _alpha_scalars(alpha)
-    half = Fraction(1, 2)
-    positive = [((2, 0, 0), EVEN), ((0, 2, 0), EVEN), ((0, 0, 2), EVEN)]
-    positive += [((1, e2, e3), ODD) for e2 in (1, -1) for e3 in (1, -1)]
-    return RootData(
-        cartan=_H,
-        hstar_form=[[half * (A + 1), R(0), R(0)],
-                    [R(0), R(-1) * half, R(0)],
-                    [R(0), R(0), -half * A]],
-        positive_roots=positive,
-        negative_order=_F + tuple(_vidx(eps) for eps in _EPS if eps[0] < 0),
-        highest_root=(2, 0, 0),
-    )
+    weights, R = _d21_weights(alpha)
+    return _rootdata(weights, R(0),
+                     [((1, e2, e3), ODD) for e2 in (1, -1) for e3 in (1, -1)],
+                     tuple(_vidx(eps) for eps in _EPS if eps[0] < 0))
 
 
 def d21(alpha=None):
-    """The 17-dimensional superalgebra D(2,1,alpha).
+    """The 17-dimensional superalgebra D(2,1,alpha): three commuting sl2
+    triples of weights alpha+1, -1, -alpha and an odd part.
 
     alpha=None builds the symbolic instance over Q[alpha]; a Fraction
     builds the numeric instance (alpha in {0, -1} is rejected: the family
@@ -185,7 +203,7 @@ def d21(alpha=None):
     """
     if alpha is not None:
         alpha = Fraction(alpha)   # the label prints it as a Fraction
-    A, R = _alpha_scalars(alpha)
+    weights, R = _d21_weights(alpha)
 
     names = ([f"E{i}" for i in (1, 2, 3)] + [f"H{i}" for i in (1, 2, 3)]
              + [f"F{i}" for i in (1, 2, 3)]
@@ -193,47 +211,29 @@ def d21(alpha=None):
     parity = tuple([EVEN] * 9 + [ODD] * 8)
 
     table = {}
-
-    def add(i, j, k, c):
-        if not c:
-            return
-        row = table.setdefault((i, j), {})
-        s = row.get(k, R(0)) + c
-        if s:
-            row[k] = s
-        else:
-            del row[k]
-
     one = R(1)
-    # three commuting sl2 triples
-    for i in range(3):
-        add(_H[i], _E[i], _E[i], 2 * one)
-        add(_E[i], _H[i], _E[i], -2 * one)
-        add(_H[i], _F[i], _F[i], -2 * one)
-        add(_F[i], _H[i], _F[i], 2 * one)
-        add(_E[i], _F[i], _H[i], one)
-        add(_F[i], _E[i], _H[i], -one)
+    casimir = _triples(table, weights, one)
 
     # even action on the odd part
     for eps in _EPS:
         v = _vidx(eps)
         for i in range(3):
-            add(_H[i], v, v, eps[i] * one)
-            add(v, _H[i], v, -eps[i] * one)
+            _add(table, _H[i], v, v, eps[i] * one)
+            _add(table, v, _H[i], v, -eps[i] * one)
             if eps[i] == -1:
                 w = list(eps)
                 w[i] = 1
-                add(_E[i], v, _vidx(w), one)
-                add(v, _E[i], _vidx(w), -one)
+                _add(table, _E[i], v, _vidx(w), one)
+                _add(table, v, _E[i], _vidx(w), -one)
             if eps[i] == 1:
                 w = list(eps)
                 w[i] = -1
-                add(_F[i], v, _vidx(w), one)
-                add(v, _F[i], _vidx(w), -one)
+                _add(table, _F[i], v, _vidx(w), one)
+                _add(table, v, _F[i], _vidx(w), -one)
 
     # odd-odd bracket: the G_i two-argument table contracted with the
-    # beta_i = eps_i * [gamma_i == -eps_i] prefactors, weighted by
-    # (alpha+1), -1, -alpha for i = 1, 2, 3.
+    # beta_i = eps_i * [gamma_i == -eps_i] prefactors, weighted by the
+    # triples' weights.
     def G(i, a, b):
         if a == 1 and b == 1:
             return {_E[i]: -one}
@@ -241,7 +241,6 @@ def d21(alpha=None):
             return {_F[i]: one}
         return {_H[i]: Fraction(1, 2) * one}
 
-    weights = [A + 1, R(-1), -A]
     for eps in _EPS:
         for gam in _EPS:
             beta = [eps[i] if gam[i] == -eps[i] else 0 for i in range(3)]
@@ -250,19 +249,13 @@ def d21(alpha=None):
                 if not pref[i]:
                     continue
                 for k, c in G(i, eps[i], gam[i]).items():
-                    add(_vidx(eps), _vidx(gam), k, weights[i] * (pref[i] * c))
+                    _add(table, _vidx(eps), _vidx(gam), k, weights[i] * (pref[i] * c))
 
-    # Casimir: omega = (1+alpha) w1 - w2 - alpha w3 + pi, where
-    # w_i = E_i (x) F_i + H_i (x) H_i / 2 + F_i (x) E_i and pi pairs v_eps
-    # with v_{-eps}.  Given the even part, ad-invariance determines the odd
-    # block uniquely (the invariant tensor space is one-dimensional); with
-    # the bracket conventions above that forces the pairing sign
-    # -eps1*eps2*eps3, which the validator certifies.
-    casimir = []
-    for i in range(3):
-        casimir.append((_E[i], _F[i], weights[i]))
-        casimir.append((_F[i], _E[i], weights[i]))
-        casimir.append((_H[i], _H[i], Fraction(1, 2) * weights[i]))
+    # Casimir: omega = (1+alpha) w1 - w2 - alpha w3 + pi, the triples' terms
+    # w_i above and pi pairing v_eps with v_{-eps}.  Given the even part,
+    # ad-invariance determines the odd block uniquely (the invariant tensor
+    # space is one-dimensional); with the bracket conventions above that
+    # forces the pairing sign -eps1*eps2*eps3, which the validator certifies.
     for eps in _EPS:
         sgn = -eps[0] * eps[1] * eps[2]
         casimir.append((_vidx(eps), _vidx(tuple(-e for e in eps)), sgn * one))

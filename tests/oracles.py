@@ -35,16 +35,25 @@ reaches them, so they live with the tests rather than in src/weightsys.
 - the dual Coxeter number and dimension of a simple Lie algebra from its
   root system (``root_system_invariants``), and the same two read off a
   Vogel parameter triple (``vogel_invariants``), which check the rows of
-  the shipped Lie-family table.
+  the shipped Lie-family table;
+- values the package reads from labels or builds from sl2 triples, written
+  out by hand: P's fifteen linear factors (``hand_p_factors``), the modulus
+  of the image test (``IMAGE_MODULUS``), and sl2's bracket table and
+  Casimir (``sl2_transcription``);
+- the minimal polynomial of the split Casimir on g (x) g
+  (``split_casimir_minimal_polynomial``), whose roots are Vogel's
+  parameters and so check the sigma substitution of ``certify``.
 
 Import them as ``from oracles import ...``: pytest puts this directory on
 the path, and so does running a test file as a script.
 """
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
-from weightsys.characters import LMN, elementary
+from weightsys.characters import E, LMN, elementary
 from weightsys.diagrams import (
     Diagram,
     DiagramError,
@@ -903,3 +912,82 @@ def vogel_invariants(triple):
     lam, mu, nu = map(Fraction, triple)
     t = lam + mu + nu
     return t, (lam - 2 * t) * (mu - 2 * t) * (nu - 2 * t) / (lam * mu * nu)
+
+
+def hand_p_factors():
+    """P's fifteen linear factors in lam, mu, nu, built term by term in the
+    order of ``characters.FACTOR_LABELS``: t+a and t-a for a = lam, mu, nu,
+    a+2b over the ordered pairs of distinct a, b, and 3a-2t, with t = lam +
+    mu + nu."""
+    lam, mu, nu = (MultiPoly.variable(v).with_vars(LMN) for v in LMN)
+    t = lam + mu + nu
+    fs = [t + lam, t + mu, t + nu, t - lam, t - mu, t - nu]
+    fs += [a + 2 * b for a, b in itertools.permutations((lam, mu, nu), 2)]
+    fs += [3 * a - 2 * t for a in (lam, mu, nu)]
+    return fs
+
+
+# (t+lam)(t+mu)(t+nu) in e1, e2, e3: 2 e1^3 + e1 e2 + e3
+IMAGE_MODULUS = MultiPoly(E, {(3, 0, 0): 2, (1, 1, 0): 1, (0, 0, 1): 1})
+
+
+def sl2_transcription():
+    """sl2's bracket table and Casimir written out entry by entry, basis
+    (e, h, f) = (0, 1, 2): [h, e] = 2e, [h, f] = -2f, [e, f] = h, and omega
+    = e (x) f + f (x) e + h (x) h / 2, rows and terms in the order
+    ``superalgebras.sl2`` writes them."""
+    e, h, f = 0, 1, 2
+    one = Fraction(1)
+    table = {(h, e): {e: 2 * one}, (e, h): {e: -2 * one}, (h, f): {f: -2 * one},
+             (f, h): {f: 2 * one}, (e, f): {h: one}, (f, e): {h: -one}}
+    casimir = [(e, f, one), (f, e, one), (h, h, Fraction(1, 2))]
+    return table, casimir
+
+
+def split_casimir_minimal_polynomial(L):
+    """The minimal polynomial, in x, of the split Casimir Omega on g (x) g
+    of an algebra L over Q, found by Krylov iteration from one seeded
+    integer vector over Fractions.
+
+    Omega is the sum over (x, y, c) in the Casimir of c ad(x) (x) ad(y),
+    with the Koszul sign (-1)^(|y| |a|) on e_a (x) e_b.  In Vogel's
+    normalization it acts by -2t on the invariant line, by -t on g and by
+    -x on Y2(x) for x = lam, mu, nu (Vogel, "Algebraic structures on
+    modules of diagrams", J. Pure Appl. Algebra 215 (2011)).  The vector's
+    minimal polynomial divides Omega's and equals it for a generic vector;
+    each new power of Omega applied to it is reduced against the earlier
+    ones until it depends on them."""
+    n, par = L.dim, L.parity
+    rng = random.Random(0)
+    vec = {(a, b): Fraction(rng.randrange(-9, 10)) for a in range(n) for b in range(n)}
+
+    def omega(v):
+        out = {}
+        for (a, b), c in v.items():
+            for x, y, w in L.casimir:
+                sw = -w * c if par[y] and par[a] else w * c
+                for k, u in L.bracket(x, a).items():
+                    for m, z in L.bracket(y, b).items():
+                        out[k, m] = out.get((k, m), 0) + sw * u * z
+        return {key: c for key, c in out.items() if c}
+
+    rows = []   # (pivot, row with 1 at its pivot, the row in the Krylov basis)
+    power = 0
+    while True:
+        rest, comb = dict(vec), {power: Fraction(1)}
+        for pivot, row, rcomb in rows:
+            f = rest.get(pivot, 0)
+            if f:
+                for key, c in row.items():
+                    rest[key] = rest.get(key, 0) - f * c
+                for i, c in rcomb.items():
+                    comb[i] = comb.get(i, 0) - f * c
+        rest = {key: c for key, c in rest.items() if c}
+        if not rest:
+            return MultiPoly.from_univariate("x", [comb.get(i, 0) for i in range(power + 1)])
+        pivot = min(rest)
+        scale = rest[pivot]
+        rows.append((pivot, {key: c / scale for key, c in rest.items()},
+                     {i: c / scale for i, c in comb.items()}))
+        vec = omega(vec)
+        power += 1

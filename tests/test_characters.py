@@ -1,16 +1,27 @@
 """Symmetric-polynomial character calculus and the certificate."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import from_elementary, ratio_character, root_system_invariants, vogel_invariants
+from oracles import (
+    IMAGE_MODULUS,
+    from_elementary,
+    hand_p_factors,
+    ratio_character,
+    root_system_invariants,
+    split_casimir_minimal_polynomial,
+    vogel_invariants,
+)
 from weightsys.characters import (
     E,
     FACTOR_LABELS,
     LMN,
+    SIGMA2_ALPHA,
+    SIGMA3_ALPHA,
     _read_poly,
     build_D_element,
     build_P,
@@ -27,7 +38,7 @@ from weightsys.characters import (
     weighted_degrees,
 )
 from weightsys.diagrams import Diagram, InsertionPiece, insert_at_vertex, wheel
-from weightsys.scalars import CostBoundError, MultiPoly
+from weightsys.scalars import CostBoundError, MultiPoly, rational_roots
 from weightsys.superalgebras import d21, sl2
 
 
@@ -62,6 +73,22 @@ def test_P_equals_the_converted_product_of_its_factors(P):
     for f in p_factors():
         product = product * f
     assert P == to_elementary(product)
+
+
+def test_p_factors_are_their_labels():
+    hand = hand_p_factors()
+    assert len(p_factors()) == len(hand) == len(FACTOR_LABELS)
+    for label, built, want in zip(FACTOR_LABELS, p_factors(), hand):
+        assert built == want and built.vars == LMN, label
+
+
+def test_the_image_test_divides_by_the_product_of_the_first_three_factors():
+    e1, e2, e3 = e_vars()
+    assert to_elementary(math.prod(p_factors()[:3])) == IMAGE_MODULUS
+    # M * q decomposes with no t part and cofactor q
+    for q in (MultiPoly.const(1, E), e2, e1 * e3 + 3 * e2 ** 2):
+        member, f, g = chi0_image_test(IMAGE_MODULUS * q)
+        assert member and f.is_zero() and g == q
 
 
 def test_to_elementary_rejects_a_non_symmetric_polynomial():
@@ -145,6 +172,39 @@ def test_alpha_specialization(P):
     s3 = MultiPoly.variable("sigma3")
     p3, roots3, _ = specialize_alpha(s3.with_vars(("sigma2", "sigma3")))
     assert [(str(r), m) for r, m in roots3] == [("-1", 1), ("0", 1)]
+
+
+SPLIT_CASIMIR_ALPHAS = ("2", "3", "1/2", "5/7", "-2/3")
+
+
+def sigma_quintic(sigma2, sigma3, alpha):
+    """x^2 (x^3 + 4 s2 x + 8 s3), s2 and s3 read from the texts at alpha."""
+    x = MultiPoly.variable("x")
+    s2, s3 = (read_names(text).substitute({"alpha": alpha}) for text in (sigma2, sigma3))
+    return x ** 2 * (x ** 3 + 4 * s2 * x + 8 * s3)
+
+
+@pytest.fixture(scope="module")
+def split_casimirs():
+    return {Fraction(a): split_casimir_minimal_polynomial(d21(Fraction(a)))
+            for a in SPLIT_CASIMIR_ALPHAS}
+
+
+def test_the_sigma_substitution_is_read_off_the_split_casimir(split_casimirs):
+    # both coefficients have degree 2 in alpha, so five alpha pin them
+    for alpha, poly in split_casimirs.items():
+        assert poly == sigma_quintic(SIGMA2_ALPHA, SIGMA3_ALPHA, alpha), alpha
+        assert poly != sigma_quintic("-1-alpha+alpha^2", SIGMA3_ALPHA, alpha), alpha
+
+
+def test_the_split_casimir_of_sl2_has_the_sl_rows_parameters():
+    # the roots are -2t, -t and -lam of the sl row at N = 2, (-2, 2, 2)
+    sl, = (f for f in load_family_table(None) if f.name == "sl")
+    lam, mu, nu = (p.with_vars(("N",)).substitute({"N": 2}).constant_value()
+                   for p in sl.triple)
+    t = lam + mu + nu
+    roots = rational_roots(split_casimir_minimal_polynomial(sl2()), "x")
+    assert roots == [(r, 1) for r in sorted({-2 * t, -t, -lam})] == [(-4, 1), (-2, 1), (2, 1)]
 
 
 # a connected piece of insertion degree 3 with legs 7, 8, 9 in cyclic order

@@ -294,6 +294,21 @@ def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys, text, args)
     assert captured.err.startswith("error: ")
 
 
+def test_a_value_that_starts_with_a_minus_sign_follows_an_equals_sign(tmp_path, capsys):
+    """argparse reads a word that starts with '-' and is not a plain
+    negative number as an option, so a negative fractional alpha, or a Q
+    that starts with '-', is given as --alpha=-1/2 or --q=-e2."""
+    f = tmp_path / "chord.txt"
+    f.write_text(ONE_CHORD)
+    code, out = run(capsys, "--command", "eval", "--diagram", str(f), "--algebra", "d21",
+                    "--alpha=-1/2", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["value"] == "2*n^2 - 2*n"
+    code, out = run(capsys, "--command", "certify", "--k", "4", "--q=-e2", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["certified"] is True
+
+
 @pytest.mark.parametrize("argv, want", [
     (["--command", "certify", "--k", "0"], 2),
     (["--command", "certify", "--q", ""], 2),

@@ -362,7 +362,7 @@ def test_both_carriers_work_on_integers(L, D2, D_sym):
 
             da, = ratios((carrier.bracket[key][i], v) for key, row in A.bracket_table.items()
                          for i, v in row.items())
-            dw, = ratios((lw, w) for (_, _, lw, _), (_, _, w) in zip(carrier.terms, A.casimir))
+            dw, = ratios((lw, w) for (_, _, lw), (_, _, w) in zip(carrier.terms, A.casimir))
             assert da.denominator == dw.denominator == 1 and da > 0 and dw > 0
             assert carrier.degree_scale == da * da * dw
             if isinstance(carrier, VermaCarrier):
@@ -533,6 +533,7 @@ def breadth_first_sweep(carrier, chords):
     states, the pendings as (chord, term) pairs, each sign counted from
     them.  The chords are swept in the cut they are given in."""
     terms = carrier.terms
+    odd = [carrier.parity[x] for x, _, _ in terms]
     n_positions = 2 * len(chords)
     open_at = {q: ci for ci, (p, q) in enumerate(chords)}
     close_at = {p: ci for ci, (p, q) in enumerate(chords)}
@@ -543,10 +544,10 @@ def breadth_first_sweep(carrier, chords):
             ci = open_at[pos]
             p_c = chords[ci][0]
             for pend, vec in states.items():
-                odd_crossers = sum(1 for c2, t2 in pend if terms[t2][3] and chords[c2][0] > p_c)
+                odd_crossers = sum(1 for c2, t2 in pend if odd[t2] and chords[c2][0] > p_c)
                 signed = {k: -c for k, c in vec.items()} if odd_crossers & 1 else vec
                 for ti, (_, table) in enumerate(carrier.opening):
-                    vec2 = carrier.apply(table, signed if terms[ti][3] else vec)
+                    vec2 = carrier.apply(table, signed if odd[ti] else vec)
                     if vec2:
                         nxt[pend + ((ci, ti),)] = vec2
         else:

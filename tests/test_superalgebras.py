@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import algebra_fields, corrupt, dense_jacobi_failures, dense_validate
+from oracles import (
+    algebra_fields,
+    corrupt,
+    dense_jacobi_failures,
+    dense_validate,
+    sl2_transcription,
+)
 from weightsys.scalars import MultiPoly
 from weightsys.superalgebras import (
     SuperAlgebra,
@@ -33,6 +39,29 @@ def test_sl2_defining_relations():
     assert L.bracket(e, f) == {h: 1}
     rep = validate(L)
     assert rep["ok"], rep
+
+
+def test_sl2_is_its_transcription():
+    table, casimir = sl2_transcription()
+    L = sl2()
+    assert list(L.bracket_table.items()) == list(table.items())
+    assert L.casimir == casimir
+
+
+@pytest.mark.parametrize("alpha, weights", [
+    (Fraction(2), (3, -1, -2)),
+    (Fraction(1, 3), (Fraction(4, 3), -1, Fraction(-1, 3))),
+])
+def test_d21_holds_three_sl2_triples_of_its_weights(alpha, weights):
+    # E_i, H_i, F_i bracket as sl2's e, h, f, and their Casimir terms, listed
+    # first, are sl2's times alpha + 1, -1 and -alpha
+    table, casimir = sl2_transcription()
+    L = d21(alpha)
+    for i, w in enumerate(weights):
+        at = (i, 3 + i, 6 + i)
+        for (a, b), row in table.items():
+            assert L.bracket(at[a], at[b]) == {at[k]: c for k, c in row.items()}
+        assert L.casimir[3 * i:3 * i + 3] == [(at[x], at[y], w * c) for x, y, c in casimir]
 
 
 def test_dimension_counts(D_sym):
