@@ -34,7 +34,10 @@ least one reached so far.  Branches advance together, so a run of
 orientation ties, as along a ladder, is settled as the branches go rather
 than one whole branch after another.  A chord diagram has no orientation
 to choose: its roots run one after another, its sign is 1 and it is never
-zero.
+zero.  It reaches the search once per class: its rotation-least gap word, a
+complete invariant of the class, keys the cache ``_chord_form``, which
+searches the diagram the word spells, so every diagram of the class gets
+that diagram's form.
 """
 
 from __future__ import annotations
@@ -108,16 +111,17 @@ class Diagram:
     def _connected(self):
         """Whether edges, and the skeleton if present, join every vertex.
 
-        The walk runs over vertices.  The skeleton joins all legs, which
-        ``_validate`` has checked it lists, so every leg starts the walk; a
-        skeleton with no legs starts none, and joins only the bare circle."""
+        The walk runs over vertices and ends once it has reached them all.
+        The skeleton joins all legs, which ``_validate`` has checked it
+        lists, so every leg starts the walk; a skeleton with no legs starts
+        none, and joins only the bare circle."""
         nt, nt3, pairing = self.nt, 3 * self.nt, self.pairing
         stack = [0] if self.skel is None else list(self.skel)
         seen = bytearray(self.n_vertices)
         for v in stack:
             seen[v] = 1
         reached = len(stack)
-        while stack:
+        while stack and reached < len(seen):
             v = stack.pop()
             for p in pairing[3 * v:3 * v + 3] if v < nt else (pairing[v + 2 * nt],):
                 w = p // 3 if p < nt3 else p - 2 * nt
@@ -134,9 +138,13 @@ class Diagram:
 
         The canonical diagram comes with its own form cached: itself, sign
         1 and the class's zero flag, so a stored canonical diagram is never
-        searched again."""
+        searched again.  A chord diagram reads its form from its class's
+        gap word."""
         if self._canon is None:
-            self._canon = _canonicalize(self)
+            if self.is_chord_diagram():
+                self._canon = _chord_form(_gap_word(self))
+            else:
+                self._canon = _canonicalize(self)
         return self._canon
 
     def canonical_key(self):
@@ -370,6 +378,29 @@ def _canonicalize(d):
     # the least (root, code), so out is its own form with sign 1
     out._canon = out, 1, parities == 3
     return out, sign, parities == 3
+
+
+def _gap_word(d):
+    """The rotation-least gap word of a chord diagram: entry i is how far
+    the partner of the leg at circle position i lies ahead of it.  Rotating
+    the circle rotates the word, and the word fixes the pairing, so the
+    least rotation is a complete invariant of the class."""
+    skel, pairing = d.skel, d.pairing
+    n = len(skel)
+    at = [0] * n
+    for i, u in enumerate(skel):
+        at[u] = i
+    twice = tuple((at[pairing[u]] - i) % n for i, u in enumerate(skel)) * 2
+    return min((twice[r:r + n] for r in range(n)), default=())
+
+
+@functools.cache
+def _chord_form(word):
+    """The canonical form of the chord diagram class with gap word ``word``,
+    searched once on the diagram the word spells."""
+    n = len(word)
+    pairs = [(i, i + g) for i, g in enumerate(word) if i + g < n]
+    return _canonicalize(chord_diagram_from_word(pairs, n))
 
 
 def _classes(diagrams):

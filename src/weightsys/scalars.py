@@ -621,11 +621,14 @@ def matrix_rank(rows):
 
     Each kept row is primitive (its content divided out) and keyed by its
     lowest column.  A new row is reduced at its own columns only, taken in
-    increasing order from a heap: at a kept row's column c it becomes
-    ``a * row - f * kept`` with ``a`` and ``f`` the two entries at c over
-    their gcd, and its first nonzero column that keys no kept row makes it
-    a kept row.  Scaling by nonzero ints keeps the rational span, so the
-    kept rows are an echelon basis of it.
+    increasing order from a heap.  At a kept row's column c, with ``a`` the
+    kept row's entry there and ``f`` the new row's: when ``a`` divides
+    ``f``, as the mostly +-1 entries of primitive rows usually do, the row
+    becomes ``row - (f // a) * kept`` and is not scaled; otherwise it
+    becomes ``a * row - f * kept`` with ``a`` and ``f`` over their gcd.  Its
+    first nonzero column that keys no kept row makes it a kept row.
+    Scaling by nonzero ints keeps the rational span, so the kept rows are an
+    echelon basis of it.
     """
     pivots = {}
     for r in rows:
@@ -643,10 +646,12 @@ def matrix_rank(rows):
                 pivots[c] = {k: v // g for k, v in vec.items()}
                 break
             a = piv[c]
-            g = math.gcd(a, f)
-            a, f = a // g, f // g
-            if a != 1:
+            if f % a:
+                g = math.gcd(a, f)
+                a, f = a // g, f // g
                 vec = {k: a * v for k, v in vec.items()}
+            else:
+                f //= a
             for k, v in piv.items():
                 s = vec.get(k, 0) - f * v
                 if s:

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import weightsys.diagrams as diagrams
 import weightsys.scalars as scalars
 from oracles import (
     diagram_text,
@@ -24,6 +25,7 @@ from weightsys.diagrams import (
     Diagram,
     DiagramError,
     LinComb,
+    _canonicalize,
     _classes,
     _from_edges,
     _pairings,
@@ -389,6 +391,69 @@ def test_chord_classes_match_the_four_term_oracle():
     assert len(key_of) == 1 + 2 + 5 + 18 + 105
 
 
+def _searched_form(d):
+    canon, sign, zero = _canonicalize(d)
+    return canon._encoding(), sign, zero
+
+
+def _cached_form(d):
+    canon, sign, zero = d.canonical()
+    return canon._encoding(), sign, zero
+
+
+def test_chord_forms_from_the_class_cache_are_the_searched_forms():
+    # every chord matching of degree 1 to 5, and one seeded relabelling of
+    # each with its skeleton rotated: the form read through the gap word is
+    # the one the search gives the diagram itself
+    rng = random.Random(20261020)
+    for m in range(1, 6):
+        n = 2 * m
+        for pairs in _pairings(list(range(n))):
+            d = chord_diagram_from_word(pairs, n)
+            other = relabeled(d, [], rng.sample(range(n), n), [])
+            r = rng.randrange(n)
+            other = Diagram(0, n, other.pairing, other.skel[r:] + other.skel[:r])
+            for case in (d, other):
+                assert _cached_form(case) == _searched_form(case)
+
+
+def test_chord_forms_have_no_size_limit():
+    # 130 chords put gaps beyond 255 into the word
+    rng = random.Random(130)
+    pts = list(range(260))
+    rng.shuffle(pts)
+    pairs = [(pts[2 * i], pts[2 * i + 1]) for i in range(130)]
+    d = chord_diagram_from_word(pairs, 260)
+    assert max(diagrams._gap_word(d)) > 255
+    assert _cached_form(d) == _searched_form(d)
+
+
+def test_a_chord_class_and_its_mirror_get_different_forms():
+    # reversing the circle of this degree-4 class gives another class, so a
+    # word that forgot the circle's direction would merge the two
+    d = chord_diagram_from_word([(0, 1), (2, 5), (3, 7), (4, 6)], 8)
+    mirror = Diagram(0, 8, d.pairing, d.skel[::-1])
+    assert diagrams._gap_word(d) != diagrams._gap_word(mirror)
+    assert _cached_form(d)[0] != _cached_form(mirror)[0]
+    assert _cached_form(mirror) == _searched_form(mirror)
+
+
+def test_the_stu_oracle_searches_each_chord_class_once(monkeypatch):
+    searched = []
+    search = diagrams._canonicalize
+
+    def counted(d):
+        if d.is_chord_diagram():
+            searched.append(diagrams._gap_word(d))
+        return search(d)
+
+    monkeypatch.setattr(diagrams, "_canonicalize", counted)
+    diagrams._chord_form.cache_clear()
+    assert dim_A_by_stu(5) == 10
+    # the 105 chord classes of degree 5, each searched once
+    assert len(searched) == len(set(searched)) == 105
+
+
 def test_four_term_relations_are_ranked_once(monkeypatch):
     captured = []
     rank = scalars.matrix_rank
@@ -466,6 +531,10 @@ def test_four_term_relations_start_at_point_zero(monkeypatch):
 
 def test_four_term_dimension_at_degree_6():
     assert dim_A_by_four_term(6) == 19
+
+
+def test_stu_dimension_at_degree_6():
+    assert dim_A_by_stu(6) == 19
 
 
 def test_oracles_reject_a_negative_degree():

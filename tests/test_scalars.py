@@ -264,6 +264,16 @@ def test_integer_rank_matches_the_field_rank(rows, data):
     assert matrix_rank(rows) == len(echelon(rows))
 
 
+def test_integer_rank_reduces_unscaled_where_the_pivot_entry_divides():
+    # the first kept row has -1 at column 0, which divides the 3 and the 2
+    # below it, so those rows lose a multiple of it unscaled: the third row
+    # becomes {1: 3, 3: 1}, and the last, -2 times the first, becomes zero.
+    # The second kept row has 2 at column 1 against that odd 3, so the third
+    # row is doubled first and kept at column 2.
+    rows = [{0: -1, 1: 1, 2: 2}, {1: 2, 2: 1}, {0: 3, 2: -6, 3: 1}, {0: 2, 1: -2, 2: -4}]
+    assert matrix_rank(rows) == len(echelon(rows)) == 3
+
+
 def test_equal_values_are_equal_and_unhashable():
     # equal whatever the variable tuple or its order, and a constant equals
     # its Fraction; no program code keys on a polynomial, so none hashes

@@ -43,6 +43,9 @@ UNREAD_FIELDS = {
 MODULE_CACHES = {
     "_reduce_canonical": "value-keyed and shared by every algebra; the wheel-6 "
                          "operation hits it across its three reductions",
+    "_chord_form": "value-keyed by a complete class invariant, the gap word, and "
+                   "shared by every algebra; dim_stu's 12,060 chord diagrams have "
+                   "1,033 words",
 }
 
 
