@@ -40,7 +40,7 @@ OPTIONS = {"validate": ("table",), "leading": ("k", "mode"),
 # leading at alpha = 1, 2-core host: k = 2000 takes about 0.07 s in process and 0.21 s
 ALPHA1_K_LIMIT = 2000  # as a whole process; k = 3000 takes 0.19 s in process
 SYMBOLIC_K_LIMIT = 100  # leading --mode symbolic: k = 100 takes about 0.3 s, cost grows as k^3
-FULL_K_LIMIT = 6  # certify --mode full: k = 6 takes about 46 s, k = 8 has never finished
+FULL_K_LIMIT = 6  # certify --mode full: k = 6 takes about 21 s, k = 8 has never finished
 
 
 class _Parser(argparse.ArgumentParser):

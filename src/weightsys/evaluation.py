@@ -28,9 +28,25 @@ label and merges branches with equal pendings -- exact sparse tensor
 contraction along a path -- and only a closing's map of states is stored.
 So the widest stored map has one open chord fewer than the widest point of
 the sweep: the four pairwise crossing chords on D(2,1,2) store at most
-4,097 adjoint states where the widest point has 51,677.  ``_plan_rotation``
+4,097 adjoint states where the widest point has 51,677.  The last opening
+of a run is applied inside the closing after it: each entry of the
+opening's table goes on through the closing label's table straight into
+the merged state, so the opened states are never built.  ``_plan_rotation``
 picks the cut that keeps few chords open at once, and the sweep runs it.
 A leg tensor's entry is a branch pending on all its labels.
+
+Prime factors.  Chords in different connected components of a chord
+diagram's crossing graph do not cross, so each component lies in a single
+gap of every other one, and the diagram is the connected sum of its
+components, its primes.  A weight system maps a connected sum to the
+product of its factors' values, which are central elements of U(g)
+(Bar-Natan, "On the Vassiliev knot invariants", Topology 34 (1995)), and
+the sum has no Koszul sign between factors, which do not cross.  So a
+Verma value is the product of the primes' central characters, exactly,
+and an adjoint endomorphism is the composite of the primes' scalar ones,
+each Schur-checked.  ``_primes`` finds a chord class's primes once, keyed
+by its gap word as ``diagrams._chord_form`` is, and a chord diagram is
+swept only as a prime: 197 of wheel 6's 291 chord diagrams are composite.
 
 Koszul signs: permuting the Casimir factors into circle order costs exactly
 one factor of -1 per *crossing* pair of chords whose terms are both odd
@@ -43,10 +59,11 @@ Both methods share the carriers.  A carrier holds the bracket table and
 the Casimir ``terms`` as int entries (below), which is what ``leg_tensor``
 reads, and implements ``start``, ``apply`` and ``extract(state, degree)``,
 which turns the final state of a diagram of that degree into its scalar.
-``_evaluate`` plans each distinct part once (``_plan``: how it runs and
+``_evaluate`` plans each distinct prime once (``_plan``: how it runs and
 its cost), checks every plan against ``EVAL_SWEEP_LIMIT`` before it runs
-any, and each carrier memoizes the values in ``carrier.values``, keyed by
-canonical chord or contracted diagram.  An algebra holds its own carriers
+any, so the bound applies to each prime's sweep, and each carrier
+memoizes the values in ``carrier.values``, keyed by canonical prime chord
+diagram or contracted diagram.  An algebra holds its own carriers
 in ``L.carriers``, one per Verma weight and one for the adjoint, built on
 first use and kept while the algebra lives; an algebra built again starts
 with none.
@@ -79,10 +96,12 @@ carriers:
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
-from .diagrams import DiagramError, LinComb, chord_endpoints, chord_reduce
+from .diagrams import (DiagramError, LinComb, _gap_word, chord_diagram_from_word, chord_endpoints,
+                       chord_reduce)
 from .scalars import _BITS, CostBoundError, MultiPoly, _poly
 
 # the planned cost of one sweep (see _plan): 3,017,194 on D(2,1,alpha)
@@ -149,7 +168,9 @@ class _Carrier:
     """What both carriers share: the bracket table (rows {(x, y): {z: c}})
     and the Casimir terms (x, y, w), each c and w scaled and held as the int
     entries that multiply by it, each element's parity, and a state key's
-    layout below the acted-on element, the fields of ``vars``."""
+    layout below the acted-on element, the fields of ``vars``.  It keeps
+    the values it has swept (``values``) and each leg contraction step's
+    table by the step's shape (``step_tables``)."""
 
     def __init__(self, L, vars, bracket):
         # one form for either ring: a rational or a polynomial in alpha
@@ -171,6 +192,7 @@ class _Carrier:
         self.degree_scale = da * da * dw
         self.vars = vars
         self.values = {}
+        self.step_tables = {}
 
     def open_tables(self):
         """For each Casimir term (x, y, w), x and the table of w * y, which
@@ -361,26 +383,32 @@ def sweep_chords(carrier, chords):
     A state's pendings are the labels still to act, one per open chord, in
     the order the chords opened (``slots``).  A run of openings is a chain
     of ``_open`` generators that the closing after it consumes, one
-    (pendings, state) item at a time; only a closing, the one step that
-    merges keys, stores its states.  Position 0 ends a chord, so the sweep
-    ends on a closing.  The chords come in the rotation ``_plan`` chose."""
+    (pendings, state) item at a time; the run's last opening is applied
+    inside that closing (``_close`` with its ``crossing``), so no state of
+    it is built.  Only a closing, the one step that merges keys, stores its
+    states.  Position 0 ends a chord, so the sweep ends on a closing and
+    every opening is applied.  The chords come in the rotation ``_plan``
+    chose."""
     n_positions = 2 * len(chords)
     open_at = {q: ci for ci, (p, q) in enumerate(chords)}
     close_at = {p: ci for ci, (p, q) in enumerate(chords)}
     slots = []
     states = {(): carrier.start()}
     items = states.items()
+    crossing = None   # the crossed slots of an opening not yet applied
     for pos in range(n_positions - 1, -1, -1):
         if pos in open_at:
+            if crossing is not None:
+                items = _open(carrier, items, crossing)
             ci = open_at[pos]
             # an open chord crosses ci when it closes first, at a higher position
             crossing = [j for j, c in enumerate(slots) if chords[c][0] > chords[ci][0]]
-            items = _open(carrier, items, crossing)
             slots.append(ci)
         elif pos in close_at:
             j = slots.index(close_at[pos])
             del slots[j]
-            states = _close(carrier, items, j)
+            states = _close(carrier, items, j, crossing)
+            crossing = None
             if not states:
                 break
             items = states.items()
@@ -404,21 +432,61 @@ def _open(carrier, items, crossing):
                 yield pend + (x,), vec2
 
 
-def _close(carrier, items, j):
+def _close(carrier, items, j, crossing=None):
     """The label pending in slot j acts on each (pendings, state) item, and
-    states with equal other pendings merge into one stored state."""
-    apply, tables = carrier.apply, carrier.tables
+    states with equal other pendings merge into one stored state.
+
+    With ``crossing``, a chord opens on each item first, as ``_open`` opens
+    it, and each entry of the opening goes straight on through the closing
+    label's table into the merged state, signed as it goes: the opened
+    state is never built.  Slot j is then the new chord's own when it
+    closes next to where it opened."""
+    tables = carrier.tables
     states = {}
+    if crossing is None:
+        apply = carrier.apply
+        for pend, vec in items:
+            op = tables[pend[j]]
+            pend = pend[:j] + pend[j + 1:]
+            cur = states.get(pend)
+            if cur is None:
+                vec = apply(op, vec)
+                if vec:
+                    states[pend] = vec
+            else:
+                apply(op, vec, cur)
+        return states
+    parity, shift = carrier.parity, carrier.shift
     for pend, vec in items:
-        op = tables[pend[j]]
-        pend = pend[:j] + pend[j + 1:]
-        cur = states.get(pend)
-        if cur is None:
-            vec = apply(op, vec)
-            if vec:
-                states[pend] = vec
-        else:
-            apply(op, vec, cur)
+        odd = sum([parity[pend[i]] for i in crossing]) & 1
+        own = j == len(pend)
+        if not own:
+            op = tables[pend[j]]
+            rest = pend[:j] + pend[j + 1:]
+        for x, table in carrier.opening:
+            if own:
+                op, key = tables[x], pend
+            else:
+                key = rest + (x,)
+            cur = states.get(key)
+            out = {} if cur is None else cur
+            get = out.get
+            neg = odd and parity[x]
+            for k, c in vec.items():
+                if neg:
+                    c = -c
+                for off, v in table[k >> shift]:
+                    k1 = k + off
+                    cv = c * v
+                    for off2, v2 in op[k1 >> shift]:
+                        k2 = k1 + off2
+                        s = get(k2, 0) + cv * v2
+                        if s:
+                            out[k2] = s
+                        else:
+                            del out[k2]
+            if cur is None and out:
+                states[key] = out
     return states
 
 
@@ -467,7 +535,9 @@ def _leg_plan(d):
     (the input whose parity is the edge's, the mask of kept registers and
     the counts of x and y parities that its sign reads).  Returns (steps,
     the register of each leg in circle order, the pairs of circle positions
-    that the reference order has the other way round).
+    that the reference order has the other way round).  ``what`` is a tuple,
+    and a step's table depends on it and the carrier alone, so the carrier
+    keeps each table by it.
     """
     nt, nt3, pairing = d.nt, 3 * d.nt, d.pairing
     circle = [nt3 + u - nt for u in d.skel]   # leg darts
@@ -568,7 +638,7 @@ def _leg_plan(d):
             for w2, (a2, b2) in ends[i + 1:]:
                 counts[w2] ^= (a < a2 < b) != (a < b2 < b)
             closing.append((w, mask, *counts))
-        steps.append((lookup, keep, ("vertex", root, checked, new, closing)))
+        steps.append((lookup, keep, ("vertex", root, tuple(checked), tuple(new), tuple(closing))))
     for g in circle:
         if across(g) is None and pos[g] < pos[pairing[g]]:
             steps.append(([], list(range(len(darts))), ("chord",)))
@@ -632,8 +702,10 @@ def leg_tensor(carrier, d):
         raise ValueError("leg contraction needs one Casimir partner per basis element")
     state = {((), 0): 1}
     for lookup, keep, what in steps:
-        table = _step_table(what, carrier, first, second)
-        signed = any(row[3] for rows in table.values() for row in rows)
+        if what not in carrier.step_tables:
+            table = _step_table(what, carrier, first, second)
+            carrier.step_tables[what] = table, any(row[3] for rows in table.values() for row in rows)
+        table, signed = carrier.step_tables[what]
         nxt = {}
         for (key, at), coeff in state.items():
             rows = table.get(tuple([key[r] for r in lookup]))
@@ -691,7 +763,7 @@ def _parts(d):
 
 
 def _plan(x, L):
-    """(cost, run) of one part, where ``run(carrier)`` evaluates it: a chord
+    """(cost, run) of one prime, where ``run(carrier)`` evaluates it: a chord
     diagram sweeps the rotation that ``_plan_rotation`` priced; a contracted
     diagram builds its leg tensor and sweeps it, priced dim + dim**2 + ...
     + dim**legs, which bounds the label prefixes its closings store: at
@@ -704,31 +776,63 @@ def _plan(x, L):
     return trie, lambda carrier: sweep_legs(carrier, leg_tensor(carrier, x), x.degree)
 
 
+@functools.cache
+def _primes(word):
+    """The prime factors of the chord diagram class with gap word ``word``:
+    ((canonical key, canonical chord diagram), ...), one per connected
+    component of its crossing graph, and none for the bare circle."""
+    n = len(word)
+    chords = [(i, i + g) for i, g in enumerate(word) if i + g < n]
+    component = list(range(len(chords)))
+    for b, (p, q) in enumerate(chords):
+        for a in range(b):
+            if chords[a][0] < p < chords[a][1] < q:
+                old, new = component[a], component[b]
+                component = [new if c == old else c for c in component]
+    out = []
+    for c in dict.fromkeys(component):
+        mine = [chord for chord, c2 in zip(chords, component) if c2 == c]
+        at = {e: i for i, e in enumerate(sorted(e for chord in mine for e in chord))}
+        prime = chord_diagram_from_word([(at[p], at[q]) for p, q in mine], len(at)).canonical()[0]
+        out.append((prime.canonical_key(), prime))
+    return tuple(out)
+
+
+def _factors(x):
+    """((key, diagram), ...) of the primes whose values multiply to part x's:
+    a chord diagram's prime factors, x itself for a prime, a contracted
+    diagram or the bare circle."""
+    primes = _primes(_gap_word(x)) if x.is_chord_diagram() else ()
+    return primes or ((x.canonical_key(), x),)
+
+
 def _evaluate(d, L, carrier, check=None):
     """Value of a skeleton diagram, or a LinComb of them, on L's carrier.
 
-    Part values come from ``carrier.values`` or from one plan per distinct
-    part (``_plan``), each checked against ``EVAL_SWEEP_LIMIT`` before any
-    runs; ``check(diagram, value)`` runs on the value of every diagram.
+    A part's value is the product of its primes' values (``_factors``).
+    Those come from ``carrier.values`` or from one plan per distinct prime
+    (``_plan``), each checked against ``EVAL_SWEEP_LIMIT`` before any runs;
+    ``check(diagram, value)`` runs on the value of every diagram.
     """
     terms = d if isinstance(d, LinComb) else [(d, 1)]
-    parts = [(diag, c, [(x.canonical_key(), x, cx) for x, cx in _parts(diag)])
-             for diag, c in terms]
+    parts = [(diag, c, [(_factors(x), cx) for x, cx in _parts(diag)]) for diag, c in terms]
     plans = {}
     for _, _, ps in parts:
-        for key, x, _ in ps:
-            if key not in carrier.values and key not in plans:
-                cost, _ = plans[key] = _plan(x, L)
-                if cost > EVAL_SWEEP_LIMIT:
-                    raise CostBoundError(f"a sweep of this diagram on {L.name} plans cost {cost}, "
-                                         f"above the eval bound {EVAL_SWEEP_LIMIT}")
+        for primes, _ in ps:
+            for key, x in primes:
+                if key not in carrier.values and key not in plans:
+                    cost, _ = plans[key] = _plan(x, L)
+                    if cost > EVAL_SWEEP_LIMIT:
+                        raise CostBoundError(f"a sweep of this diagram on {L.name} plans cost {cost}, "
+                                             f"above the eval bound {EVAL_SWEEP_LIMIT}")
     for key, (_, run) in plans.items():
         carrier.values[key] = run(carrier)
     values = []
     for diag, _, ps in parts:
         value = carrier.zero
-        for key, _, cx in ps:
-            value = value + carrier.values[key] * Fraction(cx)
+        for primes, cx in ps:
+            first, *rest = [carrier.values[key] for key, _ in primes]
+            value = value + math.prod(rest, start=first) * Fraction(cx)
         if check is not None:
             check(diag, value)
         values.append(value)

@@ -619,19 +619,21 @@ def matrix_rank(rows):
     elimination.  Rows with Fraction entries have the rank
     ``len(echelon(rows))``.
 
-    Each kept row is primitive (its content divided out) and keyed by its
-    lowest column.  A new row is reduced at its own columns only, taken in
-    increasing order from a heap.  At a kept row's column c, with ``a`` the
-    kept row's entry there and ``f`` the new row's: when ``a`` divides
-    ``f``, as the mostly +-1 entries of primitive rows usually do, the row
-    becomes ``row - (f // a) * kept`` and is not scaled; otherwise it
-    becomes ``a * row - f * kept`` with ``a`` and ``f`` over their gcd.  Its
-    first nonzero column that keys no kept row makes it a kept row.
-    Scaling by nonzero ints keeps the rational span, so the kept rows are an
-    echelon basis of it.
+    The rows are taken shortest first, in a stable sort, so that short
+    rows, such as the two-entry relations of ``dim_A_by_stu``, become kept
+    rows before long rows are reduced against them.  Each kept row is
+    primitive (its content divided out) and keyed by its lowest column.  A
+    new row is reduced at its own columns only, taken in increasing order
+    from a heap.  At a kept row's column c, with ``a`` the kept row's entry
+    there and ``f`` the new row's: when ``a`` divides ``f``, as the mostly
+    +-1 entries of primitive rows usually do, the row becomes ``row - (f //
+    a) * kept`` and is not scaled; otherwise it becomes ``a * row - f *
+    kept`` with ``a`` and ``f`` over their gcd.  Its first nonzero column
+    that keys no kept row makes it a kept row.  Scaling by nonzero ints
+    keeps the rational span, so the kept rows are an echelon basis of it.
     """
     pivots = {}
-    for r in rows:
+    for r in sorted(rows, key=len):
         vec = {c: v for c, v in r.items() if v}
         heap = list(vec)
         heapq.heapify(heap)

@@ -19,7 +19,9 @@ reaches them, so they live with the tests rather than in src/weightsys.
   ``--diagram`` file read (``diagram_text``);
 - the largest planned cost of the sweeps that evaluating a diagram runs
   (``sweep_cost``), read without sweeping, against which the eval cost
-  bound is checked;
+  bound is checked, and a chord diagram's crossing components
+  (``crossing_components``), its prime factors found without the
+  package's factoring;
 - the evaluation sweep on MultiPoly states (``PolyVerma``, ``PolyEndo``,
   ``poly_sweep_chords``, ``poly_sweep_legs``), the path the int-state
   sweep of ``weightsys.evaluation`` replaced, and leg contraction on
@@ -66,6 +68,7 @@ from weightsys.diagrams import (
     wheel,
 )
 from weightsys.evaluation import (
+    _factors,
     _leg_plan,
     SchurCheckError,
     _parts,
@@ -112,8 +115,30 @@ def diagram_text(d):
 
 def sweep_cost(d, L):
     """The largest planned cost of the sweeps that evaluating a skeleton
-    diagram on L runs; nothing is swept or contracted."""
-    return max((_plan(x, L)[0] for x, _ in _parts(d)), default=0)
+    diagram on L runs, one per prime factor of each part; nothing is swept
+    or contracted."""
+    return max((_plan(p, L)[0] for x, _ in _parts(d) for _, p in _factors(x)), default=0)
+
+
+def crossing_components(chords):
+    """The chords of each connected component of a chord diagram's crossing
+    graph, given as endpoint pairs, each component moved onto the positions
+    0 .. 2k - 1 in circle order.  Two chords cross when exactly one end of
+    one lies between the ends of the other; a walk from each chord not yet
+    reached collects its component."""
+    left, out = set(chords), []
+    while left:
+        stack, mine = [left.pop()], []
+        while stack:
+            a, b = stack.pop()
+            mine.append((a, b))
+            for c, d in sorted(left):
+                if (a < c < b) != (a < d < b):
+                    left.remove((c, d))
+                    stack.append((c, d))
+        at = {e: i for i, e in enumerate(sorted(e for chord in mine for e in chord))}
+        out.append(sorted((at[a], at[b]) for a, b in mine))
+    return sorted(out)
 
 
 # -- skeleton-order sorting (the filtration decomposition) ---------------------------

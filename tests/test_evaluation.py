@@ -1,5 +1,6 @@
 """Weight-system evaluation: two methods, invariances, insertion ratios."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from oracles import (
     PolyEndo,
     PolyVerma,
     corrupt,
+    crossing_components,
     diagram_text,
     empty_circle,
     enumerate_connected,
@@ -25,6 +27,7 @@ from weightsys.diagrams import (
     Diagram,
     InsertionPiece,
     LinComb,
+    _word_canonical,
     all_chord_diagrams,
     chi_bar,
     chord_diagram_from_word,
@@ -480,10 +483,11 @@ def test_x3_insertion_scales_the_glued_4_wheel(D2):
     assert value == -72 * eval_verma(wheel_on_circle(4), D2, (3, 1, 1))
 
 
-def test_each_part_is_planned_once(monkeypatch):
+def test_each_prime_is_planned_once(monkeypatch):
     # the symmetrized 4-wheel's two classes reduce to 18 chord diagrams, 12
-    # of them distinct: one rotation search per distinct part, and none
-    # once every part's value is memoized
+    # of them distinct, whose crossing components are 6 distinct primes:
+    # one rotation search per distinct prime, and none once every prime's
+    # value is memoized
     searches = []
     plan_rotation = evaluation._plan_rotation
 
@@ -493,11 +497,98 @@ def test_each_part_is_planned_once(monkeypatch):
 
     monkeypatch.setattr(evaluation, "_plan_rotation", counting)
     L, sym = sl2(), chi_bar(wheel(4))
+    parts = chord_reduce(sym)
+    primes = {_word_canonical(comp, 2 * len(comp))
+              for x, _ in parts for comp in crossing_components(chord_endpoints(x))}
+    assert len(list(parts)) == 12 and len(primes) == 6
     first = eval_verma(sym, L, (2,))
-    assert len(searches) == len(L.carriers[(2,)].values) == 12
+    assert len(searches) == len(L.carriers[(2,)].values) == len(primes)
     searches.clear()
     assert eval_verma(sym, L, (2,)) == first
     assert searches == []
+
+
+def connected_sum(rng, primes):
+    """A chord diagram's endpoint pairs built as the connected sum of the
+    given primes' endpoint pairs: each prime, turned by a seeded rotation,
+    goes into a seeded gap of the diagram built so far."""
+    pairs, n = [], 0
+    for prime in primes:
+        k, turn, gap = 2 * len(prime), rng.randrange(2 * len(prime)), rng.randrange(n + 1)
+        pairs = [tuple(e + k if e >= gap else e for e in chord) for chord in pairs]
+        pairs += [tuple(sorted(gap + (e + turn) % k for e in chord)) for chord in prime]
+        n += k
+    return sorted(pairs), n
+
+
+def test_a_chord_diagram_factors_into_its_crossing_components():
+    one = chord_diagram_from_word([(0, 1)], 2).canonical_key()
+    nested = chord_diagram_from_word([(0, 3), (1, 2)], 4)
+    assert [key for key, _ in evaluation._factors(nested)] == [one, one]
+    cross4 = chord_diagram_from_word([(0, 4), (1, 5), (2, 6), (3, 7)], 8)
+    assert [key for key, _ in evaluation._factors(cross4)] == [cross4.canonical_key()]
+    # seeded composites of degree 6, of primes of degree 3, 2 and 1 drawn
+    # from the prime classes: each splits into the primes it was built of
+    rng = random.Random(6)
+    prime_classes = {m: [chord_endpoints(d) for d in all_chord_diagrams(m)
+                         if len(crossing_components(chord_endpoints(d))) == 1]
+                     for m in (1, 2, 3)}
+    assert [len(prime_classes[m]) for m in (1, 2, 3)] == [1, 1, 2]
+    for _ in range(8):
+        primes = [rng.choice(prime_classes[m]) for m in rng.sample((3, 2, 1), 3)]
+        pairs, n = connected_sum(rng, primes)
+        d = chord_diagram_from_word(pairs, n)
+        assert d.degree == 6 and len(crossing_components(pairs)) == 3
+        want = sorted(chord_diagram_from_word(p, 2 * len(p)).canonical_key() for p in primes)
+        assert sorted(key for key, _ in evaluation._factors(d)) == want
+
+
+@pytest.mark.parametrize("alpha, top", [(None, 5), (Fraction(2), 5), ("symbolic", 4)])
+def test_a_composite_value_is_the_product_of_its_primes(alpha, top):
+    # every chord diagram of degree at most top that factors: its evaluated
+    # value, the product of its primes', equals the sweep of the whole
+    # unfactored diagram, in the cut the plan picks for it.  Verma values
+    # are nonzero; the adjoint ones vanish on D(2,1,2), so that comparison
+    # checks the Schur check of each prime only, and 75 of the 90 on sl2 do
+    # not
+    L = sl2() if alpha is None else d21(None if alpha == "symbolic" else alpha)
+    weight = (2,) if alpha is None else (3, 1, 1)
+    composite = [d for m in range(top + 1) for d in all_chord_diagrams(m)
+                 if len(crossing_components(chord_endpoints(d))) > 1]
+    assert len(composite) == (16 if top == 4 else 90)
+    methods = [(VermaCarrier(L, weight), lambda d: eval_verma(d, L, weight))]
+    if alpha != "symbolic":
+        methods.append((EndoCarrier(L), lambda d: eval_state_sum(d, L)))
+    nonzero = []
+    for carrier, evaluate in methods:
+        for d in composite:
+            ends = chord_endpoints(d)
+            chords, _ = evaluation._plan_rotation(ends, 2 * len(ends), len(carrier.terms))
+            value = evaluate(d)
+            assert value == sweep_chords(carrier, chords), (type(carrier).__name__, ends)
+            nonzero.append(bool(value))
+    assert all(nonzero[:len(composite)])
+    assert sum(nonzero[len(composite):]) == (75 if alpha is None else 0)
+
+
+def test_splitting_a_prime_changes_its_value(monkeypatch):
+    # the negative control: the two crossing chords evaluated as if they
+    # were two single chords give the square of the one-chord value, which
+    # is not the crossing's value on sl2.  (On D(2,1,alpha) the two differ
+    # by a multiple of the adjoint Casimir eigenvalue t = 0, so they agree.)
+    cross = chord_diagram_from_word([(0, 2), (1, 3)], 4)
+    one = chord_diagram_from_word([(0, 1)], 2)
+    factors = evaluation._factors
+    monkeypatch.setattr(evaluation, "_factors",
+                        lambda x: factors(one) * 2 if x == cross.canonical()[0] else factors(x))
+    L = sl2()
+    for carrier, evaluate in ((VermaCarrier(L, (2,)), lambda d: eval_verma(d, L, (2,))),
+                              (EndoCarrier(L), lambda d: eval_state_sum(d, L))):
+        split = evaluate(cross)
+        assert split == evaluate(one) * evaluate(one)
+        assert split != sweep_chords(carrier, [(0, 2), (1, 3)])
+    monkeypatch.undo()
+    assert eval_verma(cross, sl2(), (2,)) == sweep_chords(VermaCarrier(L, (2,)), [(0, 2), (1, 3)])
 
 
 def test_the_library_bounds_the_sweep_before_sweeping(monkeypatch):
@@ -703,6 +794,31 @@ def test_the_plan_bounds_the_leg_sweep(L, D2, monkeypatch):
                 stored.clear()
                 sweep_legs(carrier, leg_tensor(carrier, x), x.degree)
                 assert 0 < sum(stored) <= sweep_cost(x, A), (A.name, type(carrier).__name__)
+
+
+def test_each_leg_step_table_is_built_once_per_shape(D2):
+    # the X3-inserted 4-wheel and the three triangle-inserted ones: 18 of
+    # their steps have 10 shapes.  Once they are contracted, the carrier
+    # holds one table per shape, and each equals a fresh build for every
+    # step that has that shape
+    (ins, c), = list(insert_at_vertex(wheel(4), 0, triangle()))
+    tri = [x for x, _ in chi_bar(ins, c)]
+    steps = [what for x in tri for _, _, what in evaluation._leg_plan(x)[0]]
+    assert len(steps) == 18 and len(set(steps)) == 10
+    diagrams = [Diagram.from_text(X3W4_TEXT), *tri]
+    for carrier in (VermaCarrier(D2, (3, 1, 1)), EndoCarrier(D2)):
+        first = {x: (y, w) for x, y, w in carrier.terms}
+        second = {y: (x, w) for x, y, w in carrier.terms}
+        shapes = set()
+        for x in diagrams:
+            leg_tensor(carrier, x)
+            for _, _, what in evaluation._leg_plan(x)[0]:
+                shapes.add(what)
+                table, signed = carrier.step_tables[what]
+                fresh = evaluation._step_table(what, carrier, first, second)
+                assert table == fresh
+                assert signed == any(row[3] for rows in fresh.values() for row in rows)
+        assert set(carrier.step_tables) == shapes
 
 
 def test_a_nonempty_adjoint_leg_sweep_on_d21(D2):

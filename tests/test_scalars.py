@@ -1,6 +1,7 @@
 """Tests for the exact scalar tower and the linear solver."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -272,6 +273,25 @@ def test_integer_rank_reduces_unscaled_where_the_pivot_entry_divides():
     # row is doubled first and kept at column 2.
     rows = [{0: -1, 1: 1, 2: 2}, {1: 2, 2: 1}, {0: 3, 2: -6, 3: 1}, {0: 2, 1: -2, 2: -4}]
     assert matrix_rank(rows) == len(echelon(rows)) == 3
+
+
+def test_integer_rank_does_not_depend_on_the_row_order(monkeypatch):
+    # matrix_rank takes the rows shortest first; on seeded shuffles of the
+    # rows dim_A_by_stu(5) ranks, the rank is still the field rank
+    from weightsys import scalars
+    from weightsys.diagrams import dim_A_by_stu
+
+    captured = []
+    monkeypatch.setattr(scalars, "matrix_rank", lambda rows: captured.append(list(rows)) or 0)
+    dim_A_by_stu(5)
+    monkeypatch.undo()
+    rows, = captured
+    rank = len(echelon(rows))
+    assert rank == 95 and len({len(r) for r in rows}) > 1
+    rng = random.Random(5)
+    for _ in range(4):
+        rng.shuffle(rows)
+        assert matrix_rank(rows) == rank
 
 
 def test_equal_values_are_equal_and_unhashable():

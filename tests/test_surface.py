@@ -46,6 +46,9 @@ MODULE_CACHES = {
     "_chord_form": "value-keyed by a complete class invariant, the gap word, and "
                    "shared by every algebra; dim_stu's 12,060 chord diagrams have "
                    "1,033 words",
+    "_primes": "value-keyed by the same gap word, and shared by every algebra and "
+               "carrier; wheel 6's 291 chord diagrams are factored once each, not "
+               "once per carrier",
 }
 
 
