@@ -100,12 +100,12 @@ def p_factors():
             for label in FACTOR_LABELS]
 
 
-def build_P():
-    """P in e1, e2, e3: the product of its four S3-orbits of factors, each
-    orbit's product rewritten in e1, e2, e3 on its own."""
-    fs = p_factors()
+def build_P(factors):
+    """P in e1, e2, e3 from its ``p_factors()``: the product of its four
+    S3-orbits of factors, each orbit's product rewritten in e1, e2, e3 on
+    its own."""
     p = MultiPoly.const(1, E)
-    for orbit in (fs[0:3], fs[3:6], fs[6:12], fs[12:15]):
+    for orbit in (factors[0:3], factors[3:6], factors[6:12], factors[12:15]):
         p = p * to_elementary(math.prod(orbit))
     return p
 
@@ -113,17 +113,18 @@ def build_P():
 # ------------------------------------------------------------- image membership
 
 
-def chi0_image_test(p):
+def chi0_image_test(p, factors):
     """Membership of p in e1, e2, e3 in Q[t] + (t+lam)(t+mu)(t+nu) Q[t, e2, e3],
     with the decomposition when it exists.
 
     In elementary coordinates the second summand is M * Q[e1, e2, e3] with
-    M the product of P's first three factors, 2 e1^3 + e1 e2 + e3, monic
-    and linear in e3; dividing out M leaves a remainder in Q[e1, e2], and
-    membership holds iff that remainder is free of e2.  Returns (member, f,
-    g) with p = f(t) + M*g when member.
+    M the product of the first three of P's ``factors`` (from
+    ``p_factors()``), 2 e1^3 + e1 e2 + e3, monic and linear in e3;
+    dividing out M leaves a remainder in Q[e1, e2], and membership holds
+    iff that remainder is free of e2.  Returns (member, f, g) with p = f(t)
+    + M*g when member.
     """
-    m = to_elementary(math.prod(p_factors()[:3]))
+    m = to_elementary(math.prod(factors[:3]))
     quotient = MultiPoly.zero(E)
     work = p
     for power in range(p.degree_in("e3"), 0, -1):
@@ -257,16 +258,15 @@ def load_family_table(path):
     return families
 
 
-def vanishing_table(p, families):
+def vanishing_table(p, families, factors):
     """Substitute every family's parameter triple into a polynomial in e1,
-    e2, e3 carrying the factor structure of P and report the factor of P
-    that kills it.
+    e2, e3 carrying the factor structure of P and report which of P's
+    ``factors``, read from ``p_factors()``, kills it.
 
     The input must vanish identically for every family (a hard failure
     otherwise); the recorded factor of P must be identically zero and every
     other factor must be nonzero (nondegeneracy of the table).
     """
-    factors = p_factors()
     report = []
     ok = True
     for fam in families:
@@ -340,13 +340,14 @@ def build_D_element(k, q_spec, families, full):
     d = 15 + deg_q
     sun_report = asymptotics.find_n0(k) if full else None
 
-    P = build_P()
+    factors = p_factors()
+    P = build_P(factors)
     PQ = P * Q
-    member, f_part, g_part = chi0_image_test(PQ)
+    member, f_part, g_part = chi0_image_test(PQ, factors)
     sigma = chi_prime_D(PQ)
     sigma_degs = weighted_degrees(sigma)
     poly, roots, sq = specialize_alpha(sigma)
-    table = vanishing_table(PQ, families)
+    table = vanishing_table(PQ, families, factors)
 
     character_ok = (member and not sigma.is_zero() and not poly.is_zero()
                     and table["ok"] and len(sigma_degs) <= 1)

@@ -116,7 +116,8 @@ def cmd_validate(args):
 
     try:
         families = characters.load_family_table(args.table)
-        vt = characters.vanishing_table(characters.build_P(), families)
+        factors = characters.p_factors()
+        vt = characters.vanishing_table(characters.build_P(factors), families, factors)
     except (ValueError, OSError, CostBoundError) as exc:
         vt = {"ok": False, "rows": [], "error": str(exc)}
     for row in vt.get("rows", []):

@@ -38,6 +38,11 @@ zero.  It reaches the search once per class: its rotation-least gap word, a
 complete invariant of the class, keys the cache ``_chord_form``, which
 searches the diagram the word spells, so every diagram of the class gets
 that diagram's form.
+
+The STU dimension oracle ``dim_A_by_stu`` searches no diagram.  It names
+each chord class and each STU resolution by its gap word, and
+``one_vertex_diagrams`` gives it one diagram per one-vertex class straight
+from the tripod's least gap triple.
 """
 
 from __future__ import annotations
@@ -384,14 +389,17 @@ def _gap_word(d):
     """The rotation-least gap word of a chord diagram: entry i is how far
     the partner of the leg at circle position i lies ahead of it.  Rotating
     the circle rotates the word, and the word fixes the pairing, so the
-    least rotation is a complete invariant of the class."""
+    least rotation is a complete invariant of the class.  It starts at the
+    word's least entry, so only the rotations starting there are tried."""
     skel, pairing = d.skel, d.pairing
     n = len(skel)
     at = [0] * n
     for i, u in enumerate(skel):
         at[u] = i
-    twice = tuple((at[pairing[u]] - i) % n for i, u in enumerate(skel)) * 2
-    return min((twice[r:r + n] for r in range(n)), default=())
+    gaps = [(at[pairing[u]] - i) % n for i, u in enumerate(skel)]
+    least = min(gaps, default=0)
+    twice = tuple(gaps) * 2
+    return min((twice[r:r + n] for r in range(n) if gaps[r] == least), default=())
 
 
 @functools.cache
@@ -528,45 +536,43 @@ def stu_eligible_legs(d):
 
 
 def stu_expand(d, u):
-    """Resolve the internal vertex attached to skeleton leg u.
-
-    For cyclic order (edge-to-skeleton, x, y) at the internal vertex the
-    result is D[..., y-end, x-end, ...] - D[..., x-end, y-end, ...], the two
-    ends replacing u in circle order.  Applying repeatedly terminates in
-    chord diagrams.
-    """
-    if d.skel is None:
-        raise DiagramError("stu_expand needs a skeleton")
-    u_dart = d.vertex_darts(u)[0]
-    h = d.pairing[u_dart]
-    if h >= 3 * d.nt:
-        raise DiagramError(f"leg {u} is a chord end, not STU-eligible")
-    t = h // 3
-    hx, hy = d.sigma(h), d.sigma(d.sigma(h))
-    px, py = d.pairing[hx], d.pairing[hy]
-
+    """Resolve the internal vertex attached to skeleton leg u: the signed
+    sum of its two ``_resolutions``.  Applying repeatedly terminates in
+    chord diagrams."""
     out = LinComb()
-    for first, second, sgn in ((py, px, 1), (px, py, -1)):
-        out.add(_resolve(d, t, u, first, second), sgn)
+    for diag, sgn in _resolutions(d, u):
+        out.add(diag, sgn)
     return out
 
 
-def _resolve(d, t, u, first_partner, second_partner):
-    """Remove internal vertex t and leg u; attach the two cut edges to two
-    new skeleton legs at u's position, ``first_partner`` first in circle
-    order."""
+def _resolutions(d, u):
+    """The two STU resolutions of the internal vertex t attached to skeleton
+    leg u, each a validated diagram with its sign.
+
+    For cyclic order (edge-to-skeleton, x, y) at t they are D[..., y-end,
+    x-end, ...] with sign 1 and D[..., x-end, y-end, ...] with sign -1: t
+    and u are removed, once for both, and the two cut edges attach to two
+    new skeleton legs at u's position.
+    """
+    if d.skel is None:
+        raise DiagramError("stu_expand needs a skeleton")
+    h = d.pairing[d.vertex_darts(u)[0]]
+    if h >= 3 * d.nt:
+        raise DiagramError(f"leg {u} is a chord end, not STU-eligible")
+    px, py = d.pairing[d.sigma(h)], d.pairing[d.sigma(d.sigma(h))]
     new_nt = d.nt - 1
-    vmap, dmap, edges = _cut(d, (t, u), new_nt)
-    # two fresh legs take the last two univalent slots: A (first) then B
-    leg_a, dart_a = new_nt + d.nu - 1, 3 * new_nt + d.nu - 1
-    if first_partner in dmap:
-        edges += [(dart_a, dmap[first_partner]), (dart_a + 1, dmap[second_partner])]
-    else:  # both cut edges close onto each other: a chord between the new legs
-        edges.append((dart_a, dart_a + 1))
+    vmap, dmap, edges = _cut(d, (h // 3, u), new_nt)
+    # two fresh legs take the last two univalent slots, in circle order
+    leg, dart = new_nt + d.nu - 1, 3 * new_nt + d.nu - 1
     skel = []
     for v in d.skel:
-        skel.extend((leg_a, leg_a + 1) if v == u else (vmap[v],))
-    return _from_edges(new_nt, d.nu + 1, edges, skel)
+        skel.extend((leg, leg + 1) if v == u else (vmap[v],))
+    if px not in dmap:  # both cut edges close onto each other: a chord between the new legs
+        both = _from_edges(new_nt, d.nu + 1, edges + [(dart, dart + 1)], skel)
+        return (both, 1), (both, -1)
+    return tuple((_from_edges(new_nt, d.nu + 1, edges + [(dart, dmap[a]), (dart + 1, dmap[b])],
+                              skel), sgn)
+                 for a, b, sgn in ((py, px, 1), (px, py, -1)))
 
 
 def chord_reduce(d):
@@ -698,7 +704,13 @@ def chord_diagram_from_word(pairs, n):
 
 
 def all_chord_diagrams(m):
-    """Canonical chord diagrams with m chords.
+    """Canonical chord diagrams with m chords: the classes of
+    ``_chord_diagrams(m)``."""
+    return _classes(_chord_diagrams(m))
+
+
+def _chord_diagrams(m):
+    """Chord diagrams with m chords, at least one of each class.
 
     Rotating the circle keeps the diagram, so a rotation that takes one end
     of a shortest chord to 0 and its other end forward to g <= m reaches
@@ -708,11 +720,10 @@ def all_chord_diagrams(m):
     """
     n = 2 * m
     if not m:
-        return _classes([chord_diagram_from_word([], 0)])
-    return _classes(chord_diagram_from_word([(0, g), *pairs], n)
-                    for g in range(1, m + 1)
-                    for pairs in _pairings([i for i in range(1, n) if i != g],
-                                           range(g, n - g + 1)))
+        yield chord_diagram_from_word([], 0)
+    for g in range(1, m + 1):
+        for pairs in _pairings([i for i in range(1, n) if i != g], range(g, n - g + 1)):
+            yield chord_diagram_from_word([(0, g), *pairs], n)
 
 
 def _pairings(items, span=None):
@@ -733,53 +744,76 @@ def _pairings(items, span=None):
 
 def one_vertex_diagrams(m):
     """Degree-m skeleton diagrams with exactly one internal vertex (a tripod
-    plus m-2 chords), canonical set.
+    plus m-2 chords): one validated diagram per class, in generation order
+    and not put in canonical form.  None is zero, since a rotation of the
+    circle keeps the tripod's cyclic order.
 
     Rotating the circle keeps the diagram, and the tripod's three legs keep
     their cyclic order when their positions are sorted again.  Taking
     another leg to 0 turns the gaps (a, b - a, n - b) of a tripod at
     (0, a, b) cyclically, so the tripods whose gap triple is least among
     its three turns reach every class: about a third of the C(2m-2, 2)
-    positions (0, a, b), rather than C(2m-1, 3).
+    positions (0, a, b), rather than C(2m-1, 3).  Two diagrams on one such
+    tripod are of one class only through a rotation that keeps the tripod
+    and so its gap triple.  A turn of the triple keeps it only when n = 3a;
+    then the rotations by a and 2a turn the pairing of the other points, and
+    only the least of its three turns is kept.
     """
     n = 2 * m - 1  # skeleton vertices
 
-    def diagrams():
-        for a, b in itertools.combinations(range(1, n), 2):
-            gaps = (a, b - a, n - b)
-            if gaps > gaps[1:] + gaps[:1] or gaps > gaps[2:] + gaps[:2]:
-                continue
-            tripod_pos = (0, a, b)
-            rest = [i for i in range(n) if i not in tripod_pos]
-            for pairs in _pairings(rest):
-                edges = [(s, 3 + pos) for s, pos in enumerate(tripod_pos)]
-                edges += [(3 + a, 3 + b) for a, b in pairs]
-                yield _from_edges(1, n, edges, skel=range(1, 1 + n))
+    def turned(pairs, s):
+        return sorted(tuple(sorted(((x + s) % n, (y + s) % n))) for x, y in pairs)
 
-    return _classes(diagrams())
+    out = []
+    for a, b in itertools.combinations(range(1, n), 2):
+        gaps = (a, b - a, n - b)
+        if gaps > gaps[1:] + gaps[:1] or gaps > gaps[2:] + gaps[:2]:
+            continue
+        legs = [(0, 3), (1, 3 + a), (2, 3 + b)]
+        for pairs in _pairings([i for i in range(1, n) if i not in (a, b)]):
+            if 3 * a == n and pairs > min(turned(pairs, a), turned(pairs, b)):
+                continue
+            edges = legs + [(3 + x, 3 + y) for x, y in pairs]
+            out.append(_from_edges(1, n, edges, skel=range(1, 1 + n)))
+    return out
 
 
 def dim_A_by_stu(m):
     """dim of the degree-m circle space: chord classes modulo the relations
     induced by resolving one-internal-vertex diagrams along each of their
-    three legs in turn."""
+    three legs in turn.
+
+    Nothing is canonicalized: the classes and the resolutions are named by
+    their rotation-least gap words, and each one-vertex class comes once
+    from ``one_vertex_diagrams``."""
     from .scalars import matrix_rank
 
     if m < 0:
         raise ValueError(f"degree must be at least 0, got {m}")
-    classes = all_chord_diagrams(m)
-    index = {c._encoding(): i for i, c in enumerate(classes)}
-    rows = []
+    classes = {_gap_word(d) for d in _chord_diagrams(m)}
+    _, rows = _stu_relations(m)
+    return len(classes) - matrix_rank(rows)
+
+
+def _stu_relations(m):
+    """(columns, rows) of the degree-m STU relations: ``columns`` numbers
+    the resolutions' gap words in order of first appearance (``matrix_rank``
+    says why that order), and each row is a dict column -> int."""
+    columns, rows = {}, []
     for diag in one_vertex_diagrams(m):
         # resolving the one vertex leaves chord diagrams, and the relations
         # against the first resolution span those between any two
-        first, *others = (stu_expand(diag, u) for u in stu_eligible_legs(diag))
-        for exp in others:
-            row = {index[t._encoding()]: c for t, c in first - exp}
+        first, *others = ([(columns.setdefault(_gap_word(r), len(columns)), sgn)
+                           for r, sgn in _resolutions(diag, u)]
+                          for u in stu_eligible_legs(diag))
+        for other in others:
+            row = {}
+            for col, sgn in first + [(col, -sgn) for col, sgn in other]:
+                row[col] = row.get(col, 0) + sgn
+            row = {col: c for col, c in row.items() if c}
             if row:
                 rows.append(row)
-    rank = matrix_rank(rows)
-    return len(classes) - rank
+    return columns, rows
 
 
 # independent four-term oracle, pure word surgery ------------------------------------

@@ -631,6 +631,12 @@ def matrix_rank(rows):
     kept`` with ``a`` and ``f`` over their gcd.  Its first nonzero column
     that keys no kept row makes it a kept row.  Scaling by nonzero ints
     keeps the rational span, so the kept rows are an echelon basis of it.
+
+    The column order sets which columns key kept rows, and so the work.
+    ``dim_A_by_stu`` numbers its columns in order of first appearance: at
+    m = 6 its 3,041 rows rank in about 68 ms so, 66 ms with the columns in
+    canonical class order and 222 ms in sorted gap-word order (CPython
+    3.11, 2-core host).
     """
     pivots = {}
     for r in sorted(rows, key=len):

@@ -9,7 +9,9 @@ reaches them, so they live with the tests rather than in src/weightsys.
   relations checked by brute force;
 - the circle space: sorting a skeleton by STU swaps (``sort_skeleton_to``),
   which decomposes the symmetrized wheel into k! times the glued wheel plus
-  lower terms;
+  lower terms, and the STU oracle's relation rows indexed by canonical
+  chord class (``stu_rows_by_canonical_class``), the path that naming
+  resolutions by gap word replaced;
 - insertion characters measured as exact probe ratios
   (``ratio_character``);
 - the inverse of ``characters.to_elementary`` (``from_elementary``) and
@@ -63,8 +65,11 @@ from weightsys.diagrams import (
     _classes,
     _cut,
     _from_edges,
+    all_chord_diagrams,
     chi_bar,
     insert_at_vertex,
+    stu_eligible_legs,
+    stu_expand,
     wheel,
 )
 from weightsys.evaluation import (
@@ -200,6 +205,23 @@ def sort_skeleton_to(d, target_order):
                 cur = swapped
                 changed = True
     return LinComb.of(cur), lower
+
+
+def stu_rows_by_canonical_class(one_vertex, m):
+    """The STU relation rows of the degree-m one-vertex diagrams
+    ``one_vertex``, built the way ``dim_A_by_stu`` built them before gap
+    words named its columns: the resolutions along each leg are collected
+    by ``stu_expand`` into a LinComb, and a column is the index of a
+    canonical class among ``all_chord_diagrams(m)``."""
+    index = {c._encoding(): i for i, c in enumerate(all_chord_diagrams(m))}
+    rows = []
+    for diag in one_vertex:
+        first, *others = (stu_expand(diag, u) for u in stu_eligible_legs(diag))
+        for exp in others:
+            row = {index[t._encoding()]: c for t, c in first - exp}
+            if row:
+                rows.append(row)
+    return rows
 
 
 # -- IHX saturation and reduction ---------------------------------------------------

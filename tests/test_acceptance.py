@@ -29,6 +29,7 @@ from weightsys.characters import (
     build_P,
     chi_prime_D,
     load_family_table,
+    p_factors,
     vanishing_table,
 )
 from weightsys.diagrams import (
@@ -132,17 +133,17 @@ def test_criterion_06_degree_bounds():
 
 def test_criterion_07_character_certificate():
     from weightsys.characters import E, chi0_image_test, weighted_degrees
-    P = build_P()
+    P = build_P(p_factors())
     assert weighted_degrees(P) == {15}
     e2, e3 = (MultiPoly.variable(v).with_vars(E) for v in ("e2", "e3"))
     for Q in (MultiPoly.const(1, E), e2, e3, e2 * e2):
-        member, _, _ = chi0_image_test(P * Q)
+        member, _, _ = chi0_image_test(P * Q, p_factors())
         assert member
     s = chi_prime_D(P)
     s2 = MultiPoly.variable("sigma2").with_vars(("sigma2", "sigma3"))
     s3 = MultiPoly.variable("sigma3").with_vars(("sigma2", "sigma3"))
     assert s == -27 * s3 ** 3 * (4 * s2 ** 3 + 27 * s3 ** 2)
-    table = vanishing_table(P, load_family_table(None))
+    table = vanishing_table(P, load_family_table(None), p_factors())
     assert table["ok"]
     _report(7, "deg P = 15; P*Q in the image for Q in {1, e2, e3, e2^2}; "
                "chi'_D(P) = -27 sigma3^3 (4 sigma2^3 + 27 sigma3^2) against "

@@ -28,6 +28,7 @@ from oracles import enumerate_connected
 from test_diagrams import flipped_at, relabeled
 from weightsys.diagrams import (
     Diagram,
+    _classes,
     _from_edges,
     all_chord_diagrams,
     chi_bar,
@@ -63,7 +64,7 @@ def corpus():
     bases = [c for d in range(1, 5) for legs in range(2 * d + 1)
              for c in enumerate_connected(d, legs)]
     bases += [c for m in range(1, 5) for c in all_chord_diagrams(m)]
-    bases += one_vertex_diagrams(4)
+    bases += _classes(one_vertex_diagrams(4))
     bases += [c for c, _ in chi_bar(wheel(6))]
     bases += [_from_edges(1, 3, [(0, 3), (1, 4), (2, 5)]), odd_wheel(3), odd_wheel(5)]
     bases += all_chord_diagrams(5)

@@ -52,7 +52,7 @@ def read_names(text):
 
 @pytest.fixture(scope="module")
 def P():
-    return build_P()
+    return build_P(p_factors())
 
 
 def test_P_degree_and_symmetry(P):
@@ -87,7 +87,7 @@ def test_the_image_test_divides_by_the_product_of_the_first_three_factors():
     assert to_elementary(math.prod(p_factors()[:3])) == IMAGE_MODULUS
     # M * q decomposes with no t part and cofactor q
     for q in (MultiPoly.const(1, E), e2, e1 * e3 + 3 * e2 ** 2):
-        member, f, g = chi0_image_test(IMAGE_MODULUS * q)
+        member, f, g = chi0_image_test(IMAGE_MODULUS * q, p_factors())
         assert member and f.is_zero() and g == q
 
 
@@ -110,16 +110,16 @@ def test_elementary_conversion_roundtrip():
 
 def test_image_membership():
     e1, e2, e3 = e_vars()
-    member, f, g = chi0_image_test(e1 ** 5)
+    member, f, g = chi0_image_test(e1 ** 5, p_factors())
     assert member and max(map(sum, f.terms)) == 5 and g.is_zero()
-    member, f, g = chi0_image_test(build_P() * e2)
+    member, f, g = chi0_image_test(build_P(p_factors()) * e2, p_factors())
     assert member
     # exhibited decomposition reassembles the input in lam, mu, nu
     lam, mu, nu = sym_vars()
     t = lam + mu + nu
     rebuilt = from_elementary(f) + (t + lam) * (t + mu) * (t + nu) * from_elementary(g)
-    assert rebuilt == from_elementary(build_P() * e2)
-    member, _, _ = chi0_image_test(e2)
+    assert rebuilt == from_elementary(build_P(p_factors()) * e2)
+    member, _, _ = chi0_image_test(e2, p_factors())
     assert not member
 
 
@@ -230,7 +230,7 @@ def test_sigma3_substitution_is_an_evaluated_character():
 
 def test_vanishing_table_and_nondegeneracy(P):
     families = load_family_table(None)
-    rep = vanishing_table(P, families)
+    rep = vanishing_table(P, families, p_factors())
     assert rep["ok"]
     rows = {row["family"]: row for row in rep["rows"]}
     assert rows["sl"]["vanishing_factors"] == ["t-nu"]
@@ -240,8 +240,8 @@ def test_vanishing_table_and_nondegeneracy(P):
         assert rows[name]["vanishing_factors"] == ["3*nu-2*t"]
     # multiplicativity: P*Q vanishes too
     e1, e2, e3 = e_vars()
-    assert vanishing_table(P * e2, families)["ok"]
-    assert vanishing_table(P * (e3 + e2 * e1), families)["ok"]
+    assert vanishing_table(P * e2, families, p_factors())["ok"]
+    assert vanishing_table(P * (e3 + e2 * e1), families, p_factors())["ok"]
 
 
 def _rows_in_lam_mu_nu(p, families):
@@ -269,8 +269,8 @@ def test_vanishing_table_matches_the_lam_mu_nu_substitution(P, spec):
     families = load_family_table(None)
     Q = parse_Q(spec)
     for p in (P * Q, Q):  # Q alone does not vanish on every family
-        assert vanishing_table(p, families)["rows"] == _rows_in_lam_mu_nu(p, families)
-    assert vanishing_table(P * Q, families)["ok"]
+        assert vanishing_table(p, families, p_factors())["rows"] == _rows_in_lam_mu_nu(p, families)
+    assert vanishing_table(P * Q, families, p_factors())["ok"]
 
 
 def test_q_parsing_and_constraints():
@@ -365,5 +365,5 @@ def test_the_family_table_matches_root_systems(tmp_path):
     wrong = tmp_path / "wrong.txt"
     wrong.write_text("sl; -2; 2; N+1; 5\ne7; -2; 9; 14; 14\n")
     families = load_family_table(wrong)
-    assert vanishing_table(build_P(), families)["ok"]
+    assert vanishing_table(build_P(p_factors()), families, p_factors())["ok"]
     assert not any(map(_matches_its_root_systems, families))

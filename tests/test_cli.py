@@ -55,6 +55,19 @@ def test_validate_passes_and_is_schema_valid(capsys):
     assert report["status"] == "pass"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--command", "validate"],
+    ["--command", "certify", "--k", "4", "--q", "e2"],
+])
+def test_a_command_reads_the_factors_of_P_once(capsys, monkeypatch, argv):
+    # build_P, chi0_image_test and vanishing_table share one reading
+    calls = []
+    read = characters.p_factors
+    monkeypatch.setattr(characters, "p_factors", lambda: calls.append(1) or read())
+    assert run(capsys, *argv, "--format", "json")[0] == 0
+    assert len(calls) == 1
+
+
 def test_validate_with_corrupted_table(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("sl; -2; 2; N; 4\n")  # wrong factor index recorded

@@ -19,6 +19,7 @@ from oracles import (
     reduce_B,
     skeleton_swap,
     sort_skeleton_to,
+    stu_rows_by_canonical_class,
     wheel_on_circle,
 )
 from weightsys.diagrams import (
@@ -417,15 +418,31 @@ def test_chord_forms_from_the_class_cache_are_the_searched_forms():
                 assert _cached_form(case) == _searched_form(case)
 
 
-def test_chord_forms_have_no_size_limit():
-    # 130 chords put gaps beyond 255 into the word
+def _many_chords():
+    """A diagram of 130 chords, whose gap word has entries beyond 255."""
     rng = random.Random(130)
     pts = list(range(260))
     rng.shuffle(pts)
     pairs = [(pts[2 * i], pts[2 * i + 1]) for i in range(130)]
-    d = chord_diagram_from_word(pairs, 260)
+    return pairs, chord_diagram_from_word(pairs, 260)
+
+
+def test_chord_forms_have_no_size_limit():
+    _, d = _many_chords()
     assert max(diagrams._gap_word(d)) > 255
     assert _cached_form(d) == _searched_form(d)
+
+
+def test_gap_words_try_only_rotations_from_the_least_entry():
+    # the rotations starting at the least entry hold the least of all
+    # rotations, which _word_canonical takes over every one of them: every
+    # chord matching of degree 0 to 6, and the 130-chord diagram
+    cases = [(pairs, 2 * m) for m in range(7) for pairs in _pairings(list(range(2 * m)))]
+    pairs, d = _many_chords()
+    cases.append((pairs, 260))
+    assert len(cases) == 1 + 1 + 3 + 15 + 105 + 945 + 10395 + 1
+    for pairs, n in cases:
+        assert diagrams._gap_word(chord_diagram_from_word(pairs, n)) == _word_canonical(pairs, n)
 
 
 def test_a_chord_class_and_its_mirror_get_different_forms():
@@ -438,20 +455,31 @@ def test_a_chord_class_and_its_mirror_get_different_forms():
     assert _cached_form(mirror) == _searched_form(mirror)
 
 
-def test_the_stu_oracle_searches_each_chord_class_once(monkeypatch):
-    searched = []
-    search = diagrams._canonicalize
+def test_the_stu_oracle_searches_no_diagram(monkeypatch):
+    def refuse(d):
+        raise AssertionError(f"searched {d!r}")
 
-    def counted(d):
-        if d.is_chord_diagram():
-            searched.append(diagrams._gap_word(d))
-        return search(d)
-
-    monkeypatch.setattr(diagrams, "_canonicalize", counted)
+    monkeypatch.setattr(diagrams, "_canonicalize", refuse)
     diagrams._chord_form.cache_clear()
     assert dim_A_by_stu(5) == 10
-    # the 105 chord classes of degree 5, each searched once
-    assert len(searched) == len(set(searched)) == 105
+
+
+def test_the_stu_rows_are_the_canonical_rows_up_to_column_names():
+    # the rows built from gap words are the rows that stu_expand gives on
+    # the same one-vertex diagrams, indexed by canonical chord class; every
+    # resolution's word names one of the classes the oracle counts
+    for m in range(6):
+        columns, rows = diagrams._stu_relations(m)
+        words = {diagrams._gap_word(d) for d in diagrams._chord_diagrams(m)}
+        classes = all_chord_diagrams(m)
+        assert set(columns) <= words and len(words) == len(classes)
+        index = {c._encoding(): i for i, c in enumerate(classes)}
+        rename = {col: index[diagrams._chord_form(word)[0]._encoding()]
+                  for word, col in columns.items()}
+        assert sorted(columns.values()) == list(range(len(columns)))
+        assert len(set(rename.values())) == len(rename)
+        renamed = [{rename[col]: c for col, c in row.items()} for row in rows]
+        assert renamed == stu_rows_by_canonical_class(one_vertex_diagrams(m), m)
 
 
 def test_four_term_relations_are_ranked_once(monkeypatch):
@@ -478,8 +506,8 @@ def test_four_term_relations_are_ranked_once(monkeypatch):
 
 
 def test_one_tripod_per_rotation_orbit():
-    # tripods at (0, a, b) give the classes, in order, of a tripod at
-    # every one of the C(2m-1, 3) position triples
+    # one diagram per class of a tripod at any of the C(2m-1, 3) position
+    # triples: the same classes, none twice, none zero by AS
     for m in range(6):
         n = 2 * m - 1
         full = []
@@ -490,8 +518,11 @@ def test_one_tripod_per_rotation_orbit():
                 edges += [(3 + a, 3 + b) for a, b in pairs]
                 full.append(_from_edges(1, n, edges, skel=range(1, 1 + n)))
         classes = [c._encoding() for c in _classes(full)]
-        assert [c._encoding() for c in one_vertex_diagrams(m)] == classes
-        assert bool(classes) == (m >= 2)
+        ones = one_vertex_diagrams(m)
+        assert [c._encoding() for c in _classes(ones)] == classes
+        assert len(ones) == len(classes) == [0, 0, 1, 2, 15, 142][m]
+        assert not any(d.canonical()[2] for d in ones)
+    assert len(one_vertex_diagrams(6)) == 1575
 
 
 def _four_term_rows_of_every_triple(m):

@@ -44,8 +44,8 @@ MODULE_CACHES = {
     "_reduce_canonical": "value-keyed and shared by every algebra; the wheel-6 "
                          "operation hits it across its three reductions",
     "_chord_form": "value-keyed by a complete class invariant, the gap word, and "
-                   "shared by every algebra; dim_stu's 12,060 chord diagrams have "
-                   "1,033 words",
+                   "shared by every algebra; the wheel-6 operation reads 1,157 chord "
+                   "diagrams' forms under 360 words",
     "_primes": "value-keyed by the same gap word, and shared by every algebra and "
                "carrier; wheel 6's 291 chord diagrams are factored once each, not "
                "once per carrier",
