@@ -143,7 +143,7 @@ def cmd_leading(args):
     ks = list(range(2, kmax + 1, 2))
     if mode == "symbolic":
         rows = [{"k": k, "computed": str(top) if top else "0 (identically in alpha)"}
-                for k, top in zip(ks, asymptotics.top_coefficients(ks))]
+                for k, top in zip(ks, map(asymptotics.top_coefficient, ks))]
         return {"command": "leading", "mode": "symbolic", "rows": rows,
                 "status": "pass"}, True
     rep = asymptotics.closed_form_check(ks)

@@ -82,9 +82,6 @@ class Diagram:
     def degree(self):
         return self.n_vertices // 2
 
-    def dart_vertex(self, d):
-        return d // 3 if d < 3 * self.nt else self.nt + (d - 3 * self.nt)
-
     def vertex_darts(self, v):
         if v < self.nt:
             return (3 * v, 3 * v + 1, 3 * v + 2)
@@ -389,14 +386,19 @@ def _gap_word(d):
     """The rotation-least gap word of a chord diagram: entry i is how far
     the partner of the leg at circle position i lies ahead of it.  Rotating
     the circle rotates the word, and the word fixes the pairing, so the
-    least rotation is a complete invariant of the class.  It starts at the
-    word's least entry, so only the rotations starting there are tried."""
+    least rotation is a complete invariant of the class."""
     skel, pairing = d.skel, d.pairing
     n = len(skel)
     at = [0] * n
     for i, u in enumerate(skel):
         at[u] = i
-    gaps = [(at[pairing[u]] - i) % n for i, u in enumerate(skel)]
+    return _least_rotation([(at[pairing[u]] - i) % n for i, u in enumerate(skel)])
+
+
+def _least_rotation(gaps):
+    """The least rotation of the gap word ``gaps``.  It starts at the word's
+    least entry, so only the rotations starting there are tried."""
+    n = len(gaps)
     least = min(gaps, default=0)
     twice = tuple(gaps) * 2
     return min((twice[r:r + n] for r in range(n) if gaps[r] == least), default=())
@@ -473,12 +475,6 @@ class LinComb:
 
     def __len__(self):
         return len(self.terms)
-
-    def __sub__(self, other):
-        out = LinComb()
-        out.add_comb(self)
-        out.add_comb(other, -1)
-        return out
 
     def __repr__(self):
         return "LinComb(" + " + ".join(f"({c})*{d!r}" for d, c in self) + ")"
@@ -600,21 +596,6 @@ def _reduce_canonical(canon):
     for diag, c in stu_expand(canon, legs[0]):
         res.add_comb(chord_reduce(diag), c)
     return res
-
-
-def chord_endpoints(d):
-    """Positions (i, j) along the skeleton of each chord of a chord diagram."""
-    if not d.is_chord_diagram():
-        raise DiagramError("not a chord diagram")
-    posn = {u: i for i, u in enumerate(d.skel)}
-    chords = []
-    for i, u in enumerate(d.skel):
-        du = d.vertex_darts(u)[0]
-        v = d.dart_vertex(d.pairing[du])
-        j = posn[v]
-        if i < j:
-            chords.append((i, j))
-    return chords
 
 
 # -- insertion ------------------------------------------------------------------------

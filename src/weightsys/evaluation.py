@@ -44,9 +44,12 @@ product of its factors' values, which are central elements of U(g)
 the sum has no Koszul sign between factors, which do not cross.  So a
 Verma value is the product of the primes' central characters, exactly,
 and an adjoint endomorphism is the composite of the primes' scalar ones,
-each Schur-checked.  ``_primes`` finds a chord class's primes once, keyed
-by its gap word as ``diagrams._chord_form`` is, and a chord diagram is
-swept only as a prime: 197 of wheel 6's 291 chord diagrams are composite.
+each Schur-checked.  A prime's value depends only on its class, so its
+rotation-least gap word, a complete invariant, is its only name:
+``_primes`` reads a chord diagram's primes off its gap word as gap words,
+by arithmetic on the word, and no prime is built as a diagram or
+canonicalized.  A chord diagram is swept only as a prime: 197 of wheel
+6's 291 chord diagrams are composite.
 
 Koszul signs: permuting the Casimir factors into circle order costs exactly
 one factor of -1 per *crossing* pair of chords whose terms are both odd
@@ -62,11 +65,12 @@ which turns the final state of a diagram of that degree into its scalar.
 ``_evaluate`` plans each distinct prime once (``_plan``: how it runs and
 its cost), checks every plan against ``EVAL_SWEEP_LIMIT`` before it runs
 any, so the bound applies to each prime's sweep, and each carrier
-memoizes the values in ``carrier.values``, keyed by canonical prime chord
-diagram or contracted diagram.  An algebra holds its own carriers
-in ``L.carriers``, one per Verma weight and one for the adjoint, built on
-first use and kept while the algebra lives; an algebra built again starts
-with none.
+memoizes the values in ``carrier.values``, keyed by a chord prime's gap
+word or a contracted diagram's canonical encoding.  The two cannot
+collide: an encoding holds tuples, and a word holds only ints.  An
+algebra holds its own carriers in ``L.carriers``, one per Verma weight
+and one for the adjoint, built on first use and kept while the algebra
+lives; an algebra built again starts with none.
 
 Both carriers run on one scaling rule and one int state.  The generators
 (the bracket table, and on a Verma module the Cartan action n*lambda0) are
@@ -96,12 +100,10 @@ carriers:
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
-from .diagrams import (DiagramError, LinComb, _gap_word, chord_diagram_from_word, chord_endpoints,
-                       chord_reduce)
+from .diagrams import DiagramError, LinComb, _gap_word, _least_rotation, chord_reduce
 from .scalars import _BITS, CostBoundError, MultiPoly, _poly
 
 # the planned cost of one sweep (see _plan): 3,017,194 on D(2,1,alpha)
@@ -762,25 +764,26 @@ def _parts(d):
     return list(chord_reduce(d))
 
 
-def _plan(x, L):
+def _plan(prime, L):
     """(cost, run) of one prime, where ``run(carrier)`` evaluates it: a chord
-    diagram sweeps the rotation that ``_plan_rotation`` priced; a contracted
-    diagram builds its leg tensor and sweeps it, priced dim + dim**2 + ...
-    + dim**legs, which bounds the label prefixes its closings store: at
-    most dim**j after the closing at leg j."""
-    if x.is_chord_diagram():
-        ends = chord_endpoints(x)
-        chords, cost = _plan_rotation(ends, 2 * len(ends), len(L.casimir))
+    prime, given by its gap word, sweeps the rotation that ``_plan_rotation``
+    priced; a contracted diagram builds its leg tensor and sweeps it, priced
+    dim + dim**2 + ... + dim**legs, which bounds the label prefixes its
+    closings store: at most dim**j after the closing at leg j."""
+    if isinstance(prime, tuple):
+        n = len(prime)
+        ends = [(i, i + g) for i, g in enumerate(prime) if i + g < n]
+        chords, cost = _plan_rotation(ends, n, len(L.casimir))
         return cost, lambda carrier: sweep_chords(carrier, chords)
-    trie = sum(L.dim ** k for k in range(1, x.nu + 1))
-    return trie, lambda carrier: sweep_legs(carrier, leg_tensor(carrier, x), x.degree)
+    trie = sum(L.dim ** k for k in range(1, prime.nu + 1))
+    return trie, lambda carrier: sweep_legs(carrier, leg_tensor(carrier, prime), prime.degree)
 
 
-@functools.cache
 def _primes(word):
-    """The prime factors of the chord diagram class with gap word ``word``:
-    ((canonical key, canonical chord diagram), ...), one per connected
-    component of its crossing graph, and none for the bare circle."""
+    """The gap words of the prime factors of the chord diagram class with
+    gap word ``word``, one per connected component of its crossing graph:
+    a component's word reads its own endpoints, in circle order, as a whole
+    circle.  A prime and the bare circle are their own single factor."""
     n = len(word)
     chords = [(i, i + g) for i, g in enumerate(word) if i + g < n]
     component = list(range(len(chords)))
@@ -789,21 +792,25 @@ def _primes(word):
             if chords[a][0] < p < chords[a][1] < q:
                 old, new = component[a], component[b]
                 component = [new if c == old else c for c in component]
+    if len(set(component)) < 2:
+        return [word]
     out = []
     for c in dict.fromkeys(component):
-        mine = [chord for chord, c2 in zip(chords, component) if c2 == c]
-        at = {e: i for i, e in enumerate(sorted(e for chord in mine for e in chord))}
-        prime = chord_diagram_from_word([(at[p], at[q]) for p, q in mine], len(at)).canonical()[0]
-        out.append((prime.canonical_key(), prime))
-    return tuple(out)
+        ends = sorted(e for chord, c2 in zip(chords, component) if c2 == c for e in chord)
+        at = {e: i for i, e in enumerate(ends)}
+        k = len(ends)
+        out.append(_least_rotation([(at[(e + word[e]) % n] - i) % k for i, e in enumerate(ends)]))
+    return out
 
 
 def _factors(x):
-    """((key, diagram), ...) of the primes whose values multiply to part x's:
-    a chord diagram's prime factors, x itself for a prime, a contracted
-    diagram or the bare circle."""
-    primes = _primes(_gap_word(x)) if x.is_chord_diagram() else ()
-    return primes or ((x.canonical_key(), x),)
+    """((key, prime), ...) of the primes whose values multiply to part x's,
+    each keyed as in ``carrier.values``: a chord diagram's primes are gap
+    words, each its own key; a contracted diagram is its own prime, keyed
+    by its canonical encoding."""
+    if x.is_chord_diagram():
+        return [(word, word) for word in _primes(_gap_word(x))]
+    return [(x.canonical_key(), x)]
 
 
 def _evaluate(d, L, carrier, check=None):

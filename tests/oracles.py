@@ -21,7 +21,9 @@ reaches them, so they live with the tests rather than in src/weightsys.
   ``--diagram`` file read (``diagram_text``);
 - the largest planned cost of the sweeps that evaluating a diagram runs
   (``sweep_cost``), read without sweeping, against which the eval cost
-  bound is checked, and a chord diagram's crossing components
+  bound is checked, a chord diagram's chords as endpoint pairs along the
+  circle (``chord_endpoints``), which name the diagrams of the Verma and
+  state-sum golden files, and its crossing components
   (``crossing_components``), its prime factors found without the
   package's factoring;
 - the evaluation sweep on MultiPoly states (``PolyVerma``, ``PolyEndo``,
@@ -125,6 +127,20 @@ def sweep_cost(d, L):
     return max((_plan(p, L)[0] for x, _ in _parts(d) for _, p in _factors(x)), default=0)
 
 
+def chord_endpoints(d):
+    """Positions (i, j) along the skeleton of each chord of a chord diagram."""
+    if not d.is_chord_diagram():
+        raise DiagramError("not a chord diagram")
+    posn = {u: i for i, u in enumerate(d.skel)}
+    chords = []
+    for i, u in enumerate(d.skel):
+        # with no trivalent vertex, leg u's one dart is numbered u
+        j = posn[d.pairing[u]]
+        if i < j:
+            chords.append((i, j))
+    return chords
+
+
 def crossing_components(chords):
     """The chords of each connected component of a chord diagram's crossing
     graph, given as endpoint pairs, each component moved onto the positions
@@ -218,7 +234,7 @@ def stu_rows_by_canonical_class(one_vertex, m):
     for diag in one_vertex:
         first, *others = (stu_expand(diag, u) for u in stu_eligible_legs(diag))
         for exp in others:
-            row = {index[t._encoding()]: c for t, c in first - exp}
+            row = {index[t._encoding()]: c for t, c in LinComb().add_comb(first).add_comb(exp, -1)}
             if row:
                 rows.append(row)
     return rows

@@ -8,6 +8,7 @@ import pytest
 from oracles import (
     PolyEndo,
     PolyVerma,
+    chord_endpoints,
     corrupt,
     crossing_components,
     diagram_text,
@@ -31,7 +32,6 @@ from weightsys.diagrams import (
     all_chord_diagrams,
     chi_bar,
     chord_diagram_from_word,
-    chord_endpoints,
     chord_reduce,
     insert_at_vertex,
     ladder,
@@ -54,6 +54,7 @@ from weightsys.evaluation import (
 )
 from weightsys.scalars import MultiPoly, _poly
 from weightsys.superalgebras import SuperAlgebra, d21, sl2, validate
+import weightsys.diagrams as diagrams
 import weightsys.evaluation as evaluation
 
 
@@ -521,26 +522,61 @@ def connected_sum(rng, primes):
     return sorted(pairs), n
 
 
+def prime_endpoints(m):
+    """The endpoint pairs of each prime chord diagram class of degree m."""
+    return [chord_endpoints(d) for d in all_chord_diagrams(m)
+            if len(crossing_components(chord_endpoints(d))) == 1]
+
+
 def test_a_chord_diagram_factors_into_its_crossing_components():
-    one = chord_diagram_from_word([(0, 1)], 2).canonical_key()
-    nested = chord_diagram_from_word([(0, 3), (1, 2)], 4)
-    assert [key for key, _ in evaluation._factors(nested)] == [one, one]
-    cross4 = chord_diagram_from_word([(0, 4), (1, 5), (2, 6), (3, 7)], 8)
-    assert [key for key, _ in evaluation._factors(cross4)] == [cross4.canonical_key()]
+    # each prime is named by its gap word, its own key, and the words are
+    # checked against _word_canonical, which tries every rotation
+    def keys(d):
+        factors = evaluation._factors(d)
+        assert all(key == prime for key, prime in factors)
+        return sorted(key for key, _ in factors)
+
+    one = _word_canonical([(0, 1)], 2)
+    assert keys(chord_diagram_from_word([(0, 3), (1, 2)], 4)) == [one, one]
+    cross4 = [(0, 4), (1, 5), (2, 6), (3, 7)]
+    assert keys(chord_diagram_from_word(cross4, 8)) == [_word_canonical(cross4, 8)]
+    assert keys(empty_circle()) == [()]
     # seeded composites of degree 6, of primes of degree 3, 2 and 1 drawn
     # from the prime classes: each splits into the primes it was built of
     rng = random.Random(6)
-    prime_classes = {m: [chord_endpoints(d) for d in all_chord_diagrams(m)
-                         if len(crossing_components(chord_endpoints(d))) == 1]
-                     for m in (1, 2, 3)}
+    prime_classes = {m: prime_endpoints(m) for m in (1, 2, 3)}
     assert [len(prime_classes[m]) for m in (1, 2, 3)] == [1, 1, 2]
     for _ in range(8):
         primes = [rng.choice(prime_classes[m]) for m in rng.sample((3, 2, 1), 3)]
         pairs, n = connected_sum(rng, primes)
         d = chord_diagram_from_word(pairs, n)
         assert d.degree == 6 and len(crossing_components(pairs)) == 3
-        want = sorted(chord_diagram_from_word(p, 2 * len(p)).canonical_key() for p in primes)
-        assert sorted(key for key, _ in evaluation._factors(d)) == want
+        want = sorted(_word_canonical(comp, 2 * len(comp)) for comp in crossing_components(pairs))
+        assert keys(d) == want
+
+
+def test_evaluation_searches_only_the_class_of_the_whole_diagram(monkeypatch):
+    # a seeded composite of degree 8, of primes of degree 3, 3 and 2: with
+    # the chord forms forgotten, evaluating it searches one diagram, the one
+    # chord_reduce puts in canonical form, and no prime
+    rng = random.Random(8)
+    primes = [rng.choice(prime_endpoints(m)) for m in (3, 3, 2)]
+    pairs, n = connected_sum(rng, primes)
+    d = chord_diagram_from_word(pairs, n)
+    assert len(crossing_components(pairs)) == 3
+    searched = []
+    canonicalize = diagrams._canonicalize
+
+    def counting(x):
+        searched.append(x)
+        return canonicalize(x)
+
+    monkeypatch.setattr(diagrams, "_canonicalize", counting)
+    diagrams._chord_form.cache_clear()
+    L = sl2()
+    value = eval_verma(d, L, (2,))
+    assert [diagrams._gap_word(x) for x in searched] == [diagrams._gap_word(d)]
+    assert value == sweep_chords(VermaCarrier(L, (2,)), pairs)
 
 
 @pytest.mark.parametrize("alpha, top", [(None, 5), (Fraction(2), 5), ("symbolic", 4)])
@@ -614,7 +650,7 @@ def test_the_library_bounds_the_sweep_before_sweeping(monkeypatch):
         with pytest.raises(evaluation.CostBoundError, match=f"plans cost {sum(17 ** k for k in range(1, 7))}"):
             evaluate(big)
     carrier = D.carriers[(3, 1, 1)]
-    carrier.values[cross6.canonical_key()] = carrier.zero
+    carrier.values[(6,) * 12] = carrier.zero
     assert eval_verma(cross6, D, (3, 1, 1)).is_zero()
 
 

@@ -17,9 +17,9 @@ A change that is meant to alter a report regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and the diff of tests/golden/ shows what changed.  The k = 6 certificate,
-tests/golden/certify_k6_full.out, takes about 46 s; the CI workflow, not
-this module, checks it, and it regenerates with
+and the diff of tests/golden/ shows what changed.  The CI workflow, not
+this module, checks the k = 6 certificate, tests/golden/certify_k6_full.out,
+which is too slow for this suite; it regenerates with
 
     PYTHONPATH=src python -m weightsys --command certify --k 6 --q 1 --mode full \\
         --format json > tests/golden/certify_k6_full.out

@@ -16,8 +16,8 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from weightsys.diagrams import (all_chord_diagrams, chi_bar, chord_endpoints, insert_at_vertex,
-                                ladder, triangle, wheel)
+from oracles import chord_endpoints
+from weightsys.diagrams import all_chord_diagrams, chi_bar, insert_at_vertex, ladder, triangle, wheel
 from weightsys.evaluation import eval_state_sum
 from weightsys.superalgebras import d21, sl2
 

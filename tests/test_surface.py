@@ -46,9 +46,6 @@ MODULE_CACHES = {
     "_chord_form": "value-keyed by a complete class invariant, the gap word, and "
                    "shared by every algebra; the wheel-6 operation reads 1,157 chord "
                    "diagrams' forms under 360 words",
-    "_primes": "value-keyed by the same gap word, and shared by every algebra and "
-               "carrier; wheel 6's 291 chord diagrams are factored once each, not "
-               "once per carrier",
 }
 
 
