@@ -34,13 +34,14 @@ least one reached so far.  Branches advance together, so a run of
 orientation ties, as along a ladder, is settled as the branches go rather
 than one whole branch after another.  A chord diagram has no orientation
 to choose: its roots run one after another, its sign is 1 and it is never
-zero.  It reaches the search once per class: its rotation-least gap word, a
-complete invariant of the class, keys the cache ``_chord_form``, which
-searches the diagram the word spells, so every diagram of the class gets
-that diagram's form.
+zero.
 
-The STU dimension oracle ``dim_A_by_stu`` searches no diagram.  It names
-each chord class and each STU resolution by its gap word, and
+A chord diagram's class has a second, cheaper name: its rotation-least gap
+word (``_gap_word``), a complete invariant.  STU reduction and the STU
+dimension oracle name every chord class by it, so neither searches a chord
+diagram.  ``chord_reduce`` returns {gap word: coefficient}; it searches
+only diagrams with a trivalent vertex, and reduces each such class once
+(``_reduce_canonical``).  ``dim_A_by_stu`` searches no diagram at all:
 ``one_vertex_diagrams`` gives it one diagram per one-vertex class straight
 from the tripod's least gap triple.
 """
@@ -94,9 +95,6 @@ class Diagram:
         base = 3 * (d // 3)
         return base + (d - base + 1) % 3
 
-    def is_chord_diagram(self):
-        return self.skel is not None and self.nt == 0
-
     def _validate(self):
         nd, pairing = self.n_darts, self.pairing
         if len(pairing) != nd:
@@ -140,13 +138,10 @@ class Diagram:
 
         The canonical diagram comes with its own form cached: itself, sign
         1 and the class's zero flag, so a stored canonical diagram is never
-        searched again.  A chord diagram reads its form from its class's
-        gap word."""
+        searched again.  STU reduction and evaluation name a chord diagram's
+        class by its gap word and never ask for this form."""
         if self._canon is None:
-            if self.is_chord_diagram():
-                self._canon = _chord_form(_gap_word(self))
-            else:
-                self._canon = _canonicalize(self)
+            self._canon = _canonicalize(self)
         return self._canon
 
     def canonical_key(self):
@@ -165,15 +160,21 @@ class Diagram:
 
     @classmethod
     def from_text(cls, text):
-        """Parse ``vertices nt nu``, ``edge a b`` per joined dart pair and ``skeleton`` with its
-        vertices, ``none`` or ``empty``, skipping ``#`` lines; bad text raises DiagramError."""
+        """Parse one ``vertices nt nu`` line, ``edge a b`` per joined dart pair and at most one
+        ``skeleton`` line with its vertices, ``none`` or ``empty``, skipping ``#`` lines; bad
+        text, a second ``vertices`` or ``skeleton`` line included, raises DiagramError."""
         nt = nu = None
         pairs = []
         skel = None
+        once = set()
         for line in text.strip().splitlines():
             parts = line.split()
             if not parts or parts[0].startswith("#"):
                 continue
+            if parts[0] in ("vertices", "skeleton"):
+                if parts[0] in once:
+                    raise DiagramError(f"second {parts[0]} line: {line.strip()}")
+                once.add(parts[0])
             try:
                 if parts[0] == "vertices" and len(parts) == 3:
                     nt, nu = int(parts[1]), int(parts[2])
@@ -404,15 +405,6 @@ def _least_rotation(gaps):
     return min((twice[r:r + n] for r in range(n) if gaps[r] == least), default=())
 
 
-@functools.cache
-def _chord_form(word):
-    """The canonical form of the chord diagram class with gap word ``word``,
-    searched once on the diagram the word spells."""
-    n = len(word)
-    pairs = [(i, i + g) for i, g in enumerate(word) if i + g < n]
-    return _canonicalize(chord_diagram_from_word(pairs, n))
-
-
 def _classes(diagrams):
     """One canonical representative per nonzero class, sorted by encoding."""
     found = {}
@@ -462,11 +454,6 @@ class LinComb:
             self.terms[key] = (canon, val)
         else:
             self.terms.pop(key, None)
-        return self
-
-    def add_comb(self, other, scale=1):
-        for diag, c in other:
-            self.add(diag, c * scale)
         return self
 
     def __iter__(self):
@@ -572,30 +559,35 @@ def _resolutions(d, u):
 
 
 def chord_reduce(d):
-    """Full STU reduction of a skeleton diagram to chord diagrams (cached)."""
-    if isinstance(d, LinComb):
-        out = LinComb()
-        for diag, c in d:
-            out.add_comb(chord_reduce(diag), c)
-        return out
-    canon, sign, zero = d.canonical()
-    if zero:
-        return LinComb()
-    return LinComb().add_comb(_reduce_canonical(canon), sign)
+    """Full STU reduction of a skeleton diagram, or of (diagram,
+    coefficient) pairs such as a LinComb, to chord diagrams: {gap word:
+    coefficient} with no zero coefficient.  A chord diagram is named by its
+    gap word and never canonicalized; any other diagram is canonicalized,
+    and its class is reduced once (``_reduce_canonical``)."""
+    out = {}
+    for diag, c in [(d, 1)] if isinstance(d, Diagram) else d:
+        if diag.skel is None:
+            raise DiagramError("STU reduction needs a skeleton diagram")
+        if diag.nt == 0:
+            terms = ((_gap_word(diag), c),)
+        else:
+            canon, sign, zero = diag.canonical()
+            if zero:
+                continue
+            terms = ((word, sign * c * x) for word, x in _reduce_canonical(canon).items())
+        for word, x in terms:
+            x += out.pop(word, 0)
+            if x:
+                out[word] = x
+    return out
 
 
 @functools.cache
 def _reduce_canonical(canon):
-    """STU reduction of a canonical diagram; the result is shared, never mutated."""
-    if canon.nt == 0:
-        return LinComb.of(canon)
-    legs = stu_eligible_legs(canon)
-    if not legs:
-        raise DiagramError("internal part detached from the skeleton")
-    res = LinComb()
-    for diag, c in stu_expand(canon, legs[0]):
-        res.add_comb(chord_reduce(diag), c)
-    return res
+    """STU reduction of a canonical diagram with a trivalent vertex: its two
+    resolutions at its first eligible leg, reduced.  The result is shared,
+    never mutated."""
+    return chord_reduce(_resolutions(canon, stu_eligible_legs(canon)[0]))
 
 
 # -- insertion ------------------------------------------------------------------------

@@ -44,12 +44,12 @@ product of its factors' values, which are central elements of U(g)
 the sum has no Koszul sign between factors, which do not cross.  So a
 Verma value is the product of the primes' central characters, exactly,
 and an adjoint endomorphism is the composite of the primes' scalar ones,
-each Schur-checked.  A prime's value depends only on its class, so its
-rotation-least gap word, a complete invariant, is its only name:
-``_primes`` reads a chord diagram's primes off its gap word as gap words,
-by arithmetic on the word, and no prime is built as a diagram or
-canonicalized.  A chord diagram is swept only as a prime: 197 of wheel
-6's 291 chord diagrams are composite.
+each Schur-checked.  A chord diagram's value depends only on its class,
+so its rotation-least gap word, a complete invariant, is its only name:
+``chord_reduce`` gives the chord diagrams of an STU reduction as gap words,
+``_primes`` reads a word's primes off it as gap words, by arithmetic on the
+word, and no chord diagram is canonicalized.  A chord diagram is swept
+only as a prime: 197 of wheel 6's 291 chord diagrams are composite.
 
 Koszul signs: permuting the Casimir factors into circle order costs exactly
 one factor of -1 per *crossing* pair of chords whose terms are both odd
@@ -103,7 +103,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .diagrams import DiagramError, LinComb, _gap_word, _least_rotation, chord_reduce
+from .diagrams import DiagramError, LinComb, _least_rotation, chord_reduce
 from .scalars import _BITS, CostBoundError, MultiPoly, _poly
 
 # the planned cost of one sweep (see _plan): 3,017,194 on D(2,1,alpha)
@@ -752,16 +752,16 @@ def sweep_legs(carrier, tensor, degree):
 
 
 def _parts(d):
-    """[(canonical diagram, coefficient)]: the diagrams whose values make
-    up skeleton diagram d's.  That is d's canonical form when d has more
-    trivalent vertices than legs, evaluated by contraction; otherwise the
-    chord diagrams of its STU reduction, each swept."""
+    """[(part, coefficient)]: the parts whose values make up skeleton
+    diagram d's.  That is d's canonical form when d has more trivalent
+    vertices than legs, evaluated by contraction; otherwise the gap words of
+    the chord diagrams of its STU reduction, each swept."""
     if d.skel is None:
         raise DiagramError("weight systems evaluate skeleton diagrams")
     if d.nt > d.nu:
         canon, sign, zero = d.canonical()
         return [] if zero else [(canon, sign)]
-    return list(chord_reduce(d))
+    return list(chord_reduce(d).items())
 
 
 def _plan(prime, L):
@@ -805,11 +805,11 @@ def _primes(word):
 
 def _factors(x):
     """((key, prime), ...) of the primes whose values multiply to part x's,
-    each keyed as in ``carrier.values``: a chord diagram's primes are gap
-    words, each its own key; a contracted diagram is its own prime, keyed
-    by its canonical encoding."""
-    if x.is_chord_diagram():
-        return [(word, word) for word in _primes(_gap_word(x))]
+    each keyed as in ``carrier.values``: the primes of a chord diagram's gap
+    word are gap words, each its own key; a contracted diagram is its own
+    prime, keyed by its canonical encoding."""
+    if isinstance(x, tuple):
+        return [(word, word) for word in _primes(x)]
     return [(x.canonical_key(), x)]
 
 

@@ -16,6 +16,9 @@ reaches them, so they live with the tests rather than in src/weightsys.
   (``ratio_character``);
 - the inverse of ``characters.to_elementary`` (``from_elementary``) and
   the bare skeleton circle (``empty_circle``);
+- the chord diagram a gap word spells (``word_diagram``), the LinComb
+  that ``chord_reduce``'s {gap word: coefficient} names (``chord_comb``),
+  and the sum of two LinCombs (``accumulate``);
 - the k-wheel glued to the circle (``wheel_on_circle``), and a diagram
   written in the text format that ``Diagram.from_text`` and eval's
   ``--diagram`` file read (``diagram_text``);
@@ -69,6 +72,7 @@ from weightsys.diagrams import (
     _from_edges,
     all_chord_diagrams,
     chi_bar,
+    chord_diagram_from_word,
     insert_at_vertex,
     stu_eligible_legs,
     stu_expand,
@@ -92,6 +96,30 @@ from weightsys.superalgebras import SuperAlgebra
 def empty_circle():
     """The bare skeleton circle (degree 0); evaluates to 1 everywhere."""
     return Diagram(0, 0, (), skel=())
+
+
+def word_diagram(word):
+    """The chord diagram that the gap word ``word`` spells: circle position
+    i is joined to position i + word[i]."""
+    n = len(word)
+    return chord_diagram_from_word([(i, i + g) for i, g in enumerate(word) if i + g < n], n)
+
+
+def chord_comb(reduced):
+    """The LinComb of the chord diagrams that ``chord_reduce``'s
+    {gap word: coefficient} names."""
+    out = LinComb()
+    for word, c in reduced.items():
+        out.add(word_diagram(word), c)
+    return out
+
+
+def accumulate(total, comb, scale=1):
+    """Add scale times each term of ``comb`` to the LinComb ``total``, and
+    return ``total``."""
+    for d, c in comb:
+        total.add(d, c * scale)
+    return total
 
 
 def wheel_on_circle(k):
@@ -129,7 +157,7 @@ def sweep_cost(d, L):
 
 def chord_endpoints(d):
     """Positions (i, j) along the skeleton of each chord of a chord diagram."""
-    if not d.is_chord_diagram():
+    if d.skel is None or d.nt:
         raise DiagramError("not a chord diagram")
     posn = {u: i for i, u in enumerate(d.skel)}
     chords = []
@@ -234,7 +262,8 @@ def stu_rows_by_canonical_class(one_vertex, m):
     for diag in one_vertex:
         first, *others = (stu_expand(diag, u) for u in stu_eligible_legs(diag))
         for exp in others:
-            row = {index[t._encoding()]: c for t, c in LinComb().add_comb(first).add_comb(exp, -1)}
+            both = accumulate(accumulate(LinComb(), first), exp, -1)
+            row = {index[t._encoding()]: c for t, c in both}
             if row:
                 rows.append(row)
     return rows

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    accumulate,
     exact_ratio,
     ihx_relation,
     internal_edges,
@@ -217,8 +218,8 @@ def test_criterion_10_diagram_algebra_oracles():
     w4 = wheel(4)
     for h in internal_edges(w4)[:3]:
         assert reduce_B(ihx_relation(w4, h)) == {}
-    lc = insert_at_vertex(wheel(2), 0, triangle())
-    lc.add_comb(insert_at_vertex(wheel(2), 1, triangle()), -1)
+    lc = accumulate(insert_at_vertex(wheel(2), 0, triangle()),
+                    insert_at_vertex(wheel(2), 1, triangle()), -1)
     assert reduce_B(lc) == {}
     _report(10, "STU-elimination and four-term-span dimensions agree for "
                 "degree <= 3; AS/IHX relation combinations all reduce to 0")

@@ -24,7 +24,7 @@ import json
 import random
 from pathlib import Path
 
-from oracles import enumerate_connected
+from oracles import enumerate_connected, word_diagram
 from test_diagrams import flipped_at, relabeled
 from weightsys.diagrams import (
     Diagram,
@@ -101,7 +101,7 @@ def test_canonical_diagrams_are_their_own_canonical_forms():
     # a canonical diagram caches (itself, 1, zero flag); a fresh copy, whose
     # form is searched, must give the same encoding, sign and zero flag
     inputs = [from_key(k) for k in json.loads(GOLDEN.read_text())]
-    inputs += [c for c, _ in chord_reduce(chi_bar(wheel(6)))]
+    inputs += [word_diagram(word) for word in chord_reduce(chi_bar(wheel(6)))]
     for d in inputs:
         canon, _, zero = d.canonical()
         cached = canon.canonical()

@@ -290,6 +290,9 @@ ONE_CHORD = "vertices 0 2\nedge 0 1\nskeleton 0 1\n"
     (ONE_CHORD, "--command certify --k 4 --format csv"),
     (ONE_CHORD, "--command certify --k 4 --q e2+e3"),
     ("vertices 2 0\nedge 0 3\nedge 1 4\nedge 2 5\nskeleton empty\n", "--command eval --algebra sl2"),
+    # one header and one skeleton line: a repeated one is refused, not overwritten
+    ("vertices 0 2\nvertices 0 2\nedge 0 1\nskeleton 0 1\n", "--command eval --algebra sl2"),
+    ("vertices 0 2\nedge 0 1\nskeleton 0 1\nskeleton 1 0\n", "--command eval --algebra sl2"),
     # no diagram file: eval without --diagram
     (None, "--command eval --algebra sl2"),
 ])

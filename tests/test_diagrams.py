@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import weightsys.diagrams as diagrams
 import weightsys.scalars as scalars
 from oracles import (
+    accumulate,
     chord_endpoints,
     diagram_text,
     empty_circle,
@@ -22,12 +23,12 @@ from oracles import (
     sort_skeleton_to,
     stu_rows_by_canonical_class,
     wheel_on_circle,
+    word_diagram,
 )
 from weightsys.diagrams import (
     Diagram,
     DiagramError,
     LinComb,
-    _canonicalize,
     _classes,
     _from_edges,
     _pairings,
@@ -132,7 +133,7 @@ def test_stu_on_wheel_on_circle():
         assert diag.nt == t2.nt - 1
     red = chord_reduce(t2)
     assert len(red) == 2
-    coeffs = sorted(c for _, c in red)
+    coeffs = sorted(red.values())
     assert coeffs == [-2, 2]
 
 
@@ -144,7 +145,7 @@ def test_stu_rejects_chord_ends():
 
 def test_stu_termination_degree_4():
     red = chord_reduce(wheel_on_circle(4))
-    assert all(d.is_chord_diagram() for d, _ in red)
+    assert all(diagrams._gap_word(word_diagram(word)) == word for word in red)
     assert len(red) >= 2
 
 
@@ -170,8 +171,8 @@ def _eq7_decomposition(k):
     for perm in itertools.permutations(range(k, 2 * k)):
         glued = Diagram(w.nt, w.nu, w.pairing, skel=perm)
         sorted_part, lower = sort_skeleton_to(glued, target)
-        total_sorted.add_comb(sorted_part)
-        total_lower.add_comb(lower)
+        accumulate(total_sorted, sorted_part)
+        accumulate(total_lower, lower)
     return total_sorted, total_lower
 
 
@@ -181,7 +182,7 @@ def test_symmetrized_wheel_filtration(k):
     srt, low = _eq7_decomposition(k)
     tk = wheel_on_circle(k)
     assert len(srt) == 1
-    assert not srt.add_comb(LinComb.of(tk, math.factorial(k)), -1)
+    assert not accumulate(srt, LinComb.of(tk, math.factorial(k)), -1)
     assert all(len(d.skel) == k - 1 for d, _ in low)
 
 
@@ -209,7 +210,7 @@ def test_caterpillar_realization():
 def test_insertion_well_defined_on_classes():
     a = insert_at_vertex(wheel(2), 0, triangle())
     b = insert_at_vertex(wheel(2), 1, triangle())
-    assert reduce_B(a.add_comb(b, -1)) == {}
+    assert reduce_B(accumulate(a, b, -1)) == {}
 
 
 def test_reduce_B_kills_relations():
@@ -287,6 +288,23 @@ def test_from_text_parses_or_raises_diagram_error(lines):
     except DiagramError:
         return
     assert Diagram.from_text(diagram_text(d)) == d
+
+
+@pytest.mark.parametrize("text, line", [
+    ("vertices 0 2\nvertices 0 2\nedge 0 1\nskeleton 0 1\n", "second vertices line"),
+    ("vertices 0 2\nedge 0 1\nskeleton 0 1\nskeleton none\n", "second skeleton line"),
+])
+def test_from_text_refuses_a_second_header_or_skeleton(text, line):
+    with pytest.raises(DiagramError, match=line):
+        Diagram.from_text(text)
+
+
+@pytest.mark.parametrize("d", [Diagram(0, 2, (1, 0)), wheel(2)], ids=["strut", "wheel2"])
+def test_stu_reduction_refuses_a_diagram_without_skeleton(d):
+    with pytest.raises(DiagramError, match="needs a skeleton diagram"):
+        chord_reduce(d)
+    with pytest.raises(DiagramError, match="needs a skeleton diagram"):
+        chord_reduce(LinComb.of(d))
 
 
 def test_lincomb_collection_uses_signs():
@@ -392,30 +410,9 @@ def test_chord_classes_match_the_four_term_oracle():
     assert len(key_of) == 1 + 2 + 5 + 18 + 105
 
 
-def _searched_form(d):
-    canon, sign, zero = _canonicalize(d)
-    return canon._encoding(), sign, zero
-
-
-def _cached_form(d):
+def _form(d):
     canon, sign, zero = d.canonical()
     return canon._encoding(), sign, zero
-
-
-def test_chord_forms_from_the_class_cache_are_the_searched_forms():
-    # every chord matching of degree 1 to 5, and one seeded relabelling of
-    # each with its skeleton rotated: the form read through the gap word is
-    # the one the search gives the diagram itself
-    rng = random.Random(20261020)
-    for m in range(1, 6):
-        n = 2 * m
-        for pairs in _pairings(list(range(n))):
-            d = chord_diagram_from_word(pairs, n)
-            other = relabeled(d, [], rng.sample(range(n), n), [])
-            r = rng.randrange(n)
-            other = Diagram(0, n, other.pairing, other.skel[r:] + other.skel[:r])
-            for case in (d, other):
-                assert _cached_form(case) == _searched_form(case)
 
 
 def _many_chords():
@@ -428,9 +425,11 @@ def _many_chords():
 
 
 def test_chord_forms_have_no_size_limit():
-    _, d = _many_chords()
+    pairs, d = _many_chords()
     assert max(diagrams._gap_word(d)) > 255
-    assert _cached_form(d) == _searched_form(d)
+    word = _word_canonical(pairs, 260)
+    assert chord_reduce(d) == {word: 1}
+    assert _form(d) == _form(word_diagram(word))
 
 
 def test_gap_words_try_only_rotations_from_the_least_entry():
@@ -451,8 +450,8 @@ def test_a_chord_class_and_its_mirror_get_different_forms():
     d = chord_diagram_from_word([(0, 1), (2, 5), (3, 7), (4, 6)], 8)
     mirror = Diagram(0, 8, d.pairing, d.skel[::-1])
     assert diagrams._gap_word(d) != diagrams._gap_word(mirror)
-    assert _cached_form(d)[0] != _cached_form(mirror)[0]
-    assert _cached_form(mirror) == _searched_form(mirror)
+    assert _form(d)[0] != _form(mirror)[0]
+    assert _form(mirror) == _form(word_diagram(diagrams._gap_word(mirror)))
 
 
 def test_the_stu_oracle_searches_no_diagram(monkeypatch):
@@ -460,7 +459,6 @@ def test_the_stu_oracle_searches_no_diagram(monkeypatch):
         raise AssertionError(f"searched {d!r}")
 
     monkeypatch.setattr(diagrams, "_canonicalize", refuse)
-    diagrams._chord_form.cache_clear()
     assert dim_A_by_stu(5) == 10
 
 
@@ -474,7 +472,7 @@ def test_the_stu_rows_are_the_canonical_rows_up_to_column_names():
         classes = all_chord_diagrams(m)
         assert set(columns) <= words and len(words) == len(classes)
         index = {c._encoding(): i for i, c in enumerate(classes)}
-        rename = {col: index[diagrams._chord_form(word)[0]._encoding()]
+        rename = {col: index[word_diagram(word).canonical_key()]
                   for word, col in columns.items()}
         assert sorted(columns.values()) == list(range(len(columns)))
         assert len(set(rename.values())) == len(rename)

@@ -8,6 +8,7 @@ import pytest
 from oracles import (
     PolyEndo,
     PolyVerma,
+    chord_comb,
     chord_endpoints,
     corrupt,
     crossing_components,
@@ -21,9 +22,11 @@ from oracles import (
     ratio_character,
     sweep_cost,
     wheel_on_circle,
+    word_diagram,
 )
 from test_characters import X3_PIECE
 from test_golden import X3W4_TEXT
+from weightsys.cli import main
 from weightsys.diagrams import (
     Diagram,
     InsertionPiece,
@@ -434,7 +437,7 @@ def test_contraction_agrees_with_stu(alpha):
         large = any(x.degree > 3 for x, _ in d)
         if L.dim > 3 and large and name not in D21_DEGREE_4:
             continue
-        reduced = chord_reduce(d)
+        reduced = chord_comb(chord_reduce(d))
         methods = [(verma, eval_verma(reduced, L, weight))]
         if not large or L.dim == 3:
             methods.append((adjoint, eval_state_sum(reduced, L)))
@@ -463,7 +466,7 @@ def test_more_vertices_than_legs_is_contracted_the_rest_reduced(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(evaluation, "chord_reduce", refuse)
         contracted = eval_verma(glued, L, (2,))
-    assert contracted == eval_verma(chord_reduce(glued), L, (2,))
+    assert contracted == eval_verma(chord_comb(chord_reduce(glued)), L, (2,))
     with monkeypatch.context() as m:
         m.setattr(evaluation, "leg_tensor", refuse)
         assert eval_verma(wheel_on_circle(4), L, (2,))
@@ -500,8 +503,8 @@ def test_each_prime_is_planned_once(monkeypatch):
     L, sym = sl2(), chi_bar(wheel(4))
     parts = chord_reduce(sym)
     primes = {_word_canonical(comp, 2 * len(comp))
-              for x, _ in parts for comp in crossing_components(chord_endpoints(x))}
-    assert len(list(parts)) == 12 and len(primes) == 6
+              for word in parts for comp in crossing_components(chord_endpoints(word_diagram(word)))}
+    assert len(parts) == 12 and len(primes) == 6
     first = eval_verma(sym, L, (2,))
     assert len(searches) == len(L.carriers[(2,)].values) == len(primes)
     searches.clear()
@@ -532,7 +535,8 @@ def test_a_chord_diagram_factors_into_its_crossing_components():
     # each prime is named by its gap word, its own key, and the words are
     # checked against _word_canonical, which tries every rotation
     def keys(d):
-        factors = evaluation._factors(d)
+        (word, _), = evaluation._parts(d)
+        factors = evaluation._factors(word)
         assert all(key == prime for key, prime in factors)
         return sorted(key for key, _ in factors)
 
@@ -555,27 +559,58 @@ def test_a_chord_diagram_factors_into_its_crossing_components():
         assert keys(d) == want
 
 
-def test_evaluation_searches_only_the_class_of_the_whole_diagram(monkeypatch):
-    # a seeded composite of degree 8, of primes of degree 3, 3 and 2: with
-    # the chord forms forgotten, evaluating it searches one diagram, the one
-    # chord_reduce puts in canonical form, and no prime
+def refuse_chord_searches(monkeypatch):
+    """Make ``diagrams._canonicalize`` fail on a diagram with no trivalent
+    vertex, and return the list of the other diagrams it searches.  The STU
+    reductions memoized by earlier tests are forgotten first."""
+    searched = []
+    canonicalize = diagrams._canonicalize
+
+    def guarded(x):
+        if x.nt == 0:
+            raise AssertionError(f"canonicalized a chord diagram: {x!r}")
+        searched.append(x)
+        return canonicalize(x)
+
+    monkeypatch.setattr(diagrams, "_canonicalize", guarded)
+    diagrams._reduce_canonical.cache_clear()
+    return searched
+
+
+def test_no_chord_diagram_is_canonicalized(monkeypatch, tmp_path, capsys):
+    # STU reduction and evaluation name a chord class by its gap word: the
+    # symmetrized 4-wheel on sl2 both ways, a seeded degree-7 chord diagram
+    # of a class no other test evaluates, and eval of the one-chord file
+    # search only the 4-wheel's classes and their resolutions with a vertex
+    searched = refuse_chord_searches(monkeypatch)
+    L, sym = sl2(), chi_bar(wheel(4))
+    assert str(eval_verma(sym, L, (2,))) == "768*n^4 + 1536*n^3 + 512*n^2 - 256*n"
+    assert eval_state_sum(sym, L) == 2560
+    assert searched and all(x.nt for x in searched)
+    rng = random.Random(7)
+    pts = rng.sample(range(14), 14)
+    pairs = sorted(tuple(sorted(pts[2 * i:2 * i + 2])) for i in range(7))
+    d = chord_diagram_from_word(pairs, 14)
+    assert eval_verma(d, L, (2,)) == sweep_chords(VermaCarrier(L, (2,)), pairs)
+    f = tmp_path / "chord.txt"
+    f.write_text("vertices 0 2\nedge 0 1\nskeleton 0 1\n")
+    assert main(["--command", "eval", "--diagram", str(f), "--algebra", "sl2",
+                 "--format", "json"]) == 0
+    assert '"value"' in capsys.readouterr().out
+
+
+def test_evaluating_a_composite_searches_no_diagram(monkeypatch):
+    # a seeded composite of degree 8, of primes of degree 3, 3 and 2:
+    # evaluating it searches no diagram, neither the whole nor a prime
     rng = random.Random(8)
     primes = [rng.choice(prime_endpoints(m)) for m in (3, 3, 2)]
     pairs, n = connected_sum(rng, primes)
     d = chord_diagram_from_word(pairs, n)
     assert len(crossing_components(pairs)) == 3
-    searched = []
-    canonicalize = diagrams._canonicalize
-
-    def counting(x):
-        searched.append(x)
-        return canonicalize(x)
-
-    monkeypatch.setattr(diagrams, "_canonicalize", counting)
-    diagrams._chord_form.cache_clear()
+    searched = refuse_chord_searches(monkeypatch)
     L = sl2()
     value = eval_verma(d, L, (2,))
-    assert [diagrams._gap_word(x) for x in searched] == [diagrams._gap_word(d)]
+    assert searched == []
     assert value == sweep_chords(VermaCarrier(L, (2,)), pairs)
 
 
@@ -616,7 +651,7 @@ def test_splitting_a_prime_changes_its_value(monkeypatch):
     one = chord_diagram_from_word([(0, 1)], 2)
     factors = evaluation._factors
     monkeypatch.setattr(evaluation, "_factors",
-                        lambda x: factors(one) * 2 if x == cross.canonical()[0] else factors(x))
+                        lambda x: factors((1, 1)) * 2 if x == (2, 2, 2, 2) else factors(x))
     L = sl2()
     for carrier, evaluate in ((VermaCarrier(L, (2,)), lambda d: eval_verma(d, L, (2,))),
                               (EndoCarrier(L), lambda d: eval_state_sum(d, L))):

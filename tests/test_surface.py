@@ -43,9 +43,6 @@ UNREAD_FIELDS = {
 MODULE_CACHES = {
     "_reduce_canonical": "value-keyed and shared by every algebra; the wheel-6 "
                          "operation hits it across its three reductions",
-    "_chord_form": "value-keyed by a complete class invariant, the gap word, and "
-                   "shared by every algebra; the wheel-6 operation reads 1,157 chord "
-                   "diagrams' forms under 360 words",
 }
 
 

@@ -6,6 +6,8 @@ sl2 and D(2,1,2), print exactly the strings stored in
 tests/golden/verma_values.json.
 
 A diagram is named by its chord endpoints along the circle, "0-2 1-3".
+The symbolic D(2,1,alpha) values at weight (3,1,1) are also checked to be
+palindromic in alpha, p(n, alpha) = alpha^m p(n, 1/alpha) at degree m.
 A change that is meant to alter a value regenerates the file with
 
     PYTHONPATH=src python tests/test_verma_golden.py
@@ -18,7 +20,15 @@ from fractions import Fraction
 from pathlib import Path
 
 from oracles import chord_endpoints
-from weightsys.diagrams import all_chord_diagrams, chi_bar, insert_at_vertex, ladder, triangle, wheel
+from weightsys.diagrams import (
+    all_chord_diagrams,
+    chi_bar,
+    chord_diagram_from_word,
+    insert_at_vertex,
+    ladder,
+    triangle,
+    wheel,
+)
 from weightsys.evaluation import adjoint_weight, eval_verma
 from weightsys.superalgebras import d21, sl2
 
@@ -55,6 +65,56 @@ def values():
 
 def test_verma_values_match_the_golden_file():
     assert values() == json.loads(GOLDEN.read_text())
+
+
+def coefficients(text):
+    """{(exponent of n, exponent of alpha): coefficient} of a value printed
+    as a polynomial in n and alpha."""
+    out = {}
+    for term in text.replace(" - ", " + -").split(" + "):
+        coeff, expo = Fraction(1), {"n": 0, "alpha": 0}
+        if term.startswith("-"):
+            coeff, term = -coeff, term[1:]
+        for factor in term.split("*"):
+            name, _, power = factor.partition("^")
+            if name in expo:
+                expo[name] += int(power or 1)
+            else:
+                coeff *= Fraction(factor)
+        if coeff:
+            out[expo["n"], expo["alpha"]] = coeff
+    return out
+
+
+def palindromic(text, m):
+    """Whether p(n, alpha) = alpha^m p(n, 1/alpha): the coefficient of
+    n^i alpha^j is that of n^i alpha^(m-j)."""
+    p = coefficients(text)
+    return all(j <= m and p.get((i, m - j)) == c for (i, j), c in p.items())
+
+
+def test_symbolic_values_at_3_1_1_are_palindromic_in_alpha():
+    # swapping H* coordinates 2 and 3 turns D(2,1,alpha) into
+    # D(2,1,1/alpha) with its form scaled, and fixes the weight (3,1,1), so
+    # a degree-m value p satisfies p(n, alpha) = alpha^m p(n, 1/alpha): the
+    # 26 chord diagrams of degree 1 to 4 (m chords), the symmetrized
+    # 4-wheel, and the symmetrized triangle-inserted 4-wheel (degree 5, 0)
+    golden = json.loads(GOLDEN.read_text())["D(2,1,alpha) (3,1,1)"]
+    degree = {"chi_bar(wheel(4))": 4, "chi_bar(triangle in wheel(4))": 5}
+    assert len(golden) == 28 and golden["chi_bar(triangle in wheel(4))"] == "0"
+    for label, text in golden.items():
+        m = degree.get(label, len(label.split()))
+        assert palindromic(text, m), label
+        assert text == "0" or max(j for _, j in coefficients(text)) == m, label
+
+
+def test_a_weight_that_tells_coordinates_2_and_3_apart_breaks_the_symmetry():
+    # the negative control: the two crossing chords at (3,1,2), which the
+    # swap does not fix
+    cross = chord_diagram_from_word([(0, 2), (1, 3)], 4)
+    L = d21()
+    assert palindromic(str(eval_verma(cross, L, (3, 1, 1))), 2)
+    assert not palindromic(str(eval_verma(cross, L, (3, 1, 2))), 2)
 
 
 if __name__ == "__main__":
