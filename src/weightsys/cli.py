@@ -63,7 +63,7 @@ def _parse_weight(spec, L):
     if spec is None:
         return asymptotics.DEFAULT_LAMBDA0[:rank]
     if spec == "adjoint":
-        return L.rootdata.highest_root
+        return evaluation.adjoint_weight(L)
     try:
         weight = tuple(int(x) for x in spec.split(","))
     except ValueError:

@@ -484,13 +484,14 @@ def wheel(k):
 def chi_bar(b, coeff=1):
     """Sum over all leg orderings of gluings into an oriented circle.
 
-    Accepts a skeleton-free Diagram or a LinComb of them; a diagram with k
-    legs contributes the sum (not average) of its k! glued versions.  The k
-    rotations of an order glue to one diagram, so the first leg stays put
-    and each of the (k-1)! orders of the rest counts k times.
+    Accepts a skeleton-free Diagram or a LinComb of them, either times
+    ``coeff``; a diagram with k legs contributes the sum (not average) of
+    its k! glued versions.  The k rotations of an order glue to one
+    diagram, so the first leg stays put and each of the (k-1)! orders of
+    the rest counts k times.
     """
     if isinstance(b, Diagram):
-        b = LinComb.of(b, coeff)
+        b = LinComb.of(b)
     out = LinComb()
     for diag, c in b:
         if diag.skel is not None:
@@ -499,7 +500,8 @@ def chi_bar(b, coeff=1):
             raise DiagramError("chi_bar is not defined for diagrams without legs")
         first, *rest = range(diag.nt, diag.nt + diag.nu)
         for perm in itertools.permutations(rest):
-            out.add(Diagram(diag.nt, diag.nu, diag.pairing, skel=(first, *perm)), c * diag.nu)
+            glued = Diagram(diag.nt, diag.nu, diag.pairing, skel=(first, *perm))
+            out.add(glued, coeff * c * diag.nu)
     return out
 
 

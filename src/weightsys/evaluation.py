@@ -31,9 +31,11 @@ the sweep: the four pairwise crossing chords on D(2,1,2) store at most
 4,097 adjoint states where the widest point has 51,677.  The last opening
 of a run is applied inside the closing after it: each entry of the
 opening's table goes on through the closing label's table straight into
-the merged state, so the opened states are never built.  ``_plan_rotation``
-picks the cut that keeps few chords open at once, and the sweep runs it.
-A leg tensor's entry is a branch pending on all its labels.
+the merged state, so the opened states are never built.  The sweep reads
+a chord diagram as its gap word, position i joined to i + word[i] around
+the circle; ``_plan_rotation`` picks the rotation of the word, the cut,
+that keeps few chords open at once, and the sweep runs it.  A leg tensor's
+entry is a branch pending on all its labels.
 
 Prime factors.  Chords in different connected components of a chord
 diagram's crossing graph do not cross, so each component lies in a single
@@ -49,7 +51,8 @@ so its rotation-least gap word, a complete invariant, is its only name:
 ``chord_reduce`` gives the chord diagrams of an STU reduction as gap words,
 ``_primes`` reads a word's primes off it as gap words, by arithmetic on the
 word, and no chord diagram is canonicalized.  A chord diagram is swept
-only as a prime: 197 of wheel 6's 291 chord diagrams are composite.
+only as a prime, planned and swept as its gap word: 197 of wheel 6's 291
+chord diagrams are composite.
 
 Koszul signs: permuting the Casimir factors into circle order costs exactly
 one factor of -1 per *crossing* pair of chords whose terms are both odd
@@ -62,6 +65,7 @@ Both methods share the carriers.  A carrier holds the bracket table and
 the Casimir ``terms`` as int entries (below), which is what ``leg_tensor``
 reads, and implements ``start``, ``apply`` and ``extract(state, degree)``,
 which turns the final state of a diagram of that degree into its scalar.
+``_parts`` hands out each part of a diagram as its keyed primes, and
 ``_evaluate`` plans each distinct prime once (``_plan``: how it runs and
 its cost), checks every plan against ``EVAL_SWEEP_LIMIT`` before it runs
 any, so the bound applies to each prime's sweep, and each carrier
@@ -355,68 +359,66 @@ def _accum(d, k, v):
 # --------------------------------------------------------------- the sweep
 
 
-def _plan_rotation(chords, n, branch):
+def _plan_rotation(word, branch):
     """Rotate the cut to minimize the open-width cost of the sweep: the
-    (rotated chords, cost), where each opening and each closing costs
-    branch ** (the number of chords open there)."""
-    best, best_cost = None, None
+    (rotated gap word, cost), where each opening and each closing costs
+    branch ** (the number of chords open there).  Position pos of a word
+    of length n closes its chord when ``pos + word[pos] < n`` and opens it
+    otherwise; the first rotation of least cost wins."""
+    n = len(word)
+    best, best_cost = word, None
     for r in range(max(n, 1)):
-        rot = sorted(tuple(sorted(((p - r) % n, (q - r) % n))) for p, q in chords)
+        rot = word[r:] + word[:r]
         width = 0
         cost = 0
-        opens = {q for _, q in rot}
-        closes = {p for p, _ in rot}
         for pos in range(n - 1, -1, -1):
-            if pos in opens:
+            if pos + rot[pos] >= n:
                 width += 1
                 cost += branch ** width
-            if pos in closes:
+            else:
                 cost += branch ** width
                 width -= 1
         if best_cost is None or cost < best_cost:
             best, best_cost = rot, cost
-    return best or [], best_cost
+    return best, best_cost
 
 
-def sweep_chords(carrier, chords):
-    """Contract a chord diagram, given as endpoint pairs on the positions
-    0 .. 2*len(chords) - 1, into the carrier's scalar.
+def sweep_chords(carrier, word):
+    """Contract a chord diagram, given as a gap word on the positions
+    0 .. len(word) - 1 (position pos is joined to pos + word[pos] mod the
+    length), into the carrier's scalar.
 
     A state's pendings are the labels still to act, one per open chord, in
-    the order the chords opened (``slots``).  A run of openings is a chain
-    of ``_open`` generators that the closing after it consumes, one
-    (pendings, state) item at a time; the run's last opening is applied
-    inside that closing (``_close`` with its ``crossing``), so no state of
-    it is built.  Only a closing, the one step that merges keys, stores its
-    states.  Position 0 ends a chord, so the sweep ends on a closing and
-    every opening is applied.  The chords come in the rotation ``_plan``
-    chose."""
-    n_positions = 2 * len(chords)
-    open_at = {q: ci for ci, (p, q) in enumerate(chords)}
-    close_at = {p: ci for ci, (p, q) in enumerate(chords)}
+    the order the chords opened; ``slots`` holds each open chord's lower
+    end.  A run of openings is a chain of ``_open`` generators that the
+    closing after it consumes, one (pendings, state) item at a time; the
+    run's last opening is applied inside that closing (``_close`` with its
+    ``crossing``), so no state of it is built.  Only a closing, the one step
+    that merges keys, stores its states.  Position 0 ends a chord, so the
+    sweep ends on a closing and every opening is applied.  The word comes in
+    the rotation ``_plan`` chose."""
+    n = len(word)
     slots = []
     states = {(): carrier.start()}
     items = states.items()
     crossing = None   # the crossed slots of an opening not yet applied
-    for pos in range(n_positions - 1, -1, -1):
-        if pos in open_at:
+    for pos in range(n - 1, -1, -1):
+        low = pos + word[pos] - n
+        if low >= 0:
             if crossing is not None:
                 items = _open(carrier, items, crossing)
-            ci = open_at[pos]
-            # an open chord crosses ci when it closes first, at a higher position
-            crossing = [j for j, c in enumerate(slots) if chords[c][0] > chords[ci][0]]
-            slots.append(ci)
-        elif pos in close_at:
-            j = slots.index(close_at[pos])
+            # an open chord crosses this one when it closes first, at a higher position
+            crossing = [j for j, p in enumerate(slots) if p > low]
+            slots.append(low)
+        else:
+            j = slots.index(pos)
             del slots[j]
             states = _close(carrier, items, j, crossing)
             crossing = None
             if not states:
                 break
             items = states.items()
-        else:
-            raise DiagramError("position is neither a chord opening nor closing")
-    return carrier.extract(states.get((), {}), len(chords))
+    return carrier.extract(states.get((), {}), n // 2)
 
 
 def _open(carrier, items, crossing):
@@ -752,29 +754,31 @@ def sweep_legs(carrier, tensor, degree):
 
 
 def _parts(d):
-    """[(part, coefficient)]: the parts whose values make up skeleton
-    diagram d's.  That is d's canonical form when d has more trivalent
-    vertices than legs, evaluated by contraction; otherwise the gap words of
-    the chord diagrams of its STU reduction, each swept."""
+    """[(primes, coefficient)]: the parts whose values make up skeleton
+    diagram d's, each as the primes whose values multiply to the part's,
+    each prime as (its key in ``carrier.values``, the prime).  When d has
+    more trivalent vertices than legs, its canonical form is its one part,
+    a prime keyed by its canonical encoding and evaluated by contraction;
+    otherwise each chord diagram of its STU reduction is a part, whose
+    primes are gap words (``_primes``), each its own key, each swept."""
     if d.skel is None:
         raise DiagramError("weight systems evaluate skeleton diagrams")
     if d.nt > d.nu:
         canon, sign, zero = d.canonical()
-        return [] if zero else [(canon, sign)]
-    return list(chord_reduce(d).items())
+        return [] if zero else [([(canon.canonical_key(), canon)], sign)]
+    return [([(p, p) for p in _primes(word)], c) for word, c in chord_reduce(d).items()]
 
 
 def _plan(prime, L):
     """(cost, run) of one prime, where ``run(carrier)`` evaluates it: a chord
-    prime, given by its gap word, sweeps the rotation that ``_plan_rotation``
-    priced; a contracted diagram builds its leg tensor and sweeps it, priced
-    dim + dim**2 + ... + dim**legs, which bounds the label prefixes its
-    closings store: at most dim**j after the closing at leg j."""
+    prime, a gap word, sweeps the rotation of the word that
+    ``_plan_rotation`` priced; a contracted diagram builds its leg tensor
+    and sweeps it, priced dim + dim**2 + ... + dim**legs, which bounds the
+    label prefixes its closings store: at most dim**j after the closing at
+    leg j."""
     if isinstance(prime, tuple):
-        n = len(prime)
-        ends = [(i, i + g) for i, g in enumerate(prime) if i + g < n]
-        chords, cost = _plan_rotation(ends, n, len(L.casimir))
-        return cost, lambda carrier: sweep_chords(carrier, chords)
+        word, cost = _plan_rotation(prime, len(L.casimir))
+        return cost, lambda carrier: sweep_chords(carrier, word)
     trie = sum(L.dim ** k for k in range(1, prime.nu + 1))
     return trie, lambda carrier: sweep_legs(carrier, leg_tensor(carrier, prime), prime.degree)
 
@@ -803,26 +807,16 @@ def _primes(word):
     return out
 
 
-def _factors(x):
-    """((key, prime), ...) of the primes whose values multiply to part x's,
-    each keyed as in ``carrier.values``: the primes of a chord diagram's gap
-    word are gap words, each its own key; a contracted diagram is its own
-    prime, keyed by its canonical encoding."""
-    if isinstance(x, tuple):
-        return [(word, word) for word in _primes(x)]
-    return [(x.canonical_key(), x)]
-
-
 def _evaluate(d, L, carrier, check=None):
     """Value of a skeleton diagram, or a LinComb of them, on L's carrier.
 
-    A part's value is the product of its primes' values (``_factors``).
+    A part's value is the product of its primes' values (``_parts``).
     Those come from ``carrier.values`` or from one plan per distinct prime
     (``_plan``), each checked against ``EVAL_SWEEP_LIMIT`` before any runs;
     ``check(diagram, value)`` runs on the value of every diagram.
     """
     terms = d if isinstance(d, LinComb) else [(d, 1)]
-    parts = [(diag, c, [(_factors(x), cx) for x, cx in _parts(diag)]) for diag, c in terms]
+    parts = [(diag, c, _parts(diag)) for diag, c in terms]
     plans = {}
     for _, _, ps in parts:
         for primes, _ in ps:
@@ -834,19 +828,16 @@ def _evaluate(d, L, carrier, check=None):
                                              f"above the eval bound {EVAL_SWEEP_LIMIT}")
     for key, (_, run) in plans.items():
         carrier.values[key] = run(carrier)
-    values = []
-    for diag, _, ps in parts:
+    total = carrier.zero
+    for diag, c, ps in parts:
         value = carrier.zero
         for primes, cx in ps:
             first, *rest = [carrier.values[key] for key, _ in primes]
             value = value + math.prod(rest, start=first) * Fraction(cx)
         if check is not None:
             check(diag, value)
-        values.append(value)
-    if not isinstance(d, LinComb):
-        return values[0]
-    total = carrier.zero
-    for (_, c, _), value in zip(parts, values):
+        if not isinstance(d, LinComb):
+            return value
         total = total + value * Fraction(c)
     return total
 

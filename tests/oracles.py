@@ -26,7 +26,8 @@ reaches them, so they live with the tests rather than in src/weightsys.
   (``sweep_cost``), read without sweeping, against which the eval cost
   bound is checked, a chord diagram's chords as endpoint pairs along the
   circle (``chord_endpoints``), which name the diagrams of the Verma and
-  state-sum golden files, and its crossing components
+  state-sum golden files, those pairs spelled as the unrotated gap word
+  that ``sweep_chords`` reads (``chord_word``), and its crossing components
   (``crossing_components``), its prime factors found without the
   package's factoring;
 - the evaluation sweep on MultiPoly states (``PolyVerma``, ``PolyEndo``,
@@ -79,7 +80,6 @@ from weightsys.diagrams import (
     wheel,
 )
 from weightsys.evaluation import (
-    _factors,
     _leg_plan,
     SchurCheckError,
     _parts,
@@ -152,7 +152,7 @@ def sweep_cost(d, L):
     """The largest planned cost of the sweeps that evaluating a skeleton
     diagram on L runs, one per prime factor of each part; nothing is swept
     or contracted."""
-    return max((_plan(p, L)[0] for x, _ in _parts(d) for _, p in _factors(x)), default=0)
+    return max((_plan(p, L)[0] for primes, _ in _parts(d) for _, p in primes), default=0)
 
 
 def chord_endpoints(d):
@@ -167,6 +167,18 @@ def chord_endpoints(d):
         if i < j:
             chords.append((i, j))
     return chords
+
+
+def chord_word(chords):
+    """The gap word that ``sweep_chords`` reads for a chord diagram given as
+    endpoint pairs on the positions 0 .. 2 * len(chords) - 1: position i is
+    joined to i + word[i] mod the length.  The word is not rotated to its
+    least, so the sweep runs the cut the pairs are given in."""
+    n = 2 * len(chords)
+    word = [0] * n
+    for p, q in chords:
+        word[p], word[q] = (q - p) % n, (p - q) % n
+    return tuple(word)
 
 
 def crossing_components(chords):
@@ -638,7 +650,8 @@ def poly_sweep_chords(carrier, chords):
     """The chord sweep on MultiPoly states, pendings as (chord, term) pairs."""
     terms = carrier.terms
     n_positions = 2 * len(chords)
-    chords, _ = _plan_rotation(chords, n_positions, len(terms))
+    word, _ = _plan_rotation(chord_word(chords), len(terms))
+    chords = [(i, i + g) for i, g in enumerate(word) if i + g < n_positions]
     open_at = {q: ci for ci, (p, q) in enumerate(chords)}
     close_at = {p: ci for ci, (p, q) in enumerate(chords)}
     states = {(): carrier.start()}

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import weightsys.asymptotics as asymptotics
 from weightsys.asymptotics import (
     DEFAULT_LAMBDA0,
     _root_pairings,
@@ -82,3 +83,13 @@ def test_find_n0_for_k2_reports_honestly():
     assert rep["n0"] is None
     assert rep["certified"] is False
     assert rep["n_k_coefficient_equals_k_factorial_times_top"]
+
+
+def test_find_n0_refuses_an_n_k_coefficient_off_the_root_system(monkeypatch):
+    # the negative control of the n^k check: against a root-system
+    # coefficient one more than the true one, the sweep's n^k coefficient
+    # disagrees, and no certificate is made
+    top = asymptotics.top_coefficient
+    monkeypatch.setattr(asymptotics, "top_coefficient", lambda k: top(k) + 1)
+    with pytest.raises(AssertionError, match="n\\^k coefficient disagrees"):
+        find_n0(4)

@@ -189,6 +189,20 @@ def test_eval_bare_circle(tmp_path, capsys):
     assert json.loads(out)["value"] == "1"
 
 
+def test_eval_adjoint_weight_is_the_adjoint_highest_weight(tmp_path, capsys):
+    # on D(2,1,2) the adjoint's highest weight is (2, 0, 0) in H*
+    # coordinates, and the one chord tells it from the default (3, 1, 1)
+    f = tmp_path / "chord.txt"
+    f.write_text(diagram_text(chord_diagram_from_word([(0, 1)], 2)))
+    values = []
+    for weight in ("adjoint", "2,0,0", "3,1,1"):
+        code, out = run(capsys, "--command", "eval", "--diagram", str(f), "--algebra", "d21",
+                        "--alpha", "2", "--weight", weight, "--format", "json")
+        assert code == 0
+        values.append(json.loads(out)["value"])
+    assert values == ["6*n^2 - 6*n", "6*n^2 - 6*n", "12*n^2 - 12*n"]
+
+
 def test_eval_single_chord_matches_validation_constant(tmp_path, capsys):
     f = tmp_path / "chord.txt"
     f.write_text(diagram_text(chord_diagram_from_word([(0, 1)], 2)))
@@ -276,6 +290,8 @@ ONE_CHORD = "vertices 0 2\nedge 0 1\nskeleton 0 1\n"
     (ONE_CHORD, "--command eval --algebra d21 --alpha=-1"),
     (ONE_CHORD, "--command leading --k 7"),
     (ONE_CHORD, "--command eval --algebra sl2 --max-degree -1"),
+    # a negative vertex count
+    ("vertices 0 -2\nedge 0 1\nskeleton 0 1\n", "--command eval --algebra sl2"),
     (ONE_CHORD, "--command eval --algebra sl2 --mode foo"),
     (ONE_CHORD, "--command leading --k 2 --mode foo"),
     (ONE_CHORD, "--command certify --k 2 --mode foo"),

@@ -28,6 +28,7 @@ from oracles import (
 from weightsys.diagrams import (
     Diagram,
     DiagramError,
+    InsertionPiece,
     LinComb,
     _classes,
     _from_edges,
@@ -164,6 +165,14 @@ def test_chi_bar_rejects_bad_input():
         chi_bar(closed)
 
 
+def test_chi_bar_scales_a_combination_by_its_coefficient():
+    # coeff multiplies every glued term, given a diagram or a LinComb
+    want = [(d.canonical_key(), 3 * c) for d, c in chi_bar(wheel(4))]
+    assert [c for _, c in want] == [48, 24]
+    for b in (wheel(4), LinComb.of(wheel(4))):
+        assert [(d.canonical_key(), c) for d, c in chi_bar(b, 3)] == want
+
+
 def _eq7_decomposition(k):
     w = wheel(k)
     target = tuple(range(k, 2 * k))
@@ -196,6 +205,15 @@ def test_insertion_degree_bookkeeping():
         assert diag.degree == 6 + r
     with pytest.raises(DiagramError):
         insert_at_vertex(wheel(6), 6, triangle())  # vertex 6 is a leg
+
+
+def test_what_is_no_insertion_piece_is_refused():
+    with pytest.raises(DiagramError, match="skeleton-free"):
+        InsertionPiece(wheel_on_circle(4), (4, 5, 6))
+    with pytest.raises(DiagramError, match="exactly 3 legs"):
+        InsertionPiece(wheel(4), (4, 5, 6))
+    with pytest.raises(DiagramError, match="r >= 1"):
+        ladder(0)
 
 
 def test_caterpillar_realization():

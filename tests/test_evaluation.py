@@ -10,6 +10,7 @@ from oracles import (
     PolyVerma,
     chord_comb,
     chord_endpoints,
+    chord_word,
     corrupt,
     crossing_components,
     diagram_text,
@@ -161,14 +162,14 @@ def test_cut_rotation_invariance(D_sym):
     # all give the value of the cut the plan picks
     carrier = VermaCarrier(D_sym, (3, 1, 1))
     chords, n = [(0, 2), (1, 4), (3, 5)], 6
-    planned, _ = evaluation._plan_rotation(chords, n, len(carrier.terms))
+    planned, _ = evaluation._plan_rotation(chord_word(chords), len(carrier.terms))
     want = sweep_chords(carrier, planned)
     assert want
     cuts = {tuple(sorted(tuple(sorted(((p - r) % n, (q - r) % n))) for p, q in chords))
             for r in range(n)}
     assert len(cuts) == 3
     for cut in cuts:
-        assert sweep_chords(carrier, list(cut)) == want
+        assert sweep_chords(carrier, chord_word(cut)) == want
 
 
 def test_degree_bound_is_asserted(monkeypatch):
@@ -285,6 +286,17 @@ def test_schur_check_guards_the_state_sum(L):
         eval_state_sum(chord_diagram_from_word([(0, 1)], 2), broken)
 
 
+def test_schur_check_catches_an_unequal_diagonal(L):
+    # the diagonal branch: an endomorphism with nothing off the diagonal
+    # but two values on it is no scalar either
+    carrier = EndoCarrier(L)
+    assert carrier.extract(carrier.start(), 0) == 1
+    state = carrier.start()
+    state[next(iter(state))] *= 2
+    with pytest.raises(SchurCheckError, match="diagonal mismatch"):
+        carrier.extract(state, 0)
+
+
 def test_verma_carrier_rejects_an_odd_square():
     # twice an odd root of D(2,1,alpha) is not a root, so every odd lowering
     # operator squares to zero; a corrupted [v, v] = h is refused up front
@@ -375,7 +387,7 @@ def test_both_carriers_work_on_integers(L, D2, D_sym):
             if isinstance(carrier, VermaCarrier):
                 assert carrier.cartan == {h: da * w for h, w in zip(A.rootdata.cartan, weight)}
             # every operator entry the sweep reads is a pair of ints
-            sweep_chords(carrier, [(0, 2), (1, 3)])
+            sweep_chords(carrier, chord_word([(0, 2), (1, 3)]))
             tables = [*carrier.tables, *(t for _, t in carrier.opening)]
             rows = [row for t in tables for row in (t.values() if isinstance(t, dict) else t)]
             assert rows and all(type(off) is int and type(c) is int and c
@@ -389,7 +401,8 @@ def test_state_sum_is_bounded_by_its_plan_not_its_vertex_count(D2):
     # below the eval bound, however many vertices they have
     chain = chord_diagram_from_word([(0, 2), (1, 4), (3, 6), (5, 8), (7, 10), (9, 12), (11, 13)], 14)
     assert chain.n_vertices == 14 and sweep_cost(chain, D2) == 3502
-    assert eval_state_sum(chain, D2) == sweep_chords(EndoCarrier(D2), chord_endpoints(chain))
+    want = sweep_chords(EndoCarrier(D2), chord_word(chord_endpoints(chain)))
+    assert eval_state_sum(chain, D2) == want
 
 
 def two_method_corpus():
@@ -535,8 +548,7 @@ def test_a_chord_diagram_factors_into_its_crossing_components():
     # each prime is named by its gap word, its own key, and the words are
     # checked against _word_canonical, which tries every rotation
     def keys(d):
-        (word, _), = evaluation._parts(d)
-        factors = evaluation._factors(word)
+        (factors, _), = evaluation._parts(d)
         assert all(key == prime for key, prime in factors)
         return sorted(key for key, _ in factors)
 
@@ -591,7 +603,7 @@ def test_no_chord_diagram_is_canonicalized(monkeypatch, tmp_path, capsys):
     pts = rng.sample(range(14), 14)
     pairs = sorted(tuple(sorted(pts[2 * i:2 * i + 2])) for i in range(7))
     d = chord_diagram_from_word(pairs, 14)
-    assert eval_verma(d, L, (2,)) == sweep_chords(VermaCarrier(L, (2,)), pairs)
+    assert eval_verma(d, L, (2,)) == sweep_chords(VermaCarrier(L, (2,)), chord_word(pairs))
     f = tmp_path / "chord.txt"
     f.write_text("vertices 0 2\nedge 0 1\nskeleton 0 1\n")
     assert main(["--command", "eval", "--diagram", str(f), "--algebra", "sl2",
@@ -611,7 +623,7 @@ def test_evaluating_a_composite_searches_no_diagram(monkeypatch):
     L = sl2()
     value = eval_verma(d, L, (2,))
     assert searched == []
-    assert value == sweep_chords(VermaCarrier(L, (2,)), pairs)
+    assert value == sweep_chords(VermaCarrier(L, (2,)), chord_word(pairs))
 
 
 @pytest.mark.parametrize("alpha, top", [(None, 5), (Fraction(2), 5), ("symbolic", 4)])
@@ -634,9 +646,9 @@ def test_a_composite_value_is_the_product_of_its_primes(alpha, top):
     for carrier, evaluate in methods:
         for d in composite:
             ends = chord_endpoints(d)
-            chords, _ = evaluation._plan_rotation(ends, 2 * len(ends), len(carrier.terms))
+            word, _ = evaluation._plan_rotation(chord_word(ends), len(carrier.terms))
             value = evaluate(d)
-            assert value == sweep_chords(carrier, chords), (type(carrier).__name__, ends)
+            assert value == sweep_chords(carrier, word), (type(carrier).__name__, ends)
             nonzero.append(bool(value))
     assert all(nonzero[:len(composite)])
     assert sum(nonzero[len(composite):]) == (75 if alpha is None else 0)
@@ -649,17 +661,17 @@ def test_splitting_a_prime_changes_its_value(monkeypatch):
     # by a multiple of the adjoint Casimir eigenvalue t = 0, so they agree.)
     cross = chord_diagram_from_word([(0, 2), (1, 3)], 4)
     one = chord_diagram_from_word([(0, 1)], 2)
-    factors = evaluation._factors
-    monkeypatch.setattr(evaluation, "_factors",
-                        lambda x: factors((1, 1)) * 2 if x == (2, 2, 2, 2) else factors(x))
+    primes = evaluation._primes
+    monkeypatch.setattr(evaluation, "_primes",
+                        lambda word: primes((1, 1)) * 2 if word == (2, 2, 2, 2) else primes(word))
     L = sl2()
     for carrier, evaluate in ((VermaCarrier(L, (2,)), lambda d: eval_verma(d, L, (2,))),
                               (EndoCarrier(L), lambda d: eval_state_sum(d, L))):
         split = evaluate(cross)
         assert split == evaluate(one) * evaluate(one)
-        assert split != sweep_chords(carrier, [(0, 2), (1, 3)])
+        assert split != sweep_chords(carrier, (2, 2, 2, 2))
     monkeypatch.undo()
-    assert eval_verma(cross, sl2(), (2,)) == sweep_chords(VermaCarrier(L, (2,)), [(0, 2), (1, 3)])
+    assert eval_verma(cross, sl2(), (2,)) == sweep_chords(VermaCarrier(L, (2,)), (2, 2, 2, 2))
 
 
 def test_the_library_bounds_the_sweep_before_sweeping(monkeypatch):
@@ -774,10 +786,11 @@ def test_the_sweep_agrees_with_its_breadth_first_reference(alpha, top):
     for carrier in carriers:
         for m in range(top + 1):
             for d in all_chord_diagrams(m):
-                ends = chord_endpoints(d)
-                chords, _ = evaluation._plan_rotation(ends, len(ends) * 2, len(carrier.terms))
+                word = chord_word(chord_endpoints(d))
+                word, _ = evaluation._plan_rotation(word, len(carrier.terms))
+                chords = chord_endpoints(word_diagram(word))
                 want = breadth_first_sweep(carrier, chords)
-                got = sweep_chords(carrier, chords)
+                got = sweep_chords(carrier, word)
                 assert list(got.items()) == list(want.items()), (type(carrier).__name__, chords)
                 nonzero += bool(got)
     assert nonzero == 2 * sum(len(all_chord_diagrams(m)) for m in range(top + 1))
@@ -797,7 +810,7 @@ def test_the_sweep_stores_states_only_after_a_closing(D2, monkeypatch):
         return states
 
     monkeypatch.setattr(evaluation, "_close", counting_close)
-    assert sweep_chords(EndoCarrier(D2), [(0, 3), (1, 4), (2, 5)]) == 0
+    assert sweep_chords(EndoCarrier(D2), chord_word([(0, 3), (1, 4), (2, 5)])) == 0
     assert 17 < max(stored) <= 17 ** 2
 
 
@@ -812,7 +825,7 @@ def test_the_int_sweep_agrees_with_the_multipoly_sweep(alpha, top):
     diagrams = [chord_endpoints(d) for m in range(top + 1) for d in all_chord_diagrams(m)]
     for new, old in ((VermaCarrier(L, weight), PolyVerma(L, weight)),
                      (EndoCarrier(L), PolyEndo(L))):
-        values = [sweep_chords(new, chords) for chords in diagrams]
+        values = [sweep_chords(new, chord_word(chords)) for chords in diagrams]
         assert values == [poly_sweep_chords(old, chords) for chords in diagrams], type(new).__name__
         if isinstance(new, VermaCarrier):
             assert all(values)
